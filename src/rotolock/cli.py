@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, PreconditionError
+from .errors import ConfigError, PreconditionError, reject_unknown_keys
 from .modulation import ModulationFit, modulation_series
 from .reference import (
     EmissionFit,
@@ -20,7 +20,7 @@ from .reference import (
     reference_waveform,
 )
 from .signals import TimeGrid, synth, write_csv
-from .sim import SimConfig, _reject_unknown_keys, report, run_simulation
+from .sim import SimConfig, report, run_simulation
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class ModwaveConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModwaveConfig":
-        _reject_unknown_keys(d, {"f_m", "samples_per_period", "modulation"}, "modwave")
+        reject_unknown_keys(d, {"f_m", "samples_per_period", "modulation"}, "modwave")
         defaults = cls()
         return cls(
             f_m=float(d.get("f_m", defaults.f_m)),
@@ -62,7 +62,7 @@ class RefsignalConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RefsignalConfig":
-        _reject_unknown_keys(d, {"f_rot", "samples_per_period", "geometry"}, "refsignal")
+        reject_unknown_keys(d, {"f_rot", "samples_per_period", "geometry"}, "refsignal")
         defaults = cls()
         return cls(
             f_rot=float(d.get("f_rot", defaults.f_rot)),
@@ -72,9 +72,9 @@ class RefsignalConfig:
 
 
 def _geometry_from_dict(d: dict) -> SpotGeometry:
-    _reject_unknown_keys(d, {"r0", "d", "R0", "theta_gnd_deg", "emission"}, "geometry")
+    reject_unknown_keys(d, {"r0", "d", "R0", "theta_gnd_deg", "emission"}, "geometry")
     em_d = d.get("emission", {})
-    _reject_unknown_keys(em_d, {"A", "k", "c"}, "emission")
+    reject_unknown_keys(em_d, {"A", "k", "c"}, "emission")
     defaults = SpotGeometry()
     em_defaults = defaults.emission
     emission = EmissionFit(
@@ -102,14 +102,14 @@ def _load_config(path, subcommand: str) -> dict:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    if "subcommand" in data and "config" in data:
+    if isinstance(data, dict) and "subcommand" in data and "config" in data:
         if data["subcommand"] != subcommand:
             raise ConfigError(
                 f"{path} is a manifest for {data['subcommand']!r}, not {subcommand!r}"
             )
         data = data["config"]
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: top level must be a JSON object")
     return data
 
 
@@ -198,10 +198,12 @@ def main(argv=None) -> int:
         raw = _load_config(args.config, args.subcommand)
         if args.subcommand == "simulate":
             # flag overrides beat file values
-            if args.noise is not None:
-                raw.setdefault("noise", {})["kind"] = args.noise
-            if args.seed is not None:
-                raw.setdefault("noise", {})["seed"] = args.seed
+            noise = raw.setdefault("noise", {})
+            if isinstance(noise, dict):  # anything else SimConfig.from_dict rejects
+                if args.noise is not None:
+                    noise["kind"] = args.noise
+                if args.seed is not None:
+                    noise["seed"] = args.seed
             if args.ref is not None:
                 raw["ref_kind"] = args.ref
             cfg = SimConfig.from_dict(raw)

@@ -24,6 +24,7 @@ from .signals import (
     SampledSignal,
     TimeGrid,
     WindowedSignal,
+    integer_ratio,
     moving_integral,
     synth,
 )
@@ -173,8 +174,7 @@ def demodulate(
             f"channel {channel!r} gain {g:.3g} is below the floor {gain.floor:.3g}"
         )
     period = 1.0 / ref.f_m
-    ratio = period / s_m.grid.dt
-    if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+    if integer_ratio(period / s_m.grid.dt) is None:
         raise PreconditionError(
             f"sample rate {s_m.grid.sample_rate:.6g} Hz is not an integer "
             f"multiple of f_m {ref.f_m:.6g} Hz"

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, reject_unknown_keys
 from .signals import HarmonicSeries
 
 # default fit of the modulated-intensity waveform vs electrode angle:
@@ -61,6 +61,7 @@ class ModulationFit:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModulationFit":
+        reject_unknown_keys(d, {"amplitudes", "phase", "offset"}, "modulation")
         return cls(
             amplitudes=np.asarray(d.get("amplitudes", DEFAULT_AMPLITUDES), dtype=float),
             phase=float(d.get("phase", DEFAULT_PHASE)),

@@ -18,6 +18,15 @@ from .errors import PreconditionError
 _RATIO_TOL = 1e-9
 
 
+def integer_ratio(ratio: float) -> int | None:
+    """`ratio` as a positive integer when it is one to within _RATIO_TOL
+    (relative), else None."""
+    k = int(round(ratio))
+    if k < 1 or abs(ratio - k) > _RATIO_TOL * max(1.0, ratio):
+        return None
+    return k
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform time axis: n samples spaced dt seconds starting at t0."""
@@ -158,12 +167,22 @@ class WindowedSignal:
 
 
 def synth(series: HarmonicSeries, grid: TimeGrid) -> SampledSignal:
-    """Evaluate a harmonic series on a time grid."""
-    t = grid.times()
+    """Evaluate a harmonic series on a time grid.
+
+    When a period 1/f_fund holds a whole number spp of samples (to within
+    _RATIO_TOL, the test the lock-in uses), only the first min(n, spp)
+    samples from grid.t0 are evaluated and that period is tiled out to n
+    samples: O(spp * harmonics) trigonometry and O(n) memory.  Otherwise
+    every sample is evaluated.  Tiling also keeps the phase accurate on long
+    grids, where 2*pi*f*t at large t loses bits.
+    """
+    spp = integer_ratio(1.0 / (series.f_fund * grid.dt))
+    k = grid.n if spp is None else min(grid.n, spp)
+    t = grid.t0 + np.arange(k) * grid.dt
     j = np.arange(1, series.n_harmonics + 1)
     args = 2.0 * np.pi * series.f_fund * t[:, None] * j[None, :]
     values = series.dc + np.cos(args) @ series.cos_coeffs + np.sin(args) @ series.sin_coeffs
-    return SampledSignal(grid, values)
+    return SampledSignal(grid, np.resize(values, grid.n))
 
 
 def fit_harmonics(signal: SampledSignal, f_fund: float, l: int) -> tuple[HarmonicSeries, float]:
@@ -239,9 +258,8 @@ def moving_integral(signal: SampledSignal, window: float) -> WindowedSignal:
     integrate from the start of the signal and are reported as warm-up.
     """
     grid = signal.grid
-    ratio = window / grid.dt
-    w = int(round(ratio))
-    if w < 1 or abs(ratio - w) > _RATIO_TOL * max(1.0, ratio):
+    w = integer_ratio(window / grid.dt)
+    if w is None:
         raise PreconditionError(
             f"window {window:.6g} s is not an integer multiple of dt {grid.dt:.6g} s"
         )
@@ -262,9 +280,8 @@ def downsample_at_phase(signal: SampledSignal, f_m: float, phase: float) -> Samp
     """Keep one sample per modulation period: the one nearest the requested
     modulation phase.  The output grid has dt = 1/f_m."""
     grid = signal.grid
-    ratio = 1.0 / (f_m * grid.dt)
-    spp = int(round(ratio))
-    if spp < 1 or abs(ratio - spp) > _RATIO_TOL * max(1.0, ratio):
+    spp = integer_ratio(1.0 / (f_m * grid.dt))
+    if spp is None:
         raise PreconditionError(
             f"sample rate {grid.sample_rate:.6g} Hz is not an integer multiple "
             f"of f_m {f_m:.6g} Hz"

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, PreconditionError
+from .errors import ConfigError, PreconditionError, reject_unknown_keys
 from .lockin import (
     demod_gain_numeric,
     demodulate,
@@ -67,7 +67,7 @@ class NoiseSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseSpec":
-        _reject_unknown_keys(d, {"kind", "amplitude", "rate_or_freq", "seed"}, "noise")
+        reject_unknown_keys(d, {"kind", "amplitude", "rate_or_freq", "seed"}, "noise")
         defaults = cls()
         return cls(
             kind=str(d.get("kind", defaults.kind)),
@@ -135,7 +135,7 @@ class SimConfig:
             "dt", "duration", "f_m", "signal_freq", "signal_amp", "ref_kind",
             "ref_phase_delay", "noise", "downsample_phase", "modulation",
         }
-        _reject_unknown_keys(d, known, "simulation")
+        reject_unknown_keys(d, known, "simulation")
         defaults = cls()
         return cls(
             dt=float(d.get("dt", defaults.dt)),
@@ -163,12 +163,6 @@ class SimResult:
     metrics: dict
 
 
-def _reject_unknown_keys(d: dict, known: set, where: str) -> None:
-    unknown = set(d) - known
-    if unknown:
-        raise ConfigError(f"unknown {where} config keys: {sorted(unknown)}")
-
-
 def gen_noise(spec: NoiseSpec, grid: TimeGrid) -> SampledSignal:
     """Generate the disturbance signal for a grid; seeded and reproducible."""
     t = grid.times()
@@ -194,17 +188,25 @@ def gen_noise(spec: NoiseSpec, grid: TimeGrid) -> SampledSignal:
 
 def _step_sample_indices(noise: SampledSignal) -> np.ndarray:
     """Indices where the piecewise-constant noise switches to a new level."""
-    return np.flatnonzero(np.diff(noise.values) != 0.0) + 1
+    v = noise.values
+    return np.flatnonzero(v[1:] != v[:-1]) + 1
 
 
 def step_contamination_mask(noise: SampledSignal, window_samples: int) -> np.ndarray:
     """Boolean mask over output samples whose integration window contains a
     noise step.  Output j integrates input samples j-window..j, so a level
     change at input i contaminates outputs i..i+window-1."""
-    mask = np.zeros(noise.grid.n, dtype=bool)
-    for i in _step_sample_indices(noise):
-        mask[i : i + window_samples] = True
-    return mask
+    n = noise.grid.n
+    steps = _step_sample_indices(noise)
+    if len(steps) == 0:
+        return np.zeros(n, dtype=bool)
+    # windows that overlap or touch merge into contaminated runs [start, end)
+    first = np.diff(steps, prepend=-window_samples - 1) > window_samples
+    starts = steps[first]
+    ends = np.minimum(steps[np.append(first[1:], True)] + window_samples, n)
+    # run lengths of [0, start_0), [start_0, end_0), [end_0, start_1), ..., [end_last, n)
+    lengths = np.diff(np.column_stack((starts, ends)).ravel(), prepend=0, append=n)
+    return np.repeat(np.arange(len(lengths)) % 2 == 1, lengths)
 
 
 def run_simulation(cfg: SimConfig) -> SimResult:
@@ -269,9 +271,14 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     rms_down = float(np.sqrt(np.mean(dev_down**2)))
 
     # what a fixed, phase-aligned gain would have applied: the ratio shows the
-    # scale (and sign, for a half-period flip) error of skipping calibration
+    # scale (and sign, for a half-period flip) error of skipping calibration;
+    # None when the aligned gain on this channel is below the floor (an
+    # aligned reference has no odd part, so always on the odd channel)
     aligned = split_even_odd(synth_demod_reference(period, cfg.ref_kind, l, 0.0))
-    g_aligned = demod_gain_numeric(m_series, aligned).channel_gain(channel)
+    aligned_gain = demod_gain_numeric(m_series, aligned)
+    scale = None
+    if aligned_gain.usable(channel):
+        scale = gain.channel_gain(channel) / aligned_gain.channel_gain(channel)
 
     metrics = {
         "rms_error_full": rms_full,
@@ -283,7 +290,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
         "channel": channel,
         "gain_even": gain.g_even,
         "gain_odd": gain.g_odd,
-        "gain_scale_vs_aligned": gain.channel_gain(channel) / g_aligned,
+        "gain_scale_vs_aligned": scale,
         "group_delay_s": period / 2.0,
     }
     return SimResult(

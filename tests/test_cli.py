@@ -121,6 +121,29 @@ class TestSimulate:
         cfg.write_text(json.dumps({"dt": 2e-6, "turbo": True}))
         assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize(
+        "subcommand,config",
+        [
+            ("simulate", {"noise": 5}),
+            ("simulate", {"noise": None}),
+            ("simulate", {"modulation": [0.3]}),
+            ("simulate", {"modulation": {"amplitude": 1}}),
+            ("simulate", {"subcommand": "simulate", "config": [1]}),
+            ("modwave", {"modulation": "flat"}),
+            ("modwave", {"modulation": {"amplitude": 1}}),
+            ("refsignal", {"geometry": 3}),
+            ("refsignal", {"geometry": {"emission": []}}),
+        ],
+    )
+    def test_bad_config_section_is_config_error(self, tmp_path, capsys, subcommand, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = [subcommand, "--config", str(cfg), "--out", str(tmp_path)]
+        if subcommand == "simulate":
+            args += ["--seed", "7"]  # the override must not trip on the bad section
+        assert run_cli(*args) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_malformed_json_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"dt": 2e-6,')

@@ -13,6 +13,7 @@ from rotolock.signals import (
     TimeGrid,
     downsample_at_phase,
     fit_harmonics,
+    integer_ratio,
     moving_integral,
     read_csv,
     rms_error,
@@ -87,6 +88,44 @@ class TestSynth:
         g0 = default_grid()
         g1 = TimeGrid(dt=DT, n=SPP, t0=1.0 / F_M)
         assert np.allclose(synth(series, g0).values, synth(series, g1).values, atol=1e-12)
+
+    @staticmethod
+    def direct(series, phase):
+        """Term-by-term sum at phases f_fund*t, given in cycles."""
+        out = np.full(len(phase), series.dc)
+        for j, (c, s) in enumerate(zip(series.cos_coeffs, series.sin_coeffs), start=1):
+            out += c * np.cos(2.0 * np.pi * j * phase) + s * np.sin(2.0 * np.pi * j * phase)
+        return out
+
+    def test_long_grid_matches_exact_phase_oracle(self):
+        # 1000 periods from an offset start: the phase of sample k is
+        # f*t0 + (k mod spp)/spp, with no large t to lose bits in
+        series = stock_modulation_series()
+        t0 = 0.37 / F_M
+        grid = default_grid(n_periods=1000, t0=t0)
+        k = np.arange(grid.n)
+        oracle = self.direct(series, F_M * t0 + (k % SPP) / SPP)
+        assert np.max(np.abs(synth(series, grid).values - oracle)) <= 1e-14
+
+    def test_grid_shorter_than_one_period_matches_direct_formula(self):
+        series = stock_modulation_series()
+        grid = TimeGrid(dt=DT, n=SPP // 3, t0=2.5e-5)
+        expected = self.direct(series, F_M * grid.times())
+        assert np.allclose(synth(series, grid).values, expected, rtol=0.0, atol=1e-15)
+
+    def test_non_integer_samples_per_period_matches_direct_formula(self):
+        series = stock_modulation_series()
+        grid = TimeGrid(dt=1.0 / (F_M * 200.5), n=5 * SPP, t0=1e-5)
+        expected = self.direct(series, F_M * grid.times())
+        assert np.allclose(synth(series, grid).values, expected, rtol=0.0, atol=1e-13)
+
+    def test_integer_ratio_tolerance_edge(self):
+        # relative tolerance 1e-9: 200 +/- 1e-7 is 200, 200 +/- 3e-7 is not
+        assert integer_ratio(200.0 + 1e-7) == 200
+        assert integer_ratio(200.0 - 1e-7) == 200
+        assert integer_ratio(200.0 + 3e-7) is None
+        assert integer_ratio(200.0 - 3e-7) is None
+        assert integer_ratio(0.4) is None
 
 
 class TestFitHarmonics:

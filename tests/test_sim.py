@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from rotolock.cli import main
 from rotolock.errors import ConfigError
 from rotolock.sim import (
     NoiseSpec,
@@ -61,6 +62,22 @@ class TestGenNoise:
         values[7:] = 1.0  # one step at sample 7
         mask = step_contamination_mask(SampledSignal(grid, values), window_samples=4)
         assert list(np.flatnonzero(mask)) == [7, 8, 9, 10]
+        values[9:] = 2.0  # overlapping windows of the steps at 7 and 9
+        mask = step_contamination_mask(SampledSignal(grid, values), window_samples=4)
+        assert list(np.flatnonzero(mask)) == [7, 8, 9, 10, 11, 12]
+        values[18:] = 3.0  # a window cut short by the end of the signal
+        mask = step_contamination_mask(SampledSignal(grid, values), window_samples=4)
+        assert list(np.flatnonzero(mask)) == [7, 8, 9, 10, 11, 12, 18, 19]
+
+    @pytest.mark.parametrize("kind,rate,window", [
+        ("step", 5000.0, 200), ("step", 50_000.0, 7), ("step", 500.0, 1), ("none", 0.0, 200),
+    ])
+    def test_contamination_mask_matches_per_step_loop(self, kind, rate, window):
+        noise = gen_noise(NoiseSpec(kind=kind, rate_or_freq=rate, seed=3), default_grid())
+        expected = np.zeros(noise.grid.n, dtype=bool)
+        for i in np.flatnonzero(np.diff(noise.values)) + 1:
+            expected[i : i + window] = True
+        assert np.array_equal(step_contamination_mask(noise, window), expected)
 
 
 class TestSimConfig:
@@ -173,6 +190,18 @@ class TestRunSimulation:
         )
         assert res.metrics["gain_scale_vs_aligned"] == pytest.approx(-1.0, abs=1e-9)
         assert res.metrics["rms_error_downsampled"] < 1e-3
+
+    def test_quarter_turn_reference_delay_uses_odd_channel(self, tmp_path):
+        # the aligned reference has no odd part, so there is no scale to report
+        cfg = SimConfig(ref_phase_delay=np.pi / 2.0, noise=NoiseSpec(kind="none"))
+        res = run_simulation(cfg)
+        assert res.metrics["channel"] == "odd"
+        assert res.metrics["gain_scale_vs_aligned"] is None
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"ref_phase_delay": np.pi / 2.0}))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+        metrics = json.loads((tmp_path / "metrics.json").read_text())
+        assert metrics["gain_scale_vs_aligned"] is None
 
     def test_sine_reference_variant(self):
         res = run_simulation(SimConfig(ref_kind="sine", noise=NoiseSpec(kind="none")))
