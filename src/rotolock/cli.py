@@ -8,87 +8,40 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .errors import ConfigError, PreconditionError, reject_unknown_keys
+from .config import Config
+from .errors import ConfigError, PreconditionError
 from .modulation import ModulationFit, modulation_series
-from .reference import (
-    EmissionFit,
-    SpotGeometry,
-    fit_trapezoid_cosine,
-    reference_waveform,
-)
+from .reference import SpotGeometry, fit_trapezoid_cosine, reference_waveform
 from .signals import TimeGrid, synth, write_csv
 from .sim import SimConfig, report, run_simulation
 
 
 @dataclass(frozen=True)
-class ModwaveConfig:
+class ModwaveConfig(Config):
     f_m: float = 2500.0
     samples_per_period: int = 720
     modulation: ModulationFit = field(default_factory=ModulationFit)
 
-    def to_dict(self) -> dict:
-        return {
-            "f_m": self.f_m,
-            "samples_per_period": self.samples_per_period,
-            "modulation": self.modulation.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModwaveConfig":
-        reject_unknown_keys(d, {"f_m", "samples_per_period", "modulation"}, "modwave")
-        defaults = cls()
-        return cls(
-            f_m=float(d.get("f_m", defaults.f_m)),
-            samples_per_period=int(d.get("samples_per_period", defaults.samples_per_period)),
-            modulation=ModulationFit.from_dict(d.get("modulation", {})),
-        )
+    def __post_init__(self):
+        _check_rate("f_m", self.f_m, self.samples_per_period)
 
 
 @dataclass(frozen=True)
-class RefsignalConfig:
+class RefsignalConfig(Config):
     f_rot: float = 2500.0
     samples_per_period: int = 2000
     geometry: SpotGeometry = field(default_factory=SpotGeometry)
 
-    def to_dict(self) -> dict:
-        return {
-            "f_rot": self.f_rot,
-            "samples_per_period": self.samples_per_period,
-            "geometry": self.geometry.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RefsignalConfig":
-        reject_unknown_keys(d, {"f_rot", "samples_per_period", "geometry"}, "refsignal")
-        defaults = cls()
-        return cls(
-            f_rot=float(d.get("f_rot", defaults.f_rot)),
-            samples_per_period=int(d.get("samples_per_period", defaults.samples_per_period)),
-            geometry=_geometry_from_dict(d.get("geometry", {})),
-        )
+    def __post_init__(self):
+        _check_rate("f_rot", self.f_rot, self.samples_per_period)
 
 
-def _geometry_from_dict(d: dict) -> SpotGeometry:
-    reject_unknown_keys(d, {"r0", "d", "R0", "theta_gnd_deg", "emission"}, "geometry")
-    em_d = d.get("emission", {})
-    reject_unknown_keys(em_d, {"A", "k", "c"}, "emission")
-    defaults = SpotGeometry()
-    em_defaults = defaults.emission
-    emission = EmissionFit(
-        A=float(em_d.get("A", em_defaults.A)),
-        k=float(em_d.get("k", em_defaults.k)),
-        c=float(em_d.get("c", em_defaults.c)),
-    )
-    return SpotGeometry(
-        r0=float(d.get("r0", defaults.r0)),
-        d=float(d.get("d", defaults.d)),
-        R0=float(d.get("R0", defaults.R0)),
-        theta_gnd=float(np.deg2rad(float(d.get("theta_gnd_deg", 30.0)))),
-        emission=emission,
-    )
+def _check_rate(name: str, freq: float, samples_per_period: int) -> None:
+    if not freq > 0.0:
+        raise ConfigError(f"{name} must be positive, got {freq}")
+    if samples_per_period < 1:
+        raise ConfigError(f"samples_per_period must be >= 1, got {samples_per_period}")
 
 
 def _load_config(path, subcommand: str) -> dict:

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError, reject_unknown_keys
+from .config import Config
+from .errors import PreconditionError
 from .signals import HarmonicSeries
 
 # default fit of the modulated-intensity waveform vs electrode angle:
@@ -23,7 +24,7 @@ DEFAULT_OFFSET = 0.471
 
 
 @dataclass(frozen=True, eq=False)
-class ModulationFit:
+class ModulationFit(Config):
     """f(alpha) = offset + sum_i amplitudes[i-1] * cos(i*alpha + phase)."""
 
     amplitudes: np.ndarray = field(default_factory=lambda: np.array(DEFAULT_AMPLITUDES))
@@ -51,22 +52,6 @@ class ModulationFit:
     @property
     def n_harmonics(self) -> int:
         return len(self.amplitudes)
-
-    def to_dict(self) -> dict:
-        return {
-            "amplitudes": [float(a) for a in self.amplitudes],
-            "phase": self.phase,
-            "offset": self.offset,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModulationFit":
-        reject_unknown_keys(d, {"amplitudes", "phase", "offset"}, "modulation")
-        return cls(
-            amplitudes=np.asarray(d.get("amplitudes", DEFAULT_AMPLITUDES), dtype=float),
-            phase=float(d.get("phase", DEFAULT_PHASE)),
-            offset=float(d.get("offset", DEFAULT_OFFSET)),
-        )
 
 
 def eval_modulation(fit: ModulationFit, alpha) -> np.ndarray | float:

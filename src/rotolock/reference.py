@@ -18,6 +18,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import curve_fit
 
+from .config import Config
 from .errors import ConfigError, PreconditionError
 from .signals import HarmonicSeries, SampledSignal, TimeGrid
 
@@ -30,7 +31,7 @@ _QUAD_EPS = 1e-10
 
 
 @dataclass(frozen=True)
-class EmissionFit:
+class EmissionFit(Config):
     """Emitted intensity vs emission angle: I(beta) = A*cos(k*beta) + c."""
 
     A: float = DEFAULT_EMISSION_A
@@ -43,17 +44,18 @@ class EmissionFit:
 
 
 @dataclass(frozen=True)
-class SpotGeometry:
+class SpotGeometry(Config):
     """LED/blade/photodiode geometry.
 
     r0: spot radius (mm); d: LED-to-blade distance (mm); R0: rotation center
-    to spot center distance (mm); theta_gnd: blade sector angle (radians).
+    to spot center distance (mm); theta_gnd: blade sector angle (radians;
+    the config key theta_gnd_deg is in degrees).
     """
 
     r0: float = 0.5
     d: float = 2.0
     R0: float = 6.0
-    theta_gnd: float = np.deg2rad(30.0)
+    theta_gnd: float = field(default=np.deg2rad(30.0), metadata={"deg": True})
     emission: EmissionFit = field(default_factory=EmissionFit)
 
     def __post_init__(self):
@@ -72,15 +74,6 @@ class SpotGeometry:
     def theta_max(self) -> float:
         """Half-angle subtended by the spot, seen from the rotation center."""
         return float(np.arcsin(self.r0 / self.R0))
-
-    def to_dict(self) -> dict:
-        return {
-            "r0": self.r0,
-            "d": self.d,
-            "R0": self.R0,
-            "theta_gnd_deg": float(np.rad2deg(self.theta_gnd)),
-            "emission": {"A": self.emission.A, "k": self.emission.k, "c": self.emission.c},
-        }
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ _RATIO_TOL = 1e-9
 def integer_ratio(ratio: float) -> int | None:
     """`ratio` as a positive integer when it is one to within _RATIO_TOL
     (relative), else None."""
+    if not np.isfinite(ratio):
+        return None
     k = int(round(ratio))
     if k < 1 or abs(ratio - k) > _RATIO_TOL * max(1.0, ratio):
         return None
@@ -132,15 +134,6 @@ class HarmonicSeries:
             "cos_coeffs": [float(x) for x in self.cos_coeffs],
             "sin_coeffs": [float(x) for x in self.sin_coeffs],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HarmonicSeries":
-        return cls(
-            f_fund=float(d["f_fund"]),
-            dc=float(d["dc"]),
-            cos_coeffs=np.asarray(d["cos_coeffs"], dtype=float),
-            sin_coeffs=np.asarray(d["sin_coeffs"], dtype=float),
-        )
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, PreconditionError, reject_unknown_keys
+from .config import Config
+from .errors import ConfigError, PreconditionError
 from .lockin import (
     demod_gain_numeric,
     demodulate,
@@ -27,14 +28,14 @@ from .lockin import (
 )
 from .modulation import ModulationFit, modulation_series
 from .reference import synth_demod_reference
-from .signals import SampledSignal, TimeGrid, downsample_at_phase, synth, write_csv
+from .signals import SampledSignal, TimeGrid, downsample_at_phase, integer_ratio, synth, write_csv
 
 _NOISE_KINDS = ("step", "sine", "none")
 _REF_KINDS = ("square", "sine")
 
 
 @dataclass(frozen=True)
-class NoiseSpec:
+class NoiseSpec(Config):
     """Disturbance injected after modulation.
 
     kind="step": piecewise-constant levels uniform in [-amplitude, amplitude]
@@ -56,29 +57,12 @@ class NoiseSpec:
             raise ConfigError(
                 f"rate_or_freq must be positive for kind {self.kind!r}, got {self.rate_or_freq}"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "amplitude": self.amplitude,
-            "rate_or_freq": self.rate_or_freq,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NoiseSpec":
-        reject_unknown_keys(d, {"kind", "amplitude", "rate_or_freq", "seed"}, "noise")
-        defaults = cls()
-        return cls(
-            kind=str(d.get("kind", defaults.kind)),
-            amplitude=float(d.get("amplitude", defaults.amplitude)),
-            rate_or_freq=float(d.get("rate_or_freq", defaults.rate_or_freq)),
-            seed=int(d.get("seed", defaults.seed)),
-        )
+        if self.seed < 0:
+            raise ConfigError(f"noise seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Config):
     dt: float = 2e-6
     duration: float = 0.03
     f_m: float = 2500.0
@@ -96,15 +80,25 @@ class SimConfig:
         for name, value in (("dt", self.dt), ("duration", self.duration), ("f_m", self.f_m)):
             if not (value > 0.0):
                 raise ConfigError(f"{name} must be positive, got {value}")
-        spp = 1.0 / (self.f_m * self.dt)
-        if abs(spp - round(spp)) > 1e-6 * spp or round(spp) < 1:
-            raise ConfigError(
-                f"1/(f_m*dt) must be a positive integer, got {spp:.6g}"
-            )
+        spp = 1.0 / self.f_m / self.dt  # f_m*dt can underflow to 0
+        if integer_ratio(spp) is None:
+            raise ConfigError(f"1/(f_m*dt) must be a positive integer, got {spp:.10g}")
         steps = self.duration / self.dt
-        if abs(steps - round(steps)) > 1e-6 * steps or round(steps) < 1:
+        if integer_ratio(steps) is None:
+            raise ConfigError(f"duration/dt must be a positive integer, got {steps:.10g}")
+        # the down-sampled channel keeps one sample per period, so a faster
+        # tone aliases (a multiple of f_m reads as a constant)
+        if not abs(self.signal_freq) < self.f_m / 2.0:
             raise ConfigError(
-                f"duration/dt must be a positive integer, got {steps:.6g}"
+                f"|signal_freq| must be below the bandwidth f_m/2 = {self.f_m / 2.0:g} Hz, "
+                f"got {self.signal_freq:g}"
+            )
+        # gen_noise draws one step at a time: more than one per sample is noise
+        # the grid cannot hold, and an unbounded rate never finishes
+        if self.noise.kind == "step" and not self.noise.rate_or_freq <= 1.0 / self.dt:
+            raise ConfigError(
+                f"step noise rate must not exceed the sample rate 1/dt = {1.0 / self.dt:g}, "
+                f"got {self.noise.rate_or_freq:g}"
             )
 
     @property
@@ -114,41 +108,6 @@ class SimConfig:
     @property
     def n_samples(self) -> int:
         return int(round(self.duration / self.dt))
-
-    def to_dict(self) -> dict:
-        return {
-            "dt": self.dt,
-            "duration": self.duration,
-            "f_m": self.f_m,
-            "signal_freq": self.signal_freq,
-            "signal_amp": self.signal_amp,
-            "ref_kind": self.ref_kind,
-            "ref_phase_delay": self.ref_phase_delay,
-            "noise": self.noise.to_dict(),
-            "downsample_phase": self.downsample_phase,
-            "modulation": self.modulation.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SimConfig":
-        known = {
-            "dt", "duration", "f_m", "signal_freq", "signal_amp", "ref_kind",
-            "ref_phase_delay", "noise", "downsample_phase", "modulation",
-        }
-        reject_unknown_keys(d, known, "simulation")
-        defaults = cls()
-        return cls(
-            dt=float(d.get("dt", defaults.dt)),
-            duration=float(d.get("duration", defaults.duration)),
-            f_m=float(d.get("f_m", defaults.f_m)),
-            signal_freq=float(d.get("signal_freq", defaults.signal_freq)),
-            signal_amp=float(d.get("signal_amp", defaults.signal_amp)),
-            ref_kind=str(d.get("ref_kind", defaults.ref_kind)),
-            ref_phase_delay=float(d.get("ref_phase_delay", defaults.ref_phase_delay)),
-            noise=NoiseSpec.from_dict(d.get("noise", {})),
-            downsample_phase=float(d.get("downsample_phase", defaults.downsample_phase)),
-            modulation=ModulationFit.from_dict(d.get("modulation", {})),
-        )
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,17 @@ class TestRefsignal:
         assert fit["period"] == pytest.approx(1.0 / 2500.0)
         assert fit["residual_rms"] < 0.02
 
+    def test_manifest_reingestion_reproduces_degree_geometry(self, tmp_path):
+        # rad2deg(deg2rad(24.0)) is 24.000000000000004, which reads back one ulp off
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"geometry": {"theta_gnd_deg": 24.0}}))
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert run_cli("refsignal", "--config", str(cfg), "--out", str(out1)) == 0
+        manifest = out1 / "manifest.json"
+        assert run_cli("refsignal", "--config", str(manifest), "--out", str(out2)) == 0
+        for name in ("refsignal.csv", "trapezoid_fit.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
     def test_bad_geometry_is_config_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"geometry": {"r0": 3.0}}))
@@ -133,6 +144,21 @@ class TestSimulate:
             ("modwave", {"modulation": {"amplitude": 1}}),
             ("refsignal", {"geometry": 3}),
             ("refsignal", {"geometry": {"emission": []}}),
+            ("simulate", {"noise": {"rate_or_freq": math.inf}}),
+            ("simulate", {"modulation": {"amplitudes": [[0.3, 0.1]]}}),
+            ("refsignal", {"samples_per_period": 0}),
+            ("simulate", {"signal_freq": math.nan}),
+            ("simulate", {"downsample_phase": math.nan}),
+            ("refsignal", {"geometry": {"r0": -1}}),
+            ("refsignal", {"geometry": {"emission": {"A": math.nan}}}),
+            ("modwave", {"samples_per_period": 2.9}),
+            ("simulate", {"ref_phase_delay": "0.5"}),
+            ("simulate", {"signal_freq": 1e6}),  # aliases to zero at one sample per period
+            ("simulate", {"noise": {"rate_or_freq": 1e7}}),  # more steps than samples
+            ("simulate", {"dt": 1.9999998e-06}),  # 200.00002 samples per period
+            ("simulate", {"dt": 1e-320, "f_m": 1e-10}),  # f_m*dt underflows to 0
+            ("modwave", {"f_m": 0}),
+            ("refsignal", {"f_rot": -2500.0}),
         ],
     )
     def test_bad_config_section_is_config_error(self, tmp_path, capsys, subcommand, config):
@@ -143,6 +169,13 @@ class TestSimulate:
             args += ["--seed", "7"]  # the override must not trip on the bad section
         assert run_cli(*args) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("seed", ["abc", 1.7, -1, True])
+    def test_bad_seed_is_config_error(self, tmp_path, capsys, seed):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"noise": {"seed": seed}}))
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("config error: SimConfig.noise")
 
     def test_malformed_json_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,0 +1,72 @@
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rotolock.cli import ModwaveConfig, RefsignalConfig
+from rotolock.errors import ConfigError
+from rotolock.reference import SpotGeometry
+from rotolock.sim import SimConfig
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def mostly(usual, rare):
+    """`usual` seven draws in eight, else `rare`."""
+    return st.integers(0, 7).flatmap(lambda i: usual if i < 7 else rare)
+
+
+def like(default):
+    """Any JSON value, mostly of the shape of a config's default value:
+    objects draw a subset of the real keys, sometimes with a junk key, and
+    numbers include NaN and +-inf."""
+    if isinstance(default, dict):
+        known = st.fixed_dictionaries({}, optional={k: like(v) for k, v in default.items()})
+        junk = st.dictionaries(st.text(max_size=4), json_values, min_size=1, max_size=1)
+        typed = mostly(known, st.builds(lambda d, j: {**j, **d}, known, junk))
+    elif isinstance(default, list):
+        typed = st.lists(st.floats() | st.integers(), max_size=8)
+    elif isinstance(default, str):
+        typed = st.sampled_from(["step", "sine", "none", "square"]) | st.text(max_size=4)
+    elif isinstance(default, int):
+        typed = st.integers() | st.just(default)
+    else:
+        typed = st.floats() | st.floats(-1e4, 1e4) | st.just(default)
+    return mostly(typed, json_values)
+
+
+CONFIG_DICTS = {cls: like(cls().to_dict()) for cls in (SimConfig, ModwaveConfig, RefsignalConfig)}
+
+
+@pytest.mark.parametrize("cls", list(CONFIG_DICTS))
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_from_dict_accepts_or_raises_config_error_and_round_trips(cls, data):
+    # only parse: a fuzzed config's run length is unbounded
+    raw = data.draw(CONFIG_DICTS[cls])
+    try:
+        cfg = cls.from_dict(raw)
+    except ConfigError:
+        return
+    written = cfg.to_dict()
+    again = cls.from_dict(json.loads(json.dumps(written, allow_nan=False)))
+    assert again == cfg
+    assert again.to_dict() == written
+
+
+@pytest.mark.parametrize("deg", [3.0, 6.0, 12.0, 24.0, 30.0, 48.0, 57.0, 96.0, 105.0, 114.0])
+def test_degree_key_round_trips_to_the_same_radians(deg):
+    geometry = SpotGeometry.from_dict({"theta_gnd_deg": deg})
+    assert SpotGeometry.from_dict(geometry.to_dict()) == geometry
+
+
+def test_error_names_the_field_path():
+    with pytest.raises(ConfigError, match=r"SimConfig\.noise\.rate_or_freq must be a finite number, got inf"):
+        SimConfig.from_dict({"noise": {"rate_or_freq": float("inf")}})
+    with pytest.raises(ConfigError, match=r"RefsignalConfig\.geometry: spot radius"):
+        RefsignalConfig.from_dict({"geometry": {"r0": 7.0}})

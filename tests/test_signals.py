@@ -126,6 +126,7 @@ class TestSynth:
         assert integer_ratio(200.0 + 3e-7) is None
         assert integer_ratio(200.0 - 3e-7) is None
         assert integer_ratio(0.4) is None
+        assert integer_ratio(math.inf) is None and integer_ratio(math.nan) is None
 
 
 class TestFitHarmonics:
