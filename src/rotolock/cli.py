@@ -185,6 +185,9 @@ def main(argv=None) -> int:
     except (PreconditionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: out of memory {exc}".rstrip(), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -3,14 +3,16 @@
 An LED illuminates a small circular spot a distance R0 from the rotation
 axis; the sector-shaped blade sweeps through the spot once per revolution
 and a photodiode behind it sees a trapezoid-like waveform.  This module
-computes that waveform from the geometry (adaptive quadrature of the
-emission-weighted unblocked spot area, with a Monte Carlo cross-check),
+computes that waveform from the geometry (a closed-form blocked arc at
+each radius and one adaptive radial quadrature of the emission-weighted
+arc, with a Monte Carlo cross-check),
 fits the transition with a cosine model, detects the period, and builds
 the clean harmonic references used for demodulation.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -127,51 +129,8 @@ def emission_intensity(em: EmissionFit, beta) -> np.ndarray | float:
 
 
 def _wrap_angle(theta):
-    """Map angle(s) to [-pi, pi)."""
-    return (np.asarray(theta, dtype=float) + np.pi) % (2.0 * np.pi) - np.pi
-
-
-def _blocked_arc(geom: SpotGeometry, theta: float, rho: float) -> float:
-    """Angular measure (radians) of the circle of radius rho around the spot
-    center that is covered by the blade sector [theta - theta_gnd, theta]."""
-    if rho <= 0.0:
-        # degenerate circle: the spot center itself
-        ang = (0.0 - (theta - geom.theta_gnd)) % (2.0 * np.pi)
-        return 2.0 * np.pi if ang <= geom.theta_gnd else 0.0
-    theta_rho = np.arcsin(min(rho / geom.R0, 1.0))
-    lo = max(theta - geom.theta_gnd, -theta_rho)
-    hi = min(theta, theta_rho)
-    if lo >= hi:
-        return 0.0
-    if lo <= -theta_rho and hi >= theta_rho:
-        return 2.0 * np.pi
-
-    crossings = []
-    for a in (lo, hi):
-        if not (-theta_rho < a < theta_rho):
-            continue
-        disc = rho * rho - (geom.R0 * np.sin(a)) ** 2
-        root = np.sqrt(max(disc, 0.0))
-        for s in (+1.0, -1.0):
-            t_par = geom.R0 * np.cos(a) + s * root
-            x = t_par * np.cos(a) - geom.R0
-            y = t_par * np.sin(a)
-            crossings.append(float(np.arctan2(y, x) % (2.0 * np.pi)))
-    if not crossings:
-        # no boundary cuts this circle; uniformly in or out
-        psi = np.arctan2(rho, geom.R0)  # any point, take phi = pi/2
-        return 2.0 * np.pi if lo <= psi <= hi else 0.0
-
-    crossings.sort()
-    blocked = 0.0
-    for i, start in enumerate(crossings):
-        end = crossings[(i + 1) % len(crossings)]
-        span = (end - start) % (2.0 * np.pi)
-        mid = start + 0.5 * span
-        psi = np.arctan2(rho * np.sin(mid), geom.R0 + rho * np.cos(mid))
-        if lo <= psi <= hi:
-            blocked += span
-    return blocked
+    """Map an angle (float or array) to [-pi, pi)."""
+    return (theta + math.pi) % (2.0 * math.pi) - math.pi
 
 
 def _check_small_spot(geom: SpotGeometry) -> None:
@@ -190,55 +149,50 @@ def transmitted_fraction(geom: SpotGeometry, theta: float) -> float:
     theta is the angle from the blade's leading edge to the spot center,
     wrapped to [-pi, pi).  Piecewise: 1 while the blade is clear of the
     spot, a monotone transition while an edge sweeps across it, exactly 0
-    while the sector covers it.  Partial coverage is evaluated by adaptive
-    quadrature in polar coordinates about the spot center: the angular
-    extent of the unblocked arc is exact at each radius, the radial
-    integral is adaptive.
+    while the sector covers it.
+
+    The spot is narrower than the sector (`_check_small_spot`), so at most
+    one edge crosses it and inside the spot the blade covers a half-plane.
+    With h the signed distance from the spot center to that edge (positive
+    when the center is covered), the circle of radius rho about the center
+    has the closed-form arc 2*acos(|h|/rho) on the far side of the edge
+    for rho > |h| and none for rho <= |h|.  Only the radial integral of
+    that arc, from |h| to r0, is adaptive quadrature.  The far side (the
+    minor segment) is the open part when h >= 0 and the blocked part
+    otherwise.
     """
     _check_small_spot(geom)
-    theta = float(_wrap_angle(theta))
+    theta = _wrap_angle(float(theta))
+    trail = theta - geom.theta_gnd  # trailing-edge angle, wrapped like theta
+    if trail < -math.pi:
+        trail += 2.0 * math.pi
     t_max = geom.theta_max
-
-    if min(theta, t_max) <= max(theta - geom.theta_gnd, -t_max):
-        return 1.0
-    if theta - geom.theta_gnd <= -t_max and theta >= t_max:
-        return 0.0
+    if abs(theta) < t_max:
+        h = geom.R0 * math.sin(theta)
+    elif abs(trail) < t_max:
+        h = -geom.R0 * math.sin(trail)
+    else:
+        return 0.0 if 0.0 <= theta <= geom.theta_gnd else 1.0
 
     em = geom.emission
+    emission_intensity(em, math.atan(geom.r0 / geom.d))  # warns past the fitted lobe
+    A, k, c, d = em.A, em.k, em.c, geom.d
 
-    def weight(rho):
-        return em.A * np.cos(em.k * np.arctan(rho / geom.d)) + em.c
+    def weighted(rho):
+        return (A * math.cos(k * math.atan(rho / d)) + c) * rho
 
-    # radii where a blade edge becomes tangent to the rho-circle: the arc
-    # structure changes there, so hand them to the quadrature as breakpoints
-    breakpoints = []
-    for a in (theta, theta - geom.theta_gnd):
-        if abs(a) < np.pi / 2.0:
-            rho_star = geom.R0 * abs(np.sin(a))
-            if 0.0 < rho_star < geom.r0:
-                breakpoints.append(rho_star)
-
-    def unblocked_integrand(rho):
-        return weight(rho) * rho * (2.0 * np.pi - _blocked_arc(geom, theta, rho))
-
-    num, _ = quad(
-        unblocked_integrand,
-        0.0,
-        geom.r0,
-        points=sorted(breakpoints) or None,
-        limit=200,
-        epsabs=_QUAD_EPS,
-        epsrel=_QUAD_EPS,
-    )
-    den, _ = quad(
-        lambda rho: weight(rho) * rho * 2.0 * np.pi,
-        0.0,
+    a = min(abs(h), geom.r0)  # R0*sin(theta) may round past r0 just inside t_max
+    minor, _ = quad(
+        lambda rho: weighted(rho) * math.acos(a / rho),
+        a,
         geom.r0,
         limit=200,
         epsabs=_QUAD_EPS,
         epsrel=_QUAD_EPS,
     )
-    return float(min(max(num / den, 0.0), 1.0))
+    disc, _ = quad(weighted, 0.0, geom.r0, limit=200, epsabs=_QUAD_EPS, epsrel=_QUAD_EPS)
+    minor_share = minor / (math.pi * disc)
+    return minor_share if h >= 0.0 else 1.0 - minor_share
 
 
 def transmitted_fraction_mc(

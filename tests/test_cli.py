@@ -189,3 +189,11 @@ class TestSimulate:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"duration": 4e-4}))
         assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path)) == 3
+
+    def test_out_of_memory_is_exit_three(self, tmp_path, capsys, monkeypatch):
+        def exhausted(cfg, out):
+            raise MemoryError("Unable to allocate 37.3 GiB")
+
+        monkeypatch.setattr("rotolock.cli.cmd_refsignal", exhausted)
+        assert run_cli("refsignal", "--out", str(tmp_path)) == 3
+        assert capsys.readouterr().err.startswith("error: out of memory")

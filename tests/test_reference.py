@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,27 @@ class TestGeometry:
             transmitted_fraction(g, 0.0)
 
 
+def segment_oracle(g: SpotGeometry, a: float, n: int = 96) -> float:
+    """Emission-weighted share of the spot beyond a chord at distance a from
+    its center, by tensor Gauss-Legendre over the Cartesian segment.
+
+    x = r0*cos(beta) runs across the chord, y = r0*sin(beta)*t along it, so
+    the segment is a rectangle in (beta, t); the weight depends on rho^2,
+    which keeps the integrand smooth.  beta_max = pi covers the whole disc.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    em = g.emission
+
+    def weighted_area(beta_max):
+        beta = 0.5 * beta_max * (nodes + 1.0)
+        b, t = np.meshgrid(beta, nodes, indexing="ij")
+        rho = g.r0 * np.sqrt(np.cos(b) ** 2 + (np.sin(b) * t) ** 2)
+        w = em.A * np.cos(em.k * np.arctan(rho / g.d)) + em.c
+        return 0.5 * beta_max * weights @ (w * np.sin(b) ** 2) @ weights
+
+    return float(weighted_area(math.acos(a / g.r0)) / weighted_area(math.pi))
+
+
 class TestTransmittedFraction:
     def test_far_blade_passes_everything(self):
         g = SpotGeometry()
@@ -101,6 +123,50 @@ class TestTransmittedFraction:
         g = SpotGeometry()
         th = g.theta_gnd  # trailing edge bisects the spot
         assert transmitted_fraction(g, th) == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.filterwarnings("ignore:emission angle")
+    @pytest.mark.parametrize("r0_over_d", [0.05, 0.25, 0.56, 1.2])
+    @pytest.mark.parametrize("edge", ["leading", "trailing"])
+    @pytest.mark.parametrize("h_over_r0", [-(1.0 - 1e-9), -0.6, 0.0, 0.3, 1.0 - 1e-9])
+    def test_matches_cartesian_segment_oracle(self, r0_over_d, edge, h_over_r0):
+        g = SpotGeometry(d=0.5 / r0_over_d)
+        h = h_over_r0 * g.r0  # signed: positive when the blade covers the center
+        lead = math.asin(h / g.R0)
+        theta = lead if edge == "leading" else g.theta_gnd - lead
+        expected = segment_oracle(g, abs(h))
+        expected = expected if h >= 0.0 else 1.0 - expected
+        assert abs(transmitted_fraction(g, theta) - expected) <= 1e-10
+
+    def test_default_geometry_stays_inside_the_fitted_lobe(self):
+        grid = TimeGrid(dt=1.0 / (F_ROT * 200), n=200, t0=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reference_waveform(SpotGeometry(), grid, F_ROT)
+
+    def test_spot_past_the_fitted_lobe_warns(self):
+        g = SpotGeometry(r0=0.5, d=0.5)
+        with pytest.warns(UserWarning, match="extrapolating"):
+            transmitted_fraction(g, 0.0)
+
+
+@pytest.mark.filterwarnings("ignore:emission angle")
+class TestTrailingEdgePastPi:
+    # theta_gnd + theta_max > pi: the trailing transition straddles theta = +-pi
+    GEOM = dict(r0=5.0, R0=6.0, theta_gnd=2.5)
+
+    @pytest.mark.parametrize("theta", [-3.0, -2.9])
+    def test_agrees_with_monte_carlo(self, theta):
+        g = SpotGeometry(**self.GEOM)
+        q = transmitted_fraction(g, theta)
+        mc, se = transmitted_fraction_mc(g, theta, n_samples=200_000, seed=11)
+        assert abs(q - mc) < 3.0 * se
+
+    def test_continuous_across_pi(self):
+        g = SpotGeometry(**self.GEOM)
+        eps = 1e-7
+        below, above = transmitted_fraction(g, math.pi - eps), transmitted_fraction(g, -math.pi + eps)
+        assert 0.0 < below < 1.0
+        assert abs(above - below) < 1e-5  # the sweep rate is O(1) per radian
 
 
 F_ROT = 2500.0
