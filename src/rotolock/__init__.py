@@ -6,17 +6,11 @@ __version__ = "0.1.0"
 
 from .errors import ConfigError, PreconditionError
 from .lockin import (
-    DemodGain,
-    DemodReference,
-    DemodResult,
     HarmonicOutput,
-    demod_gain,
-    demod_gain_numeric,
+    channel_gain,
     demodulate,
     harmonic_outputs,
     modulate,
-    recover,
-    split_even_odd,
     write_harmonics_csv,
 )
 from .modulation import ModulationFit, eval_modulation, modulation_series
@@ -74,17 +68,11 @@ __all__ = [
     "fit_trapezoid_cosine",
     "detect_period",
     "synth_demod_reference",
-    "DemodReference",
-    "DemodGain",
     "HarmonicOutput",
-    "DemodResult",
-    "split_even_odd",
     "modulate",
-    "demod_gain",
-    "demod_gain_numeric",
+    "channel_gain",
     "demodulate",
     "harmonic_outputs",
-    "recover",
     "write_harmonics_csv",
     "NoiseSpec",
     "SimConfig",

@@ -1,15 +1,16 @@
 """Generalized digital lock-in demodulation.
 
-Neither the modulation nor the reference needs to be sinusoidal: the
-reference is split into even (cosine) and odd (sine) harmonic channels,
-the modulated signal is multiplied by the selected channel and integrated
-over one modulation period, and the result is normalized by the
-coefficient overlap (gain) of modulation and reference.  The gain can be
-computed symbolically from the coefficients or numerically from one period
-of the synthesized product; the numeric path self-calibrates when the
-reference carries an unknown common delay.  The one-period window leaves a
-ripple that is first order in the signal's slope; `slope_compensate`
-estimates the slope from each output's own window and removes it.
+Neither the modulation m nor the zero-DC reference r needs to be
+sinusoidal.  The lock-in uses one channel of r: its even (cosine) or its
+odd (sine) part.  The modulated signal is multiplied by that part,
+integrated over one modulation period and divided by the channel's gain,
+the dot product of the harmonic coefficients of m and of the part (by
+orthogonality, 2/T times the one-period integral of their product).  A
+channel whose gain is below GAIN_FLOOR of its Cauchy-Schwarz bound
+|m_ac|*|r| is refused: its output would be disturbance divided by almost
+nothing.  The one-period window leaves a ripple that is first order in the
+signal's slope; `slope_compensate` estimates the slope from each output's
+own window and removes it.
 """
 
 from __future__ import annotations
@@ -29,52 +30,9 @@ from .signals import (
     synth,
 )
 
-GAIN_FLOOR = 1e-9
-
-
-@dataclass(frozen=True)
-class DemodReference:
-    """Even/odd decomposition of a demodulation reference (both zero-DC)."""
-
-    even: HarmonicSeries
-    odd: HarmonicSeries
-    f_m: float
-
-    def __post_init__(self):
-        if self.even.f_fund != self.f_m or self.odd.f_fund != self.f_m:
-            raise PreconditionError("even/odd parts must share the fundamental f_m")
-        if self.even.dc != 0.0 or self.odd.dc != 0.0:
-            raise PreconditionError("demodulation references must have zero DC")
-        if np.any(self.even.sin_coeffs != 0.0) or np.any(self.odd.cos_coeffs != 0.0):
-            raise PreconditionError(
-                "even part must be cosine-only and odd part sine-only"
-            )
-
-
-@dataclass(frozen=True)
-class DemodGain:
-    """Coefficient overlap of modulation and reference for each channel."""
-
-    g_even: float
-    g_odd: float
-    floor: float = GAIN_FLOOR
-
-    def __post_init__(self):
-        if max(abs(self.g_even), abs(self.g_odd)) < self.floor:
-            raise PreconditionError(
-                f"unusable reference: |g_even|={abs(self.g_even):.3g} and "
-                f"|g_odd|={abs(self.g_odd):.3g} are both below the floor {self.floor:.3g}"
-            )
-
-    def usable(self, channel: str) -> bool:
-        return abs(self.channel_gain(channel)) >= self.floor
-
-    def channel_gain(self, channel: str) -> float:
-        if channel == "even":
-            return self.g_even
-        if channel == "odd":
-            return self.g_odd
-        raise PreconditionError(f"unknown channel {channel!r}; use 'even' or 'odd'")
+# smallest usable |g| / (|m_ac|*|r|), see `channel_gain`
+GAIN_FLOOR = 1e-3
+CHANNELS = ("even", "odd")
 
 
 @dataclass(frozen=True)
@@ -88,26 +46,6 @@ class HarmonicOutput:
     phase: float
 
 
-@dataclass(frozen=True)
-class DemodResult:
-    """Restored signal plus per-harmonic quadrature outputs."""
-
-    restored: WindowedSignal
-    harmonics: list[HarmonicOutput]
-
-
-def split_even_odd(r: HarmonicSeries) -> DemodReference:
-    """Split a reference series into cosine (even) and sine (odd) channels.
-
-    The DC term is discarded: a reference with DC would leak constant
-    offsets of the input straight into the demodulated output.
-    """
-    zeros = np.zeros(r.n_harmonics)
-    even = HarmonicSeries(r.f_fund, 0.0, r.cos_coeffs, zeros)
-    odd = HarmonicSeries(r.f_fund, 0.0, zeros, r.sin_coeffs)
-    return DemodReference(even=even, odd=odd, f_m=r.f_fund)
-
-
 def modulate(s: SampledSignal, m: SampledSignal) -> SampledSignal:
     """Pointwise product of two signals on the same grid."""
     if s.grid != m.grid:
@@ -115,50 +53,61 @@ def modulate(s: SampledSignal, m: SampledSignal) -> SampledSignal:
     return SampledSignal(s.grid, s.values * m.values)
 
 
-def demod_gain(m: HarmonicSeries, ref: DemodReference) -> DemodGain:
-    """Channel gains as coefficient dot products over the shared harmonics."""
-    if m.f_fund != ref.f_m:
-        raise PreconditionError(
-            f"modulation fundamental {m.f_fund} differs from reference f_m {ref.f_m}"
-        )
-    l = min(m.n_harmonics, ref.even.n_harmonics)
-    g_even = float(np.dot(m.cos_coeffs[:l], ref.even.cos_coeffs[:l]))
-    g_odd = float(np.dot(m.sin_coeffs[:l], ref.odd.sin_coeffs[:l]))
-    return DemodGain(g_even=g_even, g_odd=g_odd)
+def _part(r: HarmonicSeries, channel: str) -> HarmonicSeries:
+    """The even (cosine) or odd (sine) part of r, without its DC term."""
+    zeros = np.zeros(r.n_harmonics)
+    if channel == "even":
+        return HarmonicSeries(r.f_fund, 0.0, r.cos_coeffs, zeros)
+    if channel == "odd":
+        return HarmonicSeries(r.f_fund, 0.0, zeros, r.sin_coeffs)
+    raise PreconditionError(f"unknown channel {channel!r}; use 'even' or 'odd'")
 
 
-def demod_gain_numeric(
-    m: HarmonicSeries, ref: DemodReference, samples_per_period: int = 1024
-) -> DemodGain:
-    """Channel gains from one period of the synthesized product:
-    g = (2/T) * integral of synth(m)*synth(ref.channel) over one period.
+def _norm(s: HarmonicSeries) -> float:
+    return float(np.hypot(np.linalg.norm(s.cos_coeffs), np.linalg.norm(s.sin_coeffs)))
 
-    This path is authoritative when the reference carries an unknown common
-    phase: it measures the overlap of the waveforms actually used.
+
+def channel_gain(m: HarmonicSeries, r: HarmonicSeries, channel: str) -> tuple[float, float]:
+    """Gain g of one channel of the reference r and its share of the bound.
+
+    g is the dot product of the coefficients of m with those of the
+    channel's part of r over their shared harmonics.  share is
+    |g| / (|m_ac|*|r|), where |r| is the norm of the whole reference: at
+    most 1 (Cauchy-Schwarz), and 0 when either norm is.
     """
-    if m.f_fund != ref.f_m:
+    if m.f_fund != r.f_fund:
         raise PreconditionError(
-            f"modulation fundamental {m.f_fund} differs from reference f_m {ref.f_m}"
+            f"modulation fundamental {m.f_fund} differs from reference fundamental {r.f_fund}"
         )
-    n_max = max(m.n_harmonics, ref.even.n_harmonics)
-    if samples_per_period <= 2 * n_max:
+    part = _part(r, channel)
+    l = min(m.n_harmonics, r.n_harmonics)
+    g = float(
+        np.dot(m.cos_coeffs[:l], part.cos_coeffs[:l])
+        + np.dot(m.sin_coeffs[:l], part.sin_coeffs[:l])
+    )
+    bound = _norm(m) * _norm(r)
+    return g, (abs(g) / bound if bound > 0.0 else 0.0)
+
+
+def _channel(m: HarmonicSeries, r: HarmonicSeries, channel: str) -> tuple[HarmonicSeries, float]:
+    """The channel's part of r and its gain; a gain below the floor is refused."""
+    g, share = channel_gain(m, r, channel)
+    if not share >= GAIN_FLOOR:
         raise PreconditionError(
-            f"need more than {2 * n_max} samples per period, got {samples_per_period}"
+            f"unusable reference: channel {channel!r} gain {g:.3g} is {share:.3g} of its "
+            f"bound |m_ac|*|r|, below the floor {GAIN_FLOOR:g}"
         )
-    period = 1.0 / m.f_fund
-    grid = TimeGrid(dt=period / samples_per_period, n=samples_per_period, t0=0.0)
-    mv = synth(m, grid).values
-    g_even = 2.0 * float(np.mean(mv * synth(ref.even, grid).values))
-    g_odd = 2.0 * float(np.mean(mv * synth(ref.odd, grid).values))
-    return DemodGain(g_even=g_even, g_odd=g_odd)
+    return _part(r, channel), g
 
 
 def demodulate(
-    s_m: SampledSignal, ref: DemodReference, gain: DemodGain, channel: str
+    s_m: SampledSignal, m: HarmonicSeries, r: HarmonicSeries, channel: str
 ) -> WindowedSignal:
-    """Recover the measured signal from the modulated signal.
+    """Recover the measured signal from the modulated signal s_m, which
+    carries the modulation m.
 
-    output = (2/T_m) * moving_integral(s_m * reference_channel, T_m) / gain.
+    output = (2/T_m) * moving_integral(s_m * part, T_m) / g, with part and g
+    the channel's part of r and its gain.
 
     The trailing window [t - T_m, t] estimates the signal at the window
     center, so the output grid is relabeled by -T_m/2: output sample times
@@ -168,19 +117,14 @@ def demodulate(
     frequency and its harmonics that is first order in the signal's slope.
     `slope_compensate` removes that term.
     """
-    g = gain.channel_gain(channel)
-    if abs(g) < gain.floor:
-        raise PreconditionError(
-            f"channel {channel!r} gain {g:.3g} is below the floor {gain.floor:.3g}"
-        )
-    period = 1.0 / ref.f_m
+    part, g = _channel(m, r, channel)
+    period = 1.0 / r.f_fund
     if integer_ratio(period / s_m.grid.dt) is None:
         raise PreconditionError(
             f"sample rate {s_m.grid.sample_rate:.6g} Hz is not an integer "
-            f"multiple of f_m {ref.f_m:.6g} Hz"
+            f"multiple of f_m {r.f_fund:.6g} Hz"
         )
-    series = ref.even if channel == "even" else ref.odd
-    product = SampledSignal(s_m.grid, s_m.values * synth(series, s_m.grid).values)
+    product = SampledSignal(s_m.grid, s_m.values * synth(part, s_m.grid).values)
     mi = moving_integral(product, period)
     out = mi.signal.values * (2.0 / (period * g))
     grid = s_m.grid
@@ -275,15 +219,14 @@ def slope_compensate(
     restored: WindowedSignal,
     s_m: SampledSignal,
     m: HarmonicSeries,
-    ref: DemodReference,
-    gain: DemodGain,
+    r: HarmonicSeries,
     channel: str,
 ) -> WindowedSignal:
     """Remove the first-order (slope) term from the output of `demodulate`.
 
     For a signal s with slope s' the one-period window returns
     s(t_c) + s'(t_c)*K(t) rather than s(t_c), where t_c is the window
-    center and K(t) = (2/(T g)) * integral of (tau - t_c)*m*r over the
+    center and K(t) = (2/(T g)) * integral of (tau - t_c)*m*part over the
     window: a periodic function of where the window sits, which makes a
     ripple at f_m and its harmonics (6% of a 50 Hz sine at f_m = 2.5 kHz).
     This returns restored - K*s'_hat, where s'_hat is taken only from the
@@ -294,17 +237,13 @@ def slope_compensate(
     is second order in the signal (about 0.2% in the case above).  The
     warm-up samples are returned unchanged.
 
-    `restored` must be `demodulate(s_m, ref, gain, channel)`, and `m` the
-    modulation that `s_m` carries.
+    `restored` must be `demodulate(s_m, m, r, channel)`.
     """
-    period = 1.0 / ref.f_m
+    part, g = _channel(m, r, channel)
+    period = 1.0 / r.f_fund
     grid = s_m.grid
     rgrid = restored.signal.grid
     w = restored.warmup
-    if m.f_fund != ref.f_m:
-        raise PreconditionError(
-            f"modulation fundamental {m.f_fund} differs from reference f_m {ref.f_m}"
-        )
     if (
         rgrid.n != grid.n
         or rgrid.dt != grid.dt
@@ -317,11 +256,11 @@ def slope_compensate(
 
     one = TimeGrid(grid.dt, w, grid.t0)
     m_period = synth(m, one).values
-    r_period = synth(ref.even if channel == "even" else ref.odd, one).values
+    r_period = synth(part, one).values
     # the window's end samples share a phase and carry u = -1/2 and +1/2, so
     # the trapezoid end weights of the lock-in integral drop out of K
     u = np.arange(w + 1) / w - 0.5
-    k_phase = _phase_sums(u, m_period * r_period) * (2.0 / (w * gain.channel_gain(channel)))
+    k_phase = _phase_sums(u, m_period * r_period) * (2.0 / (w * g))
     h = _slope_coefficients(m_period) * k_phase[:, None]
 
     out = restored.signal.values.copy()
@@ -329,65 +268,33 @@ def slope_compensate(
     return WindowedSignal(SampledSignal(rgrid, out), warmup=w)
 
 
-def _recovered_means(
-    s_m: SampledSignal, ref: DemodReference, gain: DemodGain
-) -> tuple[float, float]:
-    """Mean recovered signal over the valid region for each usable channel."""
-    means = []
-    for channel in ("even", "odd"):
-        if gain.usable(channel):
-            rec = demodulate(s_m, ref, gain, channel)
-            means.append(float(np.mean(rec.valid().values)))
-        else:
-            means.append(0.0)
-    return means[0], means[1]
-
-
 def harmonic_outputs(
-    s_m: SampledSignal,
-    m: HarmonicSeries,
-    ref: DemodReference,
-    gain: DemodGain,
-    i: int,
-) -> HarmonicOutput:
-    """Quadrature outputs of harmonic i: X from the even channel scaled by
-    the modulation's cosine coefficient, Y likewise from the odd channel.
+    s_m: SampledSignal, m: HarmonicSeries, r: HarmonicSeries
+) -> list[HarmonicOutput]:
+    """Quadrature outputs of every modulation harmonic: X_i is the mean
+    recovered signal of the even channel times the modulation's cosine
+    coefficient i, Y_i that of the odd channel times its sine coefficient.
 
-    The phase is the full-quadrant angle of (X, Y).  A channel whose gain
-    is below the floor contributes zero.
+    One demodulation per usable channel gives both means.  A channel whose
+    gain is below the floor contributes zero; when both are, the reference
+    is refused.  The phase is the full-quadrant angle of (X, Y).
     """
-    if not (1 <= i <= m.n_harmonics):
-        raise PreconditionError(f"harmonic index {i} out of range 1..{m.n_harmonics}")
-    s_even, s_odd = _recovered_means(s_m, ref, gain)
-    return _harmonic_output(m, i, s_even, s_odd)
-
-
-def _harmonic_output(m, i, s_even, s_odd):
-    x = float(m.cos_coeffs[i - 1] * s_even)
-    y = float(m.sin_coeffs[i - 1] * s_odd)
-    return HarmonicOutput(
-        index=i,
-        X=x,
-        Y=y,
-        magnitude=float(np.hypot(x, y)),
-        phase=float(np.arctan2(y, x)),
-    )
-
-
-def recover(
-    s_m: SampledSignal,
-    m: HarmonicSeries,
-    ref: DemodReference,
-    gain: DemodGain,
-    channel: str = "even",
-) -> DemodResult:
-    """Restore the signal and compute all per-harmonic quadrature outputs."""
-    restored = demodulate(s_m, ref, gain, channel)
-    s_even, s_odd = _recovered_means(s_m, ref, gain)
-    harmonics = [
-        _harmonic_output(m, i, s_even, s_odd) for i in range(1, m.n_harmonics + 1)
+    means = {}
+    for channel in CHANNELS:
+        if channel_gain(m, r, channel)[1] >= GAIN_FLOOR:
+            means[channel] = float(np.mean(demodulate(s_m, m, r, channel).valid().values))
+    if not means:
+        raise PreconditionError(
+            f"unusable reference: both channel gains are below the floor {GAIN_FLOOR:g} "
+            "of their bound |m_ac|*|r|"
+        )
+    x = m.cos_coeffs * means.get("even", 0.0)
+    y = m.sin_coeffs * means.get("odd", 0.0)
+    magnitude, phase = np.hypot(x, y), np.arctan2(y, x)
+    return [
+        HarmonicOutput(i + 1, float(x[i]), float(y[i]), float(magnitude[i]), float(phase[i]))
+        for i in range(m.n_harmonics)
     ]
-    return DemodResult(restored=restored, harmonics=harmonics)
 
 
 def write_harmonics_csv(rows: list[HarmonicOutput], path) -> None:

@@ -1,8 +1,8 @@
 """End-to-end measurement-chain simulation.
 
 Builds the measured waveform, modulates it, injects step or sine
-disturbance, demodulates with a delayed reference via numeric gain
-calibration, removes the first-order slope ripple of the one-period window,
+disturbance, demodulates with a delayed reference on the channel with the
+larger gain, removes the first-order slope ripple of the one-period window,
 down-samples phase-locked to the modulation, and reports
 recovery metrics.  Runs are pure functions of their configuration
 (noise included, via the seed), so identical configurations give
@@ -19,13 +19,7 @@ import numpy as np
 
 from .config import Config
 from .errors import ConfigError, PreconditionError
-from .lockin import (
-    demod_gain_numeric,
-    demodulate,
-    modulate,
-    slope_compensate,
-    split_even_odd,
-)
+from .lockin import CHANNELS, GAIN_FLOOR, channel_gain, demodulate, modulate, slope_compensate
 from .modulation import ModulationFit, modulation_series
 from .reference import synth_demod_reference
 from .signals import SampledSignal, TimeGrid, downsample_at_phase, integer_ratio, synth, write_csv
@@ -194,13 +188,12 @@ def run_simulation(cfg: SimConfig) -> SimResult:
 
     period = 1.0 / cfg.f_m
     l = cfg.modulation.n_harmonics
-    ref_series = synth_demod_reference(period, cfg.ref_kind, l, cfg.ref_phase_delay)
-    ref = split_even_odd(ref_series)
-    gain = demod_gain_numeric(m_series, ref)
-    channel = "even" if abs(gain.g_even) >= abs(gain.g_odd) else "odd"
+    r = synth_demod_reference(period, cfg.ref_kind, l, cfg.ref_phase_delay)
+    gains = {c: channel_gain(m_series, r, c)[0] for c in CHANNELS}
+    channel = "even" if abs(gains["even"]) >= abs(gains["odd"]) else "odd"
 
     restored = slope_compensate(
-        demodulate(noisy, ref, gain, channel), noisy, m_series, ref, gain, channel
+        demodulate(noisy, m_series, r, channel), noisy, m_series, r, channel
     )
     restored_full = restored.signal
     warmup = restored.warmup
@@ -233,11 +226,11 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     # scale (and sign, for a half-period flip) error of skipping calibration;
     # None when the aligned gain on this channel is below the floor (an
     # aligned reference has no odd part, so always on the odd channel)
-    aligned = split_even_odd(synth_demod_reference(period, cfg.ref_kind, l, 0.0))
-    aligned_gain = demod_gain_numeric(m_series, aligned)
+    aligned = synth_demod_reference(period, cfg.ref_kind, l, 0.0)
+    g_aligned, share_aligned = channel_gain(m_series, aligned, channel)
     scale = None
-    if aligned_gain.usable(channel):
-        scale = gain.channel_gain(channel) / aligned_gain.channel_gain(channel)
+    if share_aligned >= GAIN_FLOOR:
+        scale = gains[channel] / g_aligned
 
     metrics = {
         "rms_error_full": rms_full,
@@ -247,8 +240,8 @@ def run_simulation(cfg: SimConfig) -> SimResult:
         "warmup_samples": warmup,
         "n_downsampled": down.grid.n,
         "channel": channel,
-        "gain_even": gain.g_even,
-        "gain_odd": gain.g_odd,
+        "gain_even": gains["even"],
+        "gain_odd": gains["odd"],
         "gain_scale_vs_aligned": scale,
         "group_delay_s": period / 2.0,
     }

@@ -12,13 +12,7 @@ import numpy as np
 import pytest
 
 from rotolock.cli import main as cli_main
-from rotolock.lockin import (
-    demod_gain,
-    demod_gain_numeric,
-    harmonic_outputs,
-    modulate,
-    split_even_odd,
-)
+from rotolock.lockin import harmonic_outputs, modulate
 from rotolock.modulation import ModulationFit, modulation_series
 from rotolock.reference import (
     SpotGeometry,
@@ -26,7 +20,7 @@ from rotolock.reference import (
     transmitted_fraction,
     transmitted_fraction_mc,
 )
-from rotolock.signals import SampledSignal, TimeGrid, fit_harmonics, synth
+from rotolock.signals import HarmonicSeries, SampledSignal, TimeGrid, fit_harmonics, synth
 from rotolock.sim import NoiseSpec, SimConfig, run_simulation, step_contamination_mask
 
 DT = 2e-6
@@ -200,16 +194,20 @@ def test_criterion_6_sine_noise_leakage(clean_run):
     measured = res.metrics["rms_error_downsampled"]
 
     # brute-force oracle: the leakage is the windowed integral of
-    # noise * even-reference, trapezoid rule, independent of the lockin module
+    # noise * even-reference, trapezoid rule, independent of the lockin module:
+    # the even part is the reference's cosine terms, and its gain is
+    # (2/T) * the integral of modulation * even part over one period
     _, clean = clean_run
+    assert res.metrics["channel"] == "even"
     grid = res.noise.grid
     m_series = modulation_series(cfg.modulation, cfg.f_m)
-    ref = split_even_odd(
-        synth_demod_reference(T_M, cfg.ref_kind, cfg.modulation.n_harmonics,
-                              cfg.ref_phase_delay)
-    )
-    g = demod_gain_numeric(m_series, ref).g_even
-    prod = res.noise.values * synth(ref.even, grid).values
+    ref = synth_demod_reference(T_M, cfg.ref_kind, cfg.modulation.n_harmonics,
+                                cfg.ref_phase_delay)
+    even = HarmonicSeries(cfg.f_m, 0.0, ref.cos_coeffs, np.zeros(ref.n_harmonics))
+    one_period = TimeGrid(dt=cfg.dt, n=SPP, t0=0.0)
+    g = 2.0 * float(np.mean(synth(m_series, one_period).values
+                            * synth(even, one_period).values))
+    prod = res.noise.values * synth(even, grid).values
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (prod[1:] + prod[:-1]))]) * cfg.dt
     leak = np.empty(grid.n)
     leak[:SPP] = cum[:SPP]
@@ -237,23 +235,17 @@ def test_criterion_7_per_harmonic_outputs():
     grid = TimeGrid(dt=DT, n=20 * SPP, t0=0.0)
     s_m = modulate(SampledSignal(grid, np.ones(grid.n)), synth(m, grid))
 
-    aligned = split_even_odd(synth_demod_reference(T_M, "square", 7, 0.0))
-    gain = demod_gain(m, aligned)
-    outs = [harmonic_outputs(s_m, m, aligned, gain, i) for i in range(1, 8)]
+    aligned = synth_demod_reference(T_M, "square", 7, 0.0)
+    outs = harmonic_outputs(s_m, m, aligned)
     ratio_err = max(
         abs(outs[i - 1].X / outs[0].X - fit.amplitudes[i - 1] / fit.amplitudes[0])
         / abs(fit.amplitudes[i - 1] / fit.amplitudes[0])
         for i in range(1, 8)
     )
 
-    shifted = split_even_odd(
-        synth_demod_reference(T_M, "square", 7, 2.0 * np.pi / 12.0)  # shift by T_m/12
-    )
-    gain_s = demod_gain(m, shifted)
+    shifted = synth_demod_reference(T_M, "square", 7, 2.0 * np.pi / 12.0)  # shift by T_m/12
     mags_a = np.array([o.magnitude for o in outs])
-    mags_s = np.array(
-        [harmonic_outputs(s_m, m, shifted, gain_s, i).magnitude for i in range(1, 8)]
-    )
+    mags_s = np.array([o.magnitude for o in harmonic_outputs(s_m, m, shifted)])
     mag_err = float(np.max(np.abs(mags_s - mags_a) / np.abs(mags_a)))
     check("7", ratio_err < 0.01 and mag_err < 1e-6,
           f"X ratios match amplitude ratios within {ratio_err:.2e} (tol 1e-2); "

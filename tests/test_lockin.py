@@ -5,15 +5,14 @@ import pytest
 from scipy.integrate import quad
 
 from rotolock.errors import PreconditionError
+import rotolock.lockin
 from rotolock.lockin import (
-    demod_gain,
-    demod_gain_numeric,
+    GAIN_FLOOR,
+    channel_gain,
     demodulate,
     harmonic_outputs,
     modulate,
-    recover,
     slope_compensate,
-    split_even_odd,
     write_harmonics_csv,
 )
 from rotolock.modulation import ModulationFit, modulation_series
@@ -39,31 +38,11 @@ def stock_modulation_series():
 
 
 def square_ref(phase=0.0, l=7):
-    return split_even_odd(synth_demod_reference(T_M, "square", l, phase))
+    return synth_demod_reference(T_M, "square", l, phase)
 
 
 def modulated_signal(s_values, m_series, grid):
     return modulate(SampledSignal(grid, s_values), synth(m_series, grid))
-
-
-class TestSplitEvenOdd:
-    def test_cosine_only_series_has_zero_odd_part(self):
-        ref = split_even_odd(HarmonicSeries(F_M, 0.3, [0.5, 0.2], [0.0, 0.0]))
-        assert np.all(ref.odd.sin_coeffs == 0.0)
-        assert np.allclose(ref.even.cos_coeffs, [0.5, 0.2])
-
-    def test_square_wave_at_zero_phase_is_even(self):
-        ref = square_ref(phase=0.0)
-        assert np.all(ref.odd.sin_coeffs == 0.0)
-        assert np.allclose(ref.even.cos_coeffs,
-                           synth_demod_reference(T_M, "square", 7, 0.0).cos_coeffs)
-
-    def test_even_plus_odd_reconstructs_series_minus_dc(self):
-        r = HarmonicSeries(F_M, 1.7, [0.4, -0.1, 0.05], [0.2, 0.3, -0.6])
-        ref = split_even_odd(r)
-        grid = grid_for(2)
-        total = synth(ref.even, grid).values + synth(ref.odd, grid).values
-        assert np.allclose(total, synth(r, grid).values - r.dc, atol=1e-12)
 
 
 class TestModulate:
@@ -93,16 +72,44 @@ class TestModulate:
             modulate(a, b)
 
 
-class TestDemodGain:
+class TestChannelGain:
+    def test_cosine_only_reference_has_zero_odd_gain(self):
+        m = HarmonicSeries(F_M, 0.4, [0.3, -0.2], [0.1, 0.25])
+        r = HarmonicSeries(F_M, 0.3, [0.5, 0.2], [0.0, 0.0])
+        assert channel_gain(m, r, "odd") == (0.0, 0.0)
+        assert channel_gain(m, r, "even")[0] == pytest.approx(0.3 * 0.5 - 0.2 * 0.2)
+
+    def test_channels_split_the_whole_overlap(self):
+        # even + odd = the full coefficient overlap; the reference's DC is ignored
+        m = HarmonicSeries(F_M, 0.4, [0.3, -0.2, 0.1], [0.1, 0.25, -0.05])
+        r = HarmonicSeries(F_M, 1.7, [0.4, -0.1, 0.05], [0.2, 0.3, -0.6])
+        total = np.dot(m.cos_coeffs, r.cos_coeffs) + np.dot(m.sin_coeffs, r.sin_coeffs)
+        g_even, _ = channel_gain(m, r, "even")
+        g_odd, _ = channel_gain(m, r, "odd")
+        assert g_even + g_odd == pytest.approx(total, abs=1e-15)
+        no_dc = HarmonicSeries(F_M, 0.0, r.cos_coeffs, r.sin_coeffs)
+        for c in ("even", "odd"):
+            assert channel_gain(m, no_dc, c) == channel_gain(m, r, c)
+
+    def test_share_is_the_fraction_of_the_cauchy_schwarz_bound(self):
+        m = HarmonicSeries(F_M, 5.0, [0.3, -0.2], [0.0, 0.0])
+        assert channel_gain(m, m, "even") == pytest.approx((0.13, 1.0))
+        r = HarmonicSeries(F_M, 0.0, [0.6, -0.4], [0.3, 0.1])
+        g, share = channel_gain(m, r, "even")
+        norm_r = math.sqrt(0.6**2 + 0.4**2 + 0.3**2 + 0.1**2)
+        assert share == pytest.approx(abs(g) / (math.hypot(0.3, 0.2) * norm_r), rel=1e-15)
+        # the share does not depend on the scale of either series
+        big = HarmonicSeries(F_M, 0.0, 1e4 * r.cos_coeffs, 1e4 * r.sin_coeffs)
+        assert channel_gain(m, big, "even")[1] == pytest.approx(share, rel=1e-14)
+
     def test_unit_fundamentals_give_unit_gain(self):
         m = unit_cosine_series()
-        ref = split_even_odd(HarmonicSeries(F_M, 0.0, [1.0], [0.0]))
-        assert demod_gain(m, ref).g_even == pytest.approx(1.0)
+        assert channel_gain(m, unit_cosine_series(), "even") == pytest.approx((1.0, 1.0))
 
     def test_stock_modulation_against_sine_reference(self):
-        ref = split_even_odd(synth_demod_reference(T_M, "sine", 7, 0.0))
-        g = demod_gain(stock_modulation_series(), ref)
-        assert g.g_even == pytest.approx(0.366, abs=1e-6)
+        ref = synth_demod_reference(T_M, "sine", 7, 0.0)
+        g, _ = channel_gain(stock_modulation_series(), ref, "even")
+        assert g == pytest.approx(0.366, abs=1e-6)
 
     def test_stock_modulation_against_square_reference(self):
         # independent term-by-term oracle over the odd harmonics
@@ -111,33 +118,50 @@ class TestDemodGain:
             fit.amplitudes[j - 1] * math.cos(fit.phase) * 4.0 / (math.pi * j)
             for j in (1, 3, 5, 7)
         )
-        g = demod_gain(stock_modulation_series(), square_ref())
-        assert g.g_even == pytest.approx(expected, abs=1e-12)
-        assert g.g_even == pytest.approx(0.480, abs=5e-4)
+        g, _ = channel_gain(stock_modulation_series(), square_ref(), "even")
+        assert g == pytest.approx(expected, abs=1e-12)
+        assert g == pytest.approx(0.480, abs=5e-4)
 
     @pytest.mark.parametrize("phase", [0.0, 0.4, math.pi / 6.0])
-    def test_numeric_gain_matches_symbolic(self, phase):
+    def test_gain_matches_one_period_overlap(self, phase):
+        # g = (2/T) * integral over one period of m times the channel's part
         m = stock_modulation_series()
         ref = square_ref(phase=phase)
-        sym = demod_gain(m, ref)
-        num = demod_gain_numeric(m, ref)
-        assert num.g_even == pytest.approx(sym.g_even, abs=1e-12)
-        assert num.g_odd == pytest.approx(sym.g_odd, abs=1e-12)
+        grid = TimeGrid(dt=T_M / 1024, n=1024)
+        zeros = np.zeros(7)
+        parts = {
+            "even": HarmonicSeries(F_M, 0.0, ref.cos_coeffs, zeros),
+            "odd": HarmonicSeries(F_M, 0.0, zeros, ref.sin_coeffs),
+        }
+        for channel, part in parts.items():
+            overlap = 2.0 * np.mean(synth(m, grid).values * synth(part, grid).values)
+            assert channel_gain(m, ref, channel)[0] == pytest.approx(overlap, abs=1e-12)
+
+    def test_unknown_channel_rejected(self):
+        with pytest.raises(PreconditionError, match="unknown channel"):
+            channel_gain(unit_cosine_series(), unit_cosine_series(), "both")
+
+    def test_fundamental_mismatch_rejected(self):
+        r = HarmonicSeries(2.0 * F_M, 0.0, [1.0], [0.0])
+        with pytest.raises(PreconditionError, match="fundamental"):
+            channel_gain(unit_cosine_series(), r, "even")
 
     def test_unusable_reference_rejected(self):
+        grid = grid_for(4)
         m = unit_cosine_series()
-        ref = split_even_odd(synth_demod_reference(T_M, "sine", 1, phase=math.pi / 2.0))
+        ref = synth_demod_reference(T_M, "sine", 1, phase=math.pi / 2.0)
+        s_m = modulated_signal(np.ones(grid.n), m, grid)
         with pytest.raises(PreconditionError, match="unusable"):
-            demod_gain(m, ref)
+            demodulate(s_m, m, ref, "even")
 
 
 class TestDemodulate:
     def test_unit_constant_with_unit_cosine_chain(self):
         grid = grid_for(10)
         m = unit_cosine_series()
-        ref = split_even_odd(HarmonicSeries(F_M, 0.0, [1.0], [0.0]))
+        ref = HarmonicSeries(F_M, 0.0, [1.0], [0.0])
         s_m = modulated_signal(np.ones(grid.n), m, grid)
-        out = demodulate(s_m, ref, demod_gain(m, ref), "even")
+        out = demodulate(s_m, m, ref, "even")
         assert out.warmup == SPP
         assert np.max(np.abs(out.valid().values - 1.0)) < 1e-9
 
@@ -147,15 +171,15 @@ class TestDemodulate:
         m = stock_modulation_series()
         ref = square_ref()
         s_m = modulated_signal(np.full(grid.n, c), m, grid)
-        out = demodulate(s_m, ref, demod_gain(m, ref), "even")
+        out = demodulate(s_m, m, ref, "even")
         assert np.max(np.abs(out.valid().values - c)) < 1e-6
 
     def test_output_grid_is_relabeled_to_window_centers(self):
         grid = grid_for(4)
         m = unit_cosine_series()
-        ref = split_even_odd(unit_cosine_series())
+        ref = unit_cosine_series()
         s_m = modulated_signal(np.ones(grid.n), m, grid)
-        out = demodulate(s_m, ref, demod_gain(m, ref), "even")
+        out = demodulate(s_m, m, ref, "even")
         assert out.signal.grid.t0 == pytest.approx(grid.t0 - T_M / 2.0)
         assert out.signal.grid.n == grid.n
 
@@ -164,10 +188,10 @@ class TestDemodulate:
         grid = grid_for(75)
         f_sig = 50.0
         m = unit_cosine_series()
-        ref = split_even_odd(unit_cosine_series())
+        ref = unit_cosine_series()
         s = np.sin(2 * np.pi * f_sig * grid.times())
         s_m = modulated_signal(s, m, grid)
-        out = demodulate(s_m, ref, demod_gain(m, ref), "even")
+        out = demodulate(s_m, m, ref, "even")
         valid = out.valid()
         target = np.sin(2 * np.pi * f_sig * valid.times())
         rel_rms = np.sqrt(np.mean((valid.values - target) ** 2)) / np.sqrt(np.mean(target**2))
@@ -178,10 +202,10 @@ class TestDemodulate:
         grid = grid_for(60)
         f_sig = 50.0
         m = unit_cosine_series()
-        ref = split_even_odd(unit_cosine_series())
+        ref = unit_cosine_series()
         s = np.sin(2 * np.pi * f_sig * grid.times())
         s_m = modulated_signal(s, m, grid)
-        out = demodulate(s_m, ref, demod_gain(m, ref), "even")
+        out = demodulate(s_m, m, ref, "even")
 
         def integrand(u):
             return math.sin(2 * np.pi * f_sig * u) * math.cos(2 * np.pi * F_M * u) ** 2
@@ -196,26 +220,24 @@ class TestDemodulate:
         grid = grid_for(10)
         m = stock_modulation_series()
         ref = square_ref(phase=0.3)
-        gain = demod_gain(m, ref)
         s_m = modulated_signal(np.ones(grid.n), m, grid)
         shifted = SampledSignal(grid, s_m.values + 123.4)
-        a = demodulate(s_m, ref, gain, "even")
-        b = demodulate(shifted, ref, gain, "even")
+        a = demodulate(s_m, m, ref, "even")
+        b = demodulate(shifted, m, ref, "even")
         assert np.max(np.abs(a.valid().values - b.valid().values)) < 1e-9
 
     def test_linearity(self):
         grid = grid_for(10)
         m = stock_modulation_series()
         ref = square_ref()
-        gain = demod_gain(m, ref)
         rng = np.random.default_rng(3)
         s1 = rng.normal(size=grid.n)
         s2 = rng.normal(size=grid.n)
         a, b = 2.5, -0.75
         mixed = modulated_signal(a * s1 + b * s2, m, grid)
-        lhs = demodulate(mixed, ref, gain, "even").signal.values
-        r1 = demodulate(modulated_signal(s1, m, grid), ref, gain, "even").signal.values
-        r2 = demodulate(modulated_signal(s2, m, grid), ref, gain, "even").signal.values
+        lhs = demodulate(mixed, m, ref, "even").signal.values
+        r1 = demodulate(modulated_signal(s1, m, grid), m, ref, "even").signal.values
+        r2 = demodulate(modulated_signal(s2, m, grid), m, ref, "even").signal.values
         rhs = a * r1 + b * r2
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
@@ -231,8 +253,7 @@ class TestDemodulate:
         for f in (fit, scaled_fit):
             m = modulation_series(f, F_M)
             s_m = modulated_signal(s, m, grid)
-            gain = demod_gain_numeric(m, ref)
-            out.append(demodulate(s_m, ref, gain, "even").signal.values)
+            out.append(demodulate(s_m, m, ref, "even").signal.values)
         assert np.max(np.abs(out[0] - out[1])) < 1e-12
 
     def test_slow_noise_perturbation_matches_brute_force_oracle(self):
@@ -243,23 +264,22 @@ class TestDemodulate:
         t = grid.times()
         m = stock_modulation_series()
         ref = square_ref(phase=np.pi / 6.0)
-        gain = demod_gain_numeric(m, ref)
         s = np.sin(2 * np.pi * 50.0 * t)
         noise = 10.0 * np.sin(2 * np.pi * 10.0 * t)
         s_m = modulated_signal(s, m, grid)
         noisy = SampledSignal(grid, s_m.values + noise)
-        clean_out = demodulate(s_m, ref, gain, "even")
-        noisy_out = demodulate(noisy, ref, gain, "even")
+        clean_out = demodulate(s_m, m, ref, "even")
+        noisy_out = demodulate(noisy, m, ref, "even")
         perturbation = noisy_out.signal.values - clean_out.signal.values
 
         # brute-force oracle: trapezoid windowed integral of noise * reference
-        r_even = synth(ref.even, grid).values
+        r_even = synth(HarmonicSeries(F_M, 0.0, ref.cos_coeffs, np.zeros(7)), grid).values
         prod = noise * r_even
         cum = np.concatenate([[0.0], np.cumsum(0.5 * (prod[1:] + prod[:-1]))]) * DT
         oracle = np.empty(grid.n)
         oracle[:SPP] = cum[:SPP]
         oracle[SPP:] = cum[SPP:] - cum[:-SPP]
-        oracle *= 2.0 / (T_M * gain.g_even)
+        oracle *= 2.0 / (T_M * channel_gain(m, ref, "even")[0])
         assert np.max(np.abs(perturbation - oracle)) < 1e-9
 
         # regression: leakage at the phase-locked samples (modulation phase 0
@@ -278,12 +298,11 @@ class TestDemodulate:
         fit = ModulationFit(phase=0.8)  # both quadratures well populated
         m = modulation_series(fit, F_M)
         ref = square_ref(phase=0.6)
-        gain = demod_gain(m, ref)
-        assert gain.usable("even") and gain.usable("odd")
+        assert all(channel_gain(m, ref, c)[1] > 0.3 for c in ("even", "odd"))
         s = np.sin(2 * np.pi * 2.0 * grid.times())
         s_m = modulated_signal(s, m, grid)
-        even = demodulate(s_m, ref, gain, "even").valid().values
-        odd = demodulate(s_m, ref, gain, "odd").valid().values
+        even = demodulate(s_m, m, ref, "even").valid().values
+        odd = demodulate(s_m, m, ref, "odd").valid().values
         assert np.sqrt(np.mean((even - odd) ** 2)) < 0.01
 
     def test_even_and_odd_channels_agree_exactly_for_constant_signals(self):
@@ -291,33 +310,50 @@ class TestDemodulate:
         fit = ModulationFit(phase=0.8)
         m = modulation_series(fit, F_M)
         ref = square_ref(phase=0.6)
-        gain = demod_gain(m, ref)
         s_m = modulated_signal(np.full(grid.n, 1.3), m, grid)
-        even = demodulate(s_m, ref, gain, "even").valid().values
-        odd = demodulate(s_m, ref, gain, "odd").valid().values
+        even = demodulate(s_m, m, ref, "even").valid().values
+        odd = demodulate(s_m, m, ref, "odd").valid().values
         assert np.max(np.abs(even - odd)) < 1e-9
 
     def test_gain_floor_violation_rejected(self):
         grid = grid_for(4)
         m = stock_modulation_series()
-        ref = square_ref()  # phase 0: odd channel gain ~ 1e-5 * tiny phase
-        gain = demod_gain(m, ref)
+        ref = square_ref()  # phase 0: the reference has no odd part
         s_m = modulated_signal(np.ones(grid.n), m, grid)
-        assert not gain.usable("odd")
+        assert channel_gain(m, ref, "odd") == (0.0, 0.0)
         with pytest.raises(PreconditionError, match="floor"):
-            demodulate(s_m, ref, gain, "odd")
+            demodulate(s_m, m, ref, "odd")
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_near_orthogonal_channel_rejected_at_any_scale(self, scale):
+        # a quarter-turn delay leaves the odd channel a gain of ~1e-5, far
+        # above any absolute floor once the modulation is scaled up, but
+        # still ~2e-5 of its bound: its output would be noise
+        grid = grid_for(4)
+        m = modulation_series(ModulationFit(amplitudes=scale * ModulationFit().amplitudes), F_M)
+        ref = square_ref(phase=np.pi / 2.0)
+        g, share = channel_gain(m, ref, "odd")
+        assert abs(g) > 1e-6 * scale and share < GAIN_FLOOR
+        s_m = modulated_signal(np.ones(grid.n), m, grid)
+        for channel in ("even", "odd"):
+            with pytest.raises(PreconditionError, match="unusable reference"):
+                demodulate(s_m, m, ref, channel)
+            with pytest.raises(PreconditionError, match="unusable reference"):
+                slope_compensate(
+                    demodulate(s_m, m, square_ref(), "even"), s_m, m, ref, channel
+                )
 
     def test_non_commensurate_grid_rejected(self):
         grid = TimeGrid(dt=3e-6, n=1000)
         m = unit_cosine_series()
-        ref = split_even_odd(unit_cosine_series())
+        ref = unit_cosine_series()
         s_m = SampledSignal(grid, np.ones(grid.n))
         with pytest.raises(PreconditionError, match="integer"):
-            demodulate(s_m, ref, demod_gain(m, ref), "even")
+            demodulate(s_m, m, ref, "even")
 
 
-def compensated(s_m, m, ref, gain, channel="even"):
-    return slope_compensate(demodulate(s_m, ref, gain, channel), s_m, m, ref, gain, channel)
+def compensated(s_m, m, ref, channel="even"):
+    return slope_compensate(demodulate(s_m, m, ref, channel), s_m, m, ref, channel)
 
 
 class TestSlopeCompensate:
@@ -332,11 +368,10 @@ class TestSlopeCompensate:
     def test_exact_for_linear_signal(self, fit, ref_kind, delay, channel):
         grid = TimeGrid(dt=DT, n=8 * SPP + 37, t0=1.3e-4)  # partial last period
         m = modulation_series(fit, F_M)
-        ref = split_even_odd(synth_demod_reference(T_M, ref_kind, 7, delay))
-        gain = demod_gain_numeric(m, ref)
+        ref = synth_demod_reference(T_M, ref_kind, 7, delay)
         s_m = modulated_signal(0.3 + 150.0 * grid.times(), m, grid)
-        raw = demodulate(s_m, ref, gain, channel).valid()
-        out = compensated(s_m, m, ref, gain, channel).valid()
+        raw = demodulate(s_m, m, ref, channel).valid()
+        out = compensated(s_m, m, ref, channel).valid()
         target = 0.3 + 150.0 * out.times()
         assert np.max(np.abs(raw.values - target)) > 1e-3  # the slope term is there
         assert np.max(np.abs(out.values - target)) <= 1e-12
@@ -347,13 +382,12 @@ class TestSlopeCompensate:
         grid = grid_for(12)
         m = stock_modulation_series()
         ref = square_ref(phase=np.pi / 6.0)
-        gain = demod_gain_numeric(m, ref)
         s_m = modulated_signal(np.sin(2 * np.pi * 50.0 * grid.times()), m, grid)
         disturbed = SampledSignal(grid, s_m.values - 4.2 + 900.0 * grid.times())
 
         def correction(x):
-            raw = demodulate(x, ref, gain, "even").valid().values
-            return compensated(x, m, ref, gain).valid().values - raw
+            raw = demodulate(x, m, ref, "even").valid().values
+            return compensated(x, m, ref).valid().values - raw
 
         assert np.max(np.abs(correction(s_m))) > 1e-2
         # up to rounding of window sums of a disturbance of size ~4
@@ -363,13 +397,12 @@ class TestSlopeCompensate:
         grid = grid_for(12)
         m = stock_modulation_series()
         ref = square_ref(phase=np.pi / 6.0)
-        gain = demod_gain_numeric(m, ref)
         s_m = modulated_signal(np.sin(2 * np.pi * 50.0 * grid.times()), m, grid)
         i_step = 5 * SPP + 71
         step = np.where(np.arange(grid.n) >= i_step, 7.5, 0.0)
         disturbed = SampledSignal(grid, s_m.values + step)
-        dev = np.abs(compensated(disturbed, m, ref, gain).signal.values
-                     - compensated(s_m, m, ref, gain).signal.values)
+        dev = np.abs(compensated(disturbed, m, ref).signal.values
+                     - compensated(s_m, m, ref).signal.values)
         inside = np.zeros(grid.n, dtype=bool)
         inside[i_step : i_step + SPP] = True
         assert np.max(dev[~inside]) < 1e-10  # rounding of the 7.5 step
@@ -379,10 +412,9 @@ class TestSlopeCompensate:
         grid = grid_for(75)
         m = stock_modulation_series()
         ref = square_ref(phase=np.pi / 6.0)
-        gain = demod_gain_numeric(m, ref)
         s_m = modulated_signal(np.sin(2 * np.pi * 50.0 * grid.times()), m, grid)
-        raw = demodulate(s_m, ref, gain, "even").valid()
-        out = compensated(s_m, m, ref, gain).valid()
+        raw = demodulate(s_m, m, ref, "even").valid()
+        out = compensated(s_m, m, ref).valid()
         target = np.sin(2 * np.pi * 50.0 * out.times())
         assert np.max(np.abs(raw.values - target)) > 0.05
         assert np.max(np.abs(out.values - target)) < 0.005
@@ -391,10 +423,9 @@ class TestSlopeCompensate:
         grid = grid_for(4)
         m = stock_modulation_series()
         ref = square_ref(phase=0.3)
-        gain = demod_gain_numeric(m, ref)
         s_m = modulated_signal(np.sin(2 * np.pi * 50.0 * grid.times()), m, grid)
-        raw = demodulate(s_m, ref, gain, "even")
-        out = slope_compensate(raw, s_m, m, ref, gain, "even")
+        raw = demodulate(s_m, m, ref, "even")
+        out = slope_compensate(raw, s_m, m, ref, "even")
         assert out.warmup == raw.warmup == SPP
         assert out.signal.grid == raw.signal.grid
         assert np.array_equal(out.signal.values[:SPP], raw.signal.values[:SPP])
@@ -403,20 +434,19 @@ class TestSlopeCompensate:
         grid = grid_for(4)
         m = stock_modulation_series()
         ref = square_ref()
-        gain = demod_gain(m, ref)
         s_m = modulated_signal(np.ones(grid.n), m, grid)
         other = modulated_signal(np.ones(3 * SPP), m, grid_for(3))
         with pytest.raises(PreconditionError, match="demodulated output"):
-            slope_compensate(demodulate(other, ref, gain, "even"), s_m, m, ref, gain, "even")
+            slope_compensate(demodulate(other, m, ref, "even"), s_m, m, ref, "even")
 
     def test_singular_slope_estimate_rejected(self):
         # two samples per period: a window of three samples cannot fit four unknowns
         grid = TimeGrid(dt=T_M / 2.0, n=20)
         m = unit_cosine_series()
-        ref = split_even_odd(unit_cosine_series())
+        ref = unit_cosine_series()
         s_m = modulated_signal(np.ones(grid.n), m, grid)
         with pytest.raises(PreconditionError, match="singular"):
-            compensated(s_m, m, ref, demod_gain(m, ref))
+            compensated(s_m, m, ref)
 
 
 class TestHarmonicOutputs:
@@ -425,9 +455,8 @@ class TestHarmonicOutputs:
         fit = ModulationFit()
         m = modulation_series(fit, F_M)
         ref = square_ref()
-        gain = demod_gain(m, ref)
         s_m = modulated_signal(np.ones(grid.n), m, grid)
-        outs = [harmonic_outputs(s_m, m, ref, gain, i) for i in range(1, 8)]
+        outs = harmonic_outputs(s_m, m, ref)
         for i, h in enumerate(outs, start=1):
             ratio = h.X / outs[0].X
             expected = fit.amplitudes[i - 1] / fit.amplitudes[0]
@@ -438,9 +467,8 @@ class TestHarmonicOutputs:
         fit = ModulationFit(phase=0.0)
         m = modulation_series(fit, F_M)
         ref = square_ref(phase=0.25)
-        gain = demod_gain(m, ref)
         s_m = modulated_signal(np.ones(grid.n), m, grid)
-        h = harmonic_outputs(s_m, m, ref, gain, 2)
+        h = harmonic_outputs(s_m, m, ref)[1]
         assert h.Y == 0.0
         assert h.magnitude == pytest.approx(abs(h.X))
 
@@ -451,45 +479,59 @@ class TestHarmonicOutputs:
         mags = {}
         for phase in (0.0, 2.0 * np.pi / 12.0):  # shift by T_m/12
             ref = square_ref(phase=phase)
-            gain = demod_gain(m, ref)
-            mags[phase] = [
-                harmonic_outputs(s_m, m, ref, gain, i).magnitude for i in range(1, 8)
-            ]
+            mags[phase] = [h.magnitude for h in harmonic_outputs(s_m, m, ref)]
         a, b = np.array(list(mags.values()))
         assert np.max(np.abs(a - b) / np.abs(a)) < 1e-6
 
-    def test_index_out_of_range_rejected(self):
-        grid = grid_for(4)
-        m = stock_modulation_series()
-        ref = square_ref()
-        gain = demod_gain(m, ref)
-        s_m = modulated_signal(np.ones(grid.n), m, grid)
-        with pytest.raises(PreconditionError, match="out of range"):
-            harmonic_outputs(s_m, m, ref, gain, 8)
-
-    def test_recover_bundles_signal_and_harmonics(self):
+    def test_returns_one_row_per_harmonic(self):
         grid = grid_for(10)
-        m = stock_modulation_series()
-        ref = square_ref()
-        gain = demod_gain(m, ref)
+        m = modulation_series(ModulationFit(phase=0.8), F_M)  # both channels usable
         s_m = modulated_signal(np.full(grid.n, 2.0), m, grid)
-        result = recover(s_m, m, ref, gain)
-        assert len(result.harmonics) == 7
-        assert np.max(np.abs(result.restored.valid().values - 2.0)) < 1e-6
-        assert result.harmonics[0].X == pytest.approx(2.0 * m.cos_coeffs[0], rel=1e-9)
+        rows = harmonic_outputs(s_m, m, square_ref(phase=0.4))
+        assert [h.index for h in rows] == list(range(1, 8))
+        for h, c, s in zip(rows, m.cos_coeffs, m.sin_coeffs):
+            assert h.X == pytest.approx(2.0 * c, rel=1e-9)
+            assert h.Y == pytest.approx(2.0 * s, rel=1e-9)
+            assert h.magnitude == pytest.approx(math.hypot(h.X, h.Y), rel=1e-15)
+            assert h.phase == pytest.approx(math.atan2(h.Y, h.X), abs=1e-15)
+
+    @pytest.mark.parametrize("phase, calls", [(0.0, 1), (0.4, 2)])
+    def test_one_demodulation_per_usable_channel(self, monkeypatch, phase, calls):
+        # at phase 0 the square reference has no odd part, so its row Ys are 0
+        grid = grid_for(4)
+        m = modulation_series(ModulationFit(phase=0.8), F_M)
+        s_m = modulated_signal(np.ones(grid.n), m, grid)
+        seen = []
+
+        def counted(*args):
+            seen.append(args[3])
+            return demodulate(*args)
+
+        monkeypatch.setattr(rotolock.lockin, "demodulate", counted)
+        rows = harmonic_outputs(s_m, m, square_ref(phase=phase))
+        assert len(seen) == calls and len(rows) == 7
+        if calls == 1:
+            assert seen == ["even"] and all(h.Y == 0.0 for h in rows)
+
+    def test_unusable_reference_rejected(self):
+        grid = grid_for(4)
+        m = unit_cosine_series()
+        ref = synth_demod_reference(T_M, "sine", 1, phase=math.pi / 2.0)
+        s_m = modulated_signal(np.ones(grid.n), m, grid)
+        with pytest.raises(PreconditionError, match="unusable"):
+            harmonic_outputs(s_m, m, ref)
 
     def test_harmonics_csv_format(self, tmp_path):
         grid = grid_for(6)
         m = stock_modulation_series()
         ref = square_ref()
-        gain = demod_gain(m, ref)
         s_m = modulated_signal(np.ones(grid.n), m, grid)
-        result = recover(s_m, m, ref, gain)
+        rows = harmonic_outputs(s_m, m, ref)
         path = tmp_path / "harmonics.csv"
-        write_harmonics_csv(result.harmonics, path)
+        write_harmonics_csv(rows, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "i,X,Y,magnitude,phase"
         assert len(lines) == 8
         first = lines[1].split(",")
         assert int(first[0]) == 1
-        assert float(first[1]) == pytest.approx(result.harmonics[0].X)
+        assert float(first[1]) == pytest.approx(rows[0].X)

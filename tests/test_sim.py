@@ -5,6 +5,7 @@ import pytest
 
 from rotolock.cli import main
 from rotolock.errors import ConfigError
+from rotolock.modulation import ModulationFit
 from rotolock.sim import (
     NoiseSpec,
     SimConfig,
@@ -191,17 +192,34 @@ class TestRunSimulation:
         assert res.metrics["gain_scale_vs_aligned"] == pytest.approx(-1.0, abs=1e-9)
         assert res.metrics["rms_error_downsampled"] < 1e-3
 
-    def test_quarter_turn_reference_delay_uses_odd_channel(self, tmp_path):
-        # the aligned reference has no odd part, so there is no scale to report
-        cfg = SimConfig(ref_phase_delay=np.pi / 2.0, noise=NoiseSpec(kind="none"))
-        res = run_simulation(cfg)
-        assert res.metrics["channel"] == "odd"
-        assert res.metrics["gain_scale_vs_aligned"] is None
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"ref_phase_delay": np.pi / 2.0},
+            {"ref_kind": "sine", "ref_phase_delay": np.pi / 2.0,
+             "modulation": {"phase": 0.0}},
+        ],
+    )
+    def test_quarter_turn_reference_delay_is_unusable(self, tmp_path, overrides, capsys):
+        # at a quarter turn the reference is nearly orthogonal to the
+        # modulation: each channel's gain is ~2e-5 of its bound or less, so
+        # the run is refused rather than reporting amplified noise
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"ref_phase_delay": np.pi / 2.0}))
-        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
-        metrics = json.loads((tmp_path / "metrics.json").read_text())
-        assert metrics["gain_scale_vs_aligned"] is None
+        path.write_text(json.dumps(overrides))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert "unusable reference" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "metrics.json").exists()
+
+    def test_odd_channel_recovers_the_signal(self):
+        # a modulation with a sizeable sine part and a delayed reference put
+        # the larger gain on the odd channel; the aligned reference has no
+        # odd part, so there is no scale to report
+        res = run_simulation(
+            SimConfig(modulation=ModulationFit(phase=0.7), ref_phase_delay=1.2)
+        )
+        assert res.metrics["channel"] == "odd"
+        assert res.metrics["rms_error_downsampled"] < 1e-3
+        assert res.metrics["gain_scale_vs_aligned"] is None
 
     def test_sine_reference_variant(self):
         res = run_simulation(SimConfig(ref_kind="sine", noise=NoiseSpec(kind="none")))
