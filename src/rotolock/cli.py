@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .config import Config
+from .config import Config, check_size
 from .errors import ConfigError, PreconditionError
 from .modulation import ModulationFit, modulation_series
 from .reference import SpotGeometry, fit_trapezoid_cosine, reference_waveform
@@ -25,6 +25,11 @@ class ModwaveConfig(Config):
 
     def __post_init__(self):
         _check_rate("f_m", self.f_m, self.samples_per_period)
+        # two periods written, and synth's one-period table of spp x harmonics
+        check_size(
+            "2 * samples_per_period * harmonics",
+            2 * self.samples_per_period * self.modulation.n_harmonics,
+        )
 
 
 @dataclass(frozen=True)
@@ -35,6 +40,7 @@ class RefsignalConfig(Config):
 
     def __post_init__(self):
         _check_rate("f_rot", self.f_rot, self.samples_per_period)
+        check_size("samples_per_period", self.samples_per_period)
 
 
 def _check_rate(name: str, freq: float, samples_per_period: int) -> None:

@@ -7,6 +7,8 @@ default; unknown keys are rejected.  A float field with metadata
 ``{"deg": True}`` holds radians under the key ``<name>_deg`` in degrees.
 Range and cross-field rules stay in each ``__post_init__``; a
 `PreconditionError` raised there while loading becomes a `ConfigError`.
+Among them, `check_size` refuses a config whose arrays would hold more than
+`MAX_ELEMENTS` entries, before anything is allocated.
 """
 
 from __future__ import annotations
@@ -18,6 +20,20 @@ import typing
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
+
+# Largest array, in elements, that a config may ask for: 2**25 (about 33.5 M).
+# A 60 s simulation at the default 2 us step (30 M samples, ~2.4 GB at the
+# ~80 B per sample a simulation holds) is still accepted; a finite but absurd
+# run such as duration 10000 s (5e9 samples) is a config error instead of a
+# failed allocation.
+MAX_ELEMENTS = 2**25
+
+
+def check_size(what: str, count: int) -> None:
+    """Raise ConfigError when `count` elements (described by `what`, in terms
+    of the config's fields) exceed MAX_ELEMENTS."""
+    if count > MAX_ELEMENTS:
+        raise ConfigError(f"{what} = {count} exceeds the size limit MAX_ELEMENTS = {MAX_ELEMENTS}")
 
 
 class Config:

@@ -17,8 +17,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import curve_fit
 
 from .config import Config
 from .errors import ConfigError, PreconditionError
@@ -161,6 +159,8 @@ def transmitted_fraction(geom: SpotGeometry, theta: float) -> float:
     minor segment) is the open part when h >= 0 and the blocked part
     otherwise.
     """
+    from scipy.integrate import quad  # here, so simulate and modwave never load SciPy
+
     _check_small_spot(geom)
     theta = _wrap_angle(float(theta))
     trail = theta - geom.theta_gnd  # trailing-edge angle, wrapped like theta
@@ -268,6 +268,8 @@ def fit_trapezoid_cosine(signal: SampledSignal, f_rot: float) -> tuple[Trapezoid
     theta is the (unwrapped) rotation angle 2*pi*f_rot*t.  Returns the fit
     and the residual RMS over the fitted segment.
     """
+    from scipy.optimize import curve_fit  # here, so simulate and modwave never load SciPy
+
     if not (f_rot > 0.0):
         raise PreconditionError(f"rotation frequency must be positive, got {f_rot}")
     sel = _first_transition(signal.values)

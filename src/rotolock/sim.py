@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import Config
+from .config import Config, check_size
 from .errors import ConfigError, PreconditionError
 from .lockin import CHANNELS, GAIN_FLOOR, channel_gain, demodulate, modulate, slope_compensate
 from .modulation import ModulationFit, modulation_series
@@ -94,6 +94,15 @@ class SimConfig(Config):
                 f"step noise rate must not exceed the sample rate 1/dt = {1.0 / self.dt:g}, "
                 f"got {self.noise.rate_or_freq:g}"
             )
+        # a run's arrays hold n_samples entries, except synth's one-period table
+        # of min(n_samples, spp) x harmonics; by the rule above the expected
+        # step count rate_or_freq*duration is at most n_samples, so the first
+        # bound also caps gen_noise's draws
+        check_size("duration/dt", self.n_samples)
+        check_size(
+            "min(duration/dt, 1/(f_m*dt)) * harmonics",
+            min(self.n_samples, self.samples_per_period) * self.modulation.n_harmonics,
+        )
 
     @property
     def samples_per_period(self) -> int:

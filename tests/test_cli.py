@@ -1,10 +1,15 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rotolock
 from rotolock.cli import main
+from rotolock.config import MAX_ELEMENTS
 from rotolock.modulation import ModulationFit
 from rotolock.reference import SpotGeometry
 from rotolock.signals import fit_harmonics, read_csv
@@ -159,6 +164,11 @@ class TestSimulate:
             ("simulate", {"dt": 1e-320, "f_m": 1e-10}),  # f_m*dt underflows to 0
             ("modwave", {"f_m": 0}),
             ("refsignal", {"f_rot": -2500.0}),
+            ("simulate", {"duration": 10000.0}),  # 5e9 samples: 37 GiB per array
+            ("simulate", {"duration": 100.0, "noise": {"rate_or_freq": 5e5}}),  # 5e7 steps
+            ("simulate", {"modulation": {"amplitudes": [0.1] * 200_000}}),  # 200 x 2e5 table
+            ("modwave", {"samples_per_period": MAX_ELEMENTS}),
+            ("refsignal", {"samples_per_period": MAX_ELEMENTS + 1}),
         ],
     )
     def test_bad_config_section_is_config_error(self, tmp_path, capsys, subcommand, config):
@@ -197,3 +207,23 @@ class TestSimulate:
         monkeypatch.setattr("rotolock.cli.cmd_refsignal", exhausted)
         assert run_cli("refsignal", "--out", str(tmp_path)) == 3
         assert capsys.readouterr().err.startswith("error: out of memory")
+
+
+def test_simulate_and_modwave_never_import_scipy(tmp_path):
+    # a fresh interpreter: this test process may have loaded SciPy already
+    src = Path(rotolock.__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); from rotolock.cli import main\n"
+        "def scipy_modules(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        f"assert main(['simulate', '--seed', '7', '--out', {str(tmp_path / 's')!r}]) == 0\n"
+        f"assert main(['modwave', '--out', {str(tmp_path / 'm')!r}]) == 0\n"
+        "print('after simulate, modwave:', scipy_modules())\n"
+        f"assert main(['refsignal', '--out', {str(tmp_path / 'r')!r}]) == 0\n"
+        "print('after refsignal:', scipy_modules())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    probes = [line for line in proc.stdout.splitlines() if line.startswith("after ")]
+    assert probes[0] == "after simulate, modwave: []"
+    # the probe does see SciPy where it is used
+    assert "'scipy.integrate'" in probes[1] and "'scipy.optimize'" in probes[1]

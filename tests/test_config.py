@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotolock.cli import ModwaveConfig, RefsignalConfig
+from rotolock.config import MAX_ELEMENTS
 from rotolock.errors import ConfigError
 from rotolock.reference import SpotGeometry
 from rotolock.sim import SimConfig
@@ -70,3 +71,28 @@ def test_error_names_the_field_path():
         SimConfig.from_dict({"noise": {"rate_or_freq": float("inf")}})
     with pytest.raises(ConfigError, match=r"RefsignalConfig\.geometry: spot radius"):
         RefsignalConfig.from_dict({"geometry": {"r0": 7.0}})
+
+
+def test_size_limit_refuses_before_allocating():
+    # from_dict only validates, so the refused sizes are never allocated
+    dt = 2e-6
+    limit = SimConfig.from_dict({"duration": MAX_ELEMENTS * dt})
+    assert limit.n_samples == MAX_ELEMENTS
+    with pytest.raises(ConfigError, match=r"SimConfig: duration/dt = 33554433 exceeds the size limit"):
+        SimConfig.from_dict({"duration": (MAX_ELEMENTS + 1) * dt})
+    with pytest.raises(ConfigError, match=r"SimConfig: duration/dt = 5000000000 exceeds"):
+        SimConfig.from_dict({"duration": 10000.0})
+    with pytest.raises(ConfigError, match=r"SimConfig: min\(duration/dt, 1/\(f_m\*dt\)\) \* harmonics"):
+        SimConfig.from_dict({"modulation": {"amplitudes": [0.1] * (MAX_ELEMENTS // 200 + 1)}})
+    spp = MAX_ELEMENTS // 14  # default modulation: 7 harmonics over 2 periods
+    assert ModwaveConfig.from_dict({"samples_per_period": spp}).samples_per_period == spp
+    with pytest.raises(ConfigError, match=r"ModwaveConfig: 2 \* samples_per_period \* harmonics"):
+        ModwaveConfig.from_dict({"samples_per_period": spp + 1})
+    assert RefsignalConfig.from_dict({"samples_per_period": MAX_ELEMENTS}).samples_per_period == MAX_ELEMENTS
+    with pytest.raises(ConfigError, match=r"RefsignalConfig: samples_per_period = 33554433"):
+        RefsignalConfig.from_dict({"samples_per_period": MAX_ELEMENTS + 1})
+
+
+def test_size_limit_keeps_the_benchmarked_runs():
+    assert SimConfig.from_dict({"duration": 3.0}).n_samples == 1_500_000
+    assert SimConfig.from_dict({"duration": 60.0}).n_samples == 30_000_000

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from rotolock.errors import PreconditionError
 from rotolock.modulation import ModulationFit, eval_modulation
+from rotolock.sim import NoiseSpec, SimConfig, run_simulation
 from rotolock.signals import (
     HarmonicSeries,
     SampledSignal,
@@ -334,3 +336,56 @@ class TestCsv:
         lines = (tmp_path / "x.csv").read_text().splitlines()
         assert lines[0] == "t,value"
         assert lines[1].split(",")[1] == "0.33333333333333331"
+
+
+def write_csv_per_row(signal, path):
+    """The writer before chunking, one f-string and one write per row: the
+    byte reference for write_csv."""
+    with open(path, "w", newline="") as fh:
+        fh.write("t,value\n")
+        for t, v in zip(signal.times(), signal.values):
+            fh.write(f"{t:.17g},{v:.17g}\n")
+
+
+def assert_same_bytes(signal, tmp_path):
+    write_csv(signal, tmp_path / "chunked.csv")
+    write_csv_per_row(signal, tmp_path / "per_row.csv")
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "per_row.csv").read_bytes()
+
+
+class TestCsvBytes:
+    # 256 rows is one chunk: cover a short tail, an exact fit and one row over
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 15_000])
+    def test_row_counts_around_the_chunk(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        assert_same_bytes(SampledSignal(TimeGrid(dt=DT, n=n), values), tmp_path)
+
+    def test_offset_grid_with_non_round_step(self, tmp_path):
+        grid = TimeGrid(dt=1.0 / 3e5 * math.pi, n=1000, t0=0.37 / F_M)
+        values = np.sin(np.arange(grid.n) / 7.0)
+        assert_same_bytes(SampledSignal(grid, values), tmp_path)
+
+    def test_extreme_and_signed_values(self, tmp_path):
+        values = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0 / 3.0,
+                  2.2250738585072014e-308, 1.7976931348623157e308, 123456789.0, 0.1]
+        grid = TimeGrid(dt=0.1, n=len(values), t0=-0.3)
+        assert_same_bytes(SampledSignal(grid, values), tmp_path)
+
+    def test_every_stack_of_the_default_seed_7_run(self, tmp_path):
+        res = run_simulation(SimConfig(noise=NoiseSpec(seed=7)))
+        for stack in (res.original, res.noise, res.modulated, res.modulated_noisy,
+                      res.restored_full, res.restored_downsampled):
+            assert_same_bytes(stack, tmp_path)
+
+    def test_memory_does_not_grow_with_rows(self, tmp_path):
+        n = 200_000
+        signal = SampledSignal(TimeGrid(dt=DT, n=n), np.random.default_rng(0).standard_normal(n))
+        tracemalloc.start()
+        try:
+            write_csv(signal, tmp_path / "big.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one chunk's times, lists and text, not the 1.6 MB time column
+        assert peak < 256 * 1024
