@@ -25,6 +25,7 @@ from .signals import (
     SampledSignal,
     TimeGrid,
     WindowedSignal,
+    frozen,
     integer_ratio,
     moving_integral,
     synth,
@@ -50,7 +51,7 @@ def modulate(s: SampledSignal, m: SampledSignal) -> SampledSignal:
     """Pointwise product of two signals on the same grid."""
     if s.grid != m.grid:
         raise PreconditionError(f"grid mismatch: {s.grid} vs {m.grid}")
-    return SampledSignal(s.grid, s.values * m.values)
+    return SampledSignal(s.grid, frozen(s.values * m.values))
 
 
 def _part(r: HarmonicSeries, channel: str) -> HarmonicSeries:
@@ -124,12 +125,12 @@ def demodulate(
             f"sample rate {s_m.grid.sample_rate:.6g} Hz is not an integer "
             f"multiple of f_m {r.f_fund:.6g} Hz"
         )
-    product = SampledSignal(s_m.grid, s_m.values * synth(part, s_m.grid).values)
+    product = SampledSignal(s_m.grid, frozen(s_m.values * synth(part, s_m.grid).values))
     mi = moving_integral(product, period)
     out = mi.signal.values * (2.0 / (period * g))
     grid = s_m.grid
     centered = TimeGrid(grid.dt, grid.n, grid.t0 - period / 2.0)
-    return WindowedSignal(SampledSignal(centered, out), warmup=mi.warmup)
+    return WindowedSignal(SampledSignal(centered, frozen(out)), warmup=mi.warmup)
 
 
 def _phase_sums(f: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -211,6 +212,7 @@ def _window_sums(x: np.ndarray, m_period: np.ndarray, h: np.ndarray) -> np.ndarr
         sums[p] = -(prev[:, p] @ run[:, :-1])
         run += np.multiply.outer(sources[p], phases[p])
         sums[p] += cur[:, p] @ run[:, 1:]
+    del phases  # free it before the period-major copy below
     sums += prev.T @ run[:, :-1]
     return sums.T.reshape(-1)[: n - w]
 
@@ -263,9 +265,12 @@ def slope_compensate(
     k_phase = _phase_sums(u, m_period * r_period) * (2.0 / (w * g))
     h = _slope_coefficients(m_period) * k_phase[:, None]
 
+    # the ripple before the output copy, so that the copy is not held while
+    # _window_sums makes its own full-length arrays
+    ripple = _window_sums(s_m.values, m_period, h)
     out = restored.signal.values.copy()
-    out[w:] -= _window_sums(s_m.values, m_period, h)
-    return WindowedSignal(SampledSignal(rgrid, out), warmup=w)
+    out[w:] -= ripple
+    return WindowedSignal(SampledSignal(rgrid, frozen(out)), warmup=w)
 
 
 def harmonic_outputs(

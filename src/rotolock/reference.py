@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import Config
 from .errors import ConfigError, PreconditionError
-from .signals import HarmonicSeries, SampledSignal, TimeGrid
+from .signals import HarmonicSeries, SampledSignal, TimeGrid, frozen
 
 # LED emission fit I(beta) = A*cos(k*beta) + c, k per radian
 DEFAULT_EMISSION_A = 4.113
@@ -237,7 +237,7 @@ def reference_waveform(geom: SpotGeometry, grid: TimeGrid, f_rot: float) -> Samp
     keys = np.round(theta, 12)
     uniq, inverse = np.unique(keys, return_inverse=True)
     frac = np.array([transmitted_fraction(geom, th) for th in uniq])
-    return SampledSignal(grid, frac[inverse])
+    return SampledSignal(grid, frozen(frac[inverse]))
 
 
 def _first_transition(values: np.ndarray) -> slice:

@@ -61,9 +61,22 @@ class TimeGrid:
         return self.n * self.dt
 
 
+def frozen(values: np.ndarray) -> np.ndarray:
+    """Make a freshly computed array read-only in place and return it, so
+    that SampledSignal takes it over without a copy.  Only for an array that
+    nothing else holds."""
+    values.flags.writeable = False
+    return values
+
+
 @dataclass(frozen=True)
 class SampledSignal:
-    """Real-valued signal on a TimeGrid."""
+    """Real-valued signal on a TimeGrid.
+
+    `values` is read-only.  The signal keeps its own copy of the array it is
+    given, unless that array is read-only and owns its data: then it is taken
+    as it is (see `frozen`).
+    """
 
     grid: TimeGrid
     values: np.ndarray
@@ -76,8 +89,12 @@ class SampledSignal:
             )
         if not np.all(np.isfinite(values)):
             raise PreconditionError("signal values must all be finite")
-        values = values.copy()
-        values.flags.writeable = False
+        # a read-only array that owns its data was handed over by the code that
+        # made it (see `frozen`); any other array may still be written through
+        # by a caller, so it is copied
+        if values.flags.writeable or not values.flags.owndata:
+            values = values.copy()
+            values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     def times(self) -> np.ndarray:
@@ -174,13 +191,19 @@ def synth(series: HarmonicSeries, grid: TimeGrid) -> SampledSignal:
     every sample is evaluated.  Tiling also keeps the phase accurate on long
     grids, where 2*pi*f*t at large t loses bits.
     """
-    spp = integer_ratio(1.0 / (series.f_fund * grid.dt))
+    spp = integer_ratio(1.0 / series.f_fund / grid.dt)  # f*dt can underflow to 0
     k = grid.n if spp is None else min(grid.n, spp)
     t = grid.t0 + np.arange(k) * grid.dt
     j = np.arange(1, series.n_harmonics + 1)
     args = 2.0 * np.pi * series.f_fund * t[:, None] * j[None, :]
-    values = series.dc + np.cos(args) @ series.cos_coeffs + np.sin(args) @ series.sin_coeffs
-    return SampledSignal(grid, np.resize(values, grid.n))
+    period = series.dc + np.cos(args) @ series.cos_coeffs + np.sin(args) @ series.sin_coeffs
+    # tiled into an array of its own (np.resize returns a view), so that
+    # SampledSignal takes it without a copy
+    values = np.empty(grid.n)
+    whole = grid.n - grid.n % k
+    values[:whole].reshape(-1, k)[:] = period
+    values[whole:] = period[: grid.n - whole]
+    return SampledSignal(grid, frozen(values))
 
 
 def fit_harmonics(signal: SampledSignal, f_fund: float, l: int) -> tuple[HarmonicSeries, float]:
@@ -270,8 +293,8 @@ def moving_integral(signal: SampledSignal, window: float) -> WindowedSignal:
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]))]) * grid.dt
     out = np.empty_like(cum)
     out[:w] = cum[:w]
-    out[w:] = cum[w:] - cum[:-w]
-    return WindowedSignal(SampledSignal(grid, out), warmup=w)
+    np.subtract(cum[w:], cum[:-w], out=out[w:])  # no full-length temporary
+    return WindowedSignal(SampledSignal(grid, frozen(out)), warmup=w)
 
 
 def downsample_at_phase(signal: SampledSignal, f_m: float, phase: float) -> SampledSignal:

@@ -22,7 +22,16 @@ from .errors import ConfigError, PreconditionError
 from .lockin import CHANNELS, GAIN_FLOOR, channel_gain, demodulate, modulate, slope_compensate
 from .modulation import ModulationFit, modulation_series
 from .reference import synth_demod_reference
-from .signals import SampledSignal, TimeGrid, downsample_at_phase, integer_ratio, synth, write_csv
+from .signals import (
+    HarmonicSeries,
+    SampledSignal,
+    TimeGrid,
+    downsample_at_phase,
+    frozen,
+    integer_ratio,
+    synth,
+    write_csv,
+)
 
 _NOISE_KINDS = ("step", "sine", "none")
 _REF_KINDS = ("square", "sine")
@@ -47,6 +56,13 @@ class NoiseSpec(Config):
             raise ConfigError(f"noise kind must be one of {_NOISE_KINDS}, got {self.kind!r}")
         if not (self.amplitude >= 0.0):
             raise ConfigError(f"noise amplitude must be >= 0, got {self.amplitude}")
+        # step levels are drawn uniform over [-amplitude, amplitude], a range
+        # of 2*amplitude that must be a finite float
+        if not self.amplitude <= np.finfo(float).max / 2.0:
+            raise ConfigError(
+                f"noise amplitude must leave the level range 2*amplitude finite, "
+                f"got {self.amplitude}"
+            )
         if self.kind != "none" and not (self.rate_or_freq > 0.0):
             raise ConfigError(
                 f"rate_or_freq must be positive for kind {self.kind!r}, got {self.rate_or_freq}"
@@ -127,11 +143,12 @@ class SimResult:
 
 def gen_noise(spec: NoiseSpec, grid: TimeGrid) -> SampledSignal:
     """Generate the disturbance signal for a grid; seeded and reproducible."""
-    t = grid.times()
     if spec.kind == "none" or spec.amplitude == 0.0:
-        return SampledSignal(grid, np.zeros(grid.n))
+        return SampledSignal(grid, frozen(np.zeros(grid.n)))
+    t = grid.times()
     if spec.kind == "sine":
-        return SampledSignal(grid, spec.amplitude * np.sin(2.0 * np.pi * spec.rate_or_freq * t))
+        sine = spec.amplitude * np.sin(2.0 * np.pi * spec.rate_or_freq * t)
+        return SampledSignal(grid, frozen(sine))
 
     rng = np.random.default_rng(spec.seed)
     t_end = grid.t0 + grid.duration
@@ -144,8 +161,11 @@ def gen_noise(spec: NoiseSpec, grid: TimeGrid) -> SampledSignal:
             break
         boundaries.append(t_cur)
         levels.append(float(rng.uniform(-spec.amplitude, spec.amplitude)))
-    seg = np.searchsorted(np.asarray(boundaries), t, side="right")
-    return SampledSignal(grid, np.asarray(levels)[seg])
+    # level i holds from the first sample at or after boundary i - 1 up to the
+    # first sample at or after boundary i
+    starts = np.searchsorted(t, boundaries, side="left")
+    counts = np.diff(starts, prepend=0, append=grid.n)
+    return SampledSignal(grid, frozen(np.repeat(levels, counts)))
 
 
 def _step_sample_indices(noise: SampledSignal) -> np.ndarray:
@@ -171,6 +191,20 @@ def step_contamination_mask(noise: SampledSignal, window_samples: int) -> np.nda
     return np.repeat(np.arange(len(lengths)) % 2 == 1, lengths)
 
 
+def measured_signal(cfg: SimConfig, grid: TimeGrid) -> SampledSignal:
+    """The measured waveform signal_amp*sin(2*pi*signal_freq*t) on a grid.
+
+    It is a one-harmonic series, so `synth` evaluates one period of it and
+    tiles that when the period holds a whole number of samples; a negative
+    frequency flips the sign of the sine, and a zero frequency gives zeros.
+    """
+    f = cfg.signal_freq
+    if f == 0.0:
+        return SampledSignal(grid, frozen(np.zeros(grid.n)))
+    amp = cfg.signal_amp if f > 0.0 else -cfg.signal_amp
+    return synth(HarmonicSeries(abs(f), 0.0, [0.0], [amp]), grid)
+
+
 def run_simulation(cfg: SimConfig) -> SimResult:
     """Run the full chain and compute recovery metrics.
 
@@ -183,17 +217,11 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     excludes windows contaminated by a noise step.
     """
     grid = TimeGrid(cfg.dt, cfg.n_samples, 0.0)
-    t = grid.times()
-    f_sig = cfg.signal_freq
-
-    def signal_at(times):
-        return cfg.signal_amp * np.sin(2.0 * np.pi * f_sig * times)
-
-    original = SampledSignal(grid, signal_at(t))
+    original = measured_signal(cfg, grid)
     m_series = modulation_series(cfg.modulation, cfg.f_m)
     modulated = modulate(original, synth(m_series, grid))
     noise = gen_noise(cfg.noise, grid)
-    noisy = SampledSignal(grid, modulated.values + noise.values)
+    noisy = SampledSignal(grid, frozen(modulated.values + noise.values))
 
     period = 1.0 / cfg.f_m
     l = cfg.modulation.n_harmonics
@@ -208,10 +236,10 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     warmup = restored.warmup
     down = downsample_at_phase(restored_full, cfg.f_m, cfg.downsample_phase)
 
-    # full-rate error, warm-up excluded (noise spikes stay in: they are the output)
-    target_full = signal_at(restored_full.times())
-    dev_full = restored_full.values[warmup:] - target_full[warmup:]
-    rms_full = float(np.sqrt(np.mean(dev_full**2)))
+    # full-rate error, warm-up excluded (noise spikes stay in: they are the output);
+    # squared in place, as a long run's peak memory is set here
+    dev_full = restored_full.values - measured_signal(cfg, restored_full.grid).values
+    rms_full = float(np.sqrt(np.mean(np.square(dev_full, out=dev_full)[warmup:])))
 
     # downsampled error: also exclude windows that contain a noise step
     spp = cfg.samples_per_period
@@ -228,7 +256,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
             "every downsampled window is warm-up or contains a noise step; "
             "lengthen the run or lower the step rate"
         )
-    dev_down = down.values[good] - signal_at(down.times()[good])
+    dev_down = down.values[good] - measured_signal(cfg, down.grid).values[good]
     rms_down = float(np.sqrt(np.mean(dev_down**2)))
 
     # what a fixed, phase-aligned gain would have applied: the ratio shows the

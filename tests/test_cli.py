@@ -160,6 +160,7 @@ class TestSimulate:
             ("simulate", {"ref_phase_delay": "0.5"}),
             ("simulate", {"signal_freq": 1e6}),  # aliases to zero at one sample per period
             ("simulate", {"noise": {"rate_or_freq": 1e7}}),  # more steps than samples
+            ("simulate", {"noise": {"amplitude": 1e308}}),  # level range 2e308 overflows
             ("simulate", {"dt": 1.9999998e-06}),  # 200.00002 samples per period
             ("simulate", {"dt": 1e-320, "f_m": 1e-10}),  # f_m*dt underflows to 0
             ("modwave", {"f_m": 0}),

@@ -15,6 +15,7 @@ from rotolock.signals import (
     TimeGrid,
     downsample_at_phase,
     fit_harmonics,
+    frozen,
     integer_ratio,
     moving_integral,
     read_csv,
@@ -59,6 +60,38 @@ class TestTimeGrid:
     def test_signal_values_must_be_finite(self):
         with pytest.raises(PreconditionError):
             SampledSignal(TimeGrid(dt=1.0, n=2), np.array([0.0, np.nan]))
+
+
+class TestSignalValues:
+    def test_caller_array_is_copied(self):
+        values = np.arange(4.0)
+        signal = SampledSignal(TimeGrid(dt=1.0, n=4), values)
+        values[0] = 99.0
+        assert list(signal.values) == [0.0, 1.0, 2.0, 3.0]
+
+    def test_read_only_view_of_a_caller_array_is_copied(self):
+        values = np.arange(4.0)
+        view = values[:]
+        view.flags.writeable = False
+        signal = SampledSignal(TimeGrid(dt=1.0, n=4), view)
+        values[0] = 99.0
+        assert list(signal.values) == [0.0, 1.0, 2.0, 3.0]
+
+    def test_values_are_read_only(self):
+        signal = SampledSignal(TimeGrid(dt=1.0, n=4), np.arange(4.0))
+        assert not signal.values.flags.writeable
+        with pytest.raises(ValueError):
+            signal.values[0] = 1.0
+
+    def test_frozen_fresh_array_is_taken_without_copy(self):
+        values = frozen(np.arange(4.0))
+        assert SampledSignal(TimeGrid(dt=1.0, n=4), values).values is values
+
+    def test_frozen_array_is_still_checked(self):
+        with pytest.raises(PreconditionError, match="finite"):
+            SampledSignal(TimeGrid(dt=1.0, n=2), frozen(np.array([0.0, np.inf])))
+        with pytest.raises(PreconditionError, match="length"):
+            SampledSignal(TimeGrid(dt=1.0, n=3), frozen(np.zeros(2)))
 
 
 class TestSynth:
@@ -107,6 +140,14 @@ class TestSynth:
         grid = default_grid(n_periods=1000, t0=t0)
         k = np.arange(grid.n)
         oracle = self.direct(series, F_M * t0 + (k % SPP) / SPP)
+        assert np.max(np.abs(synth(series, grid).values - oracle)) <= 1e-14
+
+    def test_partial_last_period_matches_exact_phase_oracle(self):
+        series = stock_modulation_series()
+        grid = default_grid(n_periods=3, t0=0.37 / F_M)
+        grid = TimeGrid(dt=DT, n=grid.n + 17, t0=grid.t0)
+        k = np.arange(grid.n)
+        oracle = self.direct(series, 0.37 + (k % SPP) / SPP)
         assert np.max(np.abs(synth(series, grid).values - oracle)) <= 1e-14
 
     def test_grid_shorter_than_one_period_matches_direct_formula(self):

@@ -1,4 +1,8 @@
 import json
+import math
+import sys
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from rotolock.sim import (
     NoiseSpec,
     SimConfig,
     gen_noise,
+    measured_signal,
     report,
     run_simulation,
     step_contamination_mask,
@@ -56,6 +61,51 @@ class TestGenNoise:
     def test_bad_kind_rejected(self):
         with pytest.raises(ConfigError, match="kind"):
             NoiseSpec(kind="gauss")
+
+    def test_amplitude_whose_level_range_overflows_rejected(self):
+        largest = sys.float_info.max / 2.0  # 2*amplitude is still finite
+        assert NoiseSpec(amplitude=largest).amplitude == largest
+        for amplitude in (math.nextafter(largest, math.inf), 1e308):
+            with pytest.raises(ConfigError, match="amplitude"):
+                NoiseSpec(amplitude=amplitude)
+
+    @staticmethod
+    def step_noise_by_sample_search(spec, grid):
+        """Step noise indexed by searching every sample time among the level
+        boundaries, drawing from the RNG as gen_noise does."""
+        rng = np.random.default_rng(spec.seed)
+        t_end = grid.t0 + grid.duration
+        boundaries = []
+        levels = [float(rng.uniform(-spec.amplitude, spec.amplitude))]
+        t_cur = grid.t0
+        while True:
+            t_cur += float(rng.exponential(1.0 / spec.rate_or_freq))
+            if t_cur >= t_end:
+                break
+            boundaries.append(t_cur)
+            levels.append(float(rng.uniform(-spec.amplitude, spec.amplitude)))
+        seg = np.searchsorted(np.asarray(boundaries), grid.times(), side="right")
+        return np.asarray(levels)[seg]
+
+    # 1e-9/s draws no boundary; 5e5/s is one step per sample on average (1/dt)
+    @pytest.mark.parametrize("rate", [1e-9, 500.0, 1e5, 5e5])
+    @pytest.mark.parametrize("seed", [0, 7, 1234])
+    def test_step_levels_match_sample_search(self, rate, seed):
+        grid = TimeGrid(dt=2e-6, n=15000, t0=0.37 / 2500.0 - 1e-3)
+        spec = NoiseSpec(kind="step", amplitude=10.0, rate_or_freq=rate, seed=seed)
+        expected = self.step_noise_by_sample_search(spec, grid)
+        assert np.array_equal(gen_noise(spec, grid).values, expected)
+
+    def test_boundary_on_a_sample_time_starts_its_level_there(self):
+        # a grid whose step is the first drawn interval puts the first
+        # boundary exactly on sample 1
+        spec = NoiseSpec(kind="step", amplitude=10.0, rate_or_freq=500.0, seed=5)
+        rng = np.random.default_rng(spec.seed)
+        rng.uniform()
+        grid = TimeGrid(dt=float(rng.exponential(1.0 / spec.rate_or_freq)), n=40)
+        values = gen_noise(spec, grid).values
+        assert np.array_equal(values, self.step_noise_by_sample_search(spec, grid))
+        assert values[1] != values[0]
 
     def test_contamination_mask_spans_one_window_per_step(self):
         grid = TimeGrid(dt=1.0, n=20)
@@ -229,6 +279,75 @@ class TestRunSimulation:
         res = run_simulation(SimConfig(noise=NoiseSpec(kind="none")))
         assert res.metrics["group_delay_s"] == pytest.approx(2e-4)
         assert res.restored_full.grid.t0 == pytest.approx(-2e-4)
+
+
+def exact_phase_sine(amp, freq, grid, dt_exact):
+    """amp*sin(2*pi*freq*t) with the phase freq*t reduced mod 1 in exact
+    rational arithmetic, taking dt as the decimal dt_exact and t0 as the
+    float it is, so no large time argument loses bits."""
+    step = Fraction(freq) * dt_exact
+    p, q = step.numerator, step.denominator
+    start = Fraction(freq) * Fraction(grid.t0) % 1
+    k = np.arange(grid.n, dtype=np.int64)
+    phase = float(start) + (k * p % q) / q
+    return amp * np.sin(2.0 * np.pi * phase)
+
+
+class TestMeasuredSignal:
+    # 37 Hz puts 13513.5 samples in a period, so synth evaluates every sample
+    @pytest.mark.parametrize("freq", [50.0, -50.0, 0.0, 37.0])
+    def test_original_matches_exact_phase_oracle(self, freq):
+        cfg = SimConfig(signal_freq=freq, signal_amp=1.7)
+        res = run_simulation(cfg)
+        oracle = exact_phase_sine(1.7, freq, res.original.grid, Fraction(2, 10**6))
+        assert np.max(np.abs(res.original.values - oracle)) <= 1e-12
+
+    @pytest.mark.parametrize("freq", [50.0, -50.0, 37.0])
+    def test_offset_and_downsampled_grids_match_oracle(self, freq):
+        # the grids the metrics compare on: window centres from -T_m/2, and
+        # one sample per modulation period (200 fine steps)
+        cfg = SimConfig(signal_freq=freq)
+        for grid, dt_exact in (
+            (TimeGrid(cfg.dt, cfg.n_samples, -2e-4), Fraction(2, 10**6)),
+            (TimeGrid(4e-4, 75, -2e-4 + 37 * cfg.dt), Fraction(4, 10**4)),
+        ):
+            oracle = exact_phase_sine(1.0, freq, grid, dt_exact)
+            assert np.max(np.abs(measured_signal(cfg, grid).values - oracle)) <= 1e-12
+
+    def test_subnormal_frequency_is_evaluated_directly(self):
+        # f*dt underflows to 0, so the period has no finite sample count
+        res = run_simulation(SimConfig(signal_freq=5e-324, noise=NoiseSpec(kind="none")))
+        assert np.max(np.abs(res.original.values)) <= 1e-300
+
+    def test_long_run_matches_exact_phase_oracle(self):
+        cfg = SimConfig(duration=3.0, noise=NoiseSpec(kind="none"))
+        res = run_simulation(cfg)
+        assert res.original.grid.n == 1_500_000
+        oracle = exact_phase_sine(1.0, 50.0, res.original.grid, Fraction(2, 10**6))
+        assert np.max(np.abs(res.original.values - oracle)) <= 1e-12
+
+
+class TestSimResultArrays:
+    def test_every_stack_is_read_only(self):
+        res = run_simulation(SimConfig())
+        for stack in (res.original, res.noise, res.modulated, res.modulated_noisy,
+                      res.restored_full, res.restored_downsampled):
+            assert not stack.values.flags.writeable
+            with pytest.raises(ValueError):
+                stack.values[0] = 0.0
+
+    def test_peak_memory_per_sample(self):
+        # the run holds about seven full-length arrays at its peak (57 B per
+        # sample); one more full-length copy would take it past the bound
+        cfg = SimConfig(duration=0.6)
+        tracemalloc.start()
+        try:
+            run_simulation(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cfg.n_samples == 300_000
+        assert peak / cfg.n_samples < 64.0
 
 
 class TestReport:
