@@ -12,6 +12,7 @@ bit-identical results.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .config import Config, check_size
 from .errors import ConfigError, PreconditionError
-from .lockin import CHANNELS, GAIN_FLOOR, channel_gain, demodulate, modulate, slope_compensate
+from .lockin import CHANNELS, GAIN_FLOOR, channel_gain, modulate, slope_compensate
 from .modulation import ModulationFit, modulation_series
 from .reference import synth_demod_reference
 from .signals import (
@@ -141,13 +142,30 @@ class SimResult:
     metrics: dict
 
 
+def _first_samples_at_or_after(grid: TimeGrid, times: np.ndarray) -> np.ndarray:
+    """For each time b, the first index k whose sample time t0 + k*dt (as
+    `grid.times()` rounds it) is >= b, or n when there is none: what
+    `np.searchsorted(grid.times(), times, "left")` gives, in O(len(times)).
+
+    k starts at ceil((b - t0)/dt) and is moved one sample at a time until
+    the rounded sample times bracket b: off by one at most near t = 0, by a
+    few where the times are coarser than dt.
+    """
+    k = np.clip(np.ceil((times - grid.t0) / grid.dt), 0, grid.n).astype(np.int64)
+    while True:
+        late = (k > 0) & (grid.t0 + (k - 1) * grid.dt >= times)
+        early = (k < grid.n) & (grid.t0 + k * grid.dt < times)
+        if not (late.any() or early.any()):
+            return k
+        k += early.astype(np.int64) - late
+
+
 def gen_noise(spec: NoiseSpec, grid: TimeGrid) -> SampledSignal:
     """Generate the disturbance signal for a grid; seeded and reproducible."""
     if spec.kind == "none" or spec.amplitude == 0.0:
         return SampledSignal(grid, frozen(np.zeros(grid.n)))
-    t = grid.times()
     if spec.kind == "sine":
-        sine = spec.amplitude * np.sin(2.0 * np.pi * spec.rate_or_freq * t)
+        sine = spec.amplitude * np.sin(2.0 * np.pi * spec.rate_or_freq * grid.times())
         return SampledSignal(grid, frozen(sine))
 
     rng = np.random.default_rng(spec.seed)
@@ -163,7 +181,7 @@ def gen_noise(spec: NoiseSpec, grid: TimeGrid) -> SampledSignal:
         levels.append(float(rng.uniform(-spec.amplitude, spec.amplitude)))
     # level i holds from the first sample at or after boundary i - 1 up to the
     # first sample at or after boundary i
-    starts = np.searchsorted(t, boundaries, side="left")
+    starts = _first_samples_at_or_after(grid, np.asarray(boundaries))
     counts = np.diff(starts, prepend=0, append=grid.n)
     return SampledSignal(grid, frozen(np.repeat(levels, counts)))
 
@@ -205,6 +223,38 @@ def measured_signal(cfg: SimConfig, grid: TimeGrid) -> SampledSignal:
     return synth(HarmonicSeries(abs(f), 0.0, [0.0], [amp]), grid)
 
 
+# samples per block of the full-rate error sum (512 KiB of float64 per array)
+_ERROR_BLOCK = 2**16
+
+
+def _rms_after(cfg: SimConfig, restored: SampledSignal, start: int) -> float:
+    """RMS of restored minus the measured waveform, over the samples from
+    index `start` on.
+
+    The sum of squares is taken one block at a time, so no full-length array
+    is added to a long run's peak memory.  When the waveform's period holds
+    a whole number of samples (up to _ERROR_BLOCK), a block is a whole
+    number of periods and the waveform of the first block serves them all,
+    as `synth` would have tiled it; otherwise each block is evaluated on its
+    own slice of the grid.
+    """
+    grid = restored.grid
+    f = abs(cfg.signal_freq)
+    spp = integer_ratio(1.0 / f / grid.dt) if f > 0.0 else 1  # f*dt can underflow to 0
+    if spp is not None and spp > _ERROR_BLOCK:
+        spp = None
+    size = _ERROR_BLOCK if spp is None else spp * (_ERROR_BLOCK // spp)
+    wave = None
+    total = 0.0
+    for i in range(start, grid.n, size):
+        k = min(size, grid.n - i)
+        if wave is None or spp is None:
+            wave = measured_signal(cfg, TimeGrid(grid.dt, k, grid.t0 + i * grid.dt)).values
+        dev = restored.values[i : i + k] - wave[:k]
+        total += float(np.dot(dev, dev))
+    return math.sqrt(total / (grid.n - start))
+
+
 def run_simulation(cfg: SimConfig) -> SimResult:
     """Run the full chain and compute recovery metrics.
 
@@ -229,17 +279,13 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     gains = {c: channel_gain(m_series, r, c)[0] for c in CHANNELS}
     channel = "even" if abs(gains["even"]) >= abs(gains["odd"]) else "odd"
 
-    restored = slope_compensate(
-        demodulate(noisy, m_series, r, channel), noisy, m_series, r, channel
-    )
+    restored = slope_compensate(noisy, m_series, r, channel)
     restored_full = restored.signal
     warmup = restored.warmup
     down = downsample_at_phase(restored_full, cfg.f_m, cfg.downsample_phase)
 
-    # full-rate error, warm-up excluded (noise spikes stay in: they are the output);
-    # squared in place, as a long run's peak memory is set here
-    dev_full = restored_full.values - measured_signal(cfg, restored_full.grid).values
-    rms_full = float(np.sqrt(np.mean(np.square(dev_full, out=dev_full)[warmup:])))
+    # full-rate error, warm-up excluded (noise spikes stay in: they are the output)
+    rms_full = _rms_after(cfg, restored_full, warmup)
 
     # downsampled error: also exclude windows that contain a noise step
     spp = cfg.samples_per_period

@@ -210,6 +210,23 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: out of memory")
 
 
+def test_overflowing_noise_reports_one_error_line(tmp_path):
+    # the config accepts this amplitude, but the lock-in's sums overflow: the
+    # run exits 3 with the finiteness error and prints no NumPy warnings
+    # before it (a fresh interpreter, so that its default warning filters apply)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"noise": {"amplitude": 8e307}}))
+    src = Path(rotolock.__file__).resolve().parents[1]
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); from rotolock.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr == "error: signal values must all be finite\n"
+
+
 def test_simulate_and_modwave_never_import_scipy(tmp_path):
     # a fresh interpreter: this test process may have loaded SciPy already
     src = Path(rotolock.__file__).resolve().parents[1]

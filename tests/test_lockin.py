@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from rotolock.lockin import (
 )
 from rotolock.modulation import ModulationFit, modulation_series
 from rotolock.reference import synth_demod_reference
-from rotolock.signals import HarmonicSeries, SampledSignal, TimeGrid, synth
+from rotolock.signals import HarmonicSeries, SampledSignal, TimeGrid, moving_integral, synth
 
 F_M = 2500.0
 T_M = 1.0 / F_M
@@ -339,9 +340,7 @@ class TestDemodulate:
             with pytest.raises(PreconditionError, match="unusable reference"):
                 demodulate(s_m, m, ref, channel)
             with pytest.raises(PreconditionError, match="unusable reference"):
-                slope_compensate(
-                    demodulate(s_m, m, square_ref(), "even"), s_m, m, ref, channel
-                )
+                slope_compensate(s_m, m, ref, channel)
 
     def test_non_commensurate_grid_rejected(self):
         grid = TimeGrid(dt=3e-6, n=1000)
@@ -350,10 +349,6 @@ class TestDemodulate:
         s_m = SampledSignal(grid, np.ones(grid.n))
         with pytest.raises(PreconditionError, match="integer"):
             demodulate(s_m, m, ref, "even")
-
-
-def compensated(s_m, m, ref, channel="even"):
-    return slope_compensate(demodulate(s_m, m, ref, channel), s_m, m, ref, channel)
 
 
 class TestSlopeCompensate:
@@ -371,7 +366,7 @@ class TestSlopeCompensate:
         ref = synth_demod_reference(T_M, ref_kind, 7, delay)
         s_m = modulated_signal(0.3 + 150.0 * grid.times(), m, grid)
         raw = demodulate(s_m, m, ref, channel).valid()
-        out = compensated(s_m, m, ref, channel).valid()
+        out = slope_compensate(s_m, m, ref, channel).valid()
         target = 0.3 + 150.0 * out.times()
         assert np.max(np.abs(raw.values - target)) > 1e-3  # the slope term is there
         assert np.max(np.abs(out.values - target)) <= 1e-12
@@ -387,7 +382,7 @@ class TestSlopeCompensate:
 
         def correction(x):
             raw = demodulate(x, m, ref, "even").valid().values
-            return compensated(x, m, ref).valid().values - raw
+            return slope_compensate(x, m, ref, "even").valid().values - raw
 
         assert np.max(np.abs(correction(s_m))) > 1e-2
         # up to rounding of window sums of a disturbance of size ~4
@@ -401,8 +396,8 @@ class TestSlopeCompensate:
         i_step = 5 * SPP + 71
         step = np.where(np.arange(grid.n) >= i_step, 7.5, 0.0)
         disturbed = SampledSignal(grid, s_m.values + step)
-        dev = np.abs(compensated(disturbed, m, ref).signal.values
-                     - compensated(s_m, m, ref).signal.values)
+        dev = np.abs(slope_compensate(disturbed, m, ref, "even").signal.values
+                     - slope_compensate(s_m, m, ref, "even").signal.values)
         inside = np.zeros(grid.n, dtype=bool)
         inside[i_step : i_step + SPP] = True
         assert np.max(dev[~inside]) < 1e-10  # rounding of the 7.5 step
@@ -414,30 +409,21 @@ class TestSlopeCompensate:
         ref = square_ref(phase=np.pi / 6.0)
         s_m = modulated_signal(np.sin(2 * np.pi * 50.0 * grid.times()), m, grid)
         raw = demodulate(s_m, m, ref, "even").valid()
-        out = compensated(s_m, m, ref).valid()
+        out = slope_compensate(s_m, m, ref, "even").valid()
         target = np.sin(2 * np.pi * 50.0 * out.times())
         assert np.max(np.abs(raw.values - target)) > 0.05
         assert np.max(np.abs(out.values - target)) < 0.005
 
-    def test_warmup_is_returned_unchanged(self):
+    def test_warmup_is_that_of_demodulate(self):
         grid = grid_for(4)
         m = stock_modulation_series()
         ref = square_ref(phase=0.3)
         s_m = modulated_signal(np.sin(2 * np.pi * 50.0 * grid.times()), m, grid)
         raw = demodulate(s_m, m, ref, "even")
-        out = slope_compensate(raw, s_m, m, ref, "even")
+        out = slope_compensate(s_m, m, ref, "even")
         assert out.warmup == raw.warmup == SPP
         assert out.signal.grid == raw.signal.grid
         assert np.array_equal(out.signal.values[:SPP], raw.signal.values[:SPP])
-
-    def test_mismatched_restored_signal_rejected(self):
-        grid = grid_for(4)
-        m = stock_modulation_series()
-        ref = square_ref()
-        s_m = modulated_signal(np.ones(grid.n), m, grid)
-        other = modulated_signal(np.ones(3 * SPP), m, grid_for(3))
-        with pytest.raises(PreconditionError, match="demodulated output"):
-            slope_compensate(demodulate(other, m, ref, "even"), s_m, m, ref, "even")
 
     def test_singular_slope_estimate_rejected(self):
         # two samples per period: a window of three samples cannot fit four unknowns
@@ -446,7 +432,87 @@ class TestSlopeCompensate:
         ref = unit_cosine_series()
         s_m = modulated_signal(np.ones(grid.n), m, grid)
         with pytest.raises(PreconditionError, match="singular"):
-            compensated(s_m, m, ref)
+            slope_compensate(s_m, m, ref, "even")
+
+
+def channel_part(ref, channel):
+    zeros = np.zeros(ref.n_harmonics)
+    if channel == "even":
+        return HarmonicSeries(ref.f_fund, 0.0, ref.cos_coeffs, zeros)
+    return HarmonicSeries(ref.f_fund, 0.0, zeros, ref.sin_coeffs)
+
+
+class TestLockinOracle:
+    """demodulate and slope_compensate against independent computations:
+    the moving integral of the product, and a least-squares fit per window."""
+
+    CASES = [
+        # fit, reference kind, delay, channel, samples, t0
+        (ModulationFit(), "square", np.pi / 6.0, "even", 6 * SPP + 37, 1.3e-4),
+        (ModulationFit(), "sine", 0.4, "even", 6 * SPP, 0.0),
+        (ModulationFit(phase=0.7), "square", 1.2, "odd", 5 * SPP + 199, -3.1e-4),
+        (ModulationFit(phase=0.8), "sine", 0.9, "odd", 7 * SPP + 1, 2e-3),
+    ]
+
+    @staticmethod
+    def chain(fit, ref_kind, delay, n, t0):
+        grid = TimeGrid(dt=DT, n=n, t0=t0)
+        m = modulation_series(fit, F_M)
+        ref = synth_demod_reference(T_M, ref_kind, 7, delay)
+        t = grid.times()
+        s = 0.3 + np.sin(2 * np.pi * 50.0 * t) + 40.0 * t
+        noise = np.random.default_rng(11).normal(scale=0.05, size=n)
+        s_m = SampledSignal(grid, modulated_signal(s, m, grid).values + noise)
+        return grid, m, ref, s_m
+
+    @pytest.mark.parametrize("fit, ref_kind, delay, channel, n, t0", CASES)
+    def test_demodulate_is_the_moving_integral_of_the_product(
+        self, fit, ref_kind, delay, channel, n, t0
+    ):
+        grid, m, ref, s_m = self.chain(fit, ref_kind, delay, n, t0)
+        g = channel_gain(m, ref, channel)[0]
+        part = synth(channel_part(ref, channel), grid).values
+        product = SampledSignal(grid, s_m.values * part)
+        expected = moving_integral(product, T_M).signal.values * (2.0 / (T_M * g))
+        out = demodulate(s_m, m, ref, channel)
+        assert out.warmup == SPP
+        assert np.max(np.abs(out.signal.values - expected)) < 1e-12
+
+    @pytest.mark.parametrize("fit, ref_kind, delay, channel, n, t0", CASES)
+    def test_slope_compensate_removes_the_least_squares_slope(
+        self, fit, ref_kind, delay, channel, n, t0
+    ):
+        grid, m, ref, s_m = self.chain(fit, ref_kind, delay, n, t0)
+        g = channel_gain(m, ref, channel)[0]
+        m_values = synth(m, grid).values
+        part = synth(channel_part(ref, channel), grid).values
+        raw = demodulate(s_m, m, ref, channel).signal.values
+        out = slope_compensate(s_m, m, ref, channel).signal.values
+        u = np.arange(SPP + 1) / SPP - 0.5
+        outputs = list(range(SPP, n, 7)) + [n - 1]
+        for j in outputs:
+            win = slice(j - SPP, j + 1)
+            mw = m_values[win]
+            design = np.column_stack([np.ones(SPP + 1), u, mw, u * mw])
+            b = np.linalg.lstsq(design, s_m.values[win], rcond=None)[0][3]
+            k = 2.0 / (SPP * g) * np.sum(u * mw * part[win])
+            assert out[j] == pytest.approx(raw[j] - k * b, abs=1e-10)
+        assert np.array_equal(out[:SPP], raw[:SPP])
+
+    def test_lock_in_stage_memory_per_sample(self):
+        # past its input the one pass holds its output (8 B per sample) and
+        # per-phase-block scratch; a full-length temporary would break this
+        cfg_grid = TimeGrid(dt=DT, n=300_000)
+        m = stock_modulation_series()
+        ref = square_ref(phase=np.pi / 6.0)
+        s_m = modulated_signal(np.sin(2 * np.pi * 50.0 * cfg_grid.times()), m, cfg_grid)
+        tracemalloc.start()
+        try:
+            slope_compensate(s_m, m, ref, "even")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / cfg_grid.n < 20.0
 
 
 class TestHarmonicOutputs:

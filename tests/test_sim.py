@@ -107,6 +107,16 @@ class TestGenNoise:
         assert np.array_equal(values, self.step_noise_by_sample_search(spec, grid))
         assert values[1] != values[0]
 
+    # far from t = 0 the rounded sample times t0 + k*dt are coarser than dt
+    # (ulp(1e9) is 1.2e-7), so ceil((b - t0)/dt) can miss by several samples;
+    # the last grid starts before t = 0
+    @pytest.mark.parametrize("t0, dt", [(1e9, 5e-8), (1e9, 3e-7), (-4.2e4, 1e-9)])
+    def test_step_levels_match_sample_search_on_coarse_times(self, t0, dt):
+        grid = TimeGrid(dt=dt, n=4000, t0=t0)
+        spec = NoiseSpec(kind="step", amplitude=10.0, rate_or_freq=0.02 / dt, seed=3)
+        expected = self.step_noise_by_sample_search(spec, grid)
+        assert np.array_equal(gen_noise(spec, grid).values, expected)
+
     def test_contamination_mask_spans_one_window_per_step(self):
         grid = TimeGrid(dt=1.0, n=20)
         values = np.zeros(20)
@@ -337,7 +347,7 @@ class TestSimResultArrays:
                 stack.values[0] = 0.0
 
     def test_peak_memory_per_sample(self):
-        # the run holds about seven full-length arrays at its peak (57 B per
+        # the run holds about six full-length arrays at its peak (48 B per
         # sample); one more full-length copy would take it past the bound
         cfg = SimConfig(duration=0.6)
         tracemalloc.start()
@@ -347,7 +357,7 @@ class TestSimResultArrays:
         finally:
             tracemalloc.stop()
         assert cfg.n_samples == 300_000
-        assert peak / cfg.n_samples < 64.0
+        assert peak / cfg.n_samples < 52.0
 
 
 class TestReport:
