@@ -12,11 +12,12 @@ nothing.  The one-period window leaves a ripple that is first order in the
 signal's slope; `slope_compensate` estimates the slope from each output's
 own window and removes it.
 
-One kernel, `_window_sums`, computes the lock-in integral: a single
-period-major pass over the modulated signal that keeps running sums within
-each period.  `demodulate` takes the integral alone; `slope_compensate`
-takes it together with the slope term from the same pass, so it needs only
-the modulated signal, not a demodulated output.
+The lock-in integral is one call of `signals.window_sums`, the trailing
+window kernel that `moving_integral` also uses: a single period-major pass
+over the modulated signal that keeps running sums within each period.
+`demodulate` passes the scaled reference period as the trapezoid integrand;
+`slope_compensate` adds the slope term as plain window sums of the same
+pass, so it needs only the modulated signal, not a demodulated output.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ from .signals import (
     TimeGrid,
     WindowedSignal,
     frozen,
-    integer_ratio,
     synth,
+    window_samples,
+    window_sums,
 )
 
 # smallest usable |g| / (|m_ac|*|r|), see `channel_gain`
@@ -110,37 +112,17 @@ def _lockin(
     s_m: SampledSignal, m: HarmonicSeries, r: HarmonicSeries, channel: str, compensate: bool
 ) -> WindowedSignal:
     """The lock-in output of `demodulate`, and with `compensate` that of
-    `slope_compensate`, from one call of `_window_sums`."""
+    `slope_compensate`, from one call of `window_sums`."""
     part, g = _channel(m, r, channel)
     period = 1.0 / r.f_fund
     grid = s_m.grid
-    w = integer_ratio(period / grid.dt)
-    if w is None:
-        raise PreconditionError(
-            f"sample rate {grid.sample_rate:.6g} Hz is not an integer "
-            f"multiple of f_m {r.f_fund:.6g} Hz"
-        )
-    if w >= grid.n:
-        raise PreconditionError(
-            f"window of {w} samples does not fit in signal of {grid.n} samples"
-        )
+    w = window_samples(grid, period)
     one = TimeGrid(grid.dt, w, grid.t0)
     r_period = synth(part, one).values
-    h = m_period = None
-    if compensate:
-        m_period = synth(m, one).values
-        # the window's end samples share a phase and carry u = -1/2 and +1/2,
-        # so the trapezoid end weights of the lock-in integral drop out of K
-        u = np.arange(w + 1) / w - 0.5
-        k_phase = _phase_sums(u, m_period * r_period) * (2.0 / (w * g))
-        # the slope term K*s'_hat, subtracted
-        h = -_slope_coefficients(m_period) * k_phase[:, None]
+    plain = _slope_term(synth(m, one).values, r_period, g) if compensate else ()
     # dt/T rather than 1/w: the lock-in integral is (2/T) * dt * trapezoid sum
     c = 2.0 * grid.dt / (period * g)
-    # an overflowing product is left to SampledSignal's finiteness check,
-    # which reports it once as a precondition error
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _window_sums(s_m.values, r_period, c, m_period, h)
+    out = window_sums(s_m.values, c * r_period, plain)
     centered = TimeGrid(grid.dt, grid.n, grid.t0 - period / 2.0)
     return WindowedSignal(SampledSignal(centered, frozen(out)), warmup=w)
 
@@ -163,6 +145,31 @@ def demodulate(
     `slope_compensate` removes that term.
     """
     return _lockin(s_m, m, r, channel, compensate=False)
+
+
+def _slope_term(m_period: np.ndarray, r_period: np.ndarray, g: float) -> tuple:
+    """The slope term K*s'_hat, subtracted, as plain sources of `window_sums`.
+
+    For output phase p it is the sum over the window of
+    (h0 + h1*u + (h2 + h3*u)*m) * x, h = h[p].  A sample at window index k
+    (u = k/w - 1/2) weighs a + b*k on x and on m*x, with k = q - p + w at
+    phase q of the output's own period and q - p in the period before.
+    """
+    w = len(m_period)
+    # the window's end samples share a phase and carry u = -1/2 and +1/2,
+    # so the trapezoid end weights of the lock-in integral drop out of K
+    u = np.arange(w + 1) / w - 0.5
+    k_phase = _phase_sums(u, m_period * r_period) * (2.0 / (w * g))
+    h = -_slope_coefficients(m_period) * k_phase[:, None]
+    a0, b0 = h[:, 0] - 0.5 * h[:, 1], h[:, 1] / w
+    a1, b1 = h[:, 2] - 0.5 * h[:, 3], h[:, 3] / w
+    phase = np.arange(w)
+    return (
+        (np.ones(w), a0 + b0 * (w - phase), a0 - b0 * phase),
+        (phase, b0, b0),
+        (m_period, a1 + b1 * (w - phase), a1 - b1 * phase),
+        (phase * m_period, b1, b1),
+    )
 
 
 def _phase_sums(f: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -207,98 +214,6 @@ def _slope_coefficients(m_period: np.ndarray) -> np.ndarray:
     return scale * np.linalg.solve(scaled, scale[:, :, None] * rhs)[:, :, 0]
 
 
-# phases per block of `_window_sums`; each block costs two (B x B) matrix
-# products per period, and fewer blocks mean fewer Python steps
-_PHASE_BLOCK = 32
-
-
-def _window_sums(
-    x: np.ndarray,
-    r_period: np.ndarray,
-    c: float,
-    m_period: np.ndarray | None,
-    h: np.ndarray | None,
-) -> np.ndarray:
-    """The lock-in integral of x, plus a slope term when h is given.
-
-    With w = len(r_period), p = j % w and u the window-relative time in
-    periods, centered, output j >= w is
-        c * trapezoid sum over x[j-w..j] of r*x
-          + sum over x[j-w..j] of (h0 + h1*u + (h2 + h3*u)*m) * x,
-    with h = h[p] and r, m the periodic r_period, m_period.  The first w
-    outputs are warm-up: c * the trapezoid sum from the start.
-
-    The signal is viewed one period per row.  A window ending at phase p of
-    period i takes phases q >= p of period i - 1 (window index k = q - p)
-    and q <= p of period i (k = q - p + w), so it is a combination of the
-    running sums over phases of r*x and, with h, of x, q*x, m*x and q*m*x
-    within each period.  Those restart every period and their weights are
-    bounded by w, so they stay accurate however long the signal is.  The
-    window's two end samples share phase p; the trapezoid takes half of
-    each.
-
-    The phases are taken _PHASE_BLOCK at a time, in one pass over the
-    period-major rows.  Within a block the running sums grow by the block's
-    samples up to phase p, a lower-triangular (phase x phase) weight matrix
-    applied to the block's columns of every period at once, whose diagonal
-    also takes off the half end weights; the sums before the block come
-    from the running totals.  The output is written in place, one block of
-    columns at a time.  Past x (and its zero-padded copy when n % w is not
-    0) the only full-length array is the output.
-    """
-    w = len(r_period)
-    n = len(x)
-    nb = -(-n // w)
-    q = np.arange(w)
-    # a sample's weight is c on r*x and a + b*k on x and on m*x (k its window
-    # index); `cur` and `prev` are the weights of the running sums of period
-    # i (through phase p) and period i - 1 (from phase p on)
-    sources, cur, prev = [r_period], [np.full(w, c)], [np.full(w, c)]
-    if h is not None:
-        a = (h[:, 0] - 0.5 * h[:, 1], h[:, 2] - 0.5 * h[:, 3])
-        b = (h[:, 1] / w, h[:, 3] / w)
-        sources += [np.ones(w), q, m_period, q * m_period]
-        cur += [a[0] + b[0] * (w - q), b[0], a[1] + b[1] * (w - q), b[1]]
-        prev += [a[0] - b[0] * q, b[0], a[1] - b[1] * q, b[1]]
-    sources, cur, prev = np.stack(sources), np.stack(cur), np.stack(prev)
-    ends = 0.5 * c * r_period
-
-    out = np.empty(nb * w)
-    head = x[:w] * r_period
-    out[0] = 0.0
-    np.cumsum(0.5 * (head[1:] + head[:-1]), out=out[1:w])
-    out[1:w] *= c
-    if n % w:
-        x = np.concatenate([x, np.zeros(nb * w - n)])
-    periods = x.reshape(nb, w)
-    cols = out[w:].reshape(nb - 1, w)
-    # done[i, s]: sum over the phases before the block of source s times x
-    # in period i; rest[i, s]: the same over the block and the phases after
-    done = np.zeros((nb, len(sources)))
-    rest = periods @ sources.T
-    for p0 in range(0, w, _PHASE_BLOCK):
-        p1 = min(p0 + _PHASE_BLOCK, w)
-        xb, src = periods[:, p0:p1], sources[:, p0:p1]
-        # weights within the block: phase q <= p of period i, and q < p of
-        # period i - 1 (subtracted from its rest); on the diagonals, the half
-        # weights of the window's two end samples
-        half = np.diag(ends[p0:p1])
-        now = np.tril(cur[:, p0:p1].T @ src) - half
-        before = np.tril(prev[:, p0:p1].T @ src, -1) + half
-        acc = xb[1:] @ now.T
-        acc -= xb[:-1] @ before.T
-        acc += done[1:] @ cur[:, p0:p1]
-        acc += rest[:-1] @ prev[:, p0:p1]
-        cols[:, p0:p1] = acc
-        step = xb @ src.T
-        done += step
-        rest -= step
-    del cols  # a view: the output cannot shrink in place while it exists
-    if nb * w != n:
-        out.resize(n, refcheck=False)
-    return out
-
-
 def slope_compensate(
     s_m: SampledSignal, m: HarmonicSeries, r: HarmonicSeries, channel: str
 ) -> WindowedSignal:
@@ -315,8 +230,8 @@ def slope_compensate(
     a window cancels exactly, the result is exact for a linear signal, and
     a noise step still affects only the outputs whose window contains it.
     What is left is second order in the signal (about 0.2% in the case
-    above).  The warm-up samples are those of `demodulate`.  One pass of
-    `_window_sums` gives both terms.
+    above).  The warm-up samples are those of `demodulate`.  One call of
+    `window_sums` gives both terms.
     """
     return _lockin(s_m, m, r, channel, compensate=True)
 

@@ -20,6 +20,10 @@ _RATIO_TOL = 1e-9
 # rows formatted and written per chunk by write_csv (see its docstring)
 _CSV_CHUNK = 256
 
+# phases per block of `window_sums`; each block costs two (B x B) matrix
+# products per period, and fewer blocks mean fewer Python steps
+_PHASE_BLOCK = 32
+
 
 def integer_ratio(ratio: float) -> int | None:
     """`ratio` as a positive integer when it is one to within _RATIO_TOL
@@ -193,7 +197,7 @@ def synth(series: HarmonicSeries, grid: TimeGrid) -> SampledSignal:
     """
     spp = integer_ratio(1.0 / series.f_fund / grid.dt)  # f*dt can underflow to 0
     k = grid.n if spp is None else min(grid.n, spp)
-    t = grid.t0 + np.arange(k) * grid.dt
+    t = grid.times(0, k)
     j = np.arange(1, series.n_harmonics + 1)
     args = 2.0 * np.pi * series.f_fund * t[:, None] * j[None, :]
     period = series.dc + np.cos(args) @ series.cos_coeffs + np.sin(args) @ series.sin_coeffs
@@ -254,7 +258,7 @@ def fit_harmonics(signal: SampledSignal, f_fund: float, l: int) -> tuple[Harmoni
             f"{m} usable samples for {n_unknowns} unknowns; lengthen the window"
         )
 
-    t = grid.times()[:m]
+    t = grid.times(0, m)
     j = np.arange(1, l + 1)
     args = 2.0 * np.pi * f_fund * t[:, None] * j[None, :]
     design = np.hstack([np.ones((m, 1)), np.cos(args), np.sin(args)])
@@ -269,16 +273,9 @@ def fit_harmonics(signal: SampledSignal, f_fund: float, l: int) -> tuple[Harmoni
     return series, float(np.sqrt(np.mean(residual**2)))
 
 
-def moving_integral(signal: SampledSignal, window: float) -> WindowedSignal:
-    """Trailing-window integral: output[i] = integral of signal over
-    [t_i - window, t_i], trapezoidal rule.
-
-    Realized as two running integrals offset by window/dt samples and
-    subtracted, so the cost is O(1) per sample.  The window must be an
-    integer number of samples.  The first window/dt output samples only
-    integrate from the start of the signal and are reported as warm-up.
-    """
-    grid = signal.grid
+def window_samples(grid: TimeGrid, window: float) -> int:
+    """The number of samples w of a trailing window on grid: window/dt must
+    be a whole number and the window must fit in the signal (w < n)."""
     w = integer_ratio(window / grid.dt)
     if w is None:
         raise PreconditionError(
@@ -288,12 +285,99 @@ def moving_integral(signal: SampledSignal, window: float) -> WindowedSignal:
         raise PreconditionError(
             f"window of {w} samples does not fit in signal of {grid.n} samples"
         )
-    v = signal.values
-    # cum[i] = trapezoid integral from t0 to t_i
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]))]) * grid.dt
-    out = np.empty_like(cum)
-    out[:w] = cum[:w]
-    np.subtract(cum[w:], cum[:-w], out=out[w:])  # no full-length temporary
+    return w
+
+
+# an overflowing sum is left to SampledSignal's finiteness check, which
+# reports it once as a precondition error
+@np.errstate(over="ignore", invalid="ignore")
+def window_sums(
+    x: np.ndarray,
+    trapezoid: np.ndarray,
+    plain: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = (),
+) -> np.ndarray:
+    """Trailing-window sums of x, one output per sample, over windows of
+    w + 1 samples, where w = len(trapezoid) is one period; needs w < len(x).
+
+    With p = j % w the phase of output j, output j >= w is
+        sum over i in [j-w, j] of e_i * trapezoid[i % w] * x[i]
+          + sum over the plain sources (s, cur, prev) of
+                cur[p] * (sum over i in [j-p, j] of s[i % w] * x[i])
+              + prev[p] * (sum over i in [j-w, j-p) of s[i % w] * x[i]),
+    where e_i is 1/2 at the window's two ends (both at phase p) and 1
+    inside: the trapezoid rule.  cur weights the phases of output j's own
+    period, prev those of the period before.  The first w outputs are
+    warm-up: the trapezoid sum over [0, j], without the plain sums.
+    `moving_integral` takes dt per phase as its trapezoid; the lock-in takes
+    its scaled reference, with the slope term as plain sources.
+
+    The signal is viewed one period per row, and every sum is a combination
+    of running sums over phases within one period.  Those restart every
+    period, so unlike one running sum over the whole signal, subtracted,
+    they do not lose bits as the run grows.  The phases go _PHASE_BLOCK at a
+    time, in one pass over the rows: within a block the running sums grow
+    by the block's samples up to phase p, a lower-triangular (phase x phase)
+    weight matrix applied to the block's columns of every period at once,
+    whose diagonal also takes off the half end weights; the sums before the
+    block come from the running totals.  The output is written in place
+    over the whole periods; when n % w is not 0 its last n % w values come
+    from the same pass over a zero-padded copy of the last two periods, so
+    past x the only full-length array is the output.
+    """
+    w, n = len(trapezoid), len(x)
+    sources = np.stack([trapezoid] + [s for s, _, _ in plain])
+    cur = np.stack([np.ones(w)] + [c for _, c, _ in plain])
+    prev = np.stack([np.ones(w)] + [p for _, _, p in plain])
+
+    out = np.empty(n)
+    head = x[:w] * trapezoid
+    out[0] = 0.0
+    np.cumsum(0.5 * (head[1:] + head[:-1]), out=out[1:w])
+    # (period-major rows, output rows for the windows ending in rows 1..)
+    whole = n - n % w
+    passes = [(x[:whole].reshape(-1, w), out[w:whole].reshape(-1, w))]
+    if whole < n:
+        tail = np.zeros(2 * w)
+        tail[: n - whole + w] = x[whole - w :]
+        passes.append((tail.reshape(2, w), np.empty((1, w))))
+    for periods, rows in passes:
+        # done[i, s]: sum over the phases before the block of source s times
+        # x in period i; rest[i, s]: the same over the block and the phases after
+        done = np.zeros((len(periods), len(sources)))
+        rest = periods @ sources.T
+        for p0 in range(0, w, _PHASE_BLOCK):
+            p1 = min(p0 + _PHASE_BLOCK, w)
+            xb, src = periods[:, p0:p1], sources[:, p0:p1]
+            # weights within the block: phase q <= p of period i, and q < p of
+            # period i - 1 (subtracted from its rest); on the diagonals, the
+            # half weights of the window's two end samples
+            half = np.diag(0.5 * trapezoid[p0:p1])
+            now = np.tril(cur[:, p0:p1].T @ src) - half
+            before = np.tril(prev[:, p0:p1].T @ src, -1) + half
+            acc = xb[1:] @ now.T
+            acc -= xb[:-1] @ before.T
+            acc += done[1:] @ cur[:, p0:p1]
+            acc += rest[:-1] @ prev[:, p0:p1]
+            rows[:, p0:p1] = acc
+            step = xb @ src.T
+            done += step
+            rest -= step
+    if whole < n:
+        out[whole:] = rows[0, : n - whole]
+    return out
+
+
+def moving_integral(signal: SampledSignal, window: float) -> WindowedSignal:
+    """Trailing-window integral: output[i] = integral of signal over
+    [t_i - window, t_i], trapezoidal rule, by `window_sums` with dt per phase.
+
+    The window must be an integer number of samples.  The cost is O(1) per
+    sample and the rounding does not grow with the signal's length.  The
+    first window/dt outputs integrate from the start and are warm-up.
+    """
+    grid = signal.grid
+    w = window_samples(grid, window)
+    out = window_sums(signal.values, np.full(w, grid.dt))
     return WindowedSignal(SampledSignal(grid, frozen(out)), warmup=w)
 
 

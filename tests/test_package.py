@@ -1,5 +1,17 @@
+import importlib
+import inspect
+import json
+from pathlib import Path
+
+import numpy as np
+
 import rotolock
 import rotolock.lockin
+import rotolock.signals
+from rotolock.lockin import demodulate, slope_compensate
+from rotolock.signals import HarmonicSeries, SampledSignal, TimeGrid, moving_integral
+
+LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.json"
 
 
 def test_every_exported_name_resolves():
@@ -15,3 +27,45 @@ def test_lockin_has_one_gain_path():
                  "demod_gain_numeric", "recover", "DemodResult"):
         assert not hasattr(rotolock.lockin, name), name
         assert name not in rotolock.__all__, name
+
+
+def test_one_trailing_window_kernel(monkeypatch):
+    # signals.window_sums is the only trailing-window sum: the lock-in keeps
+    # no kernel of its own, and each caller makes one call of it
+    for name in ("_window_sums", "_PHASE_BLOCK"):
+        assert not hasattr(rotolock.lockin, name), name
+    kernel = rotolock.signals.window_sums
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    # the lock-in holds the name it imported
+    monkeypatch.setattr(rotolock.signals, "window_sums", counted)
+    monkeypatch.setattr(rotolock.lockin, "window_sums", counted)
+    grid = TimeGrid(dt=2e-6, n=4 * 200)  # whole periods of f_m = 2.5 kHz
+    m = HarmonicSeries(2500.0, 0.5, [1.0, 0.3], [0.2, -0.1])
+    s_m = SampledSignal(grid, np.sin(2.0 * np.pi * 50.0 * grid.times()))
+    for run in (
+        lambda: demodulate(s_m, m, m, "even"),
+        lambda: slope_compensate(s_m, m, m, "even"),
+        lambda: moving_integral(s_m, 4e-4),
+    ):
+        calls.clear()
+        run()
+        assert len(calls) == 1
+
+
+def test_traced_spans_resolve():
+    # the benchmark's traced run wraps each span <module>.<function> under
+    # rotolock and reports 0 calls for one that is gone; a function moved or
+    # renamed by a refactor must fail here, not go quiet there
+    retired = {"lockin.demod_gain_numeric"}  # deleted with the numeric gain path
+    missing = []
+    for span in json.loads(LAYERS.read_text())["spans"]:
+        module, _, function = span.rpartition(".")
+        fn = getattr(importlib.import_module("rotolock." + module), function, None)
+        if span not in retired and not inspect.isfunction(fn):
+            missing.append(span)
+    assert missing == []

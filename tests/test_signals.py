@@ -233,8 +233,48 @@ class TestFitHarmonics:
         assert fitted.dc == pytest.approx(series.dc, abs=1e-9)
 
 
+def trapezoid_window_sum(y, j, w):
+    """Exact (fsum) trapezoid sum of y over the samples [max(0, j - w), j]."""
+    lo = max(0, j - w)
+    if j == lo:
+        return 0.0
+    return math.fsum(y[lo + 1 : j].tolist() + [0.5 * y[lo], 0.5 * y[j]])
+
+
 class TestMovingIntegral:
     WINDOW = 4e-4  # one modulation period
+
+    @pytest.mark.parametrize(
+        "n, w, t0",
+        [
+            (5 * SPP + 37, SPP, 0.0),  # the window does not divide n
+            (6 * SPP, SPP, 1.3e-4),
+            (5 * SPP + 37, 64, -3.1e-4),
+            (500, 1, 2e-3),
+            (500, 499, 0.0),
+        ],
+    )
+    def test_matches_exact_trapezoid_sums(self, n, w, t0):
+        grid = TimeGrid(dt=DT, n=n, t0=t0)
+        t = grid.times()
+        v = 2.0 + np.sin(2.0 * np.pi * 50.0 * t) + 40.0 * t
+        v += np.random.default_rng(5).normal(scale=0.3, size=n)
+        out = moving_integral(SampledSignal(grid, v), w * DT)
+        assert out.warmup == w
+        # every output, the warm-up included, against the sum of |v| it rounds
+        expected = np.array([trapezoid_window_sum(v, j, w) * DT for j in range(n)])
+        scale = np.array([trapezoid_window_sum(np.abs(v), j, w) * DT for j in range(n)])
+        assert np.all(np.abs(out.signal.values - expected) <= 1e-14 * scale)
+
+    def test_rounding_does_not_grow_with_run_length(self):
+        # a large mean over a long run: one running sum over the whole signal,
+        # subtracted, loses bits as the run grows; per-period sums do not
+        grid = TimeGrid(dt=DT, n=1_500_000)
+        v = 1e3 + np.sin(2.0 * np.pi * 50.0 * grid.times())
+        out = moving_integral(SampledSignal(grid, v), SPP * DT).signal.values
+        for j in np.linspace(SPP, grid.n - 1, 40).astype(int):
+            expected = trapezoid_window_sum(v, j, SPP) * DT
+            assert abs(out[j] - expected) < 1e-14 * abs(expected)
 
     def test_constant_integrates_to_window(self):
         grid = default_grid(n_periods=5)
@@ -267,6 +307,13 @@ class TestMovingIntegral:
         grid = default_grid()
         with pytest.raises(PreconditionError, match="integer multiple"):
             moving_integral(SampledSignal(grid, np.ones(grid.n)), 2.5 * DT)
+
+    def test_overflow_is_one_precondition_error(self):
+        # reported by the finiteness check alone: a NumPy warning before it
+        # fails this test, since the suite turns RuntimeWarning into an error
+        grid = TimeGrid(dt=1.0, n=1000)
+        with pytest.raises(PreconditionError, match="finite"):
+            moving_integral(SampledSignal(grid, np.full(grid.n, 1.7e308)), 200.0)
 
     @settings(deadline=None, max_examples=20)
     @given(a=st.floats(-3, 3), b=st.floats(-3, 3), seed=st.integers(0, 2**32 - 1))
