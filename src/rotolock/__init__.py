@@ -35,7 +35,6 @@ from .signals import (
     fit_harmonics,
     moving_integral,
     read_csv,
-    rms_error,
     synth,
     write_csv,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "fit_harmonics",
     "moving_integral",
     "downsample_at_phase",
-    "rms_error",
     "write_csv",
     "read_csv",
     "ModulationFit",

@@ -13,11 +13,13 @@ signal's slope; `slope_compensate` estimates the slope from each output's
 own window and removes it.
 
 The lock-in integral is one call of `signals.window_sums`, the trailing
-window kernel that `moving_integral` also uses: a single period-major pass
-over the modulated signal that keeps running sums within each period.
-`demodulate` passes the scaled reference period as the trapezoid integrand;
-`slope_compensate` adds the slope term as plain window sums of the same
-pass, so it needs only the modulated signal, not a demodulated output.
+window kernel that `moving_integral` also uses: it keeps running sums
+within each period and works through the modulated signal in cache-sized
+chunks of whole periods.  `demodulate` passes the scaled reference period
+as the trapezoid integrand; `slope_compensate` adds the slope term as plain
+window sums of the same call, so it needs only the modulated signal, not a
+demodulated output.  `modulate` likewise evaluates m over one period and
+applies it period by period.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .signals import (
     TimeGrid,
     WindowedSignal,
     frozen,
+    period_grid,
     synth,
     window_samples,
     window_sums,
@@ -54,11 +57,21 @@ class HarmonicOutput:
     phase: float
 
 
-def modulate(s: SampledSignal, m: SampledSignal) -> SampledSignal:
-    """Pointwise product of two signals on the same grid."""
-    if s.grid != m.grid:
-        raise PreconditionError(f"grid mismatch: {s.grid} vs {m.grid}")
-    return SampledSignal(s.grid, frozen(s.values * m.values))
+def modulate(s: SampledSignal, m: HarmonicSeries) -> SampledSignal:
+    """s times the modulation m on s's grid: the same bits as
+    s * synth(m, s.grid), without the full-length modulation.
+
+    m is evaluated on `period_grid` (one period when that is a whole number
+    of samples) and s is multiplied by it one period at a time.
+    """
+    grid = s.grid
+    period = synth(m, period_grid(m, grid)).values
+    k = len(period)
+    whole = grid.n - grid.n % k
+    out = np.empty(grid.n)
+    np.multiply(s.values[:whole].reshape(-1, k), period, out=out[:whole].reshape(-1, k))
+    np.multiply(s.values[whole:], period[: grid.n - whole], out=out[whole:])
+    return SampledSignal(grid, frozen(out))
 
 
 def _part(r: HarmonicSeries, channel: str) -> HarmonicSeries:

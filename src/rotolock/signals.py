@@ -24,6 +24,11 @@ _CSV_CHUNK = 256
 # products per period, and fewer blocks mean fewer Python steps
 _PHASE_BLOCK = 32
 
+# samples in a cache-sized run (512 KiB of float64): `window_sums` works
+# through chunks of whole periods of about this size, and `sim._rms_after`
+# sums its error in blocks of it
+_BLOCK_SAMPLES = 2**16
+
 
 def integer_ratio(ratio: float) -> int | None:
     """`ratio` as a positive integer when it is one to within _RATIO_TOL
@@ -185,18 +190,24 @@ class WindowedSignal:
         return SampledSignal(trimmed, self.signal.values[self.warmup:])
 
 
+def period_grid(series: HarmonicSeries, grid: TimeGrid) -> TimeGrid:
+    """The samples of grid that determine series on all of it: the first
+    min(n, spp) when a period 1/f_fund holds a whole number spp of samples
+    (to within _RATIO_TOL, the test the lock-in uses), else the whole grid.
+    `synth` on grid is its values on this grid, tiled."""
+    spp = integer_ratio(1.0 / series.f_fund / grid.dt)  # f*dt can underflow to 0
+    return grid if spp is None or spp >= grid.n else TimeGrid(grid.dt, spp, grid.t0)
+
+
 def synth(series: HarmonicSeries, grid: TimeGrid) -> SampledSignal:
     """Evaluate a harmonic series on a time grid.
 
-    When a period 1/f_fund holds a whole number spp of samples (to within
-    _RATIO_TOL, the test the lock-in uses), only the first min(n, spp)
-    samples from grid.t0 are evaluated and that period is tiled out to n
-    samples: O(spp * harmonics) trigonometry and O(n) memory.  Otherwise
-    every sample is evaluated.  Tiling also keeps the phase accurate on long
-    grids, where 2*pi*f*t at large t loses bits.
+    Only the samples of `period_grid` are evaluated, and when they are one
+    period they are tiled out to n samples: O(spp * harmonics) trigonometry
+    and O(n) memory.  Tiling also keeps the phase accurate on long grids,
+    where 2*pi*f*t at large t loses bits.
     """
-    spp = integer_ratio(1.0 / series.f_fund / grid.dt)  # f*dt can underflow to 0
-    k = grid.n if spp is None else min(grid.n, spp)
+    k = period_grid(series, grid).n
     t = grid.times(0, k)
     j = np.arange(1, series.n_harmonics + 1)
     args = 2.0 * np.pi * series.f_fund * t[:, None] * j[None, :]
@@ -288,6 +299,13 @@ def window_samples(grid: TimeGrid, window: float) -> int:
     return w
 
 
+def _blocks(a: np.ndarray, first: int, count: int) -> np.ndarray:
+    """The columns of `count` blocks of _PHASE_BLOCK phases of a, from block
+    `first` on, as a (block, row, phase) view."""
+    cols = a[:, first * _PHASE_BLOCK : (first + count) * _PHASE_BLOCK]
+    return cols.reshape(len(a), count, _PHASE_BLOCK).transpose(1, 0, 2)
+
+
 # an overflowing sum is left to SampledSignal's finiteness check, which
 # reports it once as a precondition error
 @np.errstate(over="ignore", invalid="ignore")
@@ -314,15 +332,28 @@ def window_sums(
     The signal is viewed one period per row, and every sum is a combination
     of running sums over phases within one period.  Those restart every
     period, so unlike one running sum over the whole signal, subtracted,
-    they do not lose bits as the run grows.  The phases go _PHASE_BLOCK at a
-    time, in one pass over the rows: within a block the running sums grow
-    by the block's samples up to phase p, a lower-triangular (phase x phase)
-    weight matrix applied to the block's columns of every period at once,
-    whose diagonal also takes off the half end weights; the sums before the
-    block come from the running totals.  The output is written in place
-    over the whole periods; when n % w is not 0 its last n % w values come
-    from the same pass over a zero-padded copy of the last two periods, so
-    past x the only full-length array is the output.
+    they do not lose bits as the run grows.  The phases go in blocks of
+    _PHASE_BLOCK, and the w % _PHASE_BLOCK left over form one more block:
+    within a block the running sums grow by the block's samples up to phase
+    p, a lower-triangular (phase x phase) weight matrix applied to the
+    block's columns of every period at once, whose diagonal also takes off
+    the half end weights; the sums before the block come from the running
+    totals.
+
+    The rows go in chunks of whole periods of about _BLOCK_SAMPLES samples,
+    so that a chunk's input, output and scratch stay in cache while every
+    block passes over it.  A chunk is a view of its periods and the one
+    before them; the product of the own-period weights of all full blocks
+    is one batched matrix product written straight into the output, and the
+    other terms go block by block.  When n % w is not 0 the last n % w
+    outputs come from one more chunk over a zero-padded copy of the last two
+    periods, so past x the only full-length array is the output.
+
+    The weight matrices (2 * _PHASE_BLOCK floats per phase) are built once
+    per call.  A period longer than _BLOCK_SAMPLES / (2 * _PHASE_BLOCK)
+    phases is done in slabs of that many, whose weights are built and used
+    over every chunk in turn, so they take about _BLOCK_SAMPLES floats at a
+    time; each chunk's running totals carry over to the next slab.
     """
     w, n = len(trapezoid), len(x)
     sources = np.stack([trapezoid] + [s for s, _, _ in plain])
@@ -333,37 +364,58 @@ def window_sums(
     head = x[:w] * trapezoid
     out[0] = 0.0
     np.cumsum(0.5 * (head[1:] + head[:-1]), out=out[1:w])
-    # (period-major rows, output rows for the windows ending in rows 1..)
+    # chunks: (its periods and the one before them, one period per row; the
+    # output rows of the windows ending in rows 1..)
     whole = n - n % w
-    passes = [(x[:whole].reshape(-1, w), out[w:whole].reshape(-1, w))]
+    size = max(1, _BLOCK_SAMPLES // w) * w
+    chunks = []
+    for i in range(w, whole, size):
+        j = min(i + size, whole)
+        chunks.append((x[i - w : j].reshape(-1, w), out[i:j].reshape(-1, w)))
     if whole < n:
         tail = np.zeros(2 * w)
         tail[: n - whole + w] = x[whole - w :]
-        passes.append((tail.reshape(2, w), np.empty((1, w))))
-    for periods, rows in passes:
-        # done[i, s]: sum over the phases before the block of source s times
-        # x in period i; rest[i, s]: the same over the block and the phases after
-        done = np.zeros((len(periods), len(sources)))
-        rest = periods @ sources.T
-        for p0 in range(0, w, _PHASE_BLOCK):
-            p1 = min(p0 + _PHASE_BLOCK, w)
-            xb, src = periods[:, p0:p1], sources[:, p0:p1]
-            # weights within the block: phase q <= p of period i, and q < p of
-            # period i - 1 (subtracted from its rest); on the diagonals, the
-            # half weights of the window's two end samples
+        chunks.append((tail.reshape(2, w), np.empty((1, w))))
+
+    blocks = [(p0, min(p0 + _PHASE_BLOCK, w)) for p0 in range(0, w, _PHASE_BLOCK)]
+    full = w // _PHASE_BLOCK  # the blocks of _PHASE_BLOCK phases
+    per_slab = _BLOCK_SAMPLES // (2 * _PHASE_BLOCK**2)  # weights of ~_BLOCK_SAMPLES floats
+    totals = [None] * len(chunks)
+    for s0 in range(0, len(blocks), per_slab):
+        slab = blocks[s0 : s0 + per_slab]
+        # the weights within block (p0, p1): phase q <= p of period i, and q < p
+        # of period i - 1 (subtracted from its rest); on the diagonals, the half
+        # weights of the window's two end samples
+        now, before = [], []
+        for p0, p1 in slab:
+            src = sources[:, p0:p1]
             half = np.diag(0.5 * trapezoid[p0:p1])
-            now = np.tril(cur[:, p0:p1].T @ src) - half
-            before = np.tril(prev[:, p0:p1].T @ src, -1) + half
-            acc = xb[1:] @ now.T
-            acc -= xb[:-1] @ before.T
-            acc += done[1:] @ cur[:, p0:p1]
-            acc += rest[:-1] @ prev[:, p0:p1]
-            rows[:, p0:p1] = acc
-            step = xb @ src.T
-            done += step
-            rest -= step
+            now.append(np.tril(cur[:, p0:p1].T @ src) - half)
+            before.append(np.tril(prev[:, p0:p1].T @ src, -1) + half)
+        k = min(len(slab), full - s0)  # the slab's full blocks
+        now_t = np.stack([a.T for a in now[:k]]) if k > 0 else None
+        for c, (periods, rows) in enumerate(chunks):
+            # done[i, s]: sum over the phases before the block of source s times
+            # x in period i; rest[i, s]: the same over the block and the phases after
+            if s0 == 0:
+                totals[c] = (np.zeros((len(periods), len(sources))), periods @ sources.T)
+            done, rest = totals[c]
+            if k > 0:
+                np.matmul(_blocks(periods[1:], s0, k), now_t, out=_blocks(rows, s0, k))
+            for g, (p0, p1) in enumerate(slab):
+                xb, src, acc = periods[:, p0:p1], sources[:, p0:p1], rows[:, p0:p1]
+                if g >= k:
+                    np.matmul(xb[1:], now[g].T, out=acc)
+                acc -= xb[:-1] @ before[g].T
+                acc += done[1:] @ cur[:, p0:p1]
+                acc += rest[:-1] @ prev[:, p0:p1]
+                step = xb @ src.T
+                done += step
+                rest -= step
+            if s0 + per_slab >= len(blocks):
+                totals[c] = None
     if whole < n:
-        out[whole:] = rows[0, : n - whole]
+        out[whole:] = chunks[-1][1][0, : n - whole]
     return out
 
 
@@ -399,13 +451,6 @@ def downsample_at_phase(signal: SampledSignal, f_m: float, phase: float) -> Samp
     values = signal.values[k0::spp]
     out_grid = TimeGrid(dt=1.0 / f_m, n=len(values), t0=grid.t0 + k0 * grid.dt)
     return SampledSignal(out_grid, values)
-
-
-def rms_error(a: SampledSignal, b: SampledSignal) -> float:
-    """Root-mean-square difference of two signals on identical grids."""
-    if a.grid != b.grid:
-        raise PreconditionError(f"grid mismatch: {a.grid} vs {b.grid}")
-    return float(np.sqrt(np.mean((a.values - b.values) ** 2)))
 
 
 def write_csv(signal: SampledSignal, path) -> None:

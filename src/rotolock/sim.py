@@ -24,6 +24,7 @@ from .lockin import CHANNELS, GAIN_FLOOR, channel_gain, modulate, slope_compensa
 from .modulation import ModulationFit, modulation_series
 from .reference import synth_demod_reference
 from .signals import (
+    _BLOCK_SAMPLES,
     HarmonicSeries,
     SampledSignal,
     TimeGrid,
@@ -223,17 +224,13 @@ def measured_signal(cfg: SimConfig, grid: TimeGrid) -> SampledSignal:
     return synth(HarmonicSeries(abs(f), 0.0, [0.0], [amp]), grid)
 
 
-# samples per block of the full-rate error sum (512 KiB of float64 per array)
-_ERROR_BLOCK = 2**16
-
-
 def _rms_after(cfg: SimConfig, restored: SampledSignal, start: int) -> float:
     """RMS of restored minus the measured waveform, over the samples from
     index `start` on.
 
     The sum of squares is taken one block at a time, so no full-length array
     is added to a long run's peak memory.  When the waveform's period holds
-    a whole number of samples (up to _ERROR_BLOCK), a block is a whole
+    a whole number of samples (up to _BLOCK_SAMPLES), a block is a whole
     number of periods and the waveform of the first block serves them all,
     as `synth` would have tiled it; otherwise each block is evaluated on its
     own slice of the grid.
@@ -241,9 +238,9 @@ def _rms_after(cfg: SimConfig, restored: SampledSignal, start: int) -> float:
     grid = restored.grid
     f = abs(cfg.signal_freq)
     spp = integer_ratio(1.0 / f / grid.dt) if f > 0.0 else 1  # f*dt can underflow to 0
-    if spp is not None and spp > _ERROR_BLOCK:
+    if spp is not None and spp > _BLOCK_SAMPLES:
         spp = None
-    size = _ERROR_BLOCK if spp is None else spp * (_ERROR_BLOCK // spp)
+    size = _BLOCK_SAMPLES if spp is None else spp * (_BLOCK_SAMPLES // spp)
     wave = None
     total = 0.0
     for i in range(start, grid.n, size):
@@ -269,7 +266,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     grid = TimeGrid(cfg.dt, cfg.n_samples, 0.0)
     original = measured_signal(cfg, grid)
     m_series = modulation_series(cfg.modulation, cfg.f_m)
-    modulated = modulate(original, synth(m_series, grid))
+    modulated = modulate(original, m_series)
     noise = gen_noise(cfg.noise, grid)
     noisy = SampledSignal(grid, frozen(modulated.values + noise.values))
 

@@ -233,7 +233,7 @@ def test_criterion_7_per_harmonic_outputs():
     fit = ModulationFit()
     m = modulation_series(fit, F_M)
     grid = TimeGrid(dt=DT, n=20 * SPP, t0=0.0)
-    s_m = modulate(SampledSignal(grid, np.ones(grid.n)), synth(m, grid))
+    s_m = modulate(SampledSignal(grid, np.ones(grid.n)), m)
 
     aligned = synth_demod_reference(T_M, "square", 7, 0.0)
     outs = harmonic_outputs(s_m, m, aligned)

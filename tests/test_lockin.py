@@ -18,7 +18,7 @@ from rotolock.lockin import (
 )
 from rotolock.modulation import ModulationFit, modulation_series
 from rotolock.reference import synth_demod_reference
-from rotolock.signals import HarmonicSeries, SampledSignal, TimeGrid, synth
+from rotolock.signals import _BLOCK_SAMPLES, HarmonicSeries, SampledSignal, TimeGrid, synth
 
 F_M = 2500.0
 T_M = 1.0 / F_M
@@ -43,34 +43,44 @@ def square_ref(phase=0.0, l=7):
 
 
 def modulated_signal(s_values, m_series, grid):
-    return modulate(SampledSignal(grid, s_values), synth(m_series, grid))
+    return modulate(SampledSignal(grid, s_values), m_series)
 
 
 class TestModulate:
     def test_unit_signal_returns_modulation(self):
         grid = grid_for(1)
-        m = synth(stock_modulation_series(), grid)
+        m = stock_modulation_series()
         out = modulate(SampledSignal(grid, np.ones(grid.n)), m)
-        assert np.array_equal(out.values, m.values)
+        assert np.array_equal(out.values, synth(m, grid).values)
 
     def test_zero_modulation_kills_signal(self):
         grid = grid_for(1)
         s = SampledSignal(grid, np.sin(2 * np.pi * 50.0 * grid.times()))
-        out = modulate(s, SampledSignal(grid, np.zeros(grid.n)))
+        out = modulate(s, HarmonicSeries(F_M, 0.0, [0.0], [0.0]))
         assert np.all(out.values == 0.0)
 
     def test_matches_elementwise_product_oracle(self):
         grid = grid_for(25)
         s = np.sin(2 * np.pi * 50.0 * grid.times())
-        m = synth(stock_modulation_series(), grid)
+        m = stock_modulation_series()
         out = modulate(SampledSignal(grid, s), m)
-        assert np.max(np.abs(out.values - s * m.values)) < 1e-15
+        assert np.max(np.abs(out.values - s * synth(m, grid).values)) < 1e-15
 
-    def test_grid_mismatch_rejected(self):
-        a = SampledSignal(grid_for(1), np.zeros(SPP))
-        b = SampledSignal(TimeGrid(DT, SPP, t0=1.0), np.zeros(SPP))
-        with pytest.raises(PreconditionError, match="grid mismatch"):
-            modulate(a, b)
+    @pytest.mark.parametrize(
+        "n, dt, t0",
+        [
+            (25 * SPP, DT, 0.0),  # whole periods
+            (25 * SPP + 37, DT, 1.3e-4),  # a partial last period
+            (SPP - 3, DT, -2e-4),  # shorter than one period
+            (4001, 3e-6, 5e-5),  # a period of 133.33 samples
+        ],
+    )
+    def test_same_bits_as_the_product_with_synth(self, n, dt, t0):
+        grid = TimeGrid(dt, n, t0)
+        s = SampledSignal(grid, np.random.default_rng(3).normal(size=n))
+        m = stock_modulation_series()
+        out = modulate(s, m)
+        assert out.values.tobytes() == (s.values * synth(m, grid).values).tobytes()
 
 
 class TestChannelGain:
@@ -488,7 +498,12 @@ class TestLockinOracle:
             expected = trapezoid_window_sum(product, j, SPP) * DT * 2.0 / (T_M * g)
             assert abs(out.signal.values[j] - expected) < 1e-12
 
-    @pytest.mark.parametrize("fit, ref_kind, delay, channel, n, t0", CASES)
+    @pytest.mark.parametrize(
+        "fit, ref_kind, delay, channel, n, t0",
+        CASES
+        # several chunks of periods in `window_sums`, and a partial last period
+        + [(ModulationFit(phase=0.3), "square", 0.5, "even", 2 * _BLOCK_SAMPLES + 5 * SPP + 37, 0.0)],
+    )
     def test_slope_compensate_removes_the_least_squares_slope(
         self, fit, ref_kind, delay, channel, n, t0
     ):
@@ -499,7 +514,16 @@ class TestLockinOracle:
         raw = demodulate(s_m, m, ref, channel).signal.values
         out = slope_compensate(s_m, m, ref, channel).signal.values
         u = np.arange(SPP + 1) / SPP - 0.5
-        outputs = list(range(SPP, n, 7)) + [n - 1]
+        if n < _BLOCK_SAMPLES:
+            outputs = list(range(SPP, n, 7)) + [n - 1]
+        else:
+            # the windows ending within one period of a chunk start in
+            # `window_sums` (those after it reach across it) or of the last
+            # partial period
+            size = _BLOCK_SAMPLES // SPP * SPP
+            starts = list(range(SPP + size, n - n % SPP, size)) + [n - n % SPP]
+            outputs = [j for s in starts for j in range(s - SPP, min(n, s + SPP + 1), 3)]
+            outputs += [n - 1]
         for j in outputs:
             win = slice(j - SPP, j + 1)
             mw = m_values[win]

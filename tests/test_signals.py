@@ -10,6 +10,8 @@ from rotolock.errors import PreconditionError
 from rotolock.modulation import ModulationFit, eval_modulation
 from rotolock.sim import NoiseSpec, SimConfig, run_simulation
 from rotolock.signals import (
+    _BLOCK_SAMPLES,
+    _PHASE_BLOCK,
     HarmonicSeries,
     SampledSignal,
     TimeGrid,
@@ -19,7 +21,6 @@ from rotolock.signals import (
     integer_ratio,
     moving_integral,
     read_csv,
-    rms_error,
     synth,
     write_csv,
 )
@@ -241,30 +242,52 @@ def trapezoid_window_sum(y, j, w):
     return math.fsum(y[lo + 1 : j].tolist() + [0.5 * y[lo], 0.5 * y[j]])
 
 
+def near_chunk_starts(n, w):
+    """Outputs within 2w of where `window_sums` starts a chunk of periods or
+    its pass over a partial last period.  When w is long, only those within
+    _PHASE_BLOCK of such a start and every (w // 8)th of the others, so that
+    the O(w) oracle per output stays cheap."""
+    size = max(1, _BLOCK_SAMPLES // w) * w
+    whole = n - n % w
+    stride = max(1, w // 8) if w > _BLOCK_SAMPLES // 8 else 1
+    picked = set()
+    for start in list(range(w, whole, size)) + [whole]:
+        lo, hi = max(0, start - 2 * w), min(n, start + 2 * w)
+        picked.update(range(lo, hi, stride))
+        picked.update(range(max(lo, start - _PHASE_BLOCK), min(hi, start + _PHASE_BLOCK)))
+    return sorted(picked | {n - 1})
+
+
 class TestMovingIntegral:
     WINDOW = 4e-4  # one modulation period
 
     @pytest.mark.parametrize(
-        "n, w, t0",
+        "n, w, t0, every",
         [
-            (5 * SPP + 37, SPP, 0.0),  # the window does not divide n
-            (6 * SPP, SPP, 1.3e-4),
-            (5 * SPP + 37, 64, -3.1e-4),
-            (500, 1, 2e-3),
-            (500, 499, 0.0),
+            (5 * SPP + 37, SPP, 0.0, True),  # the window does not divide n
+            (6 * SPP, SPP, 1.3e-4, True),
+            (5 * SPP + 37, 64, -3.1e-4, True),
+            (500, 1, 2e-3, True),
+            (500, 499, 0.0, True),
+            # three chunks of periods and a partial last period
+            (2 * _BLOCK_SAMPLES + 5 * SPP + 37, SPP, -3.1e-4, False),
+            # one period per chunk, and w not a multiple of _PHASE_BLOCK
+            (3 * (_BLOCK_SAMPLES + 3) + 11, _BLOCK_SAMPLES + 3, 2e-3, False),
         ],
     )
-    def test_matches_exact_trapezoid_sums(self, n, w, t0):
+    def test_matches_exact_trapezoid_sums(self, n, w, t0, every):
         grid = TimeGrid(dt=DT, n=n, t0=t0)
         t = grid.times()
         v = 2.0 + np.sin(2.0 * np.pi * 50.0 * t) + 40.0 * t
         v += np.random.default_rng(5).normal(scale=0.3, size=n)
         out = moving_integral(SampledSignal(grid, v), w * DT)
         assert out.warmup == w
-        # every output, the warm-up included, against the sum of |v| it rounds
-        expected = np.array([trapezoid_window_sum(v, j, w) * DT for j in range(n)])
-        scale = np.array([trapezoid_window_sum(np.abs(v), j, w) * DT for j in range(n)])
-        assert np.all(np.abs(out.signal.values - expected) <= 1e-14 * scale)
+        # against the sum of |v| it rounds: every output, the warm-up
+        # included, or on long signals those around the kernel's chunk starts
+        outputs = range(n) if every else near_chunk_starts(n, w)
+        expected = np.array([trapezoid_window_sum(v, j, w) * DT for j in outputs])
+        scale = np.array([trapezoid_window_sum(np.abs(v), j, w) * DT for j in outputs])
+        assert np.all(np.abs(out.signal.values[outputs] - expected) <= 1e-14 * scale)
 
     def test_rounding_does_not_grow_with_run_length(self):
         # a large mean over a long run: one running sum over the whole signal,
@@ -275,6 +298,20 @@ class TestMovingIntegral:
         for j in np.linspace(SPP, grid.n - 1, 40).astype(int):
             expected = trapezoid_window_sum(v, j, SPP) * DT
             assert abs(out[j] - expected) < 1e-14 * abs(expected)
+
+    def test_memory_does_not_grow_with_the_window(self):
+        # the output, per-phase arrays, the warm-up and one slab of block
+        # weights take ~35 B per sample at w = n / 2; the weights of every
+        # phase at once would add ~390 B per sample
+        grid = TimeGrid(dt=DT, n=200_000)
+        signal = SampledSignal(grid, np.random.default_rng(2).normal(size=grid.n))
+        tracemalloc.start()
+        try:
+            moving_integral(signal, 100_000 * DT)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / grid.n < 48.0
 
     def test_constant_integrates_to_window(self):
         grid = default_grid(n_periods=5)
@@ -361,32 +398,6 @@ class TestDownsampleAtPhase:
         grid = TimeGrid(dt=3e-6, n=1000)
         with pytest.raises(PreconditionError, match="integer multiple"):
             downsample_at_phase(SampledSignal(grid, np.zeros(grid.n)), F_M, 0.0)
-
-
-class TestRmsError:
-    def test_identical_signals_give_zero(self):
-        grid = default_grid()
-        s = synth(stock_modulation_series(), grid)
-        assert rms_error(s, s) == 0.0
-
-    def test_constant_offset_gives_magnitude(self):
-        grid = default_grid()
-        a = SampledSignal(grid, np.zeros(grid.n))
-        b = SampledSignal(grid, np.full(grid.n, -2.5))
-        assert rms_error(a, b) == pytest.approx(2.5)
-        assert rms_error(b, a) == pytest.approx(2.5)
-
-    def test_sine_against_zero_is_inverse_sqrt2(self):
-        grid = default_grid(n_periods=4)
-        s = SampledSignal(grid, np.sin(2.0 * np.pi * F_M * grid.times()))
-        z = SampledSignal(grid, np.zeros(grid.n))
-        assert rms_error(s, z) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-9)
-
-    def test_grid_mismatch_rejected(self):
-        a = SampledSignal(default_grid(), np.zeros(SPP))
-        b = SampledSignal(TimeGrid(dt=DT, n=SPP, t0=1.0), np.zeros(SPP))
-        with pytest.raises(PreconditionError, match="grid mismatch"):
-            rms_error(a, b)
 
 
 class TestOrthogonality:

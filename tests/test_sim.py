@@ -19,7 +19,8 @@ from rotolock.sim import (
     run_simulation,
     step_contamination_mask,
 )
-from rotolock.signals import SampledSignal, TimeGrid
+import rotolock.signals
+from rotolock.signals import _BLOCK_SAMPLES, SampledSignal, TimeGrid
 
 
 def default_grid():
@@ -358,6 +359,38 @@ class TestSimResultArrays:
             tracemalloc.stop()
         assert cfg.n_samples == 300_000
         assert peak / cfg.n_samples < 52.0
+
+    def test_default_run_peak_memory(self):
+        # about 1.008e6 B; on the 15 000-sample default run the lock-in's chunk
+        # of periods is the whole signal, so chunk-sized scratch (one more
+        # full-length array) would take it past the bound
+        tracemalloc.start()
+        try:
+            run_simulation(SimConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_synth_evaluates_one_run_of_samples(self, monkeypatch):
+        # the measured waveform in full, the first block of the error sum, the
+        # down-sampled grid and one-period tables; the modulation is not
+        # evaluated over the whole run
+        synth = rotolock.signals.synth
+        asked = []
+
+        def counting(series, grid):
+            asked.append(grid.n)
+            return synth(series, grid)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("rotolock") and getattr(module, "synth", None) is synth:
+                monkeypatch.setattr(module, "synth", counting)
+        cfg = SimConfig(duration=0.6)
+        run_simulation(cfg)
+        spp = cfg.samples_per_period
+        assert len(asked) == 6
+        assert sum(asked) <= cfg.n_samples + _BLOCK_SAMPLES + cfg.n_samples // spp + 3 * spp
 
 
 class TestReport:
