@@ -11,7 +11,6 @@ from .lockin import (
     demodulate,
     harmonic_outputs,
     modulate,
-    write_harmonics_csv,
 )
 from .modulation import ModulationFit, eval_modulation, modulation_series
 from .reference import (
@@ -71,7 +70,6 @@ __all__ = [
     "channel_gain",
     "demodulate",
     "harmonic_outputs",
-    "write_harmonics_csv",
     "NoiseSpec",
     "SimConfig",
     "SimResult",

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .config import Config, check_size
+from .config import Config, check_size, write_json
 from .errors import ConfigError, PreconditionError
 from .modulation import ModulationFit, modulation_series
 from .reference import SpotGeometry, fit_trapezoid_cosine, reference_waveform
@@ -72,14 +72,8 @@ def _load_config(path, subcommand: str) -> dict:
     return data
 
 
-def _write_json(obj: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_manifest(subcommand: str, config_dict: dict, out: Path) -> None:
-    _write_json(
+    write_json(
         {
             "subcommand": subcommand,
             "config": config_dict,
@@ -97,7 +91,7 @@ def cmd_modwave(cfg: ModwaveConfig, out: Path) -> dict:
     grid = TimeGrid(dt=1.0 / (cfg.f_m * cfg.samples_per_period), n=n, t0=0.0)
     wave = synth(series, grid)
     write_csv(wave, out / "modwave.csv")
-    _write_json(series.to_dict(), out / "modwave_series.json")
+    write_json(series.to_dict(), out / "modwave_series.json")
     return {"files": [str(out / "modwave.csv"), str(out / "modwave_series.json")]}
 
 
@@ -107,7 +101,7 @@ def cmd_refsignal(cfg: RefsignalConfig, out: Path) -> dict:
     wave = reference_waveform(cfg.geometry, grid, cfg.f_rot)
     write_csv(wave, out / "refsignal.csv")
     fit, resid = fit_trapezoid_cosine(wave, cfg.f_rot)
-    _write_json(
+    write_json(
         dict(fit.to_dict(), residual_rms=resid, period=1.0 / cfg.f_rot),
         out / "trapezoid_fit.json",
     )
@@ -115,12 +109,8 @@ def cmd_refsignal(cfg: RefsignalConfig, out: Path) -> dict:
 
 
 def cmd_simulate(cfg: SimConfig, out: Path) -> dict:
-    """Run the end-to-end scenario and write the signal stacks and metrics."""
-    result = run_simulation(cfg)
-    summary = report(result, out)
-    write_csv(result.restored_downsampled, out / "restored_downsampled.csv")
-    summary["files"].append(str(out / "restored_downsampled.csv"))
-    return summary
+    """Run the end-to-end scenario; `report` writes its files."""
+    return report(run_simulation(cfg), out)
 
 
 def _build_parser() -> argparse.ArgumentParser:

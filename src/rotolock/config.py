@@ -8,12 +8,14 @@ default; unknown keys are rejected.  A float field with metadata
 Range and cross-field rules stay in each ``__post_init__``; a
 `PreconditionError` raised there while loading becomes a `ConfigError`.
 Among them, `check_size` refuses a config whose arrays would hold more than
-`MAX_ELEMENTS` entries, before anything is allocated.
+`MAX_ELEMENTS` entries, before anything is allocated.  `write_json` is the
+one JSON writer of the package: manifests, metrics, series and fits.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import typing
 
@@ -34,6 +36,15 @@ def check_size(what: str, count: int) -> None:
     of the config's fields) exceed MAX_ELEMENTS."""
     if count > MAX_ELEMENTS:
         raise ConfigError(f"{what} = {count} exceeds the size limit MAX_ELEMENTS = {MAX_ELEMENTS}")
+
+
+def write_json(obj, path) -> None:
+    """Write obj to path as JSON: indented by 2, keys sorted, a trailing
+    newline.  A NaN or an infinity, which JSON has no token for, raises
+    ValueError before the file is opened."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
 
 
 class Config:

@@ -263,7 +263,8 @@ def harmonic_outputs(
     means = {}
     for channel in CHANNELS:
         if channel_gain(m, r, channel)[1] >= GAIN_FLOOR:
-            means[channel] = float(np.mean(demodulate(s_m, m, r, channel).valid().values))
+            out = demodulate(s_m, m, r, channel)
+            means[channel] = float(np.mean(out.signal.values[out.warmup:]))
     if not means:
         raise PreconditionError(
             f"unusable reference: both channel gains are below the floor {GAIN_FLOOR:g} "
@@ -276,13 +277,3 @@ def harmonic_outputs(
         HarmonicOutput(i + 1, float(x[i]), float(y[i]), float(magnitude[i]), float(phase[i]))
         for i in range(m.n_harmonics)
     ]
-
-
-def write_harmonics_csv(rows: list[HarmonicOutput], path) -> None:
-    """Write harmonic outputs as `i,X,Y,magnitude,phase` CSV."""
-    with open(path, "w", newline="") as fh:
-        fh.write("i,X,Y,magnitude,phase\n")
-        for h in rows:
-            fh.write(
-                f"{h.index},{h.X:.17g},{h.Y:.17g},{h.magnitude:.17g},{h.phase:.17g}\n"
-            )

@@ -154,10 +154,6 @@ class HarmonicSeries:
     def n_harmonics(self) -> int:
         return len(self.cos_coeffs)
 
-    @property
-    def period(self) -> float:
-        return 1.0 / self.f_fund
-
     def to_dict(self) -> dict:
         return {
             "f_fund": self.f_fund,

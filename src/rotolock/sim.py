@@ -11,14 +11,13 @@ bit-identical results.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .config import Config, check_size
+from .config import Config, check_size, write_json
 from .errors import ConfigError, PreconditionError
 from .lockin import CHANNELS, GAIN_FLOOR, channel_gain, modulate, slope_compensate
 from .modulation import ModulationFit, modulation_series
@@ -224,6 +223,8 @@ def measured_signal(cfg: SimConfig, grid: TimeGrid) -> SampledSignal:
     return synth(HarmonicSeries(abs(f), 0.0, [0.0], [amp]), grid)
 
 
+# an error past the float range gives inf, which run_simulation refuses
+@np.errstate(over="ignore", invalid="ignore")
 def _rms_after(cfg: SimConfig, restored: SampledSignal, start: int) -> float:
     """RMS of restored minus the measured waveform, over the samples from
     index `start` on.
@@ -299,8 +300,15 @@ def run_simulation(cfg: SimConfig) -> SimResult:
             "every downsampled window is warm-up or contains a noise step; "
             "lengthen the run or lower the step rate"
         )
-    dev_down = down.values[good] - measured_signal(cfg, down.grid).values[good]
-    rms_down = float(np.sqrt(np.mean(dev_down**2)))
+    # an error past the float range is refused once, below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev_down = down.values[good] - measured_signal(cfg, down.grid).values[good]
+        rms_down = float(np.sqrt(np.mean(dev_down**2)))
+    for name, value in (("rms_error_full", rms_full), ("rms_error_downsampled", rms_down)):
+        if not math.isfinite(value):
+            raise PreconditionError(
+                f"{name} overflows the float range; lower signal_amp or the noise amplitude"
+            )
 
     # what a fixed, phase-aligned gain would have applied: the ratio shows the
     # scale (and sign, for a half-period flip) error of skipping calibration;
@@ -338,10 +346,11 @@ def run_simulation(cfg: SimConfig) -> SimResult:
 
 
 def report(result: SimResult, out_dir) -> dict:
-    """Write the signal stacks and metrics to a directory.
+    """Write every file of a simulate run but the CLI's manifest to a directory.
 
-    Emits noise.csv, modulated.csv, modulated_noisy.csv, restored.csv and
-    metrics.json; returns a summary with the file paths and metric values.
+    Emits noise.csv, modulated.csv, modulated_noisy.csv, restored.csv,
+    restored_downsampled.csv and metrics.json; returns a summary with the
+    file paths and metric values.
     """
     out = Path(out_dir)
     try:
@@ -351,14 +360,12 @@ def report(result: SimResult, out_dir) -> dict:
             "modulated.csv": result.modulated,
             "modulated_noisy.csv": result.modulated_noisy,
             "restored.csv": result.restored_full,
+            "restored_downsampled.csv": result.restored_downsampled,
         }
         for name, sig in stacks.items():
             write_csv(sig, out / name)
-        metrics_path = out / "metrics.json"
-        with open(metrics_path, "w") as fh:
-            json.dump(result.metrics, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(result.metrics, out / "metrics.json")
     except OSError as exc:
         raise OSError(f"failed writing simulation outputs under {out}: {exc}") from exc
-    files = [str(out / name) for name in stacks] + [str(metrics_path)]
+    files = [str(out / name) for name in (*stacks, "metrics.json")]
     return {"files": files, "metrics": dict(result.metrics)}

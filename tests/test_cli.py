@@ -210,12 +210,28 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: out of memory")
 
 
-def test_overflowing_noise_reports_one_error_line(tmp_path):
-    # the config accepts this amplitude, but the lock-in's sums overflow: the
-    # run exits 3 with the finiteness error and prints no NumPy warnings
-    # before it (a fresh interpreter, so that its default warning filters apply)
+METRIC_OVERFLOW = (
+    "error: rms_error_full overflows the float range; lower signal_amp or the noise amplitude\n"
+)
+
+
+@pytest.mark.parametrize(
+    "config, stderr",
+    [
+        # the lock-in's sums overflow: the finiteness error
+        ({"noise": {"amplitude": 8e307}}, "error: signal values must all be finite\n"),
+        # the signals stay finite, but the error metrics' sums of squares do not
+        ({"signal_amp": 1e200}, METRIC_OVERFLOW),
+        ({"noise": {"amplitude": 1e160}}, METRIC_OVERFLOW),
+    ],
+    ids=["lockin-sums", "signal-amp", "noise-amp"],
+)
+def test_overflowing_noise_reports_one_error_line(tmp_path, config, stderr):
+    # the config accepts these amplitudes, but the run overflows: it exits 3
+    # with one error line, no NumPy warnings before it (a fresh interpreter,
+    # so that its default warning filters apply) and no metrics.json
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"noise": {"amplitude": 8e307}}))
+    cfg.write_text(json.dumps(config))
     src = Path(rotolock.__file__).resolve().parents[1]
     argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]
     code = (
@@ -224,7 +240,8 @@ def test_overflowing_noise_reports_one_error_line(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 3
-    assert proc.stderr == "error: signal values must all be finite\n"
+    assert proc.stderr == stderr
+    assert not (tmp_path / "out" / "metrics.json").exists()
 
 
 def test_simulate_and_modwave_never_import_scipy(tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotolock.cli import ModwaveConfig, RefsignalConfig
-from rotolock.config import MAX_ELEMENTS
+from rotolock.config import MAX_ELEMENTS, write_json
 from rotolock.errors import ConfigError
 from rotolock.reference import SpotGeometry
 from rotolock.sim import SimConfig
@@ -96,3 +96,13 @@ def test_size_limit_refuses_before_allocating():
 def test_size_limit_keeps_the_benchmarked_runs():
     assert SimConfig.from_dict({"duration": 3.0}).n_samples == 1_500_000
     assert SimConfig.from_dict({"duration": 60.0}).n_samples == 30_000_000
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_format_and_no_nonfinite_numbers(tmp_path, bad):
+    write_json({"b": [1.5], "a": 1}, tmp_path / "ok.json")
+    assert (tmp_path / "ok.json").read_text() == '{\n  "a": 1,\n  "b": [\n    1.5\n  ]\n}\n'
+    # JSON has no token for these: refused before the file is opened
+    with pytest.raises(ValueError):
+        write_json({"x": [0.0, bad]}, tmp_path / "bad.json")
+    assert not (tmp_path / "bad.json").exists()

@@ -14,7 +14,6 @@ from rotolock.lockin import (
     harmonic_outputs,
     modulate,
     slope_compensate,
-    write_harmonics_csv,
 )
 from rotolock.modulation import ModulationFit, modulation_series
 from rotolock.reference import synth_demod_reference
@@ -623,17 +622,16 @@ class TestHarmonicOutputs:
         with pytest.raises(PreconditionError, match="unusable"):
             harmonic_outputs(s_m, m, ref)
 
-    def test_harmonics_csv_format(self, tmp_path):
-        grid = grid_for(6)
+    def test_memory_per_sample(self):
+        # past its input, one demodulated output (8 B per sample) and the
+        # lock-in's scratch: the mean reads the valid part without a copy
+        grid = TimeGrid(dt=DT, n=300_000)
         m = stock_modulation_series()
-        ref = square_ref()
         s_m = modulated_signal(np.ones(grid.n), m, grid)
-        rows = harmonic_outputs(s_m, m, ref)
-        path = tmp_path / "harmonics.csv"
-        write_harmonics_csv(rows, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "i,X,Y,magnitude,phase"
-        assert len(lines) == 8
-        first = lines[1].split(",")
-        assert int(first[0]) == 1
-        assert float(first[1]) == pytest.approx(rows[0].X)
+        tracemalloc.start()
+        try:
+            harmonic_outputs(s_m, m, square_ref())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / grid.n < 12.0

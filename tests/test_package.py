@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from rotolock.lockin import demodulate, slope_compensate
 from rotolock.signals import HarmonicSeries, SampledSignal, TimeGrid, moving_integral
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.json"
+SRC = Path(rotolock.__file__).resolve().parent
 
 
 def test_every_exported_name_resolves():
@@ -55,6 +57,20 @@ def test_one_trailing_window_kernel(monkeypatch):
         calls.clear()
         run()
         assert len(calls) == 1
+
+
+def test_one_json_writer():
+    # config.write_json is the one JSON writer: one json.dump(s) call site in
+    # the package, and the writers nothing called are gone
+    sites = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for line in path.read_text().splitlines()
+        if re.search(r"\bjson\.dumps?\(", line)
+    ]
+    assert sites == ["config.py"]
+    assert not hasattr(rotolock.lockin, "write_harmonics_csv")
+    assert "write_harmonics_csv" not in rotolock.__all__
 
 
 def test_traced_spans_resolve():

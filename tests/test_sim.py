@@ -393,20 +393,25 @@ class TestSimResultArrays:
         assert sum(asked) <= cfg.n_samples + _BLOCK_SAMPLES + cfg.n_samples // spp + 3 * spp
 
 
+STACKS = (
+    "noise.csv", "modulated.csv", "modulated_noisy.csv", "restored.csv",
+    "restored_downsampled.csv",
+)
+
+
 class TestReport:
-    def test_writes_five_files_with_matching_row_counts(self, tmp_path):
+    def test_writes_six_files_with_matching_row_counts(self, tmp_path):
         cfg = SimConfig()
         res = run_simulation(cfg)
         summary = report(res, tmp_path)
         names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == [
-            "metrics.json", "modulated.csv", "modulated_noisy.csv",
-            "noise.csv", "restored.csv",
-        ]
-        assert len(summary["files"]) == 5
-        for name in ("noise.csv", "modulated.csv", "modulated_noisy.csv", "restored.csv"):
+        assert names == sorted(STACKS + ("metrics.json",))
+        assert sorted(summary["files"]) == sorted(str(tmp_path / n) for n in names)
+        for name in STACKS[:-1]:  # the full-rate stacks
             rows = (tmp_path / name).read_text().splitlines()
             assert len(rows) == 1 + cfg.n_samples
+        rows = (tmp_path / "restored_downsampled.csv").read_text().splitlines()
+        assert len(rows) == 1 + res.metrics["n_downsampled"]
 
     def test_metrics_json_contents(self, tmp_path):
         res = run_simulation(SimConfig())
@@ -423,6 +428,15 @@ class TestReport:
         second = tmp_path / "b"
         report(run_simulation(cfg), first)
         report(run_simulation(cfg), second)
-        for name in ("noise.csv", "modulated.csv", "modulated_noisy.csv",
-                     "restored.csv", "metrics.json"):
+        for name in STACKS + ("metrics.json",):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_cli_writes_what_report_writes(self, tmp_path):
+        # `rotolock simulate` is report(run_simulation(cfg)) plus its manifest
+        lib, cli = tmp_path / "lib", tmp_path / "cli"
+        report(run_simulation(SimConfig(noise=NoiseSpec(seed=7))), lib)
+        assert main(["simulate", "--seed", "7", "--out", str(cli)]) == 0
+        names = sorted(p.name for p in lib.iterdir())
+        assert sorted(p.name for p in cli.iterdir()) == sorted(names + ["manifest.json"])
+        for name in names:
+            assert (lib / name).read_bytes() == (cli / name).read_bytes(), name
