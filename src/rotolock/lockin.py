@@ -84,8 +84,10 @@ def _part(r: HarmonicSeries, channel: str) -> HarmonicSeries:
     raise PreconditionError(f"unknown channel {channel!r}; use 'even' or 'odd'")
 
 
-def _norm(s: HarmonicSeries) -> float:
-    return float(np.hypot(np.linalg.norm(s.cos_coeffs), np.linalg.norm(s.sin_coeffs)))
+def _unit(c: np.ndarray) -> tuple[np.ndarray, int]:
+    """c scaled exactly by 2**-e to a peak magnitude in [0.5, 1), and e."""
+    e = int(np.frexp(np.max(np.abs(c)))[1])
+    return np.ldexp(c, -e), e
 
 
 def channel_gain(m: HarmonicSeries, r: HarmonicSeries, channel: str) -> tuple[float, float]:
@@ -94,7 +96,7 @@ def channel_gain(m: HarmonicSeries, r: HarmonicSeries, channel: str) -> tuple[fl
     g is the dot product of the coefficients of m with those of the
     channel's part of r over their shared harmonics.  share is
     |g| / (|m_ac|*|r|), where |r| is the norm of the whole reference: at
-    most 1 (Cauchy-Schwarz), and 0 when either norm is.
+    most 1 (Cauchy-Schwarz), and 0 when either norm is, at any scale of m or r.
     """
     if m.f_fund != r.f_fund:
         raise PreconditionError(
@@ -106,8 +108,10 @@ def channel_gain(m: HarmonicSeries, r: HarmonicSeries, channel: str) -> tuple[fl
         np.dot(m.cos_coeffs[:l], part.cos_coeffs[:l])
         + np.dot(m.sin_coeffs[:l], part.sin_coeffs[:l])
     )
-    bound = _norm(m) * _norm(r)
-    return g, (abs(g) / bound if bound > 0.0 else 0.0)
+    um, ur = (_unit(np.stack([s.cos_coeffs, s.sin_coeffs]))[0] for s in (m, r))
+    row = CHANNELS.index(channel)  # the part's row: even the cosines, odd the sines
+    bound = float(np.linalg.norm(um) * np.linalg.norm(ur))
+    return g, (abs(float(um[row, :l] @ ur[row, :l])) / bound if bound > 0.0 else 0.0)
 
 
 def _channel(m: HarmonicSeries, r: HarmonicSeries, channel: str) -> tuple[HarmonicSeries, float]:
@@ -173,7 +177,8 @@ def _slope_term(m_period: np.ndarray, r_period: np.ndarray, g: float) -> tuple:
     # so the trapezoid end weights of the lock-in integral drop out of K
     u = np.arange(w + 1) / w - 0.5
     k_phase = _phase_sums(u, m_period * r_period) * (2.0 / (w * g))
-    h = -_slope_coefficients(m_period) * k_phase[:, None]
+    m_period, e = _unit(m_period)  # exact, so that m**2 neither overflows nor underflows
+    h = -_slope_coefficients(m_period) * np.ldexp(k_phase, -e)[:, None]
     a0, b0 = h[:, 0] - 0.5 * h[:, 1], h[:, 1] / w
     a1, b1 = h[:, 2] - 0.5 * h[:, 3], h[:, 3] / w
     phase = np.arange(w)

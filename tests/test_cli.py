@@ -244,6 +244,41 @@ def test_overflowing_noise_reports_one_error_line(tmp_path, config, stderr):
     assert not (tmp_path / "out" / "metrics.json").exists()
 
 
+SLOPE_SINGULAR = (
+    "error: slope estimate is singular: within one period the modulation cannot be told "
+    "apart from a constant or linear disturbance\n"
+)
+
+
+@pytest.mark.parametrize(
+    "subcommand, config, code, stderr",
+    [
+        # pi * (disc integral) underflows: the share must come from a scale-free ratio;
+        # one sample lies strictly inside the transition, too few to fit
+        ("refsignal", {"geometry": {"r0": 1e-300}}, 3,
+         "error: no transition found: intermediate runs too short\n"),
+        # the gain's Cauchy-Schwarz bound overflows unless m is scaled first
+        ("simulate", {"modulation": {"amplitudes": [1e200] * 7}}, 0, ""),
+        # an aligned reference, but the modulation's AC part is 1e-300 of its DC:
+        # the slope estimate, not the gain floor, refuses it
+        ("simulate", {"modulation": {"amplitudes": [1e-300]}}, 3, SLOPE_SINGULAR),
+    ],
+    ids=["tiny-spot", "huge-modulation", "tiny-modulation"],
+)
+def test_extreme_scales_exit_with_one_line(tmp_path, subcommand, config, code, stderr):
+    # a fresh interpreter, so that NumPy warnings would reach stderr
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    src = Path(rotolock.__file__).resolve().parents[1]
+    argv = [subcommand, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    script = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); from rotolock.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (code, stderr)
+
+
 def test_simulate_and_modwave_never_import_scipy(tmp_path):
     # a fresh interpreter: this test process may have loaded SciPy already
     src = Path(rotolock.__file__).resolve().parents[1]
@@ -260,5 +295,6 @@ def test_simulate_and_modwave_never_import_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     probes = [line for line in proc.stdout.splitlines() if line.startswith("after ")]
     assert probes[0] == "after simulate, modwave: []"
-    # the probe does see SciPy where it is used
-    assert "'scipy.integrate'" in probes[1] and "'scipy.optimize'" in probes[1]
+    # the probe does see SciPy where it is used: only the transition fit
+    # needs it, the occlusion integral is a NumPy rule
+    assert "'scipy.optimize'" in probes[1] and "'scipy.integrate'" not in probes[1]

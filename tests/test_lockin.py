@@ -112,6 +112,18 @@ class TestChannelGain:
         big = HarmonicSeries(F_M, 0.0, 1e4 * r.cos_coeffs, 1e4 * r.sin_coeffs)
         assert channel_gain(m, big, "even")[1] == pytest.approx(share, rel=1e-14)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("factor", [1e200, 1e-300])
+    def test_share_holds_at_extreme_amplitudes(self, factor):
+        # |m|*|r| overflows or underflows unless each series is scaled first
+        m, r = stock_modulation_series(), square_ref(phase=0.4)
+        scaled = HarmonicSeries(F_M, 0.0, factor * m.cos_coeffs, factor * m.sin_coeffs)
+        for c in ("even", "odd"):
+            g, share = channel_gain(m, r, c)
+            g_big, share_big = channel_gain(scaled, r, c)
+            assert share_big == pytest.approx(share, abs=1e-12)
+            assert g_big == pytest.approx(factor * g, rel=1e-14)
+
     def test_unit_fundamentals_give_unit_gain(self):
         m = unit_cosine_series()
         assert channel_gain(m, unit_cosine_series(), "even") == pytest.approx((1.0, 1.0))

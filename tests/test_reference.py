@@ -1,9 +1,12 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+import rotolock.reference
 from rotolock.errors import ConfigError, PreconditionError
 from rotolock.reference import (
     EmissionFit,
@@ -84,6 +87,26 @@ def segment_oracle(g: SpotGeometry, a: float, n: int = 96) -> float:
     return float(weighted_area(math.acos(a / g.r0)) / weighted_area(math.pi))
 
 
+def radial_oracle(g: SpotGeometry, a: float) -> float:
+    """Emission-weighted share of the spot beyond a chord at distance a from
+    its center, by adaptive quadrature of the blocked arc over the radius.
+
+    The arc 2*acos(a/rho) has a square-root edge at rho = a, so the
+    breakpoints sit just past it.
+    """
+    em = g.emission
+
+    def weighted(rho):
+        return (em.A * math.cos(em.k * math.atan(rho / g.d)) + em.c) * rho
+
+    tol = dict(epsabs=1e-12, epsrel=1e-12, limit=500)
+    span = g.r0 - a
+    points = [a + f * span for f in (1e-6, 1e-3)] if span > 0.0 else None
+    minor, _ = quad(lambda rho: weighted(rho) * math.acos(a / rho), a, g.r0, points=points, **tol)
+    disc, _ = quad(weighted, 0.0, g.r0, **tol)
+    return minor / (math.pi * disc)
+
+
 class TestTransmittedFraction:
     def test_far_blade_passes_everything(self):
         g = SpotGeometry()
@@ -136,6 +159,32 @@ class TestTransmittedFraction:
         expected = segment_oracle(g, abs(h))
         expected = expected if h >= 0.0 else 1.0 - expected
         assert abs(transmitted_fraction(g, theta) - expected) <= 1e-10
+
+    @pytest.mark.filterwarnings("ignore:emission angle")
+    @pytest.mark.parametrize("r0_over_d", [0.25, 5.0, 25.0])
+    @pytest.mark.parametrize("a_over_r0", [0.0, 1e-8, 1e-4, 1e-3, 3e-3, 0.3, 0.95, 1.0 - 1e-9])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_matches_radial_quadrature_oracle(self, r0_over_d, a_over_r0, sign):
+        g = SpotGeometry(d=0.5 / r0_over_d)
+        theta = math.asin(sign * a_over_r0 * g.r0 / g.R0)
+        a = abs(g.R0 * math.sin(theta))  # the chord distance the code sees
+        expected = radial_oracle(g, a)
+        expected = expected if sign > 0.0 else 1.0 - expected
+        assert abs(transmitted_fraction(g, theta) - expected) <= 1e-10
+
+    def test_unconverged_rule_is_refused(self, monkeypatch):
+        g = SpotGeometry()
+        monkeypatch.setattr(rotolock.reference, "_MAX_NODES", 16)
+        with pytest.raises(PreconditionError, match="did not converge"):
+            transmitted_fraction(g, 0.3 * g.theta_max)
+        # the plateaus need no rule
+        assert transmitted_fraction(g, -3.0) == 1.0
+        assert transmitted_fraction(g, g.theta_gnd / 2.0) == 0.0
+
+    def test_tiny_spot_is_scale_free(self):
+        # pi times the disc integral underflows at r0 = 1e-300 in millimetres
+        g = SpotGeometry(r0=1e-300)
+        assert transmitted_fraction(g, 0.0) == pytest.approx(0.5, abs=1e-9)
 
     def test_default_geometry_stays_inside_the_fitted_lobe(self):
         grid = TimeGrid(dt=1.0 / (F_ROT * 200), n=200, t0=0.0)
@@ -211,6 +260,15 @@ class TestReferenceWaveform:
         assert len(runs) == 2
         assert np.all(np.diff(v[runs[0]]) <= 1e-12)
         assert np.all(np.diff(v[runs[1]]) >= -1e-12)
+
+    def test_matches_the_benchmark_snapshot(self, one_period):
+        # one period at the default geometry, as `rotolock refsignal` writes it
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "refsignal_seed.txt"
+        seed = np.loadtxt(path)
+        v = one_period.values
+        assert np.max(np.abs(v - seed)) <= 1e-10
+        assert np.array_equal(v == 0.0, seed == 0.0) and np.any(v == 0.0)
+        assert np.array_equal(v == 1.0, seed == 1.0) and np.any(v == 1.0)
 
     def test_periodic_across_revolutions(self):
         g = SpotGeometry()
