@@ -176,9 +176,12 @@ def _slope_term(m_period: np.ndarray, r_period: np.ndarray, g: float) -> tuple:
     # the window's end samples share a phase and carry u = -1/2 and +1/2,
     # so the trapezoid end weights of the lock-in integral drop out of K
     u = np.arange(w + 1) / w - 0.5
-    k_phase = _phase_sums(u, m_period * r_period) * (2.0 / (w * g))
     m_period, e = _unit(m_period)  # exact, so that m**2 neither overflows nor underflows
-    h = -_slope_coefficients(m_period) * np.ldexp(k_phase, -e)[:, None]
+    # first, so that a modulation too flat to fit is refused before its K overflows
+    coef = _slope_coefficients(m_period)
+    # K from the scaled period, with g scaled alike: the same bits as unscaled
+    k_phase = _phase_sums(u, m_period * r_period) * (2.0 / (w * np.ldexp(g, -e)))
+    h = -coef * np.ldexp(k_phase, -e)[:, None]
     a0, b0 = h[:, 0] - 0.5 * h[:, 1], h[:, 1] / w
     a1, b1 = h[:, 2] - 0.5 * h[:, 3], h[:, 3] / w
     phase = np.arange(w)

@@ -8,6 +8,10 @@ each radius and a Gauss-Legendre rule for the radial integral of the
 emission-weighted arc, with a Monte Carlo cross-check), fits the transition
 with a cosine model, detects the period, and builds the clean harmonic
 references used for demodulation.
+
+`transmitted_fraction` takes one angle or an array of them through one
+code path: the angles on an edge share each node count of the rule and its
+disc integral, so a whole waveform is one call.
 """
 
 from __future__ import annotations
@@ -29,6 +33,10 @@ DEFAULT_EMISSION_K = 0.0789 * 180.0 / np.pi
 DEFAULT_EMISSION_C = 4.227
 
 _MAX_NODES = 4096  # node cap of the radial rule in `transmitted_fraction`
+# fixed blocks, so that the temporaries of `transmitted_fraction` do not grow
+# with its input: angles classified per pass, floats per temporary of the rule
+_ANGLE_BLOCK = 256
+_RULE_FLOATS = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -150,13 +158,13 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return frozen(0.5 * (x + 1.0)), frozen(0.5 * w)
 
 
-def transmitted_fraction(geom: SpotGeometry, theta: float) -> float:
+def transmitted_fraction(geom: SpotGeometry, theta) -> np.ndarray | float:
     """Emission-weighted fraction of the LED spot not covered by the blade.
 
-    theta is the angle from the blade's leading edge to the spot center,
-    wrapped to [-pi, pi).  Piecewise: 1 while the blade is clear of the
-    spot, a monotone transition while an edge sweeps across it, exactly 0
-    while the sector covers it.
+    theta (a float or an array) is the angle from the blade's leading edge
+    to the spot center, wrapped to [-pi, pi).  Piecewise: 1 while the blade
+    is clear of the spot, a monotone transition while an edge sweeps across
+    it, exactly 0 while the sector covers it.  A float in gives a float out.
 
     The spot is narrower than the sector (`_check_small_spot`), so at most
     one edge crosses it and inside the spot the blade covers a half-plane.
@@ -165,43 +173,88 @@ def transmitted_fraction(geom: SpotGeometry, theta: float) -> float:
     has the closed-form arc 2*acos(|h|/rho) on the far side of the edge
     for rho > |h| and none for rho <= |h|.  The far side (the minor
     segment) is the open part when h >= 0 and the blocked part otherwise.
-    In units of r0, with a = |h|/r0 and W the emission weight, its share is
-    int_a^1 W*rho*acos(a/rho) d rho over pi*int_0^1 W*rho d rho.  One
-    Gauss-Legendre rule in u on [0, 1] gives both, with rho = a + (1-a)*u**2
-    and rho = u**2 (the u**2 absorbs the square-root edge at rho = a).  Its
-    node count doubles from 16 until two successive shares agree to 1e-13;
-    a rule that has not converged at _MAX_NODES raises PreconditionError.
+    The angles are classified _ANGLE_BLOCK at a time and those on an edge
+    go to `_minor_share`; the emission-lobe warning fires once per call,
+    and only when some angle is on an edge.
     """
     _check_small_spot(geom)
-    theta = _wrap_angle(float(theta))
-    trail = theta - geom.theta_gnd  # trailing-edge angle, wrapped like theta
-    if trail < -math.pi:
-        trail += 2.0 * math.pi
+    theta = np.asarray(theta, dtype=float)
+    out = np.empty(theta.shape)
+    angles, flat = theta.reshape(-1), out.reshape(-1)
     t_max = geom.theta_max
-    if abs(theta) < t_max:
-        h = geom.R0 * math.sin(theta)
-    elif abs(trail) < t_max:
-        h = -geom.R0 * math.sin(trail)
-    else:
-        return 0.0 if 0.0 <= theta <= geom.theta_gnd else 1.0
+    edges, dists = [], []
+    for start in range(0, angles.size, _ANGLE_BLOCK):
+        th = _wrap_angle(angles[start : start + _ANGLE_BLOCK])
+        trail = th - geom.theta_gnd  # trailing-edge angle, wrapped like theta
+        trail[trail < -math.pi] += 2.0 * math.pi
+        lead = np.abs(th) < t_max
+        edge = np.flatnonzero(lead | (np.abs(trail) < t_max))
+        flat[start : start + th.size] = np.where((0.0 <= th) & (th <= geom.theta_gnd), 0.0, 1.0)
+        if edge.size:
+            edges.append(start + edge)
+            dists.append(
+                np.where(lead[edge], geom.R0 * np.sin(th[edge]), -geom.R0 * np.sin(trail[edge]))
+            )
+    if edges:
+        emission_intensity(geom.emission, math.atan(geom.r0 / geom.d))  # warns past the fitted lobe
+        h = np.concatenate(dists)
+        # R0*sin(theta) may round past r0 just inside t_max
+        share = _minor_share(geom, np.minimum(np.abs(h) / geom.r0, 1.0))
+        flat[np.concatenate(edges)] = np.where(h >= 0.0, share, 1.0 - share)
+    return float(out) if out.ndim == 0 else out
 
+
+def _minor_share(geom: SpotGeometry, a: np.ndarray) -> np.ndarray:
+    """Emission-weighted share of the spot beyond a chord at distance a*r0
+    from its center, for each a in [0, 1].
+
+    In units of r0, with W the emission weight, the share is
+    int_a^1 W*rho*acos(a/rho) d rho over pi*int_0^1 W*rho d rho.  One
+    Gauss-Legendre rule in u on [0, 1] gives both, with rho = a + (1-a)*u**2
+    and rho = u**2 (the u**2 absorbs the square-root edge at rho = a); the
+    disc integral is computed once per node count.  The node count doubles
+    from 16, and each a leaves the batch when its own two successive shares
+    agree to 1e-13; an a that has not converged at _MAX_NODES raises
+    PreconditionError.  Each rule temporary holds at most _RULE_FLOATS
+    floats (one row of nodes past that).
+    """
     em = geom.emission
-    emission_intensity(em, math.atan(geom.r0 / geom.d))  # warns past the fitted lobe
-    a = min(abs(h) / geom.r0, 1.0)  # R0*sin(theta) may round past r0 just inside t_max
-    prev = math.inf
+    scale = geom.r0 / geom.d
+
+    def weight(rho):
+        return em.A * np.cos(em.k * np.arctan(rho * scale)) + em.c
+
+    share = np.empty_like(a)
+    prev = np.full_like(a, math.inf)
+    pending = np.arange(a.size)
     for n in (1 << i for i in range(4, _MAX_NODES.bit_length())):  # 16, 32, ..., _MAX_NODES
         u, w = _gauss_legendre(n)
-        rho = np.stack([a + (1.0 - a) * u * u, u * u])  # minor segment, whole disc
-        f = (em.A * np.cos(em.k * np.arctan(rho * (geom.r0 / geom.d))) + em.c) * rho * u
-        f[0] *= (1.0 - a) * np.arccos(a / rho[0])
-        minor, disc = (f @ w).tolist()
-        share = minor / (math.pi * disc)
-        if abs(share - prev) <= 1e-13:
-            return share if h >= 0.0 else 1.0 - share
-        prev = share
+        rho_disc = u * u
+        w_disc = weight(rho_disc)
+        if not np.all(w_disc > 0.0):
+            raise PreconditionError(
+                "emission weight A*cos(k*atan(rho/d)) + c must be positive over the spot "
+                f"(A = {em.A:.4g}, c = {em.c:.4g})"
+            )
+        disc = float((w_disc * rho_disc * u) @ w)
+        rows = max(1, _RULE_FLOATS // n)
+        cur = np.empty(pending.size)
+        for i in range(0, pending.size, rows):
+            b = a[pending[i : i + rows], None]
+            rho = b + (1.0 - b) * u * u
+            f = weight(rho) * rho * u
+            f *= (1.0 - b) * np.arccos(b / rho)
+            cur[i : i + rows] = f @ w
+        cur /= math.pi * disc
+        done = np.abs(cur - prev[pending]) <= 1e-13
+        share[pending[done]] = cur[done]
+        prev[pending] = cur
+        pending = pending[~done]
+        if not pending.size:
+            return share
     raise PreconditionError(
         f"occlusion integral did not converge within {_MAX_NODES} Gauss-Legendre nodes "
-        f"(r0/d = {geom.r0 / geom.d:.3g}, |h|/r0 = {a:.3g})"
+        f"(r0/d = {scale:.3g}, |h|/r0 = {a[pending[0]]:.3g})"
     )
 
 
@@ -236,18 +289,17 @@ def transmitted_fraction_mc(
 def reference_waveform(geom: SpotGeometry, grid: TimeGrid, f_rot: float) -> SampledSignal:
     """Photodiode output over time: transmitted_fraction at theta = 2*pi*f_rot*t.
 
-    Values repeat each rotation period, so the occlusion integral is
-    evaluated once per distinct angle.
+    Values repeat each rotation period, so the angles are rounded to 12
+    decimals and the distinct ones go through one call of
+    `transmitted_fraction`.
     """
     if not (f_rot > 0.0):
         raise PreconditionError(f"rotation frequency must be positive, got {f_rot}")
     _check_small_spot(geom)
     theta = _wrap_angle(2.0 * np.pi * f_rot * grid.times())
-    # collapse angles that are equal up to float jitter before the expensive calls
-    keys = np.round(theta, 12)
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    frac = np.array([transmitted_fraction(geom, th) for th in uniq])
-    return SampledSignal(grid, frozen(frac[inverse]))
+    # collapse angles that are equal up to float jitter before the rule
+    uniq, inverse = np.unique(np.round(theta, 12), return_inverse=True)
+    return SampledSignal(grid, frozen(transmitted_fraction(geom, uniq)[inverse]))
 
 
 def _first_transition(values: np.ndarray) -> slice:
@@ -275,8 +327,10 @@ def fit_trapezoid_cosine(signal: SampledSignal, f_rot: float) -> tuple[Trapezoid
     """Least-squares cosine fit B*cos(u*theta + phi) + c2 over the first
     transition of a trapezoid-like waveform.
 
-    theta is the (unwrapped) rotation angle 2*pi*f_rot*t.  Returns the fit
-    and the residual RMS over the fitted segment.
+    theta is the (unwrapped) rotation angle 2*pi*f_rot*t.  Returns the fit,
+    on its canonical branch (`TrapezoidFit.canonical`: the starts below tie
+    up to that symmetry, so rounding would otherwise pick the sign), and
+    the residual RMS over the fitted segment.
     """
     from scipy.optimize import curve_fit  # here, so simulate and modwave never load SciPy
 
@@ -315,7 +369,7 @@ def fit_trapezoid_cosine(signal: SampledSignal, f_rot: float) -> tuple[Trapezoid
         raise PreconditionError("cosine fit of the transition did not converge")
     popt, resid = best
     fit = TrapezoidFit(B=float(popt[0]), u=float(popt[1]), phi=float(popt[2]), c2=float(popt[3]))
-    return fit, resid
+    return fit.canonical(), resid
 
 
 def detect_period(signal: SampledSignal, threshold: float) -> float:

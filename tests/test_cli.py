@@ -262,8 +262,18 @@ SLOPE_SINGULAR = (
         # an aligned reference, but the modulation's AC part is 1e-300 of its DC:
         # the slope estimate, not the gain floor, refuses it
         ("simulate", {"modulation": {"amplitudes": [1e-300]}}, 3, SLOPE_SINGULAR),
+        # a subnormal AC part: refused before the slope term's K overflows
+        ("simulate", {"modulation": {"amplitudes": [1e-310]}}, 3, SLOPE_SINGULAR),
+        # an emission weight that vanishes or is negative over the spot
+        ("refsignal", {"geometry": {"emission": {"A": 0, "c": 0}}}, 3,
+         "error: emission weight A*cos(k*atan(rho/d)) + c must be positive over the spot "
+         "(A = 0, c = 0)\n"),
+        ("refsignal", {"geometry": {"emission": {"A": 0, "c": -1}}}, 3,
+         "error: emission weight A*cos(k*atan(rho/d)) + c must be positive over the spot "
+         "(A = 0, c = -1)\n"),
     ],
-    ids=["tiny-spot", "huge-modulation", "tiny-modulation"],
+    ids=["tiny-spot", "huge-modulation", "tiny-modulation", "subnormal-modulation",
+         "zero-emission", "negative-emission"],
 )
 def test_extreme_scales_exit_with_one_line(tmp_path, subcommand, config, code, stderr):
     # a fresh interpreter, so that NumPy warnings would reach stderr

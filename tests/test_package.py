@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import json
+import math
 import re
 from pathlib import Path
 
@@ -8,8 +9,10 @@ import numpy as np
 
 import rotolock
 import rotolock.lockin
+import rotolock.reference
 import rotolock.signals
 from rotolock.lockin import demodulate, slope_compensate
+from rotolock.reference import SpotGeometry, reference_waveform
 from rotolock.signals import HarmonicSeries, SampledSignal, TimeGrid, moving_integral
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.json"
@@ -57,6 +60,23 @@ def test_one_trailing_window_kernel(monkeypatch):
         calls.clear()
         run()
         assert len(calls) == 1
+
+
+def test_one_occlusion_pass_per_waveform(monkeypatch):
+    # the distinct angles of a waveform go through transmitted_fraction
+    # together, not one call per angle
+    rule = rotolock.reference.transmitted_fraction
+    sizes = []
+
+    def counted(geom, theta):
+        sizes.append(np.size(theta))
+        return rule(geom, theta)
+
+    monkeypatch.setattr(rotolock.reference, "transmitted_fraction", counted)
+    grid = TimeGrid(dt=1.0 / (2500.0 * 2000), n=2000)
+    reference_waveform(SpotGeometry(), grid, 2500.0)
+    assert sum(sizes) == 2000  # the distinct angles of one period
+    assert len(sizes) <= math.ceil(sum(sizes) / rotolock.reference._ANGLE_BLOCK)
 
 
 def test_one_json_writer():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -177,6 +178,10 @@ class TestTransmittedFraction:
         monkeypatch.setattr(rotolock.reference, "_MAX_NODES", 16)
         with pytest.raises(PreconditionError, match="did not converge"):
             transmitted_fraction(g, 0.3 * g.theta_max)
+        # in an array with plateau angles, the message names the geometry
+        theta = np.array([-3.0, 0.3 * g.theta_max, g.theta_gnd / 2.0])
+        with pytest.raises(PreconditionError, match=r"r0/d = 0\.25, \|h\|/r0 = 0\.3\b"):
+            transmitted_fraction(g, theta)
         # the plateaus need no rule
         assert transmitted_fraction(g, -3.0) == 1.0
         assert transmitted_fraction(g, g.theta_gnd / 2.0) == 0.0
@@ -216,6 +221,89 @@ class TestTrailingEdgePastPi:
         below, above = transmitted_fraction(g, math.pi - eps), transmitted_fraction(g, -math.pi + eps)
         assert 0.0 < below < 1.0
         assert abs(above - below) < 1e-5  # the sweep rate is O(1) per radian
+
+
+def edge_angles(g: SpotGeometry) -> np.ndarray:
+    """Angles on both plateaus and both edges, the edges' ends exactly, the
+    +-pi wrap and chords a hair inside the rim (a/r0 -> 1)."""
+    t_max = g.theta_max
+    near_rim = math.asin((1.0 - 1e-9) * g.r0 / g.R0)
+    special = [
+        -t_max, t_max, g.theta_gnd - t_max, g.theta_gnd + t_max,
+        -near_rim, near_rim, g.theta_gnd - near_rim, g.theta_gnd + near_rim,
+        -math.pi, math.pi, math.pi - 1e-7, -math.pi + 1e-7, 0.0, g.theta_gnd,
+    ]
+    sweep = np.linspace(-t_max, g.theta_gnd + t_max, 301)
+    return np.concatenate([special, sweep, np.linspace(-math.pi, math.pi, 64)])
+
+
+@pytest.mark.filterwarnings("ignore:emission angle")
+class TestArrayRule:
+    @pytest.mark.parametrize(
+        "geom",
+        [{}, {"d": 1e-6}, TestTrailingEdgePastPi.GEOM],
+        ids=["default", "d-1e-6", "edge-past-pi"],
+    )
+    def test_array_call_matches_scalar_calls(self, geom):
+        g = SpotGeometry(**geom)
+        theta = edge_angles(g)
+        got = transmitted_fraction(g, theta)
+        want = np.array([transmitted_fraction(g, th) for th in theta])
+        assert got.shape == theta.shape
+        assert np.max(np.abs(got - want)) <= 1e-15
+        assert np.array_equal(got == 0.0, want == 0.0) and np.any(got == 0.0)
+        assert np.array_equal(got == 1.0, want == 1.0) and np.any(got == 1.0)
+        assert np.any((got > 0.0) & (got < 1.0))
+
+    def test_d_1e_6_needs_512_nodes(self, monkeypatch):
+        # the node cap is reached only for the rule that needs it
+        g = SpotGeometry(d=1e-6)
+        theta = edge_angles(g)
+        want = transmitted_fraction(g, theta)
+        monkeypatch.setattr(rotolock.reference, "_MAX_NODES", 512)
+        assert np.array_equal(transmitted_fraction(g, theta), want)
+        monkeypatch.setattr(rotolock.reference, "_MAX_NODES", 256)
+        with pytest.raises(PreconditionError, match="did not converge"):
+            transmitted_fraction(g, theta)
+
+    def test_blocks_do_not_change_the_result(self, monkeypatch):
+        g = SpotGeometry()
+        theta = edge_angles(g)
+        want = transmitted_fraction(g, theta)
+        monkeypatch.setattr(rotolock.reference, "_ANGLE_BLOCK", 7)
+        monkeypatch.setattr(rotolock.reference, "_RULE_FLOATS", 1)
+        assert np.max(np.abs(transmitted_fraction(g, theta) - want)) <= 1e-15
+
+    def test_shape_is_kept(self):
+        g = SpotGeometry()
+        theta = edge_angles(g)[:60].reshape(3, 4, 5)
+        got = transmitted_fraction(g, theta)
+        assert got.shape == (3, 4, 5)
+        assert np.array_equal(got.ravel(), transmitted_fraction(g, theta.ravel()))
+        assert transmitted_fraction(g, np.empty(0)).shape == (0,)
+
+    @pytest.mark.parametrize("theta", [0.01, -3.0, np.float64(0.3), np.array(0.01)])
+    def test_scalar_in_gives_float_out(self, theta):
+        assert type(transmitted_fraction(SpotGeometry(), theta)) is float
+
+    def test_lobe_warning_once_per_call_and_only_on_an_edge(self):
+        g = SpotGeometry(r0=0.5, d=0.5)  # past the fitted lobe
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            transmitted_fraction(g, edge_angles(g))
+        assert len(caught) == 1 and "extrapolating" in str(caught[0].message)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plateaus = np.array([-3.0, -1.0, g.theta_gnd / 2.0, 2.0])
+            assert set(transmitted_fraction(g, plateaus)) == {0.0, 1.0}
+
+    @pytest.mark.parametrize("emission", [{"A": 0.0, "c": 0.0}, {"A": 0.0, "c": -1.0},
+                                          {"A": 2.0, "c": -1.0}])
+    def test_non_positive_weight_is_refused(self, emission):
+        g = SpotGeometry(emission=EmissionFit(**emission))
+        with pytest.raises(PreconditionError, match="must be positive"):
+            transmitted_fraction(g, np.array([-3.0, 0.0]))
+        assert transmitted_fraction(g, -3.0) == 1.0  # the plateaus need no weight
 
 
 F_ROT = 2500.0
@@ -270,6 +358,19 @@ class TestReferenceWaveform:
         assert np.array_equal(v == 0.0, seed == 0.0) and np.any(v == 0.0)
         assert np.array_equal(v == 1.0, seed == 1.0) and np.any(v == 1.0)
 
+    @pytest.mark.parametrize("spp", [REF_SPP, 10 * REF_SPP])
+    def test_peak_memory_is_a_few_outputs(self, spp):
+        # the rule works in fixed blocks: its temporaries do not grow with the input
+        grid = TimeGrid(dt=1.0 / (self.F_ROT * spp), n=spp, t0=0.0)
+        reference_waveform(SpotGeometry(), grid, self.F_ROT)  # node tables cached
+        tracemalloc.start()
+        try:
+            wave = reference_waveform(SpotGeometry(), grid, self.F_ROT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.5 * wave.values.nbytes
+
     def test_periodic_across_revolutions(self):
         g = SpotGeometry()
         grid = TimeGrid(dt=1.0 / (self.F_ROT * 40), n=80, t0=0.0)
@@ -298,6 +399,18 @@ class TestFitTrapezoidCosine:
         wave = reference_waveform(SpotGeometry(), grid, self.F_ROT)
         _, resid = fit_trapezoid_cosine(wave, self.F_ROT)
         assert resid < 0.02  # plateau height is 1
+
+    def test_fit_is_canonical_and_stable_under_one_ulp(self, one_period):
+        # the cosine starts tie up to sign; one ulp on the transition must not
+        # flip the reported branch
+        v = one_period.values
+        inside = (v > 0.0) & (v < 1.0)
+        nudged = SampledSignal(one_period.grid, np.where(inside, np.nextafter(v, 2.0), v))
+        fits = [fit_trapezoid_cosine(s, self.F_ROT)[0] for s in (one_period, nudged)]
+        for fit in fits:
+            assert fit.B >= 0.0 and fit.u > 0.0 and 0.0 <= fit.phi < 2.0 * math.pi
+        for name in ("B", "u", "phi", "c2"):
+            assert getattr(fits[1], name) == pytest.approx(getattr(fits[0], name), abs=1e-6)
 
     def test_measured_fit_width_is_same_order_as_sweep_angle(self):
         # a transition fit measured on the stock optical switch: its cosine
