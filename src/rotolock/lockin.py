@@ -164,6 +164,8 @@ def demodulate(
     return _lockin(s_m, m, r, channel, compensate=False)
 
 
+# weights that overflow (a subnormal m) are left to SampledSignal's finiteness check
+@np.errstate(over="ignore", invalid="ignore")
 def _slope_term(m_period: np.ndarray, r_period: np.ndarray, g: float) -> tuple:
     """The slope term K*s'_hat, subtracted, as plain sources of `window_sums`.
 

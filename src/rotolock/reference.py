@@ -327,10 +327,10 @@ def fit_trapezoid_cosine(signal: SampledSignal, f_rot: float) -> tuple[Trapezoid
     """Least-squares cosine fit B*cos(u*theta + phi) + c2 over the first
     transition of a trapezoid-like waveform.
 
-    theta is the (unwrapped) rotation angle 2*pi*f_rot*t.  Returns the fit,
-    on its canonical branch (`TrapezoidFit.canonical`: the starts below tie
-    up to that symmetry, so rounding would otherwise pick the sign), and
-    the residual RMS over the fitted segment.
+    theta is the (unwrapped) rotation angle 2*pi*f_rot*t.  One `curve_fit`
+    runs from a start on the canonical branch (B, u > 0; any other start is
+    the same cosine, see `TrapezoidFit.canonical`).  Returns the fit on that
+    branch and the residual RMS over the fitted segment.
     """
     from scipy.optimize import curve_fit  # here, so simulate and modwave never load SciPy
 
@@ -343,31 +343,19 @@ def fit_trapezoid_cosine(signal: SampledSignal, f_rot: float) -> tuple[Trapezoid
     vmin, vmax = float(np.min(signal.values)), float(np.max(signal.values))
     c0 = 0.5 * (vmax + vmin)
     b0 = 0.5 * (vmax - vmin)
-    dtheta = theta[-1] - theta[0]
     ncross = int(np.count_nonzero(np.diff(np.sign(v - c0)) != 0))
-    u0 = max(ncross, 1) * np.pi / max(dtheta, 1e-12)
+    u0 = max(ncross, 1) * np.pi / max(theta[-1] - theta[0], 1e-12)
+    # the phi branch whose initial slope -b0*u0*sin(phi) has the sign of v[-1] - v[0]
+    phi0 = math.copysign(math.acos(float(np.clip((v[0] - c0) / b0, -1.0, 1.0))), v[0] - v[-1])
 
     def model(th, B, u, phi, c2):
         return B * np.cos(u * th + phi) + c2
 
-    best = None
-    for u_init in (u0, -u0):
-        # choose the phi branch whose initial slope matches the data
-        cos0 = np.clip((v[0] - c0) / b0, -1.0, 1.0)
-        for phi_branch in (np.arccos(cos0), -np.arccos(cos0)):
-            phi_init = phi_branch - u_init * theta[0]
-            try:
-                popt, _ = curve_fit(
-                    model, theta, v, p0=[b0, u_init, phi_init, c0], maxfev=20000
-                )
-            except RuntimeError:
-                continue
-            resid = float(np.sqrt(np.mean((v - model(theta, *popt)) ** 2)))
-            if best is None or resid < best[1]:
-                best = (popt, resid)
-    if best is None:
-        raise PreconditionError("cosine fit of the transition did not converge")
-    popt, resid = best
+    try:
+        popt, _ = curve_fit(model, theta, v, p0=[b0, u0, phi0 - u0 * theta[0], c0], maxfev=20000)
+    except RuntimeError:
+        raise PreconditionError("cosine fit of the transition did not converge") from None
+    resid = float(np.sqrt(np.mean((v - model(theta, *popt)) ** 2)))
     fit = TrapezoidFit(B=float(popt[0]), u=float(popt[1]), phi=float(popt[2]), c2=float(popt[3]))
     return fit.canonical(), resid
 

@@ -123,16 +123,6 @@ class HarmonicSeries:
     cos_coeffs: np.ndarray
     sin_coeffs: np.ndarray
 
-    def __eq__(self, other):
-        if not isinstance(other, HarmonicSeries):
-            return NotImplemented
-        return (
-            self.f_fund == other.f_fund
-            and self.dc == other.dc
-            and np.array_equal(self.cos_coeffs, other.cos_coeffs)
-            and np.array_equal(self.sin_coeffs, other.sin_coeffs)
-        )
-
     def __post_init__(self):
         if not (self.f_fund > 0.0):
             raise PreconditionError(f"fundamental must be positive, got {self.f_fund}")

@@ -125,6 +125,21 @@ class TestSimulate:
                      "restored.csv", "restored_downsampled.csv", "metrics.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_ref_flag_matches_config_file(self, tmp_path):
+        flag, file = tmp_path / "flag", tmp_path / "file"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ref_kind": "sine"}))
+        assert run_cli("simulate", "--ref", "sine", "--out", str(flag)) == 0
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(file)) == 0
+        names = sorted(p.name for p in flag.iterdir())
+        assert names == sorted(p.name for p in file.iterdir())
+        for name in names:
+            if name != "manifest.json":  # it names its own output directory
+                assert (flag / name).read_bytes() == (file / name).read_bytes(), name
+        manifests = [json.loads((out / "manifest.json").read_text()) for out in (flag, file)]
+        assert manifests[0]["config"] == manifests[1]["config"]
+        assert manifests[0]["config"]["ref_kind"] == "sine"
+
     def test_manifest_for_other_subcommand_rejected(self, tmp_path):
         out = tmp_path / "a"
         assert run_cli("modwave", "--out", str(out)) == 0
@@ -264,6 +279,9 @@ SLOPE_SINGULAR = (
         ("simulate", {"modulation": {"amplitudes": [1e-300]}}, 3, SLOPE_SINGULAR),
         # a subnormal AC part: refused before the slope term's K overflows
         ("simulate", {"modulation": {"amplitudes": [1e-310]}}, 3, SLOPE_SINGULAR),
+        # with no offset m is not singular, but its slope weights overflow
+        ("simulate", {"modulation": {"amplitudes": [1e-310], "offset": 0}}, 3,
+         "error: signal values must all be finite\n"),
         # an emission weight that vanishes or is negative over the spot
         ("refsignal", {"geometry": {"emission": {"A": 0, "c": 0}}}, 3,
          "error: emission weight A*cos(k*atan(rho/d)) + c must be positive over the spot "
@@ -273,7 +291,7 @@ SLOPE_SINGULAR = (
          "(A = 0, c = -1)\n"),
     ],
     ids=["tiny-spot", "huge-modulation", "tiny-modulation", "subnormal-modulation",
-         "zero-emission", "negative-emission"],
+         "subnormal-zero-offset", "zero-emission", "negative-emission"],
 )
 def test_extreme_scales_exit_with_one_line(tmp_path, subcommand, config, code, stderr):
     # a fresh interpreter, so that NumPy warnings would reach stderr

@@ -11,6 +11,7 @@ import rotolock
 import rotolock.lockin
 import rotolock.reference
 import rotolock.signals
+from rotolock.cli import main
 from rotolock.lockin import demodulate, slope_compensate
 from rotolock.reference import SpotGeometry, reference_waveform
 from rotolock.signals import HarmonicSeries, SampledSignal, TimeGrid, moving_integral
@@ -77,6 +78,24 @@ def test_one_occlusion_pass_per_waveform(monkeypatch):
     reference_waveform(SpotGeometry(), grid, 2500.0)
     assert sum(sizes) == 2000  # the distinct angles of one period
     assert len(sizes) <= math.ceil(sum(sizes) / rotolock.reference._ANGLE_BLOCK)
+
+
+def test_one_fit_per_transition(monkeypatch, tmp_path):
+    # the reference transition is fitted from one start on the canonical
+    # branch: one default refsignal makes one curve_fit call
+    import scipy.optimize
+
+    fit = scipy.optimize.curve_fit
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fit(*args, **kwargs)
+
+    # the fit imports curve_fit when it runs, so it picks up the patched name
+    monkeypatch.setattr(scipy.optimize, "curve_fit", counted)
+    assert main(["refsignal", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 def test_one_json_writer():

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.integrate import quad
 
 import rotolock.reference
@@ -381,13 +382,26 @@ class TestReferenceWaveform:
 class TestFitTrapezoidCosine:
     F_ROT = 2500.0
 
-    def test_round_trip_recovers_parameters(self):
-        truth = TrapezoidFit(B=0.5, u=18.8, phi=2.2, c2=0.5)
+    @pytest.mark.parametrize(
+        "truth, rising",
+        [
+            (TrapezoidFit(B=0.5, u=18.8, phi=2.2, c2=0.5), False),
+            (TrapezoidFit(B=0.5, u=18.8, phi=-2.2, c2=0.5), True),
+            (TrapezoidFit(B=0.5, u=18.8, phi=0.1, c2=0.5), False),  # starts at a peak
+            (TrapezoidFit(B=-0.5, u=-18.8, phi=2.2, c2=0.5), False),
+            (TrapezoidFit(B=-0.5, u=-18.8, phi=-2.2, c2=0.5), True),
+        ],
+        ids=["falling", "rising", "falling-from-peak", "negative-falling", "negative-rising"],
+    )
+    def test_round_trip_recovers_parameters(self, truth, rising):
         grid = TimeGrid(dt=1.0 / (self.F_ROT * 2000), n=400, t0=0.0)
         theta = 2.0 * np.pi * self.F_ROT * grid.times()
         signal = SampledSignal(grid, truth(theta))
-        fit, resid = fit_trapezoid_cosine(signal, self.F_ROT)
-        got, want = fit.canonical(), truth.canonical()
+        v = signal.values[rotolock.reference._first_transition(signal.values)]
+        assert (v[-1] > v[0]) == rising
+        got, resid = fit_trapezoid_cosine(signal, self.F_ROT)
+        want = truth.canonical()
+        assert got == got.canonical()
         assert got.B == pytest.approx(want.B, abs=1e-6)
         assert got.u == pytest.approx(want.u, abs=1e-6)
         assert got.phi == pytest.approx(want.phi, abs=1e-6)
@@ -401,8 +415,7 @@ class TestFitTrapezoidCosine:
         assert resid < 0.02  # plateau height is 1
 
     def test_fit_is_canonical_and_stable_under_one_ulp(self, one_period):
-        # the cosine starts tie up to sign; one ulp on the transition must not
-        # flip the reported branch
+        # one ulp on the transition must not flip the reported branch
         v = one_period.values
         inside = (v > 0.0) & (v < 1.0)
         nudged = SampledSignal(one_period.grid, np.where(inside, np.nextafter(v, 2.0), v))
@@ -419,6 +432,14 @@ class TestFitTrapezoidCosine:
         width = math.pi / abs(measured.u)
         sweep = 2.0 * SpotGeometry().theta_max
         assert 0.1 < width / sweep < 10.0
+
+    def test_failed_fit_is_precondition_error(self, one_period, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise RuntimeError("Optimal parameters not found")
+
+        monkeypatch.setattr(scipy.optimize, "curve_fit", no_convergence)
+        with pytest.raises(PreconditionError, match="did not converge"):
+            fit_trapezoid_cosine(one_period, self.F_ROT)
 
     def test_constant_signal_has_no_transition(self):
         grid = TimeGrid(dt=1e-5, n=100)

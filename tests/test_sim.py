@@ -179,6 +179,17 @@ class TestRunSimulation:
         res = run_simulation(SimConfig(noise=NoiseSpec(kind="none")))
         assert res.metrics["bandwidth_hz"] == pytest.approx(1250.0)
 
+    def test_full_error_of_a_period_longer_than_a_block(self):
+        # a 5 Hz period is 100 000 samples, past _BLOCK_SAMPLES: the error sum
+        # evaluates the waveform block by block, not one period tiled
+        cfg = SimConfig(signal_freq=5.0, duration=0.3)
+        assert round(1.0 / (cfg.signal_freq * cfg.dt)) > _BLOCK_SAMPLES
+        res = run_simulation(cfg)
+        restored = res.restored_full
+        dev = restored.values - measured_signal(cfg, restored.grid).values
+        direct = math.sqrt(math.fsum((dev[res.warmup:] ** 2).tolist()) / (dev.size - res.warmup))
+        assert res.metrics["rms_error_full"] == pytest.approx(direct, rel=1e-12)
+
     def test_step_noise_deviations_are_localized_to_step_windows(self):
         cfg = SimConfig()  # default step noise, amplitude 10
         noisy = run_simulation(cfg)
