@@ -17,13 +17,11 @@ from .reference import (
     EmissionFit,
     SpotGeometry,
     TrapezoidFit,
-    detect_period,
     emission_intensity,
     fit_trapezoid_cosine,
     reference_waveform,
     synth_demod_reference,
     transmitted_fraction,
-    transmitted_fraction_mc,
 )
 from .signals import (
     HarmonicSeries,
@@ -60,10 +58,8 @@ __all__ = [
     "TrapezoidFit",
     "emission_intensity",
     "transmitted_fraction",
-    "transmitted_fraction_mc",
     "reference_waveform",
     "fit_trapezoid_cosine",
-    "detect_period",
     "synth_demod_reference",
     "HarmonicOutput",
     "modulate",

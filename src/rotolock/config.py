@@ -24,8 +24,8 @@ import numpy as np
 from .errors import ConfigError, PreconditionError
 
 # Largest array, in elements, that a config may ask for: 2**25 (about 33.5 M).
-# A 60 s simulation at the default 2 us step (30 M samples, ~1.3 GB at the
-# 41-45 B per sample of run_simulation's tracemalloc peak) is still accepted; a
+# A 60 s simulation at the default 2 us step (30 M samples, ~1.0 GB at the
+# 33-34 B per sample of run_simulation's tracemalloc peak) is still accepted; a
 # finite but absurd run such as duration 10000 s (5e9 samples) is a config
 # error instead of a failed allocation.
 MAX_ELEMENTS = 2**25

@@ -5,9 +5,8 @@ axis; the sector-shaped blade sweeps through the spot once per revolution
 and a photodiode behind it sees a trapezoid-like waveform.  This module
 computes that waveform from the geometry (a closed-form blocked arc at
 each radius and a Gauss-Legendre rule for the radial integral of the
-emission-weighted arc, with a Monte Carlo cross-check), fits the transition
-with a cosine model, detects the period, and builds the clean harmonic
-references used for demodulation.
+emission-weighted arc), fits the transition with a cosine model, and builds
+the clean harmonic references used for demodulation.
 
 `transmitted_fraction` takes one angle or an array of them through one
 code path: the angles on an edge share each node count of the rule and its
@@ -37,6 +36,12 @@ _MAX_NODES = 4096  # node cap of the radial rule in `transmitted_fraction`
 # with its input: angles classified per pass, floats per temporary of the rule
 _ANGLE_BLOCK = 256
 _RULE_FLOATS = 1 << 10
+# smallest phase span u*(theta[-1] - theta[0]), in radians, of an accepted
+# transition fit: below it the fitted cosine is close to a parabola over the
+# segment, so B and c2 trade off along a flat valley and are not determined
+# (over d = 0.05-20 mm at 200-20 000 samples per period, well-posed fits span
+# 0.69 rad or more and degenerate ones, with |B| > 100, 0.03 or less)
+_MIN_FIT_ARC = 0.25
 
 
 @dataclass(frozen=True)
@@ -258,34 +263,6 @@ def _minor_share(geom: SpotGeometry, a: np.ndarray) -> np.ndarray:
     )
 
 
-def transmitted_fraction_mc(
-    geom: SpotGeometry, theta: float, n_samples: int = 1_000_000, seed: int = 0
-) -> tuple[float, float]:
-    """Monte Carlo estimate of transmitted_fraction with its standard error.
-
-    Independent of the radial rule: samples points uniformly over the
-    spot disc, weights by the emission profile and tests blade coverage
-    directly.  Used to cross-validate the rule.
-    """
-    _check_small_spot(geom)
-    theta = float(_wrap_angle(theta))
-    rng = np.random.default_rng(seed)
-    rho = geom.r0 * np.sqrt(rng.random(n_samples))
-    phi = rng.random(n_samples) * 2.0 * np.pi
-    x = geom.R0 + rho * np.cos(phi)
-    y = rho * np.sin(phi)
-    psi = np.arctan2(y, x)
-    covered = ((psi - (theta - geom.theta_gnd)) % (2.0 * np.pi)) <= geom.theta_gnd
-    em = geom.emission
-    w = em.A * np.cos(em.k * np.arctan(rho / geom.d)) + em.c
-    a = w * ~covered
-    mean_b = np.mean(w)
-    estimate = float(np.sum(a) / np.sum(w))
-    resid = a - estimate * w
-    stderr = float(np.sqrt(np.var(resid) / n_samples) / mean_b)
-    return estimate, stderr
-
-
 def reference_waveform(geom: SpotGeometry, grid: TimeGrid, f_rot: float) -> SampledSignal:
     """Photodiode output over time: transmitted_fraction at theta = 2*pi*f_rot*t.
 
@@ -312,15 +289,13 @@ def _first_transition(values: np.ndarray) -> slice:
     mid = (values > vmin + 0.02 * span) & (values < vmax - 0.02 * span)
     if not np.any(mid):
         raise PreconditionError("no transition found: no intermediate samples")
-    prev = np.concatenate([[False], mid[:-1]])
-    starts = np.flatnonzero(mid & ~prev)
-    for s in starts:
-        e = s
-        while e < len(values) and mid[e]:
-            e += 1
-        if e - s >= 5:
-            return slice(s, e)
-    raise PreconditionError("no transition found: intermediate runs too short")
+    # +1 where a run of mid starts, -1 one past where it ends
+    edges = np.diff(np.concatenate(([False], mid, [False])).astype(np.int8))
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    long = np.flatnonzero(ends - starts >= 5)
+    if not long.size:
+        raise PreconditionError("no transition found: intermediate runs too short")
+    return slice(int(starts[long[0]]), int(ends[long[0]]))
 
 
 def fit_trapezoid_cosine(signal: SampledSignal, f_rot: float) -> tuple[TrapezoidFit, float]:
@@ -330,7 +305,8 @@ def fit_trapezoid_cosine(signal: SampledSignal, f_rot: float) -> tuple[Trapezoid
     theta is the (unwrapped) rotation angle 2*pi*f_rot*t.  One `curve_fit`
     runs from a start on the canonical branch (B, u > 0; any other start is
     the same cosine, see `TrapezoidFit.canonical`).  Returns the fit on that
-    branch and the residual RMS over the fitted segment.
+    branch and the residual RMS over the fitted segment.  A fit whose
+    cosine spans less than _MIN_FIT_ARC of phase over the segment is refused.
     """
     from scipy.optimize import curve_fit  # here, so simulate and modwave never load SciPy
 
@@ -355,34 +331,15 @@ def fit_trapezoid_cosine(signal: SampledSignal, f_rot: float) -> tuple[Trapezoid
         popt, _ = curve_fit(model, theta, v, p0=[b0, u0, phi0 - u0 * theta[0], c0], maxfev=20000)
     except RuntimeError:
         raise PreconditionError("cosine fit of the transition did not converge") from None
+    arc = abs(float(popt[1])) * (theta[-1] - theta[0])
+    if not arc >= _MIN_FIT_ARC:
+        raise PreconditionError(
+            f"cosine fit of the transition is ill-posed: it spans {arc:.3g} rad of phase "
+            f"over the fitted segment, below {_MIN_FIT_ARC} rad, so B and c2 are not determined"
+        )
     resid = float(np.sqrt(np.mean((v - model(theta, *popt)) ** 2)))
     fit = TrapezoidFit(B=float(popt[0]), u=float(popt[1]), phi=float(popt[2]), c2=float(popt[3]))
     return fit.canonical(), resid
-
-
-def detect_period(signal: SampledSignal, threshold: float) -> float:
-    """Mean spacing of successive downward crossings of a threshold.
-
-    threshold is a fraction of the signal's min-max range.  Crossing times
-    are linearly interpolated between samples.
-    """
-    if not (0.0 < threshold < 1.0):
-        raise PreconditionError(f"threshold must be a fraction in (0, 1), got {threshold}")
-    v = signal.values
-    vmin, vmax = float(np.min(v)), float(np.max(v))
-    if vmax <= vmin:
-        raise PreconditionError("period detection failed: signal has no crossings")
-    level = vmin + threshold * (vmax - vmin)
-    above = v >= level
-    idx = np.flatnonzero(above[:-1] & ~above[1:])
-    if len(idx) < 2:
-        raise PreconditionError(
-            f"period detection needs >= 2 downward crossings, found {len(idx)}"
-        )
-    t = signal.times()
-    frac = (v[idx] - level) / (v[idx] - v[idx + 1])
-    crossings = t[idx] + frac * signal.grid.dt
-    return float(np.mean(np.diff(crossings)))
 
 
 def synth_demod_reference(period: float, kind: str, l: int, phase: float) -> HarmonicSeries:

@@ -165,16 +165,6 @@ class WindowedSignal:
     signal: SampledSignal
     warmup: int
 
-    def valid(self) -> SampledSignal:
-        """The signal with the warm-up region trimmed off."""
-        g = self.signal.grid
-        if self.warmup == 0:
-            return self.signal
-        if self.warmup >= g.n:
-            raise PreconditionError("signal is all warm-up; lengthen the input")
-        trimmed = TimeGrid(g.dt, g.n - self.warmup, g.t0 + self.warmup * g.dt)
-        return SampledSignal(trimmed, self.signal.values[self.warmup:])
-
 
 def period_grid(series: HarmonicSeries, grid: TimeGrid) -> TimeGrid:
     """The samples of grid that determine series on all of it: the first

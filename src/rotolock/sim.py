@@ -132,7 +132,6 @@ class SimConfig(Config):
 
 @dataclass(frozen=True)
 class SimResult:
-    original: SampledSignal
     noise: SampledSignal
     modulated: SampledSignal
     modulated_noisy: SampledSignal
@@ -265,9 +264,8 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     excludes windows contaminated by a noise step.
     """
     grid = TimeGrid(cfg.dt, cfg.n_samples, 0.0)
-    original = measured_signal(cfg, grid)
     m_series = modulation_series(cfg.modulation, cfg.f_m)
-    modulated = modulate(original, m_series)
+    modulated = modulate(measured_signal(cfg, grid), m_series)
     noise = gen_noise(cfg.noise, grid)
     noisy = SampledSignal(grid, frozen(modulated.values + noise.values))
 
@@ -334,7 +332,6 @@ def run_simulation(cfg: SimConfig) -> SimResult:
         "group_delay_s": period / 2.0,
     }
     return SimResult(
-        original=original,
         noise=noise,
         modulated=modulated,
         modulated_noisy=noisy,

@@ -14,14 +14,11 @@ import pytest
 from rotolock.cli import main as cli_main
 from rotolock.lockin import harmonic_outputs, modulate
 from rotolock.modulation import ModulationFit, modulation_series
-from rotolock.reference import (
-    SpotGeometry,
-    synth_demod_reference,
-    transmitted_fraction,
-    transmitted_fraction_mc,
-)
+from rotolock.reference import SpotGeometry, synth_demod_reference, transmitted_fraction
 from rotolock.signals import HarmonicSeries, SampledSignal, TimeGrid, fit_harmonics, synth
 from rotolock.sim import NoiseSpec, SimConfig, run_simulation, step_contamination_mask
+
+from oracles import transmitted_fraction_mc
 
 DT = 2e-6
 F_M = 2500.0

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -71,6 +72,21 @@ class TestRefsignal:
         fit = json.loads((tmp_path / "trapezoid_fit.json").read_text())
         assert fit["period"] == pytest.approx(1.0 / 2500.0)
         assert fit["residual_rms"] < 0.02
+
+    @pytest.mark.filterwarnings("ignore:emission angle")
+    @pytest.mark.parametrize("spp, code", [(200, 3), (2000, 0)])
+    def test_ill_posed_transition_fit_is_exit_three(self, tmp_path, capsys, spp, code):
+        # a lens 0.1 mm from the blade: at 200 samples per period the fitted
+        # cosine spans 0.02 rad of the transition and B, c2 are not determined
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"geometry": {"d": 0.1}, "samples_per_period": spp}))
+        out = tmp_path / "out"
+        assert run_cli("refsignal", "--config", str(cfg), "--out", str(out)) == code
+        err = capsys.readouterr().err
+        if code == 3:
+            assert re.fullmatch(r"error: cosine fit of the transition is ill-posed: "
+                                r"it spans 0\.02\d* rad of phase .*\n", err)
+        assert (out / "trapezoid_fit.json").exists() == (code == 0)
 
     def test_manifest_reingestion_reproduces_degree_geometry(self, tmp_path):
         # rad2deg(deg2rad(24.0)) is 24.000000000000004, which reads back one ulp off

@@ -185,7 +185,7 @@ class TestDemodulate:
         s_m = modulated_signal(np.ones(grid.n), m, grid)
         out = demodulate(s_m, m, ref, "even")
         assert out.warmup == SPP
-        assert np.max(np.abs(out.valid().values - 1.0)) < 1e-9
+        assert np.max(np.abs(out.signal.values[SPP:] - 1.0)) < 1e-9
 
     @pytest.mark.parametrize("c", [1.0, -3.7, 0.25])
     def test_constant_signal_with_stock_modulation_and_square_reference(self, c):
@@ -194,7 +194,7 @@ class TestDemodulate:
         ref = square_ref()
         s_m = modulated_signal(np.full(grid.n, c), m, grid)
         out = demodulate(s_m, m, ref, "even")
-        assert np.max(np.abs(out.valid().values - c)) < 1e-6
+        assert np.max(np.abs(out.signal.values[out.warmup:] - c)) < 1e-6
 
     def test_output_grid_is_relabeled_to_window_centers(self):
         grid = grid_for(4)
@@ -214,9 +214,9 @@ class TestDemodulate:
         s = np.sin(2 * np.pi * f_sig * grid.times())
         s_m = modulated_signal(s, m, grid)
         out = demodulate(s_m, m, ref, "even")
-        valid = out.valid()
-        target = np.sin(2 * np.pi * f_sig * valid.times())
-        rel_rms = np.sqrt(np.mean((valid.values - target) ** 2)) / np.sqrt(np.mean(target**2))
+        values = out.signal.values[out.warmup:]
+        target = np.sin(2 * np.pi * f_sig * out.signal.times()[out.warmup:])
+        rel_rms = np.sqrt(np.mean((values - target) ** 2)) / np.sqrt(np.mean(target**2))
         assert rel_rms < 0.01
 
     def test_against_continuous_integral_oracle(self):
@@ -246,7 +246,7 @@ class TestDemodulate:
         shifted = SampledSignal(grid, s_m.values + 123.4)
         a = demodulate(s_m, m, ref, "even")
         b = demodulate(shifted, m, ref, "even")
-        assert np.max(np.abs(a.valid().values - b.valid().values)) < 1e-9
+        assert np.max(np.abs(a.signal.values[a.warmup:] - b.signal.values[b.warmup:])) < 1e-9
 
     def test_linearity(self):
         grid = grid_for(10)
@@ -323,8 +323,8 @@ class TestDemodulate:
         assert all(channel_gain(m, ref, c)[1] > 0.3 for c in ("even", "odd"))
         s = np.sin(2 * np.pi * 2.0 * grid.times())
         s_m = modulated_signal(s, m, grid)
-        even = demodulate(s_m, m, ref, "even").valid().values
-        odd = demodulate(s_m, m, ref, "odd").valid().values
+        even, odd = (demodulate(s_m, m, ref, c) for c in ("even", "odd"))
+        even, odd = even.signal.values[even.warmup:], odd.signal.values[odd.warmup:]
         assert np.sqrt(np.mean((even - odd) ** 2)) < 0.01
 
     def test_even_and_odd_channels_agree_exactly_for_constant_signals(self):
@@ -333,8 +333,8 @@ class TestDemodulate:
         m = modulation_series(fit, F_M)
         ref = square_ref(phase=0.6)
         s_m = modulated_signal(np.full(grid.n, 1.3), m, grid)
-        even = demodulate(s_m, m, ref, "even").valid().values
-        odd = demodulate(s_m, m, ref, "odd").valid().values
+        even, odd = (demodulate(s_m, m, ref, c) for c in ("even", "odd"))
+        even, odd = even.signal.values[even.warmup:], odd.signal.values[odd.warmup:]
         assert np.max(np.abs(even - odd)) < 1e-9
 
     def test_gain_floor_violation_rejected(self):
@@ -386,11 +386,12 @@ class TestSlopeCompensate:
         m = modulation_series(fit, F_M)
         ref = synth_demod_reference(T_M, ref_kind, 7, delay)
         s_m = modulated_signal(0.3 + 150.0 * grid.times(), m, grid)
-        raw = demodulate(s_m, m, ref, channel).valid()
-        out = slope_compensate(s_m, m, ref, channel).valid()
-        target = 0.3 + 150.0 * out.times()
-        assert np.max(np.abs(raw.values - target)) > 1e-3  # the slope term is there
-        assert np.max(np.abs(out.values - target)) <= 1e-12
+        raw = demodulate(s_m, m, ref, channel)
+        out = slope_compensate(s_m, m, ref, channel)
+        w = out.warmup
+        target = 0.3 + 150.0 * out.signal.times()[w:]
+        assert np.max(np.abs(raw.signal.values[w:] - target)) > 1e-3  # the slope term is there
+        assert np.max(np.abs(out.signal.values[w:] - target)) <= 1e-12
 
     def test_constant_plus_linear_disturbance_leaves_correction_unchanged(self):
         # the slope estimate ignores a disturbance that is constant or linear
@@ -402,8 +403,9 @@ class TestSlopeCompensate:
         disturbed = SampledSignal(grid, s_m.values - 4.2 + 900.0 * grid.times())
 
         def correction(x):
-            raw = demodulate(x, m, ref, "even").valid().values
-            return slope_compensate(x, m, ref, "even").valid().values - raw
+            raw = demodulate(x, m, ref, "even")
+            out = slope_compensate(x, m, ref, "even")
+            return (out.signal.values - raw.signal.values)[out.warmup:]
 
         assert np.max(np.abs(correction(s_m))) > 1e-2
         # up to rounding of window sums of a disturbance of size ~4
@@ -429,11 +431,12 @@ class TestSlopeCompensate:
         m = stock_modulation_series()
         ref = square_ref(phase=np.pi / 6.0)
         s_m = modulated_signal(np.sin(2 * np.pi * 50.0 * grid.times()), m, grid)
-        raw = demodulate(s_m, m, ref, "even").valid()
-        out = slope_compensate(s_m, m, ref, "even").valid()
-        target = np.sin(2 * np.pi * 50.0 * out.times())
-        assert np.max(np.abs(raw.values - target)) > 0.05
-        assert np.max(np.abs(out.values - target)) < 0.005
+        raw = demodulate(s_m, m, ref, "even")
+        out = slope_compensate(s_m, m, ref, "even")
+        w = out.warmup
+        target = np.sin(2 * np.pi * 50.0 * out.signal.times()[w:])
+        assert np.max(np.abs(raw.signal.values[w:] - target)) > 0.05
+        assert np.max(np.abs(out.signal.values[w:] - target)) < 0.005
 
     def test_warmup_is_that_of_demodulate(self):
         grid = grid_for(4)

@@ -1,3 +1,5 @@
+import ast
+import dataclasses
 import importlib
 import inspect
 import json
@@ -16,7 +18,8 @@ from rotolock.lockin import demodulate, slope_compensate
 from rotolock.reference import SpotGeometry, reference_waveform
 from rotolock.signals import HarmonicSeries, SampledSignal, TimeGrid, moving_integral
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.json"
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+LAYERS = BENCH / "layers.json"
 SRC = Path(rotolock.__file__).resolve().parent
 
 
@@ -124,3 +127,58 @@ def test_traced_spans_resolve():
         if span not in retired and not inspect.isfunction(fn):
             missing.append(span)
     assert missing == []
+
+
+def test_sim_result_holds_only_what_is_read():
+    # report writes the five stacks, the metrics come with them and the
+    # warm-up bounds their use; no field holds a full-length array that no
+    # output file, metric or CLI path reads, such as the measured sine
+    assert [f.name for f in dataclasses.fields(rotolock.SimResult)] == [
+        "noise", "modulated", "modulated_noisy", "restored_full",
+        "restored_downsampled", "warmup", "metrics",
+    ]
+
+
+def test_test_only_code_is_gone():
+    # the Monte Carlo oracle lives in tests/oracles.py; period detection and
+    # the warm-up trim had no caller in the package
+    for name in ("detect_period", "transmitted_fraction_mc"):
+        assert not hasattr(rotolock.reference, name), name
+        assert name not in rotolock.__all__, name
+    assert not hasattr(rotolock.signals.WindowedSignal, "valid")
+
+
+# exports that no other module of the package imports and the benchmark does
+# not use or trace, each with the reason it stays public
+KEEP = {
+    "fit_harmonics": "criterion 1 refits the emitted modulation waveform with it",
+    "eval_modulation": "the oracle of the modulation series fit in test_signals",
+    "EmissionFit": "the type of SpotGeometry's `emission` config section",
+    "TrapezoidFit": "the result type of fit_trapezoid_cosine",
+    "emission_intensity": "the LED emission model I(beta) with its fitted-lobe warning",
+    "HarmonicOutput": "the item type of harmonic_outputs",
+    "harmonic_outputs": "criterion 7: per-harmonic quadrature outputs",
+    "SimResult": "the result type of run_simulation, which report takes",
+}
+
+
+def test_every_export_is_used_or_kept_for_a_reason():
+    imported = set()  # names another module of the package imports
+    for path in SRC.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    imported.update(alias.name for alias in node.names)
+    bench = {span.rpartition(".")[2] for span in json.loads(LAYERS.read_text())["spans"]}
+    for path in BENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                bench.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                bench.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                bench.update(alias.name for alias in node.names)
+    used = imported | bench
+    assert [name for name in rotolock.__all__ if name not in used and name not in KEEP] == []
+    # a kept name is an export that needs the reason
+    assert [name for name in KEEP if name in used or name not in rotolock.__all__] == []

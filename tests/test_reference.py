@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import rotolock.reference
@@ -14,15 +16,15 @@ from rotolock.reference import (
     EmissionFit,
     SpotGeometry,
     TrapezoidFit,
-    detect_period,
     emission_intensity,
     fit_trapezoid_cosine,
     reference_waveform,
     synth_demod_reference,
     transmitted_fraction,
-    transmitted_fraction_mc,
 )
 from rotolock.signals import SampledSignal, TimeGrid
+
+from oracles import transmitted_fraction_mc
 
 
 class TestEmission:
@@ -454,30 +456,38 @@ class TestFitTrapezoidCosine:
         assert np.allclose(fit(theta), can(theta), atol=1e-12)
 
 
-class TestDetectPeriod:
-    def test_square_wave_period_is_exact(self):
-        period = 4e-4
-        grid = TimeGrid(dt=2e-6, n=2000, t0=0.0)
-        v = ((grid.times() % period) < period / 2.0).astype(float)
-        assert detect_period(SampledSignal(grid, v), 0.5) == pytest.approx(period, abs=1e-15)
+def first_transition_by_scan(values, min_run=5):
+    """The first run of at least min_run samples strictly inside the plateau
+    bands (2% of range off either extreme), by a sample-by-sample scan; None
+    when there is none."""
+    lo, hi = min(values), max(values)
+    inside = [lo + 0.02 * (hi - lo) < v < hi - 0.02 * (hi - lo) for v in values]
+    start = None
+    for i, flag in enumerate(inside + [False]):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            if i - start >= min_run:
+                return slice(start, i)
+            start = None
+    return None
 
-    def test_reference_waveform_period_matches_rotation(self):
-        f_rot = 2500.0
-        spp = 500
-        grid = TimeGrid(dt=1.0 / (f_rot * spp), n=3 * spp, t0=0.0)
-        wave = reference_waveform(SpotGeometry(), grid, f_rot)
-        assert detect_period(wave, 0.5) == pytest.approx(1.0 / f_rot, abs=grid.dt)
 
-    def test_constant_signal_fails(self):
-        grid = TimeGrid(dt=1e-5, n=100)
-        with pytest.raises(PreconditionError):
-            detect_period(SampledSignal(grid, np.full(100, 2.0)), 0.5)
-
-    def test_single_crossing_fails(self):
-        grid = TimeGrid(dt=1e-5, n=100)
-        v = np.concatenate([np.ones(50), np.zeros(50)])
-        with pytest.raises(PreconditionError, match="2 downward"):
-            detect_period(SampledSignal(grid, v), 0.5)
+class TestFirstTransition:
+    @given(st.lists(st.sampled_from([0.0, 0.01, 0.3, 0.7, 0.99, 1.0]), min_size=1, max_size=40))
+    def test_matches_a_scan(self, values):
+        expected = first_transition_by_scan(values)
+        if min(values) == max(values):
+            message = "signal is constant"
+        elif first_transition_by_scan(values, min_run=1) is None:
+            message = "no intermediate samples"
+        elif expected is None:
+            message = "intermediate runs too short"
+        else:
+            assert rotolock.reference._first_transition(np.array(values)) == expected
+            return
+        with pytest.raises(PreconditionError, match=f"no transition found: {message}$"):
+            rotolock.reference._first_transition(np.array(values))
 
 
 class TestSynthDemodReference:

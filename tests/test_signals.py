@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rotolock.errors import PreconditionError
 from rotolock.modulation import ModulationFit, eval_modulation
-from rotolock.sim import NoiseSpec, SimConfig, run_simulation
+from rotolock.sim import NoiseSpec, SimConfig, measured_signal, run_simulation
 from rotolock.signals import (
     _BLOCK_SAMPLES,
     _PHASE_BLOCK,
@@ -317,21 +317,21 @@ class TestMovingIntegral:
         grid = default_grid(n_periods=5)
         out = moving_integral(SampledSignal(grid, np.ones(grid.n)), self.WINDOW)
         assert out.warmup == SPP
-        assert np.allclose(out.valid().values, self.WINDOW, rtol=1e-12)
+        assert np.allclose(out.signal.values[SPP:], self.WINDOW, rtol=1e-12)
 
     def test_sine_over_full_period_vanishes(self):
         grid = default_grid(n_periods=5)
         v = np.sin(2.0 * np.pi * F_M * grid.times())
         out = moving_integral(SampledSignal(grid, v), self.WINDOW)
-        assert np.max(np.abs(out.valid().values)) < 1e-9
+        assert np.max(np.abs(out.signal.values[out.warmup:])) < 1e-9
 
     def test_ramp_matches_antiderivative(self):
         # oracle: integral of u over [t - w, t] is w*t - w^2/2
         grid = default_grid(n_periods=5)
         t = grid.times()
         out = moving_integral(SampledSignal(grid, t), self.WINDOW)
-        expected = self.WINDOW * t[SPP:] - self.WINDOW**2 / 2.0
-        assert np.allclose(out.valid().values, expected, atol=1e-15)
+        expected = self.WINDOW * t[out.warmup:] - self.WINDOW**2 / 2.0
+        assert np.allclose(out.signal.values[out.warmup:], expected, atol=1e-15)
 
     def test_warmup_region_holds_partial_integrals_not_zeros(self):
         grid = default_grid(n_periods=2)
@@ -472,9 +472,11 @@ class TestCsvBytes:
         assert_same_bytes(SampledSignal(grid, values), tmp_path)
 
     def test_every_stack_of_the_default_seed_7_run(self, tmp_path):
-        res = run_simulation(SimConfig(noise=NoiseSpec(seed=7)))
-        for stack in (res.original, res.noise, res.modulated, res.modulated_noisy,
-                      res.restored_full, res.restored_downsampled):
+        cfg = SimConfig(noise=NoiseSpec(seed=7))
+        res = run_simulation(cfg)
+        for stack in (measured_signal(cfg, TimeGrid(cfg.dt, cfg.n_samples)), res.noise,
+                      res.modulated, res.modulated_noisy, res.restored_full,
+                      res.restored_downsampled):
             assert_same_bytes(stack, tmp_path)
 
     def test_memory_does_not_grow_with_rows(self, tmp_path):

@@ -320,9 +320,9 @@ class TestMeasuredSignal:
     @pytest.mark.parametrize("freq", [50.0, -50.0, 0.0, 37.0])
     def test_original_matches_exact_phase_oracle(self, freq):
         cfg = SimConfig(signal_freq=freq, signal_amp=1.7)
-        res = run_simulation(cfg)
-        oracle = exact_phase_sine(1.7, freq, res.original.grid, Fraction(2, 10**6))
-        assert np.max(np.abs(res.original.values - oracle)) <= 1e-12
+        original = measured_signal(cfg, TimeGrid(cfg.dt, cfg.n_samples))
+        oracle = exact_phase_sine(1.7, freq, original.grid, Fraction(2, 10**6))
+        assert np.max(np.abs(original.values - oracle)) <= 1e-12
 
     @pytest.mark.parametrize("freq", [50.0, -50.0, 37.0])
     def test_offset_and_downsampled_grids_match_oracle(self, freq):
@@ -338,41 +338,46 @@ class TestMeasuredSignal:
 
     def test_subnormal_frequency_is_evaluated_directly(self):
         # f*dt underflows to 0, so the period has no finite sample count
-        res = run_simulation(SimConfig(signal_freq=5e-324, noise=NoiseSpec(kind="none")))
-        assert np.max(np.abs(res.original.values)) <= 1e-300
+        cfg = SimConfig(signal_freq=5e-324, noise=NoiseSpec(kind="none"))
+        run_simulation(cfg)  # the chain runs on it too
+        original = measured_signal(cfg, TimeGrid(cfg.dt, cfg.n_samples))
+        assert np.max(np.abs(original.values)) <= 1e-300
 
     def test_long_run_matches_exact_phase_oracle(self):
         cfg = SimConfig(duration=3.0, noise=NoiseSpec(kind="none"))
-        res = run_simulation(cfg)
-        assert res.original.grid.n == 1_500_000
-        oracle = exact_phase_sine(1.0, 50.0, res.original.grid, Fraction(2, 10**6))
-        assert np.max(np.abs(res.original.values - oracle)) <= 1e-12
+        original = measured_signal(cfg, TimeGrid(cfg.dt, cfg.n_samples))
+        assert original.grid.n == 1_500_000
+        oracle = exact_phase_sine(1.0, 50.0, original.grid, Fraction(2, 10**6))
+        assert np.max(np.abs(original.values - oracle)) <= 1e-12
 
 
 class TestSimResultArrays:
     def test_every_stack_is_read_only(self):
-        res = run_simulation(SimConfig())
-        for stack in (res.original, res.noise, res.modulated, res.modulated_noisy,
-                      res.restored_full, res.restored_downsampled):
+        cfg = SimConfig()
+        res = run_simulation(cfg)
+        for stack in (measured_signal(cfg, TimeGrid(cfg.dt, cfg.n_samples)), res.noise,
+                      res.modulated, res.modulated_noisy, res.restored_full,
+                      res.restored_downsampled):
             assert not stack.values.flags.writeable
             with pytest.raises(ValueError):
                 stack.values[0] = 0.0
 
     def test_peak_memory_per_sample(self):
-        # the run holds about six full-length arrays at its peak (48 B per
-        # sample); one more full-length copy would take it past the bound
-        cfg = SimConfig(duration=0.6)
+        # the run holds about five full-length arrays at its peak (42 B per
+        # sample at this length); one more full-length copy, such as keeping
+        # the measured sine to the end of the run, would take it past the bound
+        cfg = SimConfig(duration=0.3)
         tracemalloc.start()
         try:
             run_simulation(cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert cfg.n_samples == 300_000
-        assert peak / cfg.n_samples < 52.0
+        assert cfg.n_samples == 150_000
+        assert peak / cfg.n_samples < 45.0
 
     def test_default_run_peak_memory(self):
-        # about 1.008e6 B; on the 15 000-sample default run the lock-in's chunk
+        # about 0.89e6 B; on the 15 000-sample default run the lock-in's chunk
         # of periods is the whole signal, so chunk-sized scratch (one more
         # full-length array) would take it past the bound
         tracemalloc.start()
