@@ -12,7 +12,7 @@ from .lockin import (
     harmonic_outputs,
     modulate,
 )
-from .modulation import ModulationFit, eval_modulation, modulation_series
+from .modulation import ModulationFit, modulation_series
 from .reference import (
     EmissionFit,
     SpotGeometry,
@@ -51,7 +51,6 @@ __all__ = [
     "write_csv",
     "read_csv",
     "ModulationFit",
-    "eval_modulation",
     "modulation_series",
     "EmissionFit",
     "SpotGeometry",

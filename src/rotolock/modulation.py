@@ -54,15 +54,6 @@ class ModulationFit(Config):
         return len(self.amplitudes)
 
 
-def eval_modulation(fit: ModulationFit, alpha) -> np.ndarray | float:
-    """Modulated intensity at electrode angle alpha (radians, 2*pi periodic)."""
-    alpha = np.asarray(alpha, dtype=float)
-    i = np.arange(1, fit.n_harmonics + 1)
-    terms = fit.amplitudes * np.cos(i * alpha[..., None] + fit.phase)
-    out = fit.offset + terms.sum(axis=-1)
-    return float(out) if out.ndim == 0 else out
-
-
 def modulation_series(fit: ModulationFit, f_m: float) -> HarmonicSeries:
     """Time-domain harmonic series of the modulation at rotation frequency f_m.
 

@@ -36,12 +36,16 @@ _MAX_NODES = 4096  # node cap of the radial rule in `transmitted_fraction`
 # with its input: angles classified per pass, floats per temporary of the rule
 _ANGLE_BLOCK = 256
 _RULE_FLOATS = 1 << 10
-# smallest phase span u*(theta[-1] - theta[0]), in radians, of an accepted
-# transition fit: below it the fitted cosine is close to a parabola over the
-# segment, so B and c2 trade off along a flat valley and are not determined
-# (over d = 0.05-20 mm at 200-20 000 samples per period, well-posed fits span
-# 0.69 rad or more and degenerate ones, with |B| > 100, 0.03 or less)
-_MIN_FIT_ARC = 0.25
+# smallest 1 - |rho| of an accepted transition fit, rho the correlation of B
+# and c2 from the fit's covariance: below it the fitted cosine is close to a
+# parabola or a line over the segment, so B and c2 trade off along a flat
+# valley and are not determined.  Over d = 0.05-20 mm at 200-50 000 samples
+# per period the default d = 2 mm reads 5.1e-3 or more and d >= 1 mm 6.6e-4
+# or more; d = 0.5 mm, whose B moves from 1.30 to 2.08 between 2 000 and
+# 20 000 samples per period, reads 7.1e-6 or less, and the degenerate fits
+# (|B| > 100, spanning 0.03 rad of phase or less) 1.2e-10 or less.  An exact
+# 12-sample transition, which the fit recovers to 1e-6, reads 3.0e-5.
+_MIN_FIT_DECORRELATION = 1e-5
 
 
 @dataclass(frozen=True)
@@ -305,10 +309,12 @@ def fit_trapezoid_cosine(signal: SampledSignal, f_rot: float) -> tuple[Trapezoid
     theta is the (unwrapped) rotation angle 2*pi*f_rot*t.  One `curve_fit`
     runs from a start on the canonical branch (B, u > 0; any other start is
     the same cosine, see `TrapezoidFit.canonical`).  Returns the fit on that
-    branch and the residual RMS over the fitted segment.  A fit whose
-    cosine spans less than _MIN_FIT_ARC of phase over the segment is refused.
+    branch and the residual RMS over the fitted segment.  A fit whose B and
+    c2 are correlated to 1 - |rho| below _MIN_FIT_DECORRELATION, or whose
+    covariance cannot be estimated, is refused.
     """
-    from scipy.optimize import curve_fit  # here, so simulate and modwave never load SciPy
+    # here, so simulate and modwave never load SciPy
+    from scipy.optimize import OptimizeWarning, curve_fit
 
     if not (f_rot > 0.0):
         raise PreconditionError(f"rotation frequency must be positive, got {f_rot}")
@@ -328,14 +334,22 @@ def fit_trapezoid_cosine(signal: SampledSignal, f_rot: float) -> tuple[Trapezoid
         return B * np.cos(u * th + phi) + c2
 
     try:
-        popt, _ = curve_fit(model, theta, v, p0=[b0, u0, phi0 - u0 * theta[0], c0], maxfev=20000)
+        # a covariance that cannot be estimated comes back as inf and is refused below
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OptimizeWarning)
+            popt, pcov = curve_fit(
+                model, theta, v, p0=[b0, u0, phi0 - u0 * theta[0], c0], maxfev=20000
+            )
     except RuntimeError:
         raise PreconditionError("cosine fit of the transition did not converge") from None
-    arc = abs(float(popt[1])) * (theta[-1] - theta[0])
-    if not arc >= _MIN_FIT_ARC:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the square roots apart, so that their product cannot overflow
+        rho = pcov[0, 3] / (np.sqrt(pcov[0, 0]) * np.sqrt(pcov[3, 3]))
+    if not 1.0 - abs(rho) >= _MIN_FIT_DECORRELATION:
         raise PreconditionError(
-            f"cosine fit of the transition is ill-posed: it spans {arc:.3g} rad of phase "
-            f"over the fitted segment, below {_MIN_FIT_ARC} rad, so B and c2 are not determined"
+            f"cosine fit of the transition is ill-posed: B and c2 are correlated to "
+            f"1 - |rho| = {1.0 - abs(rho):.3g}, below {_MIN_FIT_DECORRELATION:g}, so they "
+            "are not determined"
         )
     resid = float(np.sqrt(np.mean((v - model(theta, *popt)) ** 2)))
     fit = TrapezoidFit(B=float(popt[0]), u=float(popt[1]), phi=float(popt[2]), c2=float(popt[3]))

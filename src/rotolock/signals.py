@@ -78,6 +78,12 @@ def frozen(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _check_finite(values) -> None:
+    """Refuse values that are not all finite, as SampledSignal does."""
+    if not np.all(np.isfinite(values)):
+        raise PreconditionError("signal values must all be finite")
+
+
 @dataclass(frozen=True)
 class SampledSignal:
     """Real-valued signal on a TimeGrid.
@@ -85,6 +91,12 @@ class SampledSignal:
     `values` is read-only.  The signal keeps its own copy of the array it is
     given, unless that array is read-only and owns its data: then it is taken
     as it is (see `frozen`).
+
+    Every value is checked to be finite, except in the few producers whose
+    values are finite by construction, which skip that full-length scan
+    through `_finite_signal`: `tile` (copies of a period that was checked),
+    `sim.gen_noise` (zeros, checked step levels, or a sine of finite
+    amplitude and phase) and `sim.measured_signal` (zeros).
     """
 
     grid: TimeGrid
@@ -96,8 +108,7 @@ class SampledSignal:
             raise PreconditionError(
                 f"values length {values.shape} does not match grid n={self.grid.n}"
             )
-        if not np.all(np.isfinite(values)):
-            raise PreconditionError("signal values must all be finite")
+        _check_finite(values)
         # a read-only array that owns its data was handed over by the code that
         # made it (see `frozen`); any other array may still be written through
         # by a caller, so it is copied
@@ -108,6 +119,16 @@ class SampledSignal:
 
     def times(self) -> np.ndarray:
         return self.grid.times()
+
+
+def _finite_signal(grid: TimeGrid, values: np.ndarray) -> SampledSignal:
+    """SampledSignal(grid, frozen(values)) without the finiteness scan, for a
+    fresh array of grid.n values that are finite by construction.  Each
+    caller says why they are."""
+    signal = object.__new__(SampledSignal)
+    object.__setattr__(signal, "grid", grid)
+    object.__setattr__(signal, "values", frozen(values))
+    return signal
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,26 +196,36 @@ def period_grid(series: HarmonicSeries, grid: TimeGrid) -> TimeGrid:
     return grid if spp is None or spp >= grid.n else TimeGrid(grid.dt, spp, grid.t0)
 
 
+def tile(period: SampledSignal, grid: TimeGrid) -> SampledSignal:
+    """`period` repeated over grid: sample i is sample i % k of the k-sample
+    period, whose grid must be the first k <= n samples of grid.  The period
+    itself is returned when it is the whole grid."""
+    k = period.grid.n
+    if k > grid.n or period.grid != TimeGrid(grid.dt, k, grid.t0):
+        raise PreconditionError(f"period grid {period.grid} is not the start of {grid}")
+    if k == grid.n:
+        return period
+    values = np.empty(grid.n)
+    whole = grid.n - grid.n % k
+    values[:whole].reshape(-1, k)[:] = period.values
+    values[whole:] = period.values[: grid.n - whole]
+    # copies of the period's values, which SampledSignal checked
+    return _finite_signal(grid, values)
+
+
 def synth(series: HarmonicSeries, grid: TimeGrid) -> SampledSignal:
     """Evaluate a harmonic series on a time grid.
 
-    Only the samples of `period_grid` are evaluated, and when they are one
-    period they are tiled out to n samples: O(spp * harmonics) trigonometry
-    and O(n) memory.  Tiling also keeps the phase accurate on long grids,
-    where 2*pi*f*t at large t loses bits.
+    Only the samples of `period_grid` are evaluated (and checked finite),
+    and when they are one period they are tiled out to n samples: O(spp *
+    harmonics) trigonometry and O(n) memory.  Tiling also keeps the phase
+    accurate on long grids, where 2*pi*f*t at large t loses bits.
     """
-    k = period_grid(series, grid).n
-    t = grid.times(0, k)
+    one = period_grid(series, grid)
     j = np.arange(1, series.n_harmonics + 1)
-    args = 2.0 * np.pi * series.f_fund * t[:, None] * j[None, :]
+    args = 2.0 * np.pi * series.f_fund * one.times()[:, None] * j[None, :]
     period = series.dc + np.cos(args) @ series.cos_coeffs + np.sin(args) @ series.sin_coeffs
-    # tiled into an array of its own (np.resize returns a view), so that
-    # SampledSignal takes it without a copy
-    values = np.empty(grid.n)
-    whole = grid.n - grid.n % k
-    values[:whole].reshape(-1, k)[:] = period
-    values[whole:] = period[: grid.n - whole]
-    return SampledSignal(grid, frozen(values))
+    return tile(SampledSignal(one, frozen(period)), grid)
 
 
 def fit_harmonics(signal: SampledSignal, f_fund: float, l: int) -> tuple[HarmonicSeries, float]:

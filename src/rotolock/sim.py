@@ -27,10 +27,13 @@ from .signals import (
     HarmonicSeries,
     SampledSignal,
     TimeGrid,
+    _check_finite,
+    _finite_signal,
     downsample_at_phase,
     frozen,
     integer_ratio,
     synth,
+    tile,
     write_csv,
 )
 
@@ -162,10 +165,20 @@ def _first_samples_at_or_after(grid: TimeGrid, times: np.ndarray) -> np.ndarray:
 def gen_noise(spec: NoiseSpec, grid: TimeGrid) -> SampledSignal:
     """Generate the disturbance signal for a grid; seeded and reproducible."""
     if spec.kind == "none" or spec.amplitude == 0.0:
-        return SampledSignal(grid, frozen(np.zeros(grid.n)))
+        # zeros
+        return _finite_signal(grid, np.zeros(grid.n))
     if spec.kind == "sine":
-        sine = spec.amplitude * np.sin(2.0 * np.pi * spec.rate_or_freq * grid.times())
-        return SampledSignal(grid, frozen(sine))
+        # a phase past the float range is refused once, below
+        with np.errstate(over="ignore", invalid="ignore"):
+            phase = 2.0 * np.pi * spec.rate_or_freq * grid.times()
+        # the phase is monotone in t, so finite ends make it finite throughout
+        if not np.all(np.isfinite(phase[[0, -1]])):
+            raise PreconditionError(
+                "sine noise phase 2*pi*rate_or_freq*t overflows the float range; "
+                "lower rate_or_freq"
+            )
+        # a finite amplitude times the sine of a finite phase
+        return _finite_signal(grid, spec.amplitude * np.sin(phase))
 
     rng = np.random.default_rng(spec.seed)
     t_end = grid.t0 + grid.duration
@@ -182,7 +195,9 @@ def gen_noise(spec: NoiseSpec, grid: TimeGrid) -> SampledSignal:
     # first sample at or after boundary i
     starts = _first_samples_at_or_after(grid, np.asarray(boundaries))
     counts = np.diff(starts, prepend=0, append=grid.n)
-    return SampledSignal(grid, frozen(np.repeat(levels, counts)))
+    _check_finite(levels)
+    # copies of the levels, checked above
+    return _finite_signal(grid, np.repeat(levels, counts))
 
 
 def _step_sample_indices(noise: SampledSignal) -> np.ndarray:
@@ -217,9 +232,27 @@ def measured_signal(cfg: SimConfig, grid: TimeGrid) -> SampledSignal:
     """
     f = cfg.signal_freq
     if f == 0.0:
-        return SampledSignal(grid, frozen(np.zeros(grid.n)))
+        # zeros
+        return _finite_signal(grid, np.zeros(grid.n))
     amp = cfg.signal_amp if f > 0.0 else -cfg.signal_amp
     return synth(HarmonicSeries(abs(f), 0.0, [0.0], [amp]), grid)
+
+
+def _signal_period(cfg: SimConfig, dt: float) -> int | None:
+    """Samples per period of the measured waveform (1 for zeros), or None
+    when a period is not a whole number of samples."""
+    f = abs(cfg.signal_freq)
+    return integer_ratio(1.0 / f / dt) if f > 0.0 else 1  # f*dt can underflow to 0
+
+
+def _shared_period(cfg: SimConfig, grid: TimeGrid) -> TimeGrid:
+    """The first samples of grid over which both the measured waveform and
+    the modulation repeat: the least common multiple of their periods in
+    samples, or, by the rule of `period_grid`, the whole grid when there is
+    none or it is not shorter than the run."""
+    spp = _signal_period(cfg, grid.dt)
+    k = grid.n if spp is None else math.lcm(spp, cfg.samples_per_period)
+    return grid if k >= grid.n else TimeGrid(grid.dt, k, grid.t0)
 
 
 # an error past the float range gives inf, which run_simulation refuses
@@ -236,8 +269,7 @@ def _rms_after(cfg: SimConfig, restored: SampledSignal, start: int) -> float:
     own slice of the grid.
     """
     grid = restored.grid
-    f = abs(cfg.signal_freq)
-    spp = integer_ratio(1.0 / f / grid.dt) if f > 0.0 else 1  # f*dt can underflow to 0
+    spp = _signal_period(cfg, grid.dt)
     if spp is not None and spp > _BLOCK_SAMPLES:
         spp = None
     size = _BLOCK_SAMPLES if spp is None else spp * (_BLOCK_SAMPLES // spp)
@@ -265,9 +297,13 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     """
     grid = TimeGrid(cfg.dt, cfg.n_samples, 0.0)
     m_series = modulation_series(cfg.modulation, cfg.f_m)
-    modulated = modulate(measured_signal(cfg, grid), m_series)
+    # the product repeats with the shared period, so it is computed over one
+    # and tiled: the same bits as over the whole grid
+    modulated = tile(modulate(measured_signal(cfg, _shared_period(cfg, grid)), m_series), grid)
     noise = gen_noise(cfg.noise, grid)
-    noisy = SampledSignal(grid, frozen(modulated.values + noise.values))
+    # a sum past the float range is refused once, by SampledSignal's check
+    with np.errstate(over="ignore"):
+        noisy = SampledSignal(grid, frozen(modulated.values + noise.values))
 
     period = 1.0 / cfg.f_m
     l = cfg.modulation.n_harmonics

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from rotolock.modulation import ModulationFit
 from rotolock.reference import SpotGeometry, _check_small_spot, _wrap_angle
 
 
@@ -31,3 +32,12 @@ def transmitted_fraction_mc(
     resid = a - estimate * w
     stderr = float(np.sqrt(np.var(resid) / n_samples) / mean_b)
     return estimate, stderr
+
+
+def eval_modulation(fit: ModulationFit, alpha) -> np.ndarray | float:
+    """Modulated intensity at electrode angle alpha (radians, 2*pi periodic)."""
+    alpha = np.asarray(alpha, dtype=float)
+    i = np.arange(1, fit.n_harmonics + 1)
+    terms = fit.amplitudes * np.cos(i * alpha[..., None] + fit.phase)
+    out = fit.offset + terms.sum(axis=-1)
+    return float(out) if out.ndim == 0 else out

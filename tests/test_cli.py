@@ -74,18 +74,26 @@ class TestRefsignal:
         assert fit["residual_rms"] < 0.02
 
     @pytest.mark.filterwarnings("ignore:emission angle")
-    @pytest.mark.parametrize("spp, code", [(200, 3), (2000, 0)])
-    def test_ill_posed_transition_fit_is_exit_three(self, tmp_path, capsys, spp, code):
+    @pytest.mark.parametrize(
+        "d, spp, code, exponent",
+        [(0.1, 200, 3, "10"), (0.1, 2000, 0, None), (0.5, 2000, 3, "06")],
+        ids=["200-3", "2000-0", "d0.5-2000-3"],
+    )
+    def test_ill_posed_transition_fit_is_exit_three(self, tmp_path, capsys, d, spp, code,
+                                                    exponent):
         # a lens 0.1 mm from the blade: at 200 samples per period the fitted
-        # cosine spans 0.02 rad of the transition and B, c2 are not determined
+        # cosine spans 0.02 rad of the transition and B, c2 (about 143, -138)
+        # trade off along a flat valley.  At 0.5 mm the valley is flatter than
+        # the bound and B moves from 1.30 to 2.08 with the sampling
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"geometry": {"d": 0.1}, "samples_per_period": spp}))
+        cfg.write_text(json.dumps({"geometry": {"d": d}, "samples_per_period": spp}))
         out = tmp_path / "out"
         assert run_cli("refsignal", "--config", str(cfg), "--out", str(out)) == code
         err = capsys.readouterr().err
         if code == 3:
-            assert re.fullmatch(r"error: cosine fit of the transition is ill-posed: "
-                                r"it spans 0\.02\d* rad of phase .*\n", err)
+            assert re.fullmatch(r"error: cosine fit of the transition is ill-posed: B and c2 "
+                                rf"are correlated to 1 - \|rho\| = \d\.?\d*e-{exponent}, "
+                                r"below 1e-05, so they are not determined\n", err)
         assert (out / "trapezoid_fit.json").exists() == (code == 0)
 
     def test_manifest_reingestion_reproduces_degree_geometry(self, tmp_path):
@@ -251,11 +259,22 @@ METRIC_OVERFLOW = (
     [
         # the lock-in's sums overflow: the finiteness error
         ({"noise": {"amplitude": 8e307}}, "error: signal values must all be finite\n"),
+        # the modulated signal plus the noise overflows: the finiteness error
+        (
+            {"signal_amp": 1.5e308, "noise": {"amplitude": 8e307}},
+            "error: signal values must all be finite\n",
+        ),
+        # the sine noise's phase overflows
+        (
+            {"noise": {"kind": "sine", "rate_or_freq": 1e308}},
+            "error: sine noise phase 2*pi*rate_or_freq*t overflows the float range; "
+            "lower rate_or_freq\n",
+        ),
         # the signals stay finite, but the error metrics' sums of squares do not
         ({"signal_amp": 1e200}, METRIC_OVERFLOW),
         ({"noise": {"amplitude": 1e160}}, METRIC_OVERFLOW),
     ],
-    ids=["lockin-sums", "signal-amp", "noise-amp"],
+    ids=["lockin-sums", "noisy-sum", "sine-phase", "signal-amp", "noise-amp"],
 )
 def test_overflowing_noise_reports_one_error_line(tmp_path, config, stderr):
     # the config accepts these amplitudes, but the run overflows: it exits 3

@@ -9,10 +9,11 @@ from rotolock.modulation import (
     DEFAULT_OFFSET,
     DEFAULT_PHASE,
     ModulationFit,
-    eval_modulation,
     modulation_series,
 )
 from rotolock.signals import TimeGrid, synth
+
+from oracles import eval_modulation
 
 
 def oracle_eval(fit, alpha):

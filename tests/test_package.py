@@ -11,6 +11,7 @@ import numpy as np
 
 import rotolock
 import rotolock.lockin
+import rotolock.modulation
 import rotolock.reference
 import rotolock.signals
 from rotolock.cli import main
@@ -140,10 +141,13 @@ def test_sim_result_holds_only_what_is_read():
 
 
 def test_test_only_code_is_gone():
-    # the Monte Carlo oracle lives in tests/oracles.py; period detection and
-    # the warm-up trim had no caller in the package
-    for name in ("detect_period", "transmitted_fraction_mc"):
-        assert not hasattr(rotolock.reference, name), name
+    # the Monte Carlo oracle and the angle-domain modulation live in
+    # tests/oracles.py; period detection and the warm-up trim had no caller
+    # in the package
+    for module, name in ((rotolock.reference, "detect_period"),
+                         (rotolock.reference, "transmitted_fraction_mc"),
+                         (rotolock.modulation, "eval_modulation")):
+        assert not hasattr(module, name), name
         assert name not in rotolock.__all__, name
     assert not hasattr(rotolock.signals.WindowedSignal, "valid")
 
@@ -152,7 +156,6 @@ def test_test_only_code_is_gone():
 # not use or trace, each with the reason it stays public
 KEEP = {
     "fit_harmonics": "criterion 1 refits the emitted modulation waveform with it",
-    "eval_modulation": "the oracle of the modulation series fit in test_signals",
     "EmissionFit": "the type of SpotGeometry's `emission` config section",
     "TrapezoidFit": "the result type of fit_trapezoid_cosine",
     "emission_intensity": "the LED emission model I(beta) with its fitted-lobe warning",

@@ -443,6 +443,22 @@ class TestFitTrapezoidCosine:
         with pytest.raises(PreconditionError, match="did not converge"):
             fit_trapezoid_cosine(one_period, self.F_ROT)
 
+    def test_covariance_that_cannot_be_estimated_is_refused(self, one_period, monkeypatch):
+        # curve_fit warns and returns an infinite covariance: one error, no warning
+        fit = scipy.optimize.curve_fit
+
+        def no_covariance(*args, **kwargs):
+            popt, pcov = fit(*args, **kwargs)
+            warnings.warn("Covariance of the parameters could not be estimated",
+                          scipy.optimize.OptimizeWarning)
+            return popt, np.full_like(pcov, np.inf)
+
+        monkeypatch.setattr(scipy.optimize, "curve_fit", no_covariance)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match="ill-posed"):
+                fit_trapezoid_cosine(one_period, self.F_ROT)
+
     def test_constant_signal_has_no_transition(self):
         grid = TimeGrid(dt=1e-5, n=100)
         with pytest.raises(PreconditionError, match="no transition"):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotolock.errors import PreconditionError
-from rotolock.modulation import ModulationFit, eval_modulation
+from rotolock.modulation import ModulationFit
 from rotolock.sim import NoiseSpec, SimConfig, measured_signal, run_simulation
 from rotolock.signals import (
     _BLOCK_SAMPLES,
@@ -22,8 +22,11 @@ from rotolock.signals import (
     moving_integral,
     read_csv,
     synth,
+    tile,
     write_csv,
 )
+
+from oracles import eval_modulation
 
 F_M = 2500.0
 DT = 2e-6
@@ -162,6 +165,23 @@ class TestSynth:
         grid = TimeGrid(dt=1.0 / (F_M * 200.5), n=5 * SPP, t0=1e-5)
         expected = self.direct(series, F_M * grid.times())
         assert np.allclose(synth(series, grid).values, expected, rtol=0.0, atol=1e-13)
+
+    def test_overflowing_period_is_refused_on_a_grid_of_several_periods(self):
+        # synth checks the one period it evaluates; the tiles are its copies
+        series = HarmonicSeries(f_fund=F_M, dc=1e308, cos_coeffs=[1e308], sin_coeffs=[0.0])
+        with np.errstate(over="ignore"), pytest.raises(PreconditionError, match="finite"):
+            synth(series, default_grid(n_periods=4))
+
+    def test_tile_repeats_a_period_that_starts_the_grid(self):
+        grid = TimeGrid(dt=DT, n=2 * SPP + 7, t0=1e-5)
+        period = synth(stock_modulation_series(), TimeGrid(DT, SPP, grid.t0))
+        out = tile(period, grid)
+        assert np.array_equal(out.values, np.resize(period.values, grid.n))
+        assert not out.values.flags.writeable
+        assert tile(period, period.grid) is period
+        for other in (TimeGrid(DT, SPP, 0.0), TimeGrid(DT, 3 * SPP, grid.t0)):
+            with pytest.raises(PreconditionError, match="not the start"):
+                tile(synth(stock_modulation_series(), other), grid)
 
     def test_integer_ratio_tolerance_edge(self):
         # relative tolerance 1e-9: 200 +/- 1e-7 is 200, 200 +/- 3e-7 is not

@@ -9,7 +9,8 @@ import pytest
 
 from rotolock.cli import main
 from rotolock.errors import ConfigError
-from rotolock.modulation import ModulationFit
+from rotolock.lockin import modulate
+from rotolock.modulation import ModulationFit, modulation_series
 from rotolock.sim import (
     NoiseSpec,
     SimConfig,
@@ -388,10 +389,41 @@ class TestSimResultArrays:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_two_full_length_finiteness_scans(self, monkeypatch):
+        # only the noisy sum and the lock-in's window sums can leave the float
+        # range; the tiled product, the step noise made of checked levels and
+        # the measured sine are finite by construction and not scanned again
+        cfg = SimConfig(duration=0.3)
+        isfinite = np.isfinite
+        scans = []
+
+        def counting(x, *args, **kwargs):
+            if np.size(x) == cfg.n_samples:
+                scans.append(np.size(x))
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting)
+        run_simulation(cfg)
+        assert len(scans) <= 2
+
+    @pytest.mark.parametrize(
+        "freq, duration",
+        [(50.0, 0.03), (-50.0, 0.03), (0.0, 0.03), (37.0, 0.03), (1000.0, 0.03), (-50.0, 0.01)],
+        ids=["50Hz", "-50Hz", "0Hz", "37Hz", "1kHz", "shorter-than-shared-period"],
+    )
+    def test_tiled_modulated_is_the_full_product(self, freq, duration):
+        # the product is computed over the shared period of the sine and the
+        # modulation and tiled: 15 000 samples hold 1.5 of 50 Hz's 10 000, 37
+        # Hz has no whole period, and 0.01 s is shorter than the shared period
+        cfg = SimConfig(signal_freq=freq, duration=duration)
+        grid = TimeGrid(cfg.dt, cfg.n_samples)
+        full = modulate(measured_signal(cfg, grid), modulation_series(cfg.modulation, cfg.f_m))
+        assert np.array_equal(run_simulation(cfg).modulated.values, full.values)
+
     def test_synth_evaluates_one_run_of_samples(self, monkeypatch):
-        # the measured waveform in full, the first block of the error sum, the
-        # down-sampled grid and one-period tables; the modulation is not
-        # evaluated over the whole run
+        # the measured waveform over the 10 000 samples that it and the
+        # modulation share, the first block of the error sum, the down-sampled
+        # grid and one-period tables; nothing is evaluated over the whole run
         synth = rotolock.signals.synth
         asked = []
 
@@ -406,7 +438,7 @@ class TestSimResultArrays:
         run_simulation(cfg)
         spp = cfg.samples_per_period
         assert len(asked) == 6
-        assert sum(asked) <= cfg.n_samples + _BLOCK_SAMPLES + cfg.n_samples // spp + 3 * spp
+        assert sum(asked) <= 10_000 + _BLOCK_SAMPLES + cfg.n_samples // spp + 3 * spp
 
 
 STACKS = (
