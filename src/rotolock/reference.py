@@ -345,6 +345,11 @@ def fit_trapezoid_cosine(signal: SampledSignal, f_rot: float) -> tuple[Trapezoid
     with np.errstate(divide="ignore", invalid="ignore"):
         # the square roots apart, so that their product cannot overflow
         rho = pcov[0, 3] / (np.sqrt(pcov[0, 0]) * np.sqrt(pcov[3, 3]))
+    if not np.isfinite(rho):
+        raise PreconditionError(
+            "cosine fit of the transition is ill-posed: its covariance cannot be "
+            "estimated, so B and c2 are not determined"
+        )
     if not 1.0 - abs(rho) >= _MIN_FIT_DECORRELATION:
         raise PreconditionError(
             f"cosine fit of the transition is ill-posed: B and c2 are correlated to "

@@ -78,12 +78,6 @@ def frozen(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _check_finite(values) -> None:
-    """Refuse values that are not all finite, as SampledSignal does."""
-    if not np.all(np.isfinite(values)):
-        raise PreconditionError("signal values must all be finite")
-
-
 @dataclass(frozen=True)
 class SampledSignal:
     """Real-valued signal on a TimeGrid.
@@ -95,8 +89,8 @@ class SampledSignal:
     Every value is checked to be finite, except in the few producers whose
     values are finite by construction, which skip that full-length scan
     through `_finite_signal`: `tile` (copies of a period that was checked),
-    `sim.gen_noise` (zeros, checked step levels, or a sine of finite
-    amplitude and phase) and `sim.measured_signal` (zeros).
+    `sim.gen_noise` (zeros, or step levels drawn from a finite range) and
+    `sim.measured_signal` (zeros).
     """
 
     grid: TimeGrid
@@ -108,7 +102,8 @@ class SampledSignal:
             raise PreconditionError(
                 f"values length {values.shape} does not match grid n={self.grid.n}"
             )
-        _check_finite(values)
+        if not np.all(np.isfinite(values)):
+            raise PreconditionError("signal values must all be finite")
         # a read-only array that owns its data was handed over by the code that
         # made it (see `frozen`); any other array may still be written through
         # by a caller, so it is copied

@@ -27,7 +27,6 @@ from .signals import (
     HarmonicSeries,
     SampledSignal,
     TimeGrid,
-    _check_finite,
     _finite_signal,
     downsample_at_phase,
     frozen,
@@ -168,17 +167,10 @@ def gen_noise(spec: NoiseSpec, grid: TimeGrid) -> SampledSignal:
         # zeros
         return _finite_signal(grid, np.zeros(grid.n))
     if spec.kind == "sine":
-        # a phase past the float range is refused once, below
+        # a phase past the float range is refused once, by SampledSignal's check
         with np.errstate(over="ignore", invalid="ignore"):
-            phase = 2.0 * np.pi * spec.rate_or_freq * grid.times()
-        # the phase is monotone in t, so finite ends make it finite throughout
-        if not np.all(np.isfinite(phase[[0, -1]])):
-            raise PreconditionError(
-                "sine noise phase 2*pi*rate_or_freq*t overflows the float range; "
-                "lower rate_or_freq"
-            )
-        # a finite amplitude times the sine of a finite phase
-        return _finite_signal(grid, spec.amplitude * np.sin(phase))
+            sine = spec.amplitude * np.sin(2.0 * np.pi * spec.rate_or_freq * grid.times())
+        return SampledSignal(grid, frozen(sine))
 
     rng = np.random.default_rng(spec.seed)
     t_end = grid.t0 + grid.duration
@@ -195,8 +187,7 @@ def gen_noise(spec: NoiseSpec, grid: TimeGrid) -> SampledSignal:
     # first sample at or after boundary i
     starts = _first_samples_at_or_after(grid, np.asarray(boundaries))
     counts = np.diff(starts, prepend=0, append=grid.n)
-    _check_finite(levels)
-    # copies of the levels, checked above
+    # copies of the levels, finite because NoiseSpec bounds their range 2*amplitude
     return _finite_signal(grid, np.repeat(levels, counts))
 
 

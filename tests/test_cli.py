@@ -75,18 +75,25 @@ class TestRefsignal:
 
     @pytest.mark.filterwarnings("ignore:emission angle")
     @pytest.mark.parametrize(
-        "d, spp, code, exponent",
-        [(0.1, 200, 3, "10"), (0.1, 2000, 0, None), (0.5, 2000, 3, "06")],
-        ids=["200-3", "2000-0", "d0.5-2000-3"],
+        "geometry, spp, code, exponent",
+        [
+            ({"d": 0.1}, 200, 3, "10"),
+            ({"d": 0.1}, 2000, 0, None),
+            ({"d": 0.5}, 2000, 3, "06"),
+            ({"r0": 1.0}, 20000, 0, None),
+        ],
+        ids=["200-3", "2000-0", "d0.5-2000-3", "r0-1.0-20000-0"],
     )
-    def test_ill_posed_transition_fit_is_exit_three(self, tmp_path, capsys, d, spp, code,
+    def test_ill_posed_transition_fit_is_exit_three(self, tmp_path, capsys, geometry, spp, code,
                                                     exponent):
         # a lens 0.1 mm from the blade: at 200 samples per period the fitted
         # cosine spans 0.02 rad of the transition and B, c2 (about 143, -138)
         # trade off along a flat valley.  At 0.5 mm the valley is flatter than
-        # the bound and B moves from 1.30 to 2.08 with the sampling
+        # the bound and B moves from 1.30 to 2.08 with the sampling.  A 1 mm
+        # spot at 20 000 samples per period, whose 1 - |rho| of 6.3e-4 is the
+        # lowest of the accepted geometries swept, is a well-posed fit
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"geometry": {"d": d}, "samples_per_period": spp}))
+        cfg.write_text(json.dumps({"geometry": geometry, "samples_per_period": spp}))
         out = tmp_path / "out"
         assert run_cli("refsignal", "--config", str(cfg), "--out", str(out)) == code
         err = capsys.readouterr().err
@@ -264,11 +271,10 @@ METRIC_OVERFLOW = (
             {"signal_amp": 1.5e308, "noise": {"amplitude": 8e307}},
             "error: signal values must all be finite\n",
         ),
-        # the sine noise's phase overflows
+        # the sine noise's phase overflows: the finiteness error
         (
             {"noise": {"kind": "sine", "rate_or_freq": 1e308}},
-            "error: sine noise phase 2*pi*rate_or_freq*t overflows the float range; "
-            "lower rate_or_freq\n",
+            "error: signal values must all be finite\n",
         ),
         # the signals stay finite, but the error metrics' sums of squares do not
         ({"signal_amp": 1e200}, METRIC_OVERFLOW),

@@ -456,7 +456,8 @@ class TestFitTrapezoidCosine:
         monkeypatch.setattr(scipy.optimize, "curve_fit", no_covariance)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(PreconditionError, match="ill-posed"):
+            with pytest.raises(PreconditionError,
+                               match="ill-posed: its covariance cannot be estimated"):
                 fit_trapezoid_cosine(one_period, self.F_ROT)
 
     def test_constant_signal_has_no_transition(self):

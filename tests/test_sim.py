@@ -391,8 +391,8 @@ class TestSimResultArrays:
 
     def test_two_full_length_finiteness_scans(self, monkeypatch):
         # only the noisy sum and the lock-in's window sums can leave the float
-        # range; the tiled product, the step noise made of checked levels and
-        # the measured sine are finite by construction and not scanned again
+        # range; the tiled product, the step noise (levels from a finite range)
+        # and the measured sine are finite by construction and not scanned again
         cfg = SimConfig(duration=0.3)
         isfinite = np.isfinite
         scans = []
