@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,6 +49,11 @@ def _check_rate(name: str, freq: float, samples_per_period: int) -> None:
         raise ConfigError(f"{name} must be positive, got {freq}")
     if samples_per_period < 1:
         raise ConfigError(f"samples_per_period must be >= 1, got {samples_per_period}")
+    dt = 1.0 / (freq * samples_per_period)
+    if not 0.0 < dt < math.inf:
+        raise ConfigError(
+            f"the step 1/({name}*samples_per_period) must be positive and finite, got {dt}"
+        )
 
 
 def _load_config(path, subcommand: str) -> dict:
@@ -99,8 +105,9 @@ def cmd_refsignal(cfg: RefsignalConfig, out: Path) -> dict:
     """Emit one period of the optical-switch reference plus its transition fit."""
     grid = TimeGrid(dt=1.0 / (cfg.f_rot * cfg.samples_per_period), n=cfg.samples_per_period, t0=0.0)
     wave = reference_waveform(cfg.geometry, grid, cfg.f_rot)
-    write_csv(wave, out / "refsignal.csv")
+    # fitted first, so that a failed fit leaves no file
     fit, resid = fit_trapezoid_cosine(wave, cfg.f_rot)
+    write_csv(wave, out / "refsignal.csv")
     write_json(
         dict(fit.to_dict(), residual_rms=resid, period=1.0 / cfg.f_rot),
         out / "trapezoid_fit.json",

@@ -2,9 +2,8 @@
 
 A `Config` dataclass is read from a JSON object by its field types: float (a
 finite number), int (an integer), str, np.ndarray (a non-empty flat list of
-finite numbers) and nested `Config` (an object).  Missing keys take the field
-default; unknown keys are rejected.  A float field with metadata
-``{"deg": True}`` holds radians under the key ``<name>_deg`` in degrees.
+finite numbers) and nested `Config` (an object), under the field's own
+name.  Missing keys take the field default; unknown keys are rejected.
 Range and cross-field rules stay in each ``__post_init__``; a
 `PreconditionError` raised there while loading becomes a `ConfigError`.
 Among them, `check_size` refuses a config whose arrays would hold more than
@@ -59,33 +58,21 @@ class Config:
         out = {}
         for f in dataclasses.fields(self):
             tp, value = hints[f.name], getattr(self, f.name)
-            if f.metadata.get("deg"):
-                value = _degrees(value)
-            elif tp is np.ndarray:
-                value = [float(x) for x in value]
+            if tp is np.ndarray:
+                out[f.name] = [float(x) for x in value]
             else:
-                value = value.to_dict() if isinstance(value, Config) else tp(value)
-            out[_key(f)] = value
+                out[f.name] = value.to_dict() if isinstance(value, Config) else tp(value)
         return out
-
-
-def _key(f: dataclasses.Field) -> str:
-    return f.name + "_deg" if f.metadata.get("deg") else f.name
 
 
 def _load(cls, d, where: str):
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be a JSON object, got {type(d).__name__}")
-    fields = {_key(f): f for f in dataclasses.fields(cls)}
-    unknown = set(d) - set(fields)
+    hints = typing.get_type_hints(cls)
+    unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown, key=str)}")
-    hints = typing.get_type_hints(cls)
-    kwargs = {}
-    for key, value in d.items():
-        f = fields[key]
-        value = _read(hints[f.name], value, f"{where}.{key}")
-        kwargs[f.name] = float(np.deg2rad(value)) if f.metadata.get("deg") else value
+    kwargs = {key: _read(hints[key], value, f"{where}.{key}") for key, value in d.items()}
     try:
         return cls(**kwargs)
     except (ConfigError, PreconditionError) as exc:
@@ -123,13 +110,3 @@ def _finite(value, where: str) -> float:
         raise ConfigError(f"{where} must be a finite number, got {x}")
     return x
 
-
-def _degrees(rad: float) -> float:
-    """A degree value whose np.deg2rad is exactly `rad`: rad2deg(rad) can be
-    one ulp off the value rad came from (24.0 -> 24.000000000000004), so its
-    neighbours are tried too (the deg2rad/rad2deg round trip is off by < 1.5 ulp)."""
-    deg = float(np.rad2deg(rad))
-    for candidate in (deg, np.nextafter(deg, -np.inf), np.nextafter(deg, np.inf)):
-        if np.deg2rad(candidate) == rad:
-            return float(candidate)
-    return deg

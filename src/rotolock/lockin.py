@@ -65,7 +65,7 @@ def modulate(s: SampledSignal, m: HarmonicSeries) -> SampledSignal:
     of samples) and s is multiplied by it one period at a time.
     """
     grid = s.grid
-    period = synth(m, period_grid(m, grid)).values
+    period = synth(m, period_grid(grid, m.f_fund)).values
     k = len(period)
     whole = grid.n - grid.n % k
     out = np.empty(grid.n)

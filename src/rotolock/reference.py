@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import Config
-from .errors import ConfigError, PreconditionError
+from .errors import PreconditionError
 from .signals import HarmonicSeries, SampledSignal, TimeGrid, frozen
 
 # LED emission fit I(beta) = A*cos(k*beta) + c, k per radian
@@ -66,27 +66,37 @@ class SpotGeometry(Config):
     """LED/blade/photodiode geometry.
 
     r0: spot radius (mm); d: LED-to-blade distance (mm); R0: rotation center
-    to spot center distance (mm); theta_gnd: blade sector angle (radians;
-    the config key theta_gnd_deg is in degrees).
+    to spot center distance (mm); theta_gnd_deg: blade sector angle (degrees,
+    in (0, 180)), given in radians by `theta_gnd`.  The spot must be
+    narrower than the sector, r0 < R0*sin(theta_gnd/2), so that the blade
+    covers it completely and at most one edge crosses it at a time (which
+    also keeps it clear of the rotation center, r0 < R0).
     """
 
     r0: float = 0.5
     d: float = 2.0
     R0: float = 6.0
-    theta_gnd: float = field(default=np.deg2rad(30.0), metadata={"deg": True})
+    theta_gnd_deg: float = 30.0
     emission: EmissionFit = field(default_factory=EmissionFit)
 
     def __post_init__(self):
         if min(self.r0, self.d, self.R0) <= 0.0:
             raise PreconditionError("all lengths must be positive")
-        if self.r0 >= self.R0:
+        if not (0.0 < self.theta_gnd_deg < 180.0):
             raise PreconditionError(
-                f"spot radius {self.r0} must be smaller than orbit radius {self.R0}"
+                f"blade sector angle theta_gnd_deg must be in (0, 180), got {self.theta_gnd_deg}"
             )
-        if not (0.0 < self.theta_gnd < np.pi):
+        cover = self.R0 * np.sin(self.theta_gnd / 2.0)
+        if not self.r0 < cover:
             raise PreconditionError(
-                f"blade sector angle must be in (0, pi), got {self.theta_gnd}"
+                f"spot radius r0={self.r0} must be below R0*sin(theta_gnd/2)={cover:.4g}; "
+                "the blade can never block a wider spot completely"
             )
+
+    @property
+    def theta_gnd(self) -> float:
+        """Blade sector angle in radians."""
+        return float(np.deg2rad(self.theta_gnd_deg))
 
     @property
     def theta_max(self) -> float:
@@ -149,16 +159,6 @@ def _wrap_angle(theta):
     return (theta + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _check_small_spot(geom: SpotGeometry) -> None:
-    if geom.r0 >= geom.R0 * np.sin(geom.theta_gnd / 2.0):
-        raise ConfigError(
-            "spot radius exceeds the blade's angular coverage "
-            f"(r0={geom.r0} >= R0*sin(theta_gnd/2)="
-            f"{geom.R0 * np.sin(geom.theta_gnd / 2.0):.4g}); the blade can "
-            "never block the spot completely, which this model does not support"
-        )
-
-
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1], read-only
@@ -175,7 +175,7 @@ def transmitted_fraction(geom: SpotGeometry, theta) -> np.ndarray | float:
     is clear of the spot, a monotone transition while an edge sweeps across
     it, exactly 0 while the sector covers it.  A float in gives a float out.
 
-    The spot is narrower than the sector (`_check_small_spot`), so at most
+    The spot is narrower than the sector (see `SpotGeometry`), so at most
     one edge crosses it and inside the spot the blade covers a half-plane.
     With h the signed distance from the spot center to that edge (positive
     when the center is covered), the circle of radius rho about the center
@@ -186,7 +186,6 @@ def transmitted_fraction(geom: SpotGeometry, theta) -> np.ndarray | float:
     go to `_minor_share`; the emission-lobe warning fires once per call,
     and only when some angle is on an edge.
     """
-    _check_small_spot(geom)
     theta = np.asarray(theta, dtype=float)
     out = np.empty(theta.shape)
     angles, flat = theta.reshape(-1), out.reshape(-1)
@@ -276,7 +275,6 @@ def reference_waveform(geom: SpotGeometry, grid: TimeGrid, f_rot: float) -> Samp
     """
     if not (f_rot > 0.0):
         raise PreconditionError(f"rotation frequency must be positive, got {f_rot}")
-    _check_small_spot(geom)
     theta = _wrap_angle(2.0 * np.pi * f_rot * grid.times())
     # collapse angles that are equal up to float jitter before the rule
     uniq, inverse = np.unique(np.round(theta, 12), return_inverse=True)
@@ -366,12 +364,15 @@ def synth_demod_reference(period: float, kind: str, l: int, phase: float) -> Har
 
     kind="sine": unit-amplitude fundamental.  kind="square": odd harmonics
     with amplitude 4/(pi*j) up to l.  `phase` is a phase delay of the
-    underlying waveform, so harmonic j is rotated by j*phase.
+    underlying waveform, so harmonic j is rotated by j*phase; it is first
+    reduced to [-pi, pi] (exactly, and leaving such a phase as it is), so
+    that j*phase stays in range.
     """
     if not (period > 0.0):
         raise PreconditionError(f"period must be positive, got {period}")
     if l < 1:
         raise PreconditionError(f"harmonic count must be >= 1, got {l}")
+    phase = math.remainder(phase, 2.0 * math.pi)
     cos_c = np.zeros(l)
     sin_c = np.zeros(l)
     if kind == "sine":

@@ -8,6 +8,7 @@ accumulate stored-time drift.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,13 +183,20 @@ class WindowedSignal:
     warmup: int
 
 
-def period_grid(series: HarmonicSeries, grid: TimeGrid) -> TimeGrid:
-    """The samples of grid that determine series on all of it: the first
-    min(n, spp) when a period 1/f_fund holds a whole number spp of samples
-    (to within _RATIO_TOL, the test the lock-in uses), else the whole grid.
-    `synth` on grid is its values on this grid, tiled."""
-    spp = integer_ratio(1.0 / series.f_fund / grid.dt)  # f*dt can underflow to 0
-    return grid if spp is None or spp >= grid.n else TimeGrid(grid.dt, spp, grid.t0)
+def period_grid(grid: TimeGrid, *freqs: float) -> TimeGrid:
+    """The first k samples of grid over which every sinusoid with a
+    fundamental in freqs repeats: k is the least common multiple of their
+    periods 1/|f| in samples (1 for a zero frequency, a constant), each a
+    whole number to within _RATIO_TOL (the test the lock-in uses).  The
+    whole grid when a period is not, or when k >= n.  `synth` on grid is
+    its values on this grid, tiled."""
+    k = 1
+    for f in freqs:
+        spp = integer_ratio(1.0 / abs(f) / grid.dt) if f else 1  # f*dt can underflow to 0
+        if spp is None:
+            return grid
+        k = math.lcm(k, spp)
+    return grid if k >= grid.n else TimeGrid(grid.dt, k, grid.t0)
 
 
 def tile(period: SampledSignal, grid: TimeGrid) -> SampledSignal:
@@ -216,10 +224,12 @@ def synth(series: HarmonicSeries, grid: TimeGrid) -> SampledSignal:
     harmonics) trigonometry and O(n) memory.  Tiling also keeps the phase
     accurate on long grids, where 2*pi*f*t at large t loses bits.
     """
-    one = period_grid(series, grid)
+    one = period_grid(grid, series.f_fund)
     j = np.arange(1, series.n_harmonics + 1)
-    args = 2.0 * np.pi * series.f_fund * one.times()[:, None] * j[None, :]
-    period = series.dc + np.cos(args) @ series.cos_coeffs + np.sin(args) @ series.sin_coeffs
+    # a value past the float range is refused once, by SampledSignal's check
+    with np.errstate(over="ignore", invalid="ignore"):
+        args = 2.0 * np.pi * series.f_fund * one.times()[:, None] * j[None, :]
+        period = series.dc + np.cos(args) @ series.cos_coeffs + np.sin(args) @ series.sin_coeffs
     return tile(SampledSignal(one, frozen(period)), grid)
 
 

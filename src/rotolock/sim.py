@@ -31,6 +31,7 @@ from .signals import (
     downsample_at_phase,
     frozen,
     integer_ratio,
+    period_grid,
     synth,
     tile,
     write_csv,
@@ -229,23 +230,6 @@ def measured_signal(cfg: SimConfig, grid: TimeGrid) -> SampledSignal:
     return synth(HarmonicSeries(abs(f), 0.0, [0.0], [amp]), grid)
 
 
-def _signal_period(cfg: SimConfig, dt: float) -> int | None:
-    """Samples per period of the measured waveform (1 for zeros), or None
-    when a period is not a whole number of samples."""
-    f = abs(cfg.signal_freq)
-    return integer_ratio(1.0 / f / dt) if f > 0.0 else 1  # f*dt can underflow to 0
-
-
-def _shared_period(cfg: SimConfig, grid: TimeGrid) -> TimeGrid:
-    """The first samples of grid over which both the measured waveform and
-    the modulation repeat: the least common multiple of their periods in
-    samples, or, by the rule of `period_grid`, the whole grid when there is
-    none or it is not shorter than the run."""
-    spp = _signal_period(cfg, grid.dt)
-    k = grid.n if spp is None else math.lcm(spp, cfg.samples_per_period)
-    return grid if k >= grid.n else TimeGrid(grid.dt, k, grid.t0)
-
-
 # an error past the float range gives inf, which run_simulation refuses
 @np.errstate(over="ignore", invalid="ignore")
 def _rms_after(cfg: SimConfig, restored: SampledSignal, start: int) -> float:
@@ -253,22 +237,21 @@ def _rms_after(cfg: SimConfig, restored: SampledSignal, start: int) -> float:
     index `start` on.
 
     The sum of squares is taken one block at a time, so no full-length array
-    is added to a long run's peak memory.  When the waveform's period holds
-    a whole number of samples (up to _BLOCK_SAMPLES), a block is a whole
-    number of periods and the waveform of the first block serves them all,
-    as `synth` would have tiled it; otherwise each block is evaluated on its
-    own slice of the grid.
+    is added to a long run's peak memory.  When the waveform's `period_grid`
+    holds at most _BLOCK_SAMPLES samples, a block is a whole number of
+    periods and the waveform of the first block serves them all, as `synth`
+    would have tiled it; otherwise each block is evaluated on its own slice
+    of the grid.
     """
     grid = restored.grid
-    spp = _signal_period(cfg, grid.dt)
-    if spp is not None and spp > _BLOCK_SAMPLES:
-        spp = None
-    size = _BLOCK_SAMPLES if spp is None else spp * (_BLOCK_SAMPLES // spp)
+    spp = period_grid(grid, cfg.signal_freq).n
+    tiled = spp <= _BLOCK_SAMPLES
+    size = spp * (_BLOCK_SAMPLES // spp) if tiled else _BLOCK_SAMPLES
     wave = None
     total = 0.0
     for i in range(start, grid.n, size):
         k = min(size, grid.n - i)
-        if wave is None or spp is None:
+        if wave is None or not tiled:
             wave = measured_signal(cfg, TimeGrid(grid.dt, k, grid.t0 + i * grid.dt)).values
         dev = restored.values[i : i + k] - wave[:k]
         total += float(np.dot(dev, dev))
@@ -290,7 +273,8 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     m_series = modulation_series(cfg.modulation, cfg.f_m)
     # the product repeats with the shared period, so it is computed over one
     # and tiled: the same bits as over the whole grid
-    modulated = tile(modulate(measured_signal(cfg, _shared_period(cfg, grid)), m_series), grid)
+    common = period_grid(grid, cfg.signal_freq, cfg.f_m)
+    modulated = tile(modulate(measured_signal(cfg, common), m_series), grid)
     noise = gen_noise(cfg.noise, grid)
     # a sum past the float range is refused once, by SampledSignal's check
     with np.errstate(over="ignore"):

@@ -3,7 +3,7 @@
 import numpy as np
 
 from rotolock.modulation import ModulationFit
-from rotolock.reference import SpotGeometry, _check_small_spot, _wrap_angle
+from rotolock.reference import SpotGeometry, _wrap_angle
 
 
 def transmitted_fraction_mc(
@@ -15,7 +15,6 @@ def transmitted_fraction_mc(
     spot disc, weights by the emission profile and tests blade coverage
     directly.  Used to cross-validate the rule.
     """
-    _check_small_spot(geom)
     theta = float(_wrap_angle(theta))
     rng = np.random.default_rng(seed)
     rho = geom.r0 * np.sqrt(rng.random(n_samples))

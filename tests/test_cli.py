@@ -104,20 +104,36 @@ class TestRefsignal:
         assert (out / "trapezoid_fit.json").exists() == (code == 0)
 
     def test_manifest_reingestion_reproduces_degree_geometry(self, tmp_path):
-        # rad2deg(deg2rad(24.0)) is 24.000000000000004, which reads back one ulp off
+        # rad2deg(deg2rad(24.0)) is 24.000000000000004: the manifest must write
+        # back the degrees given, not a value recomputed from radians
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"geometry": {"theta_gnd_deg": 24.0}}))
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run_cli("refsignal", "--config", str(cfg), "--out", str(out1)) == 0
         manifest = out1 / "manifest.json"
+        assert json.loads(manifest.read_text())["config"]["geometry"]["theta_gnd_deg"] == 24.0
         assert run_cli("refsignal", "--config", str(manifest), "--out", str(out2)) == 0
         for name in ("refsignal.csv", "trapezoid_fit.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_bad_geometry_is_config_error(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"geometry": {"r0": 3.0}}))
-        assert run_cli("refsignal", "--config", str(cfg), "--out", str(tmp_path)) == 2
+    def test_default_manifest_writes_the_default_degrees(self, tmp_path):
+        assert run_cli("refsignal", "--out", str(tmp_path)) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert repr(manifest["config"]["geometry"]["theta_gnd_deg"]) == "30.0"
+
+    def test_bad_geometry_is_config_error(self, tmp_path, capsys):
+        # a spot wider than the sector (r0 = 0.5 against R0*sin(1.5 deg) =
+        # 0.157) is refused as the geometry is read, before the output
+        # directory is made
+        for geometry in ({"r0": 3.0}, {"theta_gnd_deg": 3.0}):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"geometry": geometry}))
+            out = tmp_path / "out"
+            assert run_cli("refsignal", "--config", str(cfg), "--out", str(out)) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: RefsignalConfig.geometry: spot radius")
+            assert err.count("\n") == 1
+            assert not out.exists()
 
 
 class TestSimulate:
@@ -216,6 +232,9 @@ class TestSimulate:
             ("simulate", {"modulation": {"amplitudes": [0.1] * 200_000}}),  # 200 x 2e5 table
             ("modwave", {"samples_per_period": MAX_ELEMENTS}),
             ("refsignal", {"samples_per_period": MAX_ELEMENTS + 1}),
+            ("modwave", {"f_m": 1e308}),  # the step 1/(f_m*720) underflows to 0
+            ("modwave", {"f_m": 5e-324}),  # the step overflows to inf
+            ("refsignal", {"f_rot": 5e-324}),
         ],
     )
     def test_bad_config_section_is_config_error(self, tmp_path, capsys, subcommand, config):
@@ -330,9 +349,18 @@ SLOPE_SINGULAR = (
         ("refsignal", {"geometry": {"emission": {"A": 0, "c": -1}}}, 3,
          "error: emission weight A*cos(k*atan(rho/d)) + c must be positive over the spot "
          "(A = 0, c = -1)\n"),
+        # too few samples per period for a transition
+        ("refsignal", {"samples_per_period": 3}, 3,
+         "error: no transition found: no intermediate samples\n"),
+        # the modulation's one period overflows: refused by the finiteness check alone
+        ("modwave", {"modulation": {"amplitudes": [1e308, 1e308]}}, 3,
+         "error: signal values must all be finite\n"),
+        # harmonic j of the reference is rotated by j times the reduced delay
+        ("simulate", {"ref_phase_delay": 1e308}, 0, ""),
     ],
     ids=["tiny-spot", "huge-modulation", "tiny-modulation", "subnormal-modulation",
-         "subnormal-zero-offset", "zero-emission", "negative-emission"],
+         "subnormal-zero-offset", "zero-emission", "negative-emission", "three-samples",
+         "overflowing-modulation", "huge-delay"],
 )
 def test_extreme_scales_exit_with_one_line(tmp_path, subcommand, config, code, stderr):
     # a fresh interpreter, so that NumPy warnings would reach stderr
@@ -346,6 +374,8 @@ def test_extreme_scales_exit_with_one_line(tmp_path, subcommand, config, code, s
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (code, stderr)
+    # a failed run writes nothing
+    assert code == 0 or not any((tmp_path / "out").rglob("*"))
 
 
 def test_simulate_and_modwave_never_import_scipy(tmp_path):

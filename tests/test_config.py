@@ -62,7 +62,8 @@ def test_from_dict_accepts_or_raises_config_error_and_round_trips(cls, data):
 
 @pytest.mark.parametrize("deg", [3.0, 6.0, 12.0, 24.0, 30.0, 48.0, 57.0, 96.0, 105.0, 114.0])
 def test_degree_key_round_trips_to_the_same_radians(deg):
-    geometry = SpotGeometry.from_dict({"theta_gnd_deg": deg})
+    # r0 = 0.1 keeps the spot narrower than the 3 and 6 degree sectors
+    geometry = SpotGeometry.from_dict({"theta_gnd_deg": deg, "r0": 0.1})
     assert SpotGeometry.from_dict(geometry.to_dict()) == geometry
 
 

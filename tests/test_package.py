@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import rotolock
+import rotolock.config
 import rotolock.lockin
 import rotolock.modulation
 import rotolock.reference
@@ -150,6 +151,17 @@ def test_test_only_code_is_gone():
         assert not hasattr(module, name), name
         assert name not in rotolock.__all__, name
     assert not hasattr(rotolock.signals.WindowedSignal, "valid")
+
+
+def test_config_reads_every_field_by_its_type():
+    # SpotGeometry keeps the degrees the config gives and checks its own
+    # small-spot rule, so the loader has no field-specific code and the
+    # occlusion rule raises no ConfigError
+    for name in ("_degrees", "_key"):
+        assert not hasattr(rotolock.config, name), name
+    assert "metadata" not in (SRC / "config.py").read_text()
+    for name in ("_check_small_spot", "ConfigError"):
+        assert not hasattr(rotolock.reference, name), name
 
 
 # exports that no other module of the package imports and the benchmark does

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import rotolock.reference
-from rotolock.errors import ConfigError, PreconditionError
+from rotolock.errors import PreconditionError
 from rotolock.reference import (
     EmissionFit,
     SpotGeometry,
@@ -65,9 +65,8 @@ class TestGeometry:
 
     def test_large_spot_regime_rejected(self):
         # blade cannot fully cover a spot wider than its sector
-        g = SpotGeometry(r0=2.0, R0=6.0, theta_gnd=math.radians(30.0))
-        with pytest.raises(ConfigError, match="never block"):
-            transmitted_fraction(g, 0.0)
+        with pytest.raises(PreconditionError, match="never block"):
+            SpotGeometry(r0=2.0, R0=6.0, theta_gnd_deg=30.0)
 
 
 def segment_oracle(g: SpotGeometry, a: float, n: int = 96) -> float:
@@ -209,7 +208,7 @@ class TestTransmittedFraction:
 @pytest.mark.filterwarnings("ignore:emission angle")
 class TestTrailingEdgePastPi:
     # theta_gnd + theta_max > pi: the trailing transition straddles theta = +-pi
-    GEOM = dict(r0=5.0, R0=6.0, theta_gnd=2.5)
+    GEOM = dict(r0=5.0, R0=6.0, theta_gnd_deg=143.0)
 
     @pytest.mark.parametrize("theta", [-3.0, -2.9])
     def test_agrees_with_monte_carlo(self, theta):
