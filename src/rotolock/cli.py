@@ -45,8 +45,8 @@ class RefsignalConfig(Config):
 
 
 def _check_rate(name: str, freq: float, samples_per_period: int) -> None:
-    if not freq > 0.0:
-        raise ConfigError(f"{name} must be positive, got {freq}")
+    if not 0.0 < 2.0 * math.pi * freq < math.inf:  # synth's angular frequency
+        raise ConfigError(f"{name} must be positive with 2*pi*{name} finite, got {freq}")
     if samples_per_period < 1:
         raise ConfigError(f"samples_per_period must be >= 1, got {samples_per_period}")
     dt = 1.0 / (freq * samples_per_period)

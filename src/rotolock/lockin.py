@@ -15,11 +15,11 @@ own window and removes it.
 The lock-in integral is one call of `signals.window_sums`, the trailing
 window kernel that `moving_integral` also uses: it keeps running sums
 within each period and works through the modulated signal in cache-sized
-chunks of whole periods.  `demodulate` passes the scaled reference period
-as the trapezoid integrand; `slope_compensate` adds the slope term as plain
-window sums of the same call, so it needs only the modulated signal, not a
-demodulated output.  `modulate` likewise evaluates m over one period and
-applies it period by period.
+chunks of whole periods, one matrix product per block of phases and chunk.
+`demodulate` passes the scaled reference period as the trapezoid
+integrand; `slope_compensate` adds the slope term as plain window sums of
+the same call, so it needs only the modulated signal.  `modulate` likewise
+evaluates m over one period and applies it period by period.
 """
 
 from __future__ import annotations

@@ -21,8 +21,8 @@ _RATIO_TOL = 1e-9
 # rows formatted and written per chunk by write_csv (see its docstring)
 _CSV_CHUNK = 256
 
-# phases per block of `window_sums`; each block costs two (B x B) matrix
-# products per period, and fewer blocks mean fewer Python steps
+# phases per block of `window_sums`: one product by its weights per block and
+# period, and fewer blocks mean fewer Python steps
 _PHASE_BLOCK = 32
 
 # samples in a cache-sized run (512 KiB of float64): `window_sums` works
@@ -311,13 +311,6 @@ def window_samples(grid: TimeGrid, window: float) -> int:
     return w
 
 
-def _blocks(a: np.ndarray, first: int, count: int) -> np.ndarray:
-    """The columns of `count` blocks of _PHASE_BLOCK phases of a, from block
-    `first` on, as a (block, row, phase) view."""
-    cols = a[:, first * _PHASE_BLOCK : (first + count) * _PHASE_BLOCK]
-    return cols.reshape(len(a), count, _PHASE_BLOCK).transpose(1, 0, 2)
-
-
 # an overflowing sum is left to SampledSignal's finiteness check, which
 # reports it once as a precondition error
 @np.errstate(over="ignore", invalid="ignore")
@@ -355,22 +348,27 @@ def window_sums(
     The rows go in chunks of whole periods of about _BLOCK_SAMPLES samples,
     so that a chunk's input, output and scratch stay in cache while every
     block passes over it.  A chunk is a view of its periods and the one
-    before them; the product of the own-period weights of all full blocks
-    is one batched matrix product written straight into the output, and the
-    other terms go block by block.  When n % w is not 0 the last n % w
-    outputs come from one more chunk over a zero-padded copy of the last two
-    periods, so past x the only full-length array is the output.
+    before them.  For S sources (the trapezoid and the plain ones), its one
+    operand of 2 * (_PHASE_BLOCK + S) columns takes, block by block, the
+    block's samples of each output's period and of the period before, and
+    the running totals before the block and from it on; one matrix product
+    by the block's weights writes the block's outputs.  When n % w is not 0
+    the last n % w outputs come from one more chunk over a zero-padded copy
+    of the last two periods, so past x the only full-length array is the
+    output.
 
-    The weight matrices (2 * _PHASE_BLOCK floats per phase) are built once
-    per call.  A period longer than _BLOCK_SAMPLES / (2 * _PHASE_BLOCK)
-    phases is done in slabs of that many, whose weights are built and used
-    over every chunk in turn, so they take about _BLOCK_SAMPLES floats at a
-    time; each chunk's running totals carry over to the next slab.
+    The weights, (2 * _PHASE_BLOCK + 2 * S) * _PHASE_BLOCK floats per block
+    (the two triangles, then cur and prev), are built once per call.  A
+    period longer than _BLOCK_SAMPLES / (2 * _PHASE_BLOCK + 2 * S) phases is
+    done in slabs of that many, whose weights are built and used over every
+    chunk in turn, so they take about _BLOCK_SAMPLES floats at a time; each
+    chunk's running totals carry over to the next slab.
     """
     w, n = len(trapezoid), len(x)
     sources = np.stack([trapezoid] + [s for s, _, _ in plain])
     cur = np.stack([np.ones(w)] + [c for _, c, _ in plain])
     prev = np.stack([np.ones(w)] + [p for _, _, p in plain])
+    m = len(sources)  # S in the docstring
 
     out = np.empty(n)
     head = x[:w] * trapezoid
@@ -390,38 +388,38 @@ def window_sums(
         chunks.append((tail.reshape(2, w), np.empty((1, w))))
 
     blocks = [(p0, min(p0 + _PHASE_BLOCK, w)) for p0 in range(0, w, _PHASE_BLOCK)]
-    full = w // _PHASE_BLOCK  # the blocks of _PHASE_BLOCK phases
-    per_slab = _BLOCK_SAMPLES // (2 * _PHASE_BLOCK**2)  # weights of ~_BLOCK_SAMPLES floats
+    width = 2 * (_PHASE_BLOCK + m)  # a block's operand columns
+    per_slab = _BLOCK_SAMPLES // (width * _PHASE_BLOCK)  # weights of ~_BLOCK_SAMPLES floats
     totals = [None] * len(chunks)
     for s0 in range(0, len(blocks), per_slab):
         slab = blocks[s0 : s0 + per_slab]
-        # the weights within block (p0, p1): phase q <= p of period i, and q < p
-        # of period i - 1 (subtracted from its rest); on the diagonals, the half
-        # weights of the window's two end samples
-        now, before = [], []
+        # block (p0, p1) weighs [x of period i | x of period i - 1 | done | rest]:
+        # phase q <= p of period i and q < p of period i - 1 (subtracted from its
+        # rest), and on the diagonals the half weights of the window's two ends
+        weights = []
         for p0, p1 in slab:
             src = sources[:, p0:p1]
             half = np.diag(0.5 * trapezoid[p0:p1])
-            now.append(np.tril(cur[:, p0:p1].T @ src) - half)
-            before.append(np.tril(prev[:, p0:p1].T @ src, -1) + half)
-        k = min(len(slab), full - s0)  # the slab's full blocks
-        now_t = np.stack([a.T for a in now[:k]]) if k > 0 else None
+            now = np.tril(cur[:, p0:p1].T @ src) - half
+            before = np.tril(prev[:, p0:p1].T @ src, -1) + half
+            weights.append(np.vstack([now.T, -before.T, cur[:, p0:p1], prev[:, p0:p1]]))
         for c, (periods, rows) in enumerate(chunks):
             # done[i, s]: sum over the phases before the block of source s times
             # x in period i; rest[i, s]: the same over the block and the phases after
             if s0 == 0:
-                totals[c] = (np.zeros((len(periods), len(sources))), periods @ sources.T)
+                totals[c] = (np.zeros((len(periods), m)), periods @ sources.T)
             done, rest = totals[c]
-            if k > 0:
-                np.matmul(_blocks(periods[1:], s0, k), now_t, out=_blocks(rows, s0, k))
-            for g, (p0, p1) in enumerate(slab):
-                xb, src, acc = periods[:, p0:p1], sources[:, p0:p1], rows[:, p0:p1]
-                if g >= k:
-                    np.matmul(xb[1:], now[g].T, out=acc)
-                acc -= xb[:-1] @ before[g].T
-                acc += done[1:] @ cur[:, p0:p1]
-                acc += rest[:-1] @ prev[:, p0:p1]
-                step = xb @ src.T
+            operand = np.empty((len(rows), width))
+            for (p0, p1), weight in zip(slab, weights):
+                b = p1 - p0
+                xb = periods[:, p0:p1]
+                a = operand[:, : 2 * (b + m)]
+                a[:, :b] = xb[1:]
+                a[:, b : 2 * b] = xb[:-1]
+                a[:, 2 * b : 2 * b + m] = done[1:]
+                a[:, 2 * b + m :] = rest[:-1]
+                np.matmul(a, weight, out=rows[:, p0:p1])
+                step = xb @ sources[:, p0:p1].T
                 done += step
                 rest -= step
             if s0 + per_slab >= len(blocks):

@@ -94,6 +94,8 @@ class SimConfig(Config):
         for name, value in (("dt", self.dt), ("duration", self.duration), ("f_m", self.f_m)):
             if not (value > 0.0):
                 raise ConfigError(f"{name} must be positive, got {value}")
+        if not 2.0 * math.pi * self.f_m < math.inf:  # synth's angular frequency
+            raise ConfigError(f"2*pi*f_m must be finite, got f_m = {self.f_m}")
         spp = 1.0 / self.f_m / self.dt  # f_m*dt can underflow to 0
         if integer_ratio(spp) is None:
             raise ConfigError(f"1/(f_m*dt) must be a positive integer, got {spp:.10g}")

@@ -235,16 +235,23 @@ class TestSimulate:
             ("modwave", {"f_m": 1e308}),  # the step 1/(f_m*720) underflows to 0
             ("modwave", {"f_m": 5e-324}),  # the step overflows to inf
             ("refsignal", {"f_rot": 5e-324}),
+            ("modwave", {"f_m": 1e308, "samples_per_period": 1}),  # 2*pi*f_m overflows
+            # 2*pi*f_m overflows, though dt and 1/(f_m*dt) = 2 are fine
+            ("simulate", {"f_m": 5e307, "dt": 1e-308, "duration": 1e-306, "signal_freq": 0}),
         ],
     )
     def test_bad_config_section_is_config_error(self, tmp_path, capsys, subcommand, config):
+        # one line, and refused as the config is read, before --out is made
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
-        args = [subcommand, "--config", str(cfg), "--out", str(tmp_path)]
+        out = tmp_path / "out"
+        args = [subcommand, "--config", str(cfg), "--out", str(out)]
         if subcommand == "simulate":
             args += ["--seed", "7"]  # the override must not trip on the bad section
         assert run_cli(*args) == 2
-        assert capsys.readouterr().err.startswith("config error:")
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("seed", ["abc", 1.7, -1, True])
     def test_bad_seed_is_config_error(self, tmp_path, capsys, seed):

@@ -23,6 +23,7 @@ from rotolock.signals import (
     read_csv,
     synth,
     tile,
+    window_sums,
     write_csv,
 )
 
@@ -385,6 +386,51 @@ class TestMovingIntegral:
         rhs = a * rx.signal.values + b * ry.signal.values
         scale = max(1.0, np.max(np.abs(rhs)))
         assert np.max(np.abs(lhs.signal.values - rhs)) < 1e-12 * scale
+
+
+def window_sum_terms(x, trapezoid, plain, j):
+    """The terms of output j of `window_sums`, as its docstring defines it."""
+    w = len(trapezoid)
+    if j < w:  # warm-up: the trapezoid sum over [0, j]
+        e = np.ones(j + 1)
+        e[[0, j]] *= 0.5
+        return (e * trapezoid[: j + 1] * x[: j + 1]).tolist() if j else []
+    p = j % w
+    i = np.arange(j - w, j + 1)
+    e = np.ones(w + 1)
+    e[[0, w]] = 0.5
+    terms = (e * trapezoid[i % w] * x[i]).tolist()
+    own = i >= j - p
+    for source, cur, prev in plain:
+        terms += (np.where(own, cur[p], prev[p]) * (source[i % w] * x[i])).tolist()
+    return terms
+
+
+class TestWindowSums:
+    @pytest.mark.parametrize(
+        "n, w, n_plain, outputs",
+        [
+            # three chunks of periods and a partial last period
+            (2 * _BLOCK_SAMPLES + 5 * SPP + 37, SPP, 4, None),
+            # w not a multiple of _PHASE_BLOCK, every output
+            (6 * 77 + 40, 77, 2, range(6 * 77 + 40)),
+            # two slabs of phase blocks: every phase of one period, and the tail
+            (4 * 1100 + 123, 1100, 2, list(range(2 * 1100, 3 * 1100)) + [4 * 1100 + 122]),
+            (3 * 1500 + 9, 1500, 3, list(range(0, 3 * 1500 + 9, 7))),
+        ],
+    )
+    def test_plain_sources_match_exact_sums(self, n, w, n_plain, outputs):
+        rng = np.random.default_rng(w)
+        x = 3.0 + rng.normal(size=n)
+        trapezoid = rng.uniform(0.5, 1.5, size=w)
+        plain = tuple(tuple(rng.normal(size=w) for _ in range(3)) for _ in range(n_plain))
+        out = window_sums(x, trapezoid, plain)
+        if outputs is None:
+            outputs = near_chunk_starts(n, w)
+        for j in outputs:
+            terms = window_sum_terms(x, trapezoid, plain, j)
+            scale = math.fsum(abs(t) for t in terms)
+            assert abs(out[j] - math.fsum(terms)) <= 1e-14 * scale, j
 
 
 class TestDownsampleAtPhase:
