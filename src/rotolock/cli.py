@@ -15,7 +15,7 @@ from .errors import ConfigError, PreconditionError
 from .modulation import ModulationFit, modulation_series
 from .reference import SpotGeometry, fit_trapezoid_cosine, reference_waveform
 from .signals import TimeGrid, synth, write_csv
-from .sim import SimConfig, report, run_simulation
+from .sim import _NOISE_KINDS, _REF_KINDS, SimConfig, report, run_simulation
 
 
 @dataclass(frozen=True)
@@ -138,11 +138,11 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "simulate":
             p.add_argument("--seed", type=int, default=None, help="override noise seed")
             p.add_argument(
-                "--noise", choices=["step", "sine", "none"], default=None,
+                "--noise", choices=_NOISE_KINDS, default=None,
                 help="override noise kind",
             )
             p.add_argument(
-                "--ref", choices=["square", "sine"], default=None,
+                "--ref", choices=_REF_KINDS, default=None,
                 help="override reference kind",
             )
     return parser

@@ -18,8 +18,8 @@ within each period and works through the modulated signal in cache-sized
 chunks of whole periods, one matrix product per block of phases and chunk.
 `demodulate` passes the scaled reference period as the trapezoid
 integrand; `slope_compensate` adds the slope term as plain window sums of
-the same call, so it needs only the modulated signal.  `modulate` likewise
-evaluates m over one period and applies it period by period.
+the same call, so it needs only the modulated signal.  `modulate`
+evaluates m over one period and tiles it, as `signals.synth` does.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .signals import (
     frozen,
     period_grid,
     synth,
+    tile,
     window_samples,
     window_sums,
 )
@@ -58,20 +59,12 @@ class HarmonicOutput:
 
 
 def modulate(s: SampledSignal, m: HarmonicSeries) -> SampledSignal:
-    """s times the modulation m on s's grid: the same bits as
-    s * synth(m, s.grid), without the full-length modulation.
-
-    m is evaluated on `period_grid` (one period when that is a whole number
-    of samples) and s is multiplied by it one period at a time.
-    """
+    """s times the modulation m on s's grid: `synth` evaluates m on
+    `period_grid` (one period when that is a whole number of samples) and
+    `tile` repeats it over the grid, the same bits as s * synth(m, s.grid)."""
     grid = s.grid
-    period = synth(m, period_grid(grid, m.f_fund)).values
-    k = len(period)
-    whole = grid.n - grid.n % k
-    out = np.empty(grid.n)
-    np.multiply(s.values[:whole].reshape(-1, k), period, out=out[:whole].reshape(-1, k))
-    np.multiply(s.values[whole:], period[: grid.n - whole], out=out[whole:])
-    return SampledSignal(grid, frozen(out))
+    m_values = tile(synth(m, period_grid(grid, m.f_fund)), grid).values
+    return SampledSignal(grid, frozen(s.values * m_values))
 
 
 def _part(r: HarmonicSeries, channel: str) -> HarmonicSeries:

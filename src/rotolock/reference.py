@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import Config
 from .errors import PreconditionError
-from .signals import HarmonicSeries, SampledSignal, TimeGrid, frozen
+from .signals import HarmonicSeries, SampledSignal, TimeGrid, frozen, period_grid, tile
 
 # LED emission fit I(beta) = A*cos(k*beta) + c, k per radian
 DEFAULT_EMISSION_A = 4.113
@@ -269,16 +269,15 @@ def _minor_share(geom: SpotGeometry, a: np.ndarray) -> np.ndarray:
 def reference_waveform(geom: SpotGeometry, grid: TimeGrid, f_rot: float) -> SampledSignal:
     """Photodiode output over time: transmitted_fraction at theta = 2*pi*f_rot*t.
 
-    Values repeat each rotation period, so the angles are rounded to 12
-    decimals and the distinct ones go through one call of
-    `transmitted_fraction`.
+    Values repeat each rotation period, so, as in `synth`, one call of
+    `transmitted_fraction` evaluates the samples of `period_grid` and
+    `tile` repeats them over the grid.
     """
     if not (f_rot > 0.0):
         raise PreconditionError(f"rotation frequency must be positive, got {f_rot}")
-    theta = _wrap_angle(2.0 * np.pi * f_rot * grid.times())
-    # collapse angles that are equal up to float jitter before the rule
-    uniq, inverse = np.unique(np.round(theta, 12), return_inverse=True)
-    return SampledSignal(grid, frozen(transmitted_fraction(geom, uniq)[inverse]))
+    one = period_grid(grid, f_rot)
+    period = transmitted_fraction(geom, 2.0 * np.pi * f_rot * one.times())
+    return tile(SampledSignal(one, frozen(period)), grid)
 
 
 def _first_transition(values: np.ndarray) -> slice:
@@ -359,8 +358,8 @@ def fit_trapezoid_cosine(signal: SampledSignal, f_rot: float) -> tuple[Trapezoid
     return fit.canonical(), resid
 
 
-def synth_demod_reference(period: float, kind: str, l: int, phase: float) -> HarmonicSeries:
-    """Zero-DC harmonic series used as the demodulation reference.
+def synth_demod_reference(f_fund: float, kind: str, l: int, phase: float) -> HarmonicSeries:
+    """Zero-DC harmonic series of fundamental f_fund: the demodulation reference.
 
     kind="sine": unit-amplitude fundamental.  kind="square": odd harmonics
     with amplitude 4/(pi*j) up to l.  `phase` is a phase delay of the
@@ -368,8 +367,6 @@ def synth_demod_reference(period: float, kind: str, l: int, phase: float) -> Har
     reduced to [-pi, pi] (exactly, and leaving such a phase as it is), so
     that j*phase stays in range.
     """
-    if not (period > 0.0):
-        raise PreconditionError(f"period must be positive, got {period}")
     if l < 1:
         raise PreconditionError(f"harmonic count must be >= 1, got {l}")
     phase = math.remainder(phase, 2.0 * math.pi)
@@ -385,4 +382,4 @@ def synth_demod_reference(period: float, kind: str, l: int, phase: float) -> Har
             sin_c[j - 1] = amp * np.sin(j * phase)
     else:
         raise PreconditionError(f"unknown reference kind {kind!r}; use 'square' or 'sine'")
-    return HarmonicSeries(f_fund=1.0 / period, dc=0.0, cos_coeffs=cos_c, sin_coeffs=sin_c)
+    return HarmonicSeries(f_fund=f_fund, dc=0.0, cos_coeffs=cos_c, sin_coeffs=sin_c)

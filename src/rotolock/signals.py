@@ -89,8 +89,10 @@ class SampledSignal:
 
     Every value is checked to be finite, except in the few producers whose
     values are finite by construction, which skip that full-length scan
-    through `_finite_signal`: `tile` (copies of a period that was checked),
-    `sim.gen_noise` (zeros, or step levels drawn from a finite range) and
+    through `_finite_signal`: `tile` (copies of a period that was checked,
+    which is how `synth`, sine noise, `lockin.modulate` and
+    `reference.reference_waveform` fill a long grid), `sim.gen_noise`
+    (zeros, or step levels drawn from a finite range) and
     `sim.measured_signal` (zeros).
     """
 

@@ -170,10 +170,7 @@ def gen_noise(spec: NoiseSpec, grid: TimeGrid) -> SampledSignal:
         # zeros
         return _finite_signal(grid, np.zeros(grid.n))
     if spec.kind == "sine":
-        # a phase past the float range is refused once, by SampledSignal's check
-        with np.errstate(over="ignore", invalid="ignore"):
-            sine = spec.amplitude * np.sin(2.0 * np.pi * spec.rate_or_freq * grid.times())
-        return SampledSignal(grid, frozen(sine))
+        return synth(HarmonicSeries(spec.rate_or_freq, 0.0, [0.0], [spec.amplitude]), grid)
 
     rng = np.random.default_rng(spec.seed)
     t_end = grid.t0 + grid.duration
@@ -282,9 +279,8 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     with np.errstate(over="ignore"):
         noisy = SampledSignal(grid, frozen(modulated.values + noise.values))
 
-    period = 1.0 / cfg.f_m
     l = cfg.modulation.n_harmonics
-    r = synth_demod_reference(period, cfg.ref_kind, l, cfg.ref_phase_delay)
+    r = synth_demod_reference(cfg.f_m, cfg.ref_kind, l, cfg.ref_phase_delay)
     gains = {c: channel_gain(m_series, r, c)[0] for c in CHANNELS}
     channel = "even" if abs(gains["even"]) >= abs(gains["odd"]) else "odd"
 
@@ -325,7 +321,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     # scale (and sign, for a half-period flip) error of skipping calibration;
     # None when the aligned gain on this channel is below the floor (an
     # aligned reference has no odd part, so always on the odd channel)
-    aligned = synth_demod_reference(period, cfg.ref_kind, l, 0.0)
+    aligned = synth_demod_reference(cfg.f_m, cfg.ref_kind, l, 0.0)
     g_aligned, share_aligned = channel_gain(m_series, aligned, channel)
     scale = None
     if share_aligned >= GAIN_FLOOR:
@@ -342,7 +338,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
         "gain_even": gains["even"],
         "gain_odd": gains["odd"],
         "gain_scale_vs_aligned": scale,
-        "group_delay_s": period / 2.0,
+        "group_delay_s": 0.5 / cfg.f_m,
     }
     return SimResult(
         noise=noise,

@@ -198,7 +198,7 @@ def test_criterion_6_sine_noise_leakage(clean_run):
     assert res.metrics["channel"] == "even"
     grid = res.noise.grid
     m_series = modulation_series(cfg.modulation, cfg.f_m)
-    ref = synth_demod_reference(T_M, cfg.ref_kind, cfg.modulation.n_harmonics,
+    ref = synth_demod_reference(F_M, cfg.ref_kind, cfg.modulation.n_harmonics,
                                 cfg.ref_phase_delay)
     even = HarmonicSeries(cfg.f_m, 0.0, ref.cos_coeffs, np.zeros(ref.n_harmonics))
     one_period = TimeGrid(dt=cfg.dt, n=SPP, t0=0.0)
@@ -232,7 +232,7 @@ def test_criterion_7_per_harmonic_outputs():
     grid = TimeGrid(dt=DT, n=20 * SPP, t0=0.0)
     s_m = modulate(SampledSignal(grid, np.ones(grid.n)), m)
 
-    aligned = synth_demod_reference(T_M, "square", 7, 0.0)
+    aligned = synth_demod_reference(F_M, "square", 7, 0.0)
     outs = harmonic_outputs(s_m, m, aligned)
     ratio_err = max(
         abs(outs[i - 1].X / outs[0].X - fit.amplitudes[i - 1] / fit.amplitudes[0])
@@ -240,7 +240,7 @@ def test_criterion_7_per_harmonic_outputs():
         for i in range(1, 8)
     )
 
-    shifted = synth_demod_reference(T_M, "square", 7, 2.0 * np.pi / 12.0)  # shift by T_m/12
+    shifted = synth_demod_reference(F_M, "square", 7, 2.0 * np.pi / 12.0)  # shift by T_m/12
     mags_a = np.array([o.magnitude for o in outs])
     mags_s = np.array([o.magnitude for o in harmonic_outputs(s_m, m, shifted)])
     mag_err = float(np.max(np.abs(mags_s - mags_a) / np.abs(mags_a)))

@@ -77,7 +77,7 @@ class TestRefsignal:
     @pytest.mark.parametrize(
         "geometry, spp, code, exponent",
         [
-            ({"d": 0.1}, 200, 3, "10"),
+            ({"d": 0.1}, 200, 3, "11"),
             ({"d": 0.1}, 2000, 0, None),
             ({"d": 0.5}, 2000, 3, "06"),
             ({"r0": 1.0}, 20000, 0, None),
@@ -272,6 +272,15 @@ class TestSimulate:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"duration": 4e-4}))
         assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path)) == 3
+
+    def test_modulation_frequency_whose_period_does_not_round_trip(self, tmp_path, capsys):
+        # 1/(1/1003) != 1003: the reference takes f_m itself, not its period
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"f_m": 1003.0, "dt": 4.985044865403788e-06, "duration": 0.02991026919242273}
+        ))
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path)) == 0
+        assert capsys.readouterr().err == ""
 
     def test_out_of_memory_is_exit_three(self, tmp_path, capsys, monkeypatch):
         def exhausted(cfg, out):

@@ -38,7 +38,7 @@ def stock_modulation_series():
 
 
 def square_ref(phase=0.0, l=7):
-    return synth_demod_reference(T_M, "square", l, phase)
+    return synth_demod_reference(F_M, "square", l, phase)
 
 
 def modulated_signal(s_values, m_series, grid):
@@ -129,7 +129,7 @@ class TestChannelGain:
         assert channel_gain(m, unit_cosine_series(), "even") == pytest.approx((1.0, 1.0))
 
     def test_stock_modulation_against_sine_reference(self):
-        ref = synth_demod_reference(T_M, "sine", 7, 0.0)
+        ref = synth_demod_reference(F_M, "sine", 7, 0.0)
         g, _ = channel_gain(stock_modulation_series(), ref, "even")
         assert g == pytest.approx(0.366, abs=1e-6)
 
@@ -159,6 +159,18 @@ class TestChannelGain:
             overlap = 2.0 * np.mean(synth(m, grid).values * synth(part, grid).values)
             assert channel_gain(m, ref, channel)[0] == pytest.approx(overlap, abs=1e-12)
 
+    @pytest.mark.parametrize("f", [99.0, 1002.0, 1003.0, 1005.0])
+    def test_reference_at_a_fundamental_whose_period_does_not_round_trip(self, f):
+        # 1/(1/f) != f here, so a reference rebuilt from the period 1/f would
+        # not share m's fundamental; the gain depends on the coefficients alone
+        assert 1.0 / (1.0 / f) != f
+        m = modulation_series(ModulationFit(), f)
+        ref = synth_demod_reference(f, "square", 7, 0.4)
+        for channel in ("even", "odd"):
+            assert channel_gain(m, ref, channel) == channel_gain(
+                stock_modulation_series(), square_ref(0.4), channel
+            )
+
     def test_unknown_channel_rejected(self):
         with pytest.raises(PreconditionError, match="unknown channel"):
             channel_gain(unit_cosine_series(), unit_cosine_series(), "both")
@@ -171,7 +183,7 @@ class TestChannelGain:
     def test_unusable_reference_rejected(self):
         grid = grid_for(4)
         m = unit_cosine_series()
-        ref = synth_demod_reference(T_M, "sine", 1, phase=math.pi / 2.0)
+        ref = synth_demod_reference(F_M, "sine", 1, phase=math.pi / 2.0)
         s_m = modulated_signal(np.ones(grid.n), m, grid)
         with pytest.raises(PreconditionError, match="unusable"):
             demodulate(s_m, m, ref, "even")
@@ -384,7 +396,7 @@ class TestSlopeCompensate:
     def test_exact_for_linear_signal(self, fit, ref_kind, delay, channel):
         grid = TimeGrid(dt=DT, n=8 * SPP + 37, t0=1.3e-4)  # partial last period
         m = modulation_series(fit, F_M)
-        ref = synth_demod_reference(T_M, ref_kind, 7, delay)
+        ref = synth_demod_reference(F_M, ref_kind, 7, delay)
         s_m = modulated_signal(0.3 + 150.0 * grid.times(), m, grid)
         raw = demodulate(s_m, m, ref, channel)
         out = slope_compensate(s_m, m, ref, channel)
@@ -490,7 +502,7 @@ class TestLockinOracle:
     def chain(fit, ref_kind, delay, n, t0):
         grid = TimeGrid(dt=DT, n=n, t0=t0)
         m = modulation_series(fit, F_M)
-        ref = synth_demod_reference(T_M, ref_kind, 7, delay)
+        ref = synth_demod_reference(F_M, ref_kind, 7, delay)
         t = grid.times()
         s = 0.3 + np.sin(2 * np.pi * 50.0 * t) + 40.0 * t
         noise = np.random.default_rng(11).normal(scale=0.05, size=n)
@@ -632,7 +644,7 @@ class TestHarmonicOutputs:
     def test_unusable_reference_rejected(self):
         grid = grid_for(4)
         m = unit_cosine_series()
-        ref = synth_demod_reference(T_M, "sine", 1, phase=math.pi / 2.0)
+        ref = synth_demod_reference(F_M, "sine", 1, phase=math.pi / 2.0)
         s_m = modulated_signal(np.ones(grid.n), m, grid)
         with pytest.raises(PreconditionError, match="unusable"):
             harmonic_outputs(s_m, m, ref)

@@ -371,7 +371,7 @@ class TestReferenceWaveform:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8.5 * wave.values.nbytes
+        assert peak <= 6.2 * wave.values.nbytes
 
     def test_periodic_across_revolutions(self):
         g = SpotGeometry()
@@ -508,15 +508,15 @@ class TestFirstTransition:
 
 class TestSynthDemodReference:
     def test_sine_at_zero_phase(self):
-        ref = synth_demod_reference(4e-4, "sine", l=3, phase=0.0)
+        ref = synth_demod_reference(2500.0, "sine", l=3, phase=0.0)
         assert ref.dc == 0.0
-        assert ref.f_fund == pytest.approx(2500.0)
+        assert ref.f_fund == 2500.0
         assert np.allclose(ref.cos_coeffs, [1.0, 0.0, 0.0])
         assert np.allclose(ref.sin_coeffs, [0.0, 0.0, 0.0])
 
     def test_square_at_zero_phase(self):
         # oracle: unit square-wave harmonic amplitudes 4/(pi*j), odd j only
-        ref = synth_demod_reference(4e-4, "square", l=7, phase=0.0)
+        ref = synth_demod_reference(2500.0, "square", l=7, phase=0.0)
         expected = [4 / math.pi, 0, 4 / (3 * math.pi), 0, 4 / (5 * math.pi), 0, 4 / (7 * math.pi)]
         assert np.allclose(ref.cos_coeffs, expected, atol=1e-15)
         assert np.allclose(ref.sin_coeffs, 0.0)
@@ -524,11 +524,11 @@ class TestSynthDemodReference:
     @pytest.mark.parametrize("kind", ["sine", "square"])
     @pytest.mark.parametrize("phase", [0.0, 0.4, math.pi / 6.0, math.pi])
     def test_dc_always_zero(self, kind, phase):
-        assert synth_demod_reference(1e-3, kind, l=5, phase=phase).dc == 0.0
+        assert synth_demod_reference(1000.0, kind, l=5, phase=phase).dc == 0.0
 
     def test_phase_delay_rotates_each_harmonic(self):
         phase = math.pi / 6.0
-        ref = synth_demod_reference(4e-4, "square", l=3, phase=phase)
+        ref = synth_demod_reference(2500.0, "square", l=3, phase=phase)
         a1, a3 = 4 / math.pi, 4 / (3 * math.pi)
         assert ref.cos_coeffs[0] == pytest.approx(a1 * math.cos(phase))
         assert ref.sin_coeffs[0] == pytest.approx(a1 * math.sin(phase))
@@ -537,4 +537,9 @@ class TestSynthDemodReference:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(PreconditionError, match="kind"):
-            synth_demod_reference(1e-3, "triangle", l=3, phase=0.0)
+            synth_demod_reference(1000.0, "triangle", l=3, phase=0.0)
+
+    @pytest.mark.parametrize("f_fund", [0.0, -2500.0, math.nan])
+    def test_non_positive_fundamental_rejected(self, f_fund):
+        with pytest.raises(PreconditionError, match="fundamental must be positive"):
+            synth_demod_reference(f_fund, "square", l=3, phase=0.0)

@@ -21,7 +21,7 @@ from rotolock.sim import (
     step_contamination_mask,
 )
 import rotolock.signals
-from rotolock.signals import _BLOCK_SAMPLES, SampledSignal, TimeGrid
+from rotolock.signals import _BLOCK_SAMPLES, HarmonicSeries, SampledSignal, TimeGrid, synth
 
 
 def default_grid():
@@ -44,6 +44,16 @@ class TestGenNoise:
         grid = TimeGrid(dt=2e-6, n=50000)  # 0.1 s covers a full 10 Hz period
         out = gen_noise(spec, grid)
         assert np.max(np.abs(out.values)) == pytest.approx(10.0, rel=1e-6)
+
+    def test_sine_noise_is_one_period_tiled(self):
+        # the one-harmonic series that `measured_signal` builds: one 1 000-sample
+        # period evaluated and repeated exactly, not a sine drifting with t
+        spec = NoiseSpec(kind="sine", amplitude=10.0, rate_or_freq=500.0)
+        grid = TimeGrid(dt=2e-6, n=1_500_000)
+        out = gen_noise(spec, grid).values
+        series = HarmonicSeries(500.0, 0.0, [0.0], [10.0])
+        assert out.tobytes() == synth(series, grid).values.tobytes()
+        assert np.array_equal(out.reshape(-1, 1000), np.broadcast_to(out[:1000], (1500, 1000)))
 
     def test_none_kind_is_zero(self):
         out = gen_noise(NoiseSpec(kind="none"), default_grid())
@@ -401,11 +411,13 @@ class TestSimResultArrays:
         assert peaks[0] < 880_000
         assert peaks[1] < 400_000
 
-    def test_two_full_length_finiteness_scans(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["step", "sine"])
+    def test_two_full_length_finiteness_scans(self, monkeypatch, kind):
         # only the noisy sum and the lock-in's window sums can leave the float
-        # range; the tiled product, the step noise (levels from a finite range)
-        # and the measured sine are finite by construction and not scanned again
-        cfg = SimConfig(duration=0.3)
+        # range; the tiled product, the noise (step levels from a finite range,
+        # a sine tiled from one checked period) and the measured sine are
+        # finite by construction and not scanned again
+        cfg = SimConfig(duration=0.3, noise=NoiseSpec(kind=kind))
         isfinite = np.isfinite
         scans = []
 
