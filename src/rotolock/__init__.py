@@ -30,8 +30,6 @@ from .signals import (
     WindowedSignal,
     downsample_at_phase,
     fit_harmonics,
-    moving_integral,
-    read_csv,
     synth,
     write_csv,
 )
@@ -46,10 +44,8 @@ __all__ = [
     "WindowedSignal",
     "synth",
     "fit_harmonics",
-    "moving_integral",
     "downsample_at_phase",
     "write_csv",
-    "read_csv",
     "ModulationFit",
     "modulation_series",
     "EmissionFit",

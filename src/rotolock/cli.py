@@ -65,6 +65,10 @@ def _load_config(path, subcommand: str) -> dict:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    # bytes that are not UTF-8, an integer past Python's digit limit, nesting
+    # deeper than the parser's recursion
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if isinstance(data, dict) and "subcommand" in data and "config" in data:

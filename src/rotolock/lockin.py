@@ -12,10 +12,10 @@ nothing.  The one-period window leaves a ripple that is first order in the
 signal's slope; `slope_compensate` estimates the slope from each output's
 own window and removes it.
 
-The lock-in integral is one call of `signals.window_sums`, the trailing
-window kernel that `moving_integral` also uses: it keeps running sums
-within each period and works through the modulated signal in cache-sized
-chunks of whole periods, one matrix product per block of phases and chunk.
+The lock-in integral is one call of `signals.window_sums`, the package's
+trailing-window trapezoid kernel: it keeps running sums within each period
+and works through the modulated signal in cache-sized chunks of whole
+periods, one matrix product per block of phases and chunk.
 `demodulate` passes the scaled reference period as the trapezoid
 integrand; `slope_compensate` adds the slope term as plain window sums of
 the same call, so it needs only the modulated signal.  `modulate`
@@ -143,8 +143,8 @@ def demodulate(
     """Recover the measured signal from the modulated signal s_m, which
     carries the modulation m.
 
-    output = (2/T_m) * moving_integral(s_m * part, T_m) / g, with part and g
-    the channel's part of r and its gain.
+    output = (2/T_m) * (trapezoid integral of s_m * part over [t - T_m, t]) / g,
+    with part and g the channel's part of r and its gain.
 
     The trailing window [t - T_m, t] estimates the signal at the window
     center, so the output grid is relabeled by -T_m/2: output sample times

@@ -59,6 +59,14 @@ class EmissionFit(Config):
     def __post_init__(self):
         if not all(np.isfinite([self.A, self.k, self.c])):
             raise PreconditionError("emission fit parameters must be finite")
+        # |weight| <= |A| + |c|, so the occlusion rule's largest integrand,
+        # |weight| * pi, stays a finite float
+        limit = np.finfo(float).max / 4.0
+        if not abs(self.A) + abs(self.c) <= limit:
+            raise PreconditionError(
+                f"emission fit |A| + |c| must be at most {limit:.4g}, "
+                f"got A = {self.A:.4g}, c = {self.c:.4g}"
+            )
 
 
 @dataclass(frozen=True)

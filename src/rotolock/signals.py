@@ -174,7 +174,7 @@ class HarmonicSeries:
 
 @dataclass(frozen=True)
 class WindowedSignal:
-    """Output of a windowed (moving-integral) operation.
+    """Output of a trailing-window integral, such as the lock-in's.
 
     The first `warmup` samples cover windows that extend before the start of
     the input; they hold partial-window values and must not be treated as
@@ -333,8 +333,9 @@ def window_sums(
     inside: the trapezoid rule.  cur weights the phases of output j's own
     period, prev those of the period before.  The first w outputs are
     warm-up: the trapezoid sum over [0, j], without the plain sums.
-    `moving_integral` takes dt per phase as its trapezoid; the lock-in takes
-    its scaled reference, with the slope term as plain sources.
+    The lock-in takes its scaled reference as the trapezoid, with the slope
+    term as plain sources; a trapezoid of dt per phase gives x's
+    trapezoid-rule integral over each window.
 
     The signal is viewed one period per row, and every sum is a combination
     of running sums over phases within one period.  Those restart every
@@ -431,20 +432,6 @@ def window_sums(
     return out
 
 
-def moving_integral(signal: SampledSignal, window: float) -> WindowedSignal:
-    """Trailing-window integral: output[i] = integral of signal over
-    [t_i - window, t_i], trapezoidal rule, by `window_sums` with dt per phase.
-
-    The window must be an integer number of samples.  The cost is O(1) per
-    sample and the rounding does not grow with the signal's length.  The
-    first window/dt outputs integrate from the start and are warm-up.
-    """
-    grid = signal.grid
-    w = window_samples(grid, window)
-    out = window_sums(signal.values, np.full(w, grid.dt))
-    return WindowedSignal(SampledSignal(grid, frozen(out)), warmup=w)
-
-
 def downsample_at_phase(signal: SampledSignal, f_m: float, phase: float) -> SampledSignal:
     """Keep one sample per modulation period: the one nearest the requested
     modulation phase.  The output grid has dt = 1/f_m."""
@@ -487,16 +474,3 @@ def write_csv(signal: SampledSignal, path) -> None:
             rows[0::2] = grid.times(start, stop).tolist()
             rows[1::2] = values[start:stop].tolist()
             fh.write(("%.17g,%.17g\n" * (stop - start)) % tuple(rows))
-
-
-def read_csv(path) -> SampledSignal:
-    """Read a `t,value` CSV back into a SampledSignal."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    t, v = data[:, 0], data[:, 1]
-    if len(t) < 2:
-        grid = TimeGrid(dt=1.0, n=len(t), t0=float(t[0]) if len(t) else 0.0)
-        return SampledSignal(grid, v)
-    dt = float(np.median(np.diff(t)))
-    if np.max(np.abs(np.diff(t) - dt)) > 1e-6 * dt + 1e-15:
-        raise PreconditionError(f"{path}: sample times are not uniform")
-    return SampledSignal(TimeGrid(dt=dt, n=len(t), t0=float(t[0])), v)

@@ -1,9 +1,12 @@
-"""Independent oracles that tests check the package against."""
+"""Independent oracles that tests check the package against, and the reader
+that takes its CSV outputs back."""
 
 import numpy as np
 
+from rotolock.errors import PreconditionError
 from rotolock.modulation import ModulationFit
 from rotolock.reference import SpotGeometry, _wrap_angle
+from rotolock.signals import SampledSignal, TimeGrid
 
 
 def transmitted_fraction_mc(
@@ -40,3 +43,16 @@ def eval_modulation(fit: ModulationFit, alpha) -> np.ndarray | float:
     terms = fit.amplitudes * np.cos(i * alpha[..., None] + fit.phase)
     out = fit.offset + terms.sum(axis=-1)
     return float(out) if out.ndim == 0 else out
+
+
+def read_csv(path) -> SampledSignal:
+    """Read a `t,value` CSV back into a SampledSignal."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    t, v = data[:, 0], data[:, 1]
+    if len(t) < 2:
+        grid = TimeGrid(dt=1.0, n=len(t), t0=float(t[0]) if len(t) else 0.0)
+        return SampledSignal(grid, v)
+    dt = float(np.median(np.diff(t)))
+    if np.max(np.abs(np.diff(t) - dt)) > 1e-6 * dt + 1e-15:
+        raise PreconditionError(f"{path}: sample times are not uniform")
+    return SampledSignal(TimeGrid(dt=dt, n=len(t), t0=float(t[0])), v)

@@ -13,7 +13,9 @@ from rotolock.cli import main
 from rotolock.config import MAX_ELEMENTS
 from rotolock.modulation import ModulationFit
 from rotolock.reference import SpotGeometry
-from rotolock.signals import fit_harmonics, read_csv
+from rotolock.signals import fit_harmonics
+
+from oracles import read_csv
 
 
 def run_cli(*argv):
@@ -218,6 +220,8 @@ class TestSimulate:
             ("simulate", {"downsample_phase": math.nan}),
             ("refsignal", {"geometry": {"r0": -1}}),
             ("refsignal", {"geometry": {"emission": {"A": math.nan}}}),
+            # the emission weight times pi could overflow in the occlusion rule
+            ("refsignal", {"geometry": {"emission": {"A": 1e308, "c": 1e308}}}),
             ("modwave", {"samples_per_period": 2.9}),
             ("simulate", {"ref_phase_delay": "0.5"}),
             ("simulate", {"signal_freq": 1e6}),  # aliases to zero at one sample per period
@@ -260,12 +264,25 @@ class TestSimulate:
         assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path)) == 2
         assert capsys.readouterr().err.startswith("config error: SimConfig.noise")
 
-    def test_malformed_json_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text, context",
+        [
+            (b'{"dt": 2e-6,', "cfg.json:1:13: "),  # the parser's line and column
+            (b"[" * 100_000 + b"]" * 100_000, "cfg.json: "),  # nested past its recursion
+            (b"\xff\xfe{}", "cfg.json: "),  # not UTF-8
+            (b'{"f_m": 1' + b"0" * 5_000 + b"}", "cfg.json: "),  # past the 4 300-digit int limit
+        ],
+        ids=["truncated", "deep-nesting", "not-utf8", "long-integer"],
+    )
+    def test_malformed_json_is_config_error(self, tmp_path, capsys, text, context):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"dt": 2e-6,')
-        assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path)) == 2
+        cfg.write_bytes(text)
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 2
         err = capsys.readouterr().err
-        assert "cfg.json" in err and ":" in err  # parse context with position
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert context in err
+        assert not out.exists()
 
     def test_precondition_failure_is_exit_three(self, tmp_path):
         # one modulation period: the integration window cannot fit

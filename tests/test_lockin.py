@@ -375,12 +375,14 @@ class TestDemodulate:
             with pytest.raises(PreconditionError, match="unusable reference"):
                 slope_compensate(s_m, m, ref, channel)
 
-    def test_non_commensurate_grid_rejected(self):
-        grid = TimeGrid(dt=3e-6, n=1000)
+    # a window of 133.3 samples, and one of 2.5 samples
+    @pytest.mark.parametrize("dt", [3e-6, T_M / 2.5])
+    def test_non_commensurate_grid_rejected(self, dt):
+        grid = TimeGrid(dt=dt, n=1000)
         m = unit_cosine_series()
         ref = unit_cosine_series()
         s_m = SampledSignal(grid, np.ones(grid.n))
-        with pytest.raises(PreconditionError, match="integer"):
+        with pytest.raises(PreconditionError, match="is not an integer multiple of dt"):
             demodulate(s_m, m, ref, "even")
 
 

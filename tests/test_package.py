@@ -5,11 +5,13 @@ import inspect
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 
 import rotolock
+import rotolock.cli
 import rotolock.config
 import rotolock.lockin
 import rotolock.modulation
@@ -18,7 +20,7 @@ import rotolock.signals
 from rotolock.cli import main
 from rotolock.lockin import demodulate, slope_compensate
 from rotolock.reference import SpotGeometry, reference_waveform
-from rotolock.signals import HarmonicSeries, SampledSignal, TimeGrid, moving_integral
+from rotolock.signals import HarmonicSeries, SampledSignal, TimeGrid
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 LAYERS = BENCH / "layers.json"
@@ -61,7 +63,6 @@ def test_one_trailing_window_kernel(monkeypatch):
     for run in (
         lambda: demodulate(s_m, m, m, "even"),
         lambda: slope_compensate(s_m, m, m, "even"),
-        lambda: moving_integral(s_m, 4e-4),
     ):
         calls.clear()
         run()
@@ -120,15 +121,24 @@ def test_one_json_writer():
 def test_traced_spans_resolve():
     # the benchmark's traced run wraps each span <module>.<function> under
     # rotolock and reports 0 calls for one that is gone; a function moved or
-    # renamed by a refactor must fail here, not go quiet there
-    retired = {"lockin.demod_gain_numeric"}  # deleted with the numeric gain path
-    missing = []
+    # renamed by a refactor must fail here, not go quiet there, and a retired
+    # span must name a function that is gone
+    retired = {
+        "lockin.demod_gain_numeric",  # deleted with the numeric gain path
+        # deleted: nothing in the package called it, and window_sums with dt
+        # per phase is the same trapezoid integral
+        "signals.moving_integral",
+    }
+    missing, revived = [], []
     for span in json.loads(LAYERS.read_text())["spans"]:
         module, _, function = span.rpartition(".")
         fn = getattr(importlib.import_module("rotolock." + module), function, None)
-        if span not in retired and not inspect.isfunction(fn):
+        if inspect.isfunction(fn) and span in retired:
+            revived.append(span)
+        elif not inspect.isfunction(fn) and span not in retired:
             missing.append(span)
     assert missing == []
+    assert revived == []
 
 
 def test_sim_result_holds_only_what_is_read():
@@ -165,7 +175,7 @@ def test_config_reads_every_field_by_its_type():
 
 
 # exports that no other module of the package imports and the benchmark does
-# not use or trace, each with the reason it stays public
+# not reach or call, each with the reason it stays public
 KEEP = {
     "fit_harmonics": "criterion 1 refits the emitted modulation waveform with it",
     "EmissionFit": "the type of SpotGeometry's `emission` config section",
@@ -173,27 +183,67 @@ KEEP = {
     "emission_intensity": "the LED emission model I(beta) with its fitted-lobe warning",
     "HarmonicOutput": "the item type of harmonic_outputs",
     "harmonic_outputs": "criterion 7: per-harmonic quadrature outputs",
+    "demodulate": "criterion 7: `harmonic_outputs` demodulates each usable channel with it",
     "SimResult": "the result type of run_simulation, which report takes",
 }
 
 
-def test_every_export_is_used_or_kept_for_a_reason():
+def bench_references() -> set[str]:
+    """Names that perfbench/*.py reaches in the package: the attributes of a
+    chain rooted at `rotolock` (rotolock.sim.run_simulation) and the names
+    imported from a rotolock module.  A helper of perfbench's own that shares
+    an export's name is not a use."""
+    names = set()
+    for path in BENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id == "rotolock":
+                    names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                if node.module.partition(".")[0] == "rotolock":
+                    names.update(alias.name for alias in node.names)
+    return names
+
+
+def spans_called(monkeypatch, out: Path) -> set[str]:
+    """Function names of the layers.json spans that default simulate,
+    modwave and refsignal runs call at least once.  Every rotolock module
+    binding of a span's function is rebound to a counter, as perfbench's
+    tracer does, and restored when the test ends."""
+    calls = {}
+    modules = [mod for key, mod in list(sys.modules.items())
+               if mod is not None and key.partition(".")[0] == "rotolock"]
+    for span in json.loads(LAYERS.read_text())["spans"]:
+        module, _, function = span.rpartition(".")
+        fn = getattr(importlib.import_module("rotolock." + module), function, None)
+        if not inspect.isfunction(fn):
+            continue
+        calls[span] = 0
+
+        def counted(*args, _fn=fn, _span=span, **kwargs):
+            calls[_span] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    for subcommand in ("simulate", "modwave", "refsignal"):
+        assert rotolock.cli.main([subcommand, "--out", str(out / subcommand)]) == 0
+    return {span.rpartition(".")[2] for span, n in calls.items() if n}
+
+
+def test_every_export_is_used_or_kept_for_a_reason(monkeypatch, tmp_path):
     imported = set()  # names another module of the package imports
     for path in SRC.glob("*.py"):
         if path.name != "__init__.py":
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.ImportFrom):
                     imported.update(alias.name for alias in node.names)
-    bench = {span.rpartition(".")[2] for span in json.loads(LAYERS.read_text())["spans"]}
-    for path in BENCH.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                bench.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                bench.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                bench.update(alias.name for alias in node.names)
-    used = imported | bench
+    used = imported | bench_references() | spans_called(monkeypatch, tmp_path)
     assert [name for name in rotolock.__all__ if name not in used and name not in KEEP] == []
     # a kept name is an export that needs the reason
     assert [name for name in KEEP if name in used or name not in rotolock.__all__] == []

@@ -52,6 +52,20 @@ class TestEmission:
     def test_k_is_stored_per_radian(self):
         assert EmissionFit().k == pytest.approx(0.0789 * 180.0 / math.pi)
 
+    @pytest.mark.parametrize(
+        "A, c", [(1e308, 1e308), (-3e307, 3e307), (np.finfo(float).max / 2.0, 0.0)]
+    )
+    def test_weight_that_could_overflow_is_refused(self, A, c):
+        # |A| + |c| above max/4 could take the occlusion rule's integrand,
+        # up to |weight| * pi, past the float range
+        with pytest.raises(PreconditionError, match=r"\|A\| \+ \|c\|"):
+            EmissionFit(A=A, c=c)
+
+    def test_weight_up_to_a_quarter_of_the_float_range_is_accepted(self):
+        big = np.finfo(float).max / 4.0
+        EmissionFit(A=big, c=0.0)
+        EmissionFit(A=-big / 2.0, c=big / 2.0)
+
 
 class TestGeometry:
     def test_default_theta_max(self):

@@ -19,15 +19,13 @@ from rotolock.signals import (
     fit_harmonics,
     frozen,
     integer_ratio,
-    moving_integral,
-    read_csv,
     synth,
     tile,
     window_sums,
     write_csv,
 )
 
-from oracles import eval_modulation
+from oracles import eval_modulation, read_csv
 
 F_M = 2500.0
 DT = 2e-6
@@ -279,9 +277,13 @@ def near_chunk_starts(n, w):
     return sorted(picked | {n - 1})
 
 
-class TestMovingIntegral:
-    WINDOW = 4e-4  # one modulation period
+def trapezoid_integral(v, w, dt=DT):
+    """Trailing-window trapezoid integral of v over w samples of dt: the
+    kernel with dt per phase as its trapezoid."""
+    return window_sums(np.asarray(v, dtype=float), np.full(w, dt))
 
+
+class TestTrapezoidWindowSums:
     @pytest.mark.parametrize(
         "n, w, t0, every",
         [
@@ -297,25 +299,23 @@ class TestMovingIntegral:
         ],
     )
     def test_matches_exact_trapezoid_sums(self, n, w, t0, every):
-        grid = TimeGrid(dt=DT, n=n, t0=t0)
-        t = grid.times()
+        t = TimeGrid(dt=DT, n=n, t0=t0).times()
         v = 2.0 + np.sin(2.0 * np.pi * 50.0 * t) + 40.0 * t
         v += np.random.default_rng(5).normal(scale=0.3, size=n)
-        out = moving_integral(SampledSignal(grid, v), w * DT)
-        assert out.warmup == w
+        out = trapezoid_integral(v, w)
         # against the sum of |v| it rounds: every output, the warm-up
         # included, or on long signals those around the kernel's chunk starts
         outputs = range(n) if every else near_chunk_starts(n, w)
         expected = np.array([trapezoid_window_sum(v, j, w) * DT for j in outputs])
         scale = np.array([trapezoid_window_sum(np.abs(v), j, w) * DT for j in outputs])
-        assert np.all(np.abs(out.signal.values[outputs] - expected) <= 1e-14 * scale)
+        assert np.all(np.abs(out[outputs] - expected) <= 1e-14 * scale)
 
     def test_rounding_does_not_grow_with_run_length(self):
         # a large mean over a long run: one running sum over the whole signal,
         # subtracted, loses bits as the run grows; per-period sums do not
         grid = TimeGrid(dt=DT, n=1_500_000)
         v = 1e3 + np.sin(2.0 * np.pi * 50.0 * grid.times())
-        out = moving_integral(SampledSignal(grid, v), SPP * DT).signal.values
+        out = trapezoid_integral(v, SPP)
         for j in np.linspace(SPP, grid.n - 1, 40).astype(int):
             expected = trapezoid_window_sum(v, j, SPP) * DT
             assert abs(out[j] - expected) < 1e-14 * abs(expected)
@@ -324,68 +324,48 @@ class TestMovingIntegral:
         # the output, per-phase arrays, the warm-up and one slab of block
         # weights take ~35 B per sample at w = n / 2; the weights of every
         # phase at once would add ~390 B per sample
-        grid = TimeGrid(dt=DT, n=200_000)
-        signal = SampledSignal(grid, np.random.default_rng(2).normal(size=grid.n))
+        n = 200_000
+        v = np.random.default_rng(2).normal(size=n)
         tracemalloc.start()
         try:
-            moving_integral(signal, 100_000 * DT)
+            trapezoid_integral(v, 100_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / grid.n < 48.0
+        assert peak / n < 48.0
 
     def test_constant_integrates_to_window(self):
-        grid = default_grid(n_periods=5)
-        out = moving_integral(SampledSignal(grid, np.ones(grid.n)), self.WINDOW)
-        assert out.warmup == SPP
-        assert np.allclose(out.signal.values[SPP:], self.WINDOW, rtol=1e-12)
+        out = trapezoid_integral(np.ones(5 * SPP), SPP)
+        assert np.allclose(out[SPP:], SPP * DT, rtol=1e-12)
 
     def test_sine_over_full_period_vanishes(self):
-        grid = default_grid(n_periods=5)
-        v = np.sin(2.0 * np.pi * F_M * grid.times())
-        out = moving_integral(SampledSignal(grid, v), self.WINDOW)
-        assert np.max(np.abs(out.signal.values[out.warmup:])) < 1e-9
+        out = trapezoid_integral(np.sin(2.0 * np.pi * F_M * default_grid(5).times()), SPP)
+        assert np.max(np.abs(out[SPP:])) < 1e-9
 
     def test_ramp_matches_antiderivative(self):
-        # oracle: integral of u over [t - w, t] is w*t - w^2/2
-        grid = default_grid(n_periods=5)
-        t = grid.times()
-        out = moving_integral(SampledSignal(grid, t), self.WINDOW)
-        expected = self.WINDOW * t[out.warmup:] - self.WINDOW**2 / 2.0
-        assert np.allclose(out.signal.values[out.warmup:], expected, atol=1e-15)
+        # oracle: integral of u over [t - T, t] is T*t - T^2/2
+        t = default_grid(5).times()
+        window = SPP * DT
+        out = trapezoid_integral(t, SPP)
+        expected = window * t[SPP:] - window**2 / 2.0
+        assert np.allclose(out[SPP:], expected, atol=1e-15)
 
     def test_warmup_region_holds_partial_integrals_not_zeros(self):
-        grid = default_grid(n_periods=2)
-        out = moving_integral(SampledSignal(grid, np.ones(grid.n)), self.WINDOW)
-        # partial integral from t0: grows linearly, not zero-filled
-        assert out.signal.values[1] == pytest.approx(DT, rel=1e-12)
-        assert out.signal.values[SPP - 1] == pytest.approx((SPP - 1) * DT, rel=1e-12)
-
-    def test_non_integer_window_rejected(self):
-        grid = default_grid()
-        with pytest.raises(PreconditionError, match="integer multiple"):
-            moving_integral(SampledSignal(grid, np.ones(grid.n)), 2.5 * DT)
-
-    def test_overflow_is_one_precondition_error(self):
-        # reported by the finiteness check alone: a NumPy warning before it
-        # fails this test, since the suite turns RuntimeWarning into an error
-        grid = TimeGrid(dt=1.0, n=1000)
-        with pytest.raises(PreconditionError, match="finite"):
-            moving_integral(SampledSignal(grid, np.full(grid.n, 1.7e308)), 200.0)
+        out = trapezoid_integral(np.ones(2 * SPP), SPP)
+        # partial integral from the first sample: grows linearly, not zero-filled
+        assert out[1] == pytest.approx(DT, rel=1e-12)
+        assert out[SPP - 1] == pytest.approx((SPP - 1) * DT, rel=1e-12)
 
     @settings(deadline=None, max_examples=20)
     @given(a=st.floats(-3, 3), b=st.floats(-3, 3), seed=st.integers(0, 2**32 - 1))
     def test_linearity(self, a, b, seed):
-        grid = default_grid(n_periods=2)
         rng = np.random.default_rng(seed)
-        x = rng.normal(size=grid.n)
-        y = rng.normal(size=grid.n)
-        lhs = moving_integral(SampledSignal(grid, a * x + b * y), self.WINDOW)
-        rx = moving_integral(SampledSignal(grid, x), self.WINDOW)
-        ry = moving_integral(SampledSignal(grid, y), self.WINDOW)
-        rhs = a * rx.signal.values + b * ry.signal.values
+        x = rng.normal(size=2 * SPP)
+        y = rng.normal(size=2 * SPP)
+        lhs = trapezoid_integral(a * x + b * y, SPP)
+        rhs = a * trapezoid_integral(x, SPP) + b * trapezoid_integral(y, SPP)
         scale = max(1.0, np.max(np.abs(rhs)))
-        assert np.max(np.abs(lhs.signal.values - rhs)) < 1e-12 * scale
+        assert np.max(np.abs(lhs - rhs)) < 1e-12 * scale
 
 
 def window_sum_terms(x, trapezoid, plain, j):
