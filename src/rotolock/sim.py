@@ -164,13 +164,17 @@ def _first_samples_at_or_after(grid: TimeGrid, times: np.ndarray) -> np.ndarray:
         k += early.astype(np.int64) - late
 
 
-def gen_noise(spec: NoiseSpec, grid: TimeGrid) -> SampledSignal:
-    """Generate the disturbance signal for a grid; seeded and reproducible."""
+def gen_noise(spec: NoiseSpec, grid: TimeGrid) -> tuple[SampledSignal, np.ndarray]:
+    """The disturbance signal on a grid, seeded and reproducible, and its steps:
+    the sorted sample indices where step noise changes value, taken from the
+    level starts it draws (empty for sine and none noise)."""
+    no_steps = np.zeros(0, dtype=np.int64)
     if spec.kind == "none" or spec.amplitude == 0.0:
         # zeros
-        return _finite_signal(grid, np.zeros(grid.n))
+        return _finite_signal(grid, np.zeros(grid.n)), no_steps
     if spec.kind == "sine":
-        return synth(HarmonicSeries(spec.rate_or_freq, 0.0, [0.0], [spec.amplitude]), grid)
+        series = HarmonicSeries(spec.rate_or_freq, 0.0, [0.0], [spec.amplitude])
+        return synth(series, grid), no_steps
 
     rng = np.random.default_rng(spec.seed)
     t_end = grid.t0 + grid.duration
@@ -188,30 +192,27 @@ def gen_noise(spec: NoiseSpec, grid: TimeGrid) -> SampledSignal:
     starts = _first_samples_at_or_after(grid, np.asarray(boundaries))
     counts = np.diff(starts, prepend=0, append=grid.n)
     # copies of the levels, finite because NoiseSpec bounds their range 2*amplitude
-    return _finite_signal(grid, np.repeat(levels, counts))
+    values = np.repeat(levels, counts)
+    # levels that hold a sample start at distinct samples; a level may equal the last
+    steps = starts[(counts[1:] > 0) & (starts > 0)]
+    return _finite_signal(grid, values), steps[values[steps] != values[steps - 1]]
 
 
-def _step_sample_indices(noise: SampledSignal) -> np.ndarray:
-    """Indices where the piecewise-constant noise switches to a new level."""
-    v = noise.values
-    return np.flatnonzero(v[1:] != v[:-1]) + 1
+def _step_in_window(steps: np.ndarray, window: int, outputs: np.ndarray) -> np.ndarray:
+    """For each output index j, whether some step s has j - window < s <= j:
+    output j integrates input samples j-window..j, so a level change at
+    input s contaminates outputs s..s+window-1.  `steps` is sorted."""
+    after = np.searchsorted(steps, outputs, side="right")
+    return after > np.searchsorted(steps, outputs - window, side="right")
 
 
 def step_contamination_mask(noise: SampledSignal, window_samples: int) -> np.ndarray:
-    """Boolean mask over output samples whose integration window contains a
-    noise step.  Output j integrates input samples j-window..j, so a level
-    change at input i contaminates outputs i..i+window-1."""
-    n = noise.grid.n
-    steps = _step_sample_indices(noise)
-    if len(steps) == 0:
-        return np.zeros(n, dtype=bool)
-    # windows that overlap or touch merge into contaminated runs [start, end)
-    first = np.diff(steps, prepend=-window_samples - 1) > window_samples
-    starts = steps[first]
-    ends = np.minimum(steps[np.append(first[1:], True)] + window_samples, n)
-    # run lengths of [0, start_0), [start_0, end_0), [end_0, start_1), ..., [end_last, n)
-    lengths = np.diff(np.column_stack((starts, ends)).ravel(), prepend=0, append=n)
-    return np.repeat(np.arange(len(lengths)) % 2 == 1, lengths)
+    """Boolean mask over every output sample whose integration window
+    contains a step of the noise, by `run_simulation`'s rule; the steps are
+    found by scanning the noise values."""
+    v = noise.values
+    steps = np.flatnonzero(v[1:] != v[:-1]) + 1
+    return _step_in_window(steps, window_samples, np.arange(noise.grid.n))
 
 
 def measured_signal(cfg: SimConfig, grid: TimeGrid) -> SampledSignal:
@@ -266,7 +267,8 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     evaluated at its own sample times; the downsampled channel keeps one
     sample per modulation period at the configured modulation phase.
     Metrics exclude the warm-up period, and the downsampled error also
-    excludes windows contaminated by a noise step.
+    excludes the windows that hold a noise step (`spike_windows`), found at
+    the down-sample picks from the steps `gen_noise` draws.
     """
     grid = TimeGrid(cfg.dt, cfg.n_samples, 0.0)
     m_series = modulation_series(cfg.modulation, cfg.f_m)
@@ -274,7 +276,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     # and tiled: the same bits as over the whole grid
     common = period_grid(grid, cfg.signal_freq, cfg.f_m)
     modulated = tile(modulate(measured_signal(cfg, common), m_series), grid)
-    noise = gen_noise(cfg.noise, grid)
+    noise, steps = gen_noise(cfg.noise, grid)
     # a sum past the float range is refused once, by SampledSignal's check
     with np.errstate(over="ignore"):
         noisy = SampledSignal(grid, frozen(modulated.values + noise.values))
@@ -296,12 +298,8 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     spp = cfg.samples_per_period
     k0 = int(round((down.grid.t0 - restored_full.grid.t0) / cfg.dt))
     ds_idx = k0 + np.arange(down.grid.n) * spp
-    if cfg.noise.kind == "step":
-        contaminated = step_contamination_mask(noise, spp)
-    else:
-        contaminated = np.zeros(grid.n, dtype=bool)
-    spike_windows = [int(k) for k in np.flatnonzero(contaminated[ds_idx])]
-    good = (ds_idx >= warmup) & ~contaminated[ds_idx]
+    spiked = _step_in_window(steps, spp, ds_idx)
+    good = (ds_idx >= warmup) & ~spiked
     if not np.any(good):
         raise PreconditionError(
             "every downsampled window is warm-up or contains a noise step; "
@@ -330,7 +328,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     metrics = {
         "rms_error_full": rms_full,
         "rms_error_downsampled": rms_down,
-        "spike_windows": spike_windows,
+        "spike_windows": np.flatnonzero(spiked).tolist(),
         "bandwidth_hz": cfg.f_m / 2.0,
         "warmup_samples": warmup,
         "n_downsampled": down.grid.n,

@@ -17,6 +17,7 @@ import rotolock.lockin
 import rotolock.modulation
 import rotolock.reference
 import rotolock.signals
+import rotolock.sim
 from rotolock.cli import main
 from rotolock.lockin import demodulate, slope_compensate
 from rotolock.reference import SpotGeometry, reference_waveform
@@ -67,6 +68,28 @@ def test_one_trailing_window_kernel(monkeypatch):
         calls.clear()
         run()
         assert len(calls) == 1
+
+
+def test_one_spike_window_rule(monkeypatch):
+    # a run finds its spike windows by one rule, evaluated at the down-sample
+    # picks on the steps gen_noise drew: no rescan of the noise for its steps
+    # and no full-length contamination mask
+    assert not hasattr(rotolock.sim, "_step_sample_indices")
+    rule = rotolock.sim._step_in_window
+    picks = []
+
+    def counted(steps, window, outputs):
+        picks.append(len(outputs))
+        return rule(steps, window, outputs)
+
+    def refused(*args):
+        raise AssertionError("run_simulation built the full-length mask")
+
+    monkeypatch.setattr(rotolock.sim, "_step_in_window", counted)
+    monkeypatch.setattr(rotolock.sim, "step_contamination_mask", refused)
+    res = rotolock.run_simulation(rotolock.SimConfig())
+    assert res.metrics["spike_windows"] != []
+    assert picks == [res.metrics["n_downsampled"]]
 
 
 def test_one_occlusion_pass_per_waveform(monkeypatch):

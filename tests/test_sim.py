@@ -35,14 +35,15 @@ def signal_at(cfg, times):
 class TestGenNoise:
     def test_same_seed_is_bit_identical(self):
         spec = NoiseSpec(kind="step", amplitude=10.0, rate_or_freq=500.0, seed=99)
-        a = gen_noise(spec, default_grid())
-        b = gen_noise(spec, default_grid())
+        a, a_steps = gen_noise(spec, default_grid())
+        b, b_steps = gen_noise(spec, default_grid())
         assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a_steps, b_steps)
 
     def test_sine_noise_peaks_at_amplitude(self):
         spec = NoiseSpec(kind="sine", amplitude=10.0, rate_or_freq=10.0, seed=0)
         grid = TimeGrid(dt=2e-6, n=50000)  # 0.1 s covers a full 10 Hz period
-        out = gen_noise(spec, grid)
+        out, _ = gen_noise(spec, grid)
         assert np.max(np.abs(out.values)) == pytest.approx(10.0, rel=1e-6)
 
     def test_sine_noise_is_one_period_tiled(self):
@@ -50,21 +51,29 @@ class TestGenNoise:
         # period evaluated and repeated exactly, not a sine drifting with t
         spec = NoiseSpec(kind="sine", amplitude=10.0, rate_or_freq=500.0)
         grid = TimeGrid(dt=2e-6, n=1_500_000)
-        out = gen_noise(spec, grid).values
+        out = gen_noise(spec, grid)[0].values
         series = HarmonicSeries(500.0, 0.0, [0.0], [10.0])
         assert out.tobytes() == synth(series, grid).values.tobytes()
         assert np.array_equal(out.reshape(-1, 1000), np.broadcast_to(out[:1000], (1500, 1000)))
 
     def test_none_kind_is_zero(self):
-        out = gen_noise(NoiseSpec(kind="none"), default_grid())
+        out, _ = gen_noise(NoiseSpec(kind="none"), default_grid())
         assert np.all(out.values == 0.0)
+
+    @pytest.mark.parametrize("spec", [
+        NoiseSpec(kind="sine", rate_or_freq=500.0), NoiseSpec(kind="none"),
+        NoiseSpec(kind="step", amplitude=0.0),
+    ])
+    def test_steps_are_empty_without_step_levels(self, spec):
+        _, steps = gen_noise(spec, default_grid())
+        assert steps.size == 0 and steps.dtype == np.int64
 
     def test_step_levels_bounded_and_rate_matches(self):
         grid = default_grid()
         counts = []
         for seed in range(50):
             spec = NoiseSpec(kind="step", amplitude=10.0, rate_or_freq=500.0, seed=seed)
-            out = gen_noise(spec, grid)
+            out, _ = gen_noise(spec, grid)
             assert np.max(np.abs(out.values)) <= 10.0
             counts.append(np.count_nonzero(np.diff(out.values)))
         # expected switch count = rate * duration = 15; mean over 50 seeds
@@ -99,14 +108,29 @@ class TestGenNoise:
         seg = np.searchsorted(np.asarray(boundaries), grid.times(), side="right")
         return np.asarray(levels)[seg]
 
+    def assert_matches_sample_search(self, spec, grid):
+        """gen_noise's values equal the sample search's, and its steps are
+        where they change; returns the values."""
+        noise, steps = gen_noise(spec, grid)
+        assert np.array_equal(noise.values, self.step_noise_by_sample_search(spec, grid))
+        assert np.array_equal(steps, np.flatnonzero(np.diff(noise.values)) + 1)
+        return noise.values
+
     # 1e-9/s draws no boundary; 5e5/s is one step per sample on average (1/dt)
     @pytest.mark.parametrize("rate", [1e-9, 500.0, 1e5, 5e5])
     @pytest.mark.parametrize("seed", [0, 7, 1234])
     def test_step_levels_match_sample_search(self, rate, seed):
         grid = TimeGrid(dt=2e-6, n=15000, t0=0.37 / 2500.0 - 1e-3)
         spec = NoiseSpec(kind="step", amplitude=10.0, rate_or_freq=rate, seed=seed)
-        expected = self.step_noise_by_sample_search(spec, grid)
-        assert np.array_equal(gen_noise(spec, grid).values, expected)
+        self.assert_matches_sample_search(spec, grid)
+
+    def test_steps_skip_a_level_equal_to_the_last(self):
+        # levels drawn from [-5e-324, 5e-324] take one of three values, so
+        # many a new level repeats the one before it and is no step
+        spec = NoiseSpec(kind="step", amplitude=5e-324, rate_or_freq=1e5, seed=2)
+        grid = default_grid()
+        values = self.assert_matches_sample_search(spec, grid)
+        assert 0 < np.count_nonzero(np.diff(values)) < 0.8 * spec.rate_or_freq * grid.duration
 
     def test_boundary_on_a_sample_time_starts_its_level_there(self):
         # a grid whose step is the first drawn interval puts the first
@@ -115,8 +139,7 @@ class TestGenNoise:
         rng = np.random.default_rng(spec.seed)
         rng.uniform()
         grid = TimeGrid(dt=float(rng.exponential(1.0 / spec.rate_or_freq)), n=40)
-        values = gen_noise(spec, grid).values
-        assert np.array_equal(values, self.step_noise_by_sample_search(spec, grid))
+        values = self.assert_matches_sample_search(spec, grid)
         assert values[1] != values[0]
 
     # far from t = 0 the rounded sample times t0 + k*dt are coarser than dt
@@ -126,8 +149,7 @@ class TestGenNoise:
     def test_step_levels_match_sample_search_on_coarse_times(self, t0, dt):
         grid = TimeGrid(dt=dt, n=4000, t0=t0)
         spec = NoiseSpec(kind="step", amplitude=10.0, rate_or_freq=0.02 / dt, seed=3)
-        expected = self.step_noise_by_sample_search(spec, grid)
-        assert np.array_equal(gen_noise(spec, grid).values, expected)
+        self.assert_matches_sample_search(spec, grid)
 
     def test_contamination_mask_spans_one_window_per_step(self):
         grid = TimeGrid(dt=1.0, n=20)
@@ -146,7 +168,7 @@ class TestGenNoise:
         ("step", 5000.0, 200), ("step", 50_000.0, 7), ("step", 500.0, 1), ("none", 0.0, 200),
     ])
     def test_contamination_mask_matches_per_step_loop(self, kind, rate, window):
-        noise = gen_noise(NoiseSpec(kind=kind, rate_or_freq=rate, seed=3), default_grid())
+        noise, _ = gen_noise(NoiseSpec(kind=kind, rate_or_freq=rate, seed=3), default_grid())
         expected = np.zeros(noise.grid.n, dtype=bool)
         for i in np.flatnonzero(np.diff(noise.values)) + 1:
             expected[i : i + window] = True
@@ -218,14 +240,19 @@ class TestRunSimulation:
         assert len(res.metrics["spike_windows"]) > 0
         assert res.metrics["rms_error_downsampled"] < 0.01 * cfg.signal_amp
 
-    def test_spike_windows_really_contain_steps(self):
-        cfg = SimConfig()
+    @pytest.mark.parametrize("rate", [500.0, 5000.0])
+    @pytest.mark.parametrize("seed", [7, 11, 22])
+    def test_spike_windows_are_the_contaminated_picks(self, seed, rate):
+        # the windows found at the picks from gen_noise's steps are exactly
+        # the picks the full-length mask sets, scanned from the noise values
+        cfg = SimConfig(noise=NoiseSpec(rate_or_freq=rate, seed=seed))
         res = run_simulation(cfg)
         spp = cfg.samples_per_period
         contaminated = step_contamination_mask(res.noise, spp)
         k0 = int(round((res.restored_downsampled.grid.t0 - res.restored_full.grid.t0) / cfg.dt))
-        for k in res.metrics["spike_windows"]:
-            assert contaminated[k0 + k * spp]
+        ds_idx = k0 + np.arange(res.metrics["n_downsampled"]) * spp
+        assert len(res.metrics["spike_windows"]) > 0
+        assert res.metrics["spike_windows"] == np.flatnonzero(contaminated[ds_idx]).tolist()
 
     def test_interference_invisibility(self):
         # noise swamps the modulated trace yet recovery stays clean
@@ -376,8 +403,11 @@ class TestSimResultArrays:
     def test_peak_memory_per_sample(self):
         # the run holds about five full-length arrays at its peak (42 B per
         # sample at this length); one more full-length copy, such as keeping
-        # the measured sine to the end of the run, would take it past the bound
+        # the measured sine to the end of the run, would take it past the bound.
+        # A first run in the process also makes NumPy's lazy imports and
+        # caches (47.5 B per sample), so it is made untraced
         cfg = SimConfig(duration=0.3)
+        run_simulation(cfg)
         tracemalloc.start()
         try:
             run_simulation(cfg)
