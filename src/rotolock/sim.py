@@ -137,13 +137,25 @@ class SimConfig(Config):
 
 @dataclass(frozen=True)
 class SimResult:
+    """The stacks and metrics of one run.
+
+    The modulated trace repeats with the period the measured sine and the
+    modulation share, so it is kept as that one period, `modulated_period`
+    (the whole run when it has no shorter one).  `modulated` is tiled from
+    it over the run each time it is read.
+    """
+
     noise: SampledSignal
-    modulated: SampledSignal
+    modulated_period: SampledSignal
     modulated_noisy: SampledSignal
     restored_full: SampledSignal
     restored_downsampled: SampledSignal
     warmup: int
     metrics: dict
+
+    @property
+    def modulated(self) -> SampledSignal:
+        return tile(self.modulated_period, self.noise.grid)
 
 
 def _first_samples_at_or_after(grid: TimeGrid, times: np.ndarray) -> np.ndarray:
@@ -273,13 +285,20 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     grid = TimeGrid(cfg.dt, cfg.n_samples, 0.0)
     m_series = modulation_series(cfg.modulation, cfg.f_m)
     # the product repeats with the shared period, so it is computed over one
-    # and tiled: the same bits as over the whole grid
+    # (the same bits as over the whole grid) and never tiled over the run: the
+    # noise is added to it row by row over whole periods, then the tail
     common = period_grid(grid, cfg.signal_freq, cfg.f_m)
-    modulated = tile(modulate(measured_signal(cfg, common), m_series), grid)
+    period = modulate(measured_signal(cfg, common), m_series)
     noise, steps = gen_noise(cfg.noise, grid)
+    k = common.n
+    whole = grid.n - grid.n % k
+    summed = np.empty(grid.n)
     # a sum past the float range is refused once, by SampledSignal's check
     with np.errstate(over="ignore"):
-        noisy = SampledSignal(grid, frozen(modulated.values + noise.values))
+        rows = summed[:whole].reshape(-1, k)
+        np.add(period.values, noise.values[:whole].reshape(-1, k), out=rows)
+        np.add(period.values[: grid.n - whole], noise.values[whole:], out=summed[whole:])
+    noisy = SampledSignal(grid, frozen(summed))
 
     l = cfg.modulation.n_harmonics
     r = synth_demod_reference(cfg.f_m, cfg.ref_kind, l, cfg.ref_phase_delay)
@@ -340,7 +359,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     }
     return SimResult(
         noise=noise,
-        modulated=modulated,
+        modulated_period=period,
         modulated_noisy=noisy,
         restored_full=restored_full,
         restored_downsampled=down,

@@ -389,23 +389,34 @@ class TestMeasuredSignal:
         assert np.max(np.abs(original.values - oracle)) <= 1e-12
 
 
+# grids of a run with and without a shared period of the sine and the
+# modulation: 15 000 samples hold 1.5 of 50 Hz's 10 000, 37 Hz has no whole
+# period, and 0.01 s is shorter than the shared period
+SHARED_PERIOD_GRIDS = pytest.mark.parametrize(
+    "freq, duration",
+    [(50.0, 0.03), (-50.0, 0.03), (0.0, 0.03), (37.0, 0.03), (1000.0, 0.03), (-50.0, 0.01)],
+    ids=["50Hz", "-50Hz", "0Hz", "37Hz", "1kHz", "shorter-than-shared-period"],
+)
+
+
 class TestSimResultArrays:
     def test_every_stack_is_read_only(self):
         cfg = SimConfig()
         res = run_simulation(cfg)
         for stack in (measured_signal(cfg, TimeGrid(cfg.dt, cfg.n_samples)), res.noise,
-                      res.modulated, res.modulated_noisy, res.restored_full,
-                      res.restored_downsampled):
+                      res.modulated_period, res.modulated, res.modulated_noisy,
+                      res.restored_full, res.restored_downsampled):
             assert not stack.values.flags.writeable
             with pytest.raises(ValueError):
                 stack.values[0] = 0.0
 
     def test_peak_memory_per_sample(self):
-        # the run holds about five full-length arrays at its peak (42 B per
-        # sample at this length); one more full-length copy, such as keeping
-        # the measured sine to the end of the run, would take it past the bound.
+        # the run holds three full-length arrays (the noise, the noisy sum and
+        # the lock-in output) and the lock-in's scratch at its peak (34 B per
+        # sample at this length); one more full-length copy, such as the
+        # modulated trace tiled over the run, would take it past the bound.
         # A first run in the process also makes NumPy's lazy imports and
-        # caches (47.5 B per sample), so it is made untraced
+        # caches, so it is made untraced
         cfg = SimConfig(duration=0.3)
         run_simulation(cfg)
         tracemalloc.start()
@@ -415,14 +426,14 @@ class TestSimResultArrays:
         finally:
             tracemalloc.stop()
         assert cfg.n_samples == 150_000
-        assert peak / cfg.n_samples < 45.0
+        assert peak / cfg.n_samples < 37.0
 
     def test_default_run_peak_memory(self, monkeypatch):
         # a first run makes NumPy's lazy imports and caches (in a fresh process
         # it peaks near 1.7e6 B) and hands over the lock-in's window-sum inputs.
-        # Then the run peaks at about 0.81e6 B, after the lock-in, and the
+        # Then the run peaks at about 0.77e6 B, after the lock-in, and the
         # window sums alone at about 0.32e6 B (output, block weights and
-        # operand).  The bounds sit 9 % above 0.808e6 and 0.366e6 B, inside
+        # operand).  The bounds sit 9 % above 0.767e6 and 0.366e6 B, inside
         # the benchmark's 10 % peak_alloc_mb gate.  On the 15 000-sample
         # default run the chunk of periods is the whole signal, so chunk-sized
         # scratch (118 KB) takes the window sums past theirs
@@ -438,13 +449,14 @@ class TestSimResultArrays:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[0] < 880_000
+        assert peaks[0] < 836_000
         assert peaks[1] < 400_000
 
     @pytest.mark.parametrize("kind", ["step", "sine"])
     def test_two_full_length_finiteness_scans(self, monkeypatch, kind):
         # only the noisy sum and the lock-in's window sums can leave the float
-        # range; the tiled product, the noise (step levels from a finite range,
+        # range; the product is checked over its one shared period and never
+        # tiled over the run, and the noise (step levels from a finite range,
         # a sine tiled from one checked period) and the measured sine are
         # finite by construction and not scanned again
         cfg = SimConfig(duration=0.3, noise=NoiseSpec(kind=kind))
@@ -460,19 +472,45 @@ class TestSimResultArrays:
         run_simulation(cfg)
         assert len(scans) <= 2
 
-    @pytest.mark.parametrize(
-        "freq, duration",
-        [(50.0, 0.03), (-50.0, 0.03), (0.0, 0.03), (37.0, 0.03), (1000.0, 0.03), (-50.0, 0.01)],
-        ids=["50Hz", "-50Hz", "0Hz", "37Hz", "1kHz", "shorter-than-shared-period"],
-    )
+    @SHARED_PERIOD_GRIDS
     def test_tiled_modulated_is_the_full_product(self, freq, duration):
         # the product is computed over the shared period of the sine and the
-        # modulation and tiled: 15 000 samples hold 1.5 of 50 Hz's 10 000, 37
-        # Hz has no whole period, and 0.01 s is shorter than the shared period
+        # modulation and tiled over the run when `modulated` is read
         cfg = SimConfig(signal_freq=freq, duration=duration)
         grid = TimeGrid(cfg.dt, cfg.n_samples)
         full = modulate(measured_signal(cfg, grid), modulation_series(cfg.modulation, cfg.f_m))
         assert np.array_equal(run_simulation(cfg).modulated.values, full.values)
+
+    @SHARED_PERIOD_GRIDS
+    @pytest.mark.parametrize("kind", ["step", "sine", "none"])
+    def test_noisy_sum_is_the_tiled_product_plus_the_noise(self, freq, duration, kind):
+        # the noise is added to the one-period product row by row, then the
+        # tail: the bits of the tiled product plus the noise
+        cfg = SimConfig(signal_freq=freq, duration=duration, noise=NoiseSpec(kind=kind))
+        res = run_simulation(cfg)
+        summed = res.modulated.values + res.noise.values
+        assert res.modulated_noisy.values.tobytes() == summed.tobytes()
+
+    def test_no_tile_over_the_run(self, monkeypatch):
+        # the run keeps the modulated trace as its shared period: no array is
+        # tiled onto the run's grid until `modulated` is read
+        tile = rotolock.signals.tile
+        cfg = SimConfig(duration=0.3)
+        run_grid = TimeGrid(cfg.dt, cfg.n_samples)
+        onto_run = []
+
+        def counting(period, grid):
+            if grid == run_grid:
+                onto_run.append(period.grid.n)
+            return tile(period, grid)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("rotolock") and getattr(module, "tile", None) is tile:
+                monkeypatch.setattr(module, "tile", counting)
+        res = run_simulation(cfg)
+        assert onto_run == []
+        assert res.modulated.grid == run_grid
+        assert onto_run == [10_000]
 
     def test_synth_evaluates_one_run_of_samples(self, monkeypatch):
         # the measured waveform over the 10 000 samples that it and the
