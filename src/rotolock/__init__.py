@@ -27,7 +27,6 @@ from .signals import (
     HarmonicSeries,
     SampledSignal,
     TimeGrid,
-    WindowedSignal,
     downsample_at_phase,
     fit_harmonics,
     synth,
@@ -41,7 +40,6 @@ __all__ = [
     "TimeGrid",
     "SampledSignal",
     "HarmonicSeries",
-    "WindowedSignal",
     "synth",
     "fit_harmonics",
     "downsample_at_phase",

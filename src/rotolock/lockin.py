@@ -18,8 +18,7 @@ and works through the modulated signal in cache-sized chunks of whole
 periods, one matrix product per block of phases and chunk.
 `demodulate` passes the scaled reference period as the trapezoid
 integrand; `slope_compensate` adds the slope term as plain window sums of
-the same call, so it needs only the modulated signal.  `modulate`
-evaluates m over one period and tiles it, as `signals.synth` does.
+the same call, so it needs only the modulated signal.
 """
 
 from __future__ import annotations
@@ -33,11 +32,8 @@ from .signals import (
     HarmonicSeries,
     SampledSignal,
     TimeGrid,
-    WindowedSignal,
     frozen,
-    period_grid,
     synth,
-    tile,
     window_samples,
     window_sums,
 )
@@ -59,12 +55,9 @@ class HarmonicOutput:
 
 
 def modulate(s: SampledSignal, m: HarmonicSeries) -> SampledSignal:
-    """s times the modulation m on s's grid: `synth` evaluates m on
-    `period_grid` (one period when that is a whole number of samples) and
-    `tile` repeats it over the grid, the same bits as s * synth(m, s.grid)."""
-    grid = s.grid
-    m_values = tile(synth(m, period_grid(grid, m.f_fund)), grid).values
-    return SampledSignal(grid, frozen(s.values * m_values))
+    """s times the modulation m on s's grid (`synth` evaluates m over one
+    period and tiles it)."""
+    return SampledSignal(s.grid, frozen(s.values * synth(m, s.grid).values))
 
 
 def _part(r: HarmonicSeries, channel: str) -> HarmonicSeries:
@@ -120,7 +113,7 @@ def _channel(m: HarmonicSeries, r: HarmonicSeries, channel: str) -> tuple[Harmon
 
 def _lockin(
     s_m: SampledSignal, m: HarmonicSeries, r: HarmonicSeries, channel: str, compensate: bool
-) -> WindowedSignal:
+) -> SampledSignal:
     """The lock-in output of `demodulate`, and with `compensate` that of
     `slope_compensate`, from one call of `window_sums`."""
     part, g = _channel(m, r, channel)
@@ -134,12 +127,12 @@ def _lockin(
     c = 2.0 * grid.dt / (period * g)
     out = window_sums(s_m.values, c * r_period, plain)
     centered = TimeGrid(grid.dt, grid.n, grid.t0 - period / 2.0)
-    return WindowedSignal(SampledSignal(centered, frozen(out)), warmup=w)
+    return SampledSignal(centered, frozen(out))
 
 
 def demodulate(
     s_m: SampledSignal, m: HarmonicSeries, r: HarmonicSeries, channel: str
-) -> WindowedSignal:
+) -> SampledSignal:
     """Recover the measured signal from the modulated signal s_m, which
     carries the modulation m.
 
@@ -149,9 +142,12 @@ def demodulate(
     The trailing window [t - T_m, t] estimates the signal at the window
     center, so the output grid is relabeled by -T_m/2: output sample times
     are the centers of the windows they integrate.  The first modulation
-    period is warm-up.  Exact for signals constant over each window;
-    slowly varying signals are tracked with a ripple at the modulation
-    frequency and its harmonics that is first order in the signal's slope.
+    period, the first `window_samples(s_m.grid, T_m)` outputs, is warm-up:
+    those windows extend before the start of s_m, so they hold
+    partial-window values and must not be treated as valid output.  Exact
+    for signals constant over each window; slowly varying signals are
+    tracked with a ripple at the modulation frequency and its harmonics
+    that is first order in the signal's slope.
     `slope_compensate` removes that term.
     """
     return _lockin(s_m, m, r, channel, compensate=False)
@@ -232,7 +228,7 @@ def _slope_coefficients(m_period: np.ndarray) -> np.ndarray:
 
 def slope_compensate(
     s_m: SampledSignal, m: HarmonicSeries, r: HarmonicSeries, channel: str
-) -> WindowedSignal:
+) -> SampledSignal:
     """`demodulate`'s output without its first-order (slope) term.
 
     For a signal s with slope s' the one-period window returns
@@ -266,8 +262,8 @@ def harmonic_outputs(
     means = {}
     for channel in CHANNELS:
         if channel_gain(m, r, channel)[1] >= GAIN_FLOOR:
-            out = demodulate(s_m, m, r, channel)
-            means[channel] = float(np.mean(out.signal.values[out.warmup:]))
+            warmup = window_samples(s_m.grid, 1.0 / r.f_fund)
+            means[channel] = float(np.mean(demodulate(s_m, m, r, channel).values[warmup:]))
     if not means:
         raise PreconditionError(
             f"unusable reference: both channel gains are below the floor {GAIN_FLOOR:g} "

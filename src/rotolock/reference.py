@@ -113,7 +113,7 @@ class SpotGeometry(Config):
 
 
 @dataclass(frozen=True)
-class TrapezoidFit:
+class TrapezoidFit(Config):
     """Cosine model of the reference transition: B*cos(u*theta + phi) + c2."""
 
     B: float
@@ -140,9 +140,6 @@ class TrapezoidFit:
         if u < 0:
             u, phi = -u, -phi
         return TrapezoidFit(B, u, float(phi % (2.0 * np.pi)), self.c2)
-
-    def to_dict(self) -> dict:
-        return {"B": self.B, "u": self.u, "phi": self.phi, "c2": self.c2}
 
 
 def emission_intensity(em: EmissionFit, beta) -> np.ndarray | float:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Config
 from .errors import PreconditionError
 
 # relative tolerance used when a ratio (window/dt, rate/f_m) must be an integer
@@ -130,7 +131,7 @@ def _finite_signal(grid: TimeGrid, values: np.ndarray) -> SampledSignal:
 
 
 @dataclass(frozen=True, eq=False)
-class HarmonicSeries:
+class HarmonicSeries(Config):
     """Truncated Fourier representation of a periodic waveform.
 
     value(t) = dc + sum_j cos_coeffs[j-1]*cos(2*pi*j*f_fund*t)
@@ -162,27 +163,6 @@ class HarmonicSeries:
     @property
     def n_harmonics(self) -> int:
         return len(self.cos_coeffs)
-
-    def to_dict(self) -> dict:
-        return {
-            "f_fund": self.f_fund,
-            "dc": self.dc,
-            "cos_coeffs": [float(x) for x in self.cos_coeffs],
-            "sin_coeffs": [float(x) for x in self.sin_coeffs],
-        }
-
-
-@dataclass(frozen=True)
-class WindowedSignal:
-    """Output of a trailing-window integral, such as the lock-in's.
-
-    The first `warmup` samples cover windows that extend before the start of
-    the input; they hold partial-window values and must not be treated as
-    valid output.
-    """
-
-    signal: SampledSignal
-    warmup: int
 
 
 def period_grid(grid: TimeGrid, *freqs: float) -> TimeGrid:

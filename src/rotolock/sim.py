@@ -305,20 +305,20 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     gains = {c: channel_gain(m_series, r, c)[0] for c in CHANNELS}
     channel = "even" if abs(gains["even"]) >= abs(gains["odd"]) else "odd"
 
-    restored = slope_compensate(noisy, m_series, r, channel)
-    restored_full = restored.signal
-    warmup = restored.warmup
+    restored_full = slope_compensate(noisy, m_series, r, channel)
     down = downsample_at_phase(restored_full, cfg.f_m, cfg.downsample_phase)
+    # one modulation period: the lock-in's window, so its warm-up, the width
+    # of a window that a step contaminates and the stride of the picks
+    spp = cfg.samples_per_period
 
     # full-rate error, warm-up excluded (noise spikes stay in: they are the output)
-    rms_full = _rms_after(cfg, restored_full, warmup)
+    rms_full = _rms_after(cfg, restored_full, spp)
 
     # downsampled error: also exclude windows that contain a noise step
-    spp = cfg.samples_per_period
     k0 = int(round((down.grid.t0 - restored_full.grid.t0) / cfg.dt))
     ds_idx = k0 + np.arange(down.grid.n) * spp
     spiked = _step_in_window(steps, spp, ds_idx)
-    good = (ds_idx >= warmup) & ~spiked
+    good = (ds_idx >= spp) & ~spiked
     if not np.any(good):
         raise PreconditionError(
             "every downsampled window is warm-up or contains a noise step; "
@@ -349,7 +349,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
         "rms_error_downsampled": rms_down,
         "spike_windows": np.flatnonzero(spiked).tolist(),
         "bandwidth_hz": cfg.f_m / 2.0,
-        "warmup_samples": warmup,
+        "warmup_samples": spp,
         "n_downsampled": down.grid.n,
         "channel": channel,
         "gain_even": gains["even"],
@@ -363,7 +363,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
         modulated_noisy=noisy,
         restored_full=restored_full,
         restored_downsampled=down,
-        warmup=warmup,
+        warmup=spp,
         metrics=metrics,
     )
 

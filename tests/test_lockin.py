@@ -196,8 +196,7 @@ class TestDemodulate:
         ref = HarmonicSeries(F_M, 0.0, [1.0], [0.0])
         s_m = modulated_signal(np.ones(grid.n), m, grid)
         out = demodulate(s_m, m, ref, "even")
-        assert out.warmup == SPP
-        assert np.max(np.abs(out.signal.values[SPP:] - 1.0)) < 1e-9
+        assert np.max(np.abs(out.values[SPP:] - 1.0)) < 1e-9
 
     @pytest.mark.parametrize("c", [1.0, -3.7, 0.25])
     def test_constant_signal_with_stock_modulation_and_square_reference(self, c):
@@ -206,7 +205,7 @@ class TestDemodulate:
         ref = square_ref()
         s_m = modulated_signal(np.full(grid.n, c), m, grid)
         out = demodulate(s_m, m, ref, "even")
-        assert np.max(np.abs(out.signal.values[out.warmup:] - c)) < 1e-6
+        assert np.max(np.abs(out.values[SPP:] - c)) < 1e-6
 
     def test_output_grid_is_relabeled_to_window_centers(self):
         grid = grid_for(4)
@@ -214,8 +213,8 @@ class TestDemodulate:
         ref = unit_cosine_series()
         s_m = modulated_signal(np.ones(grid.n), m, grid)
         out = demodulate(s_m, m, ref, "even")
-        assert out.signal.grid.t0 == pytest.approx(grid.t0 - T_M / 2.0)
-        assert out.signal.grid.n == grid.n
+        assert out.grid.t0 == pytest.approx(grid.t0 - T_M / 2.0)
+        assert out.grid.n == grid.n
 
     def test_slow_sine_tracked_within_one_percent(self):
         # 50 Hz signal through a unit-cosine chain; window-centered labels
@@ -226,8 +225,8 @@ class TestDemodulate:
         s = np.sin(2 * np.pi * f_sig * grid.times())
         s_m = modulated_signal(s, m, grid)
         out = demodulate(s_m, m, ref, "even")
-        values = out.signal.values[out.warmup:]
-        target = np.sin(2 * np.pi * f_sig * out.signal.times()[out.warmup:])
+        values = out.values[SPP:]
+        target = np.sin(2 * np.pi * f_sig * out.times()[SPP:])
         rel_rms = np.sqrt(np.mean((values - target) ** 2)) / np.sqrt(np.mean(target**2))
         assert rel_rms < 0.01
 
@@ -248,7 +247,7 @@ class TestDemodulate:
             t_end = grid.times()[i]
             expected, _ = quad(integrand, t_end - T_M, t_end, limit=200)
             expected *= 2.0 / T_M
-            assert out.signal.values[i] == pytest.approx(expected, abs=1e-5)
+            assert out.values[i] == pytest.approx(expected, abs=1e-5)
 
     def test_dc_offset_is_rejected(self):
         grid = grid_for(10)
@@ -258,7 +257,7 @@ class TestDemodulate:
         shifted = SampledSignal(grid, s_m.values + 123.4)
         a = demodulate(s_m, m, ref, "even")
         b = demodulate(shifted, m, ref, "even")
-        assert np.max(np.abs(a.signal.values[a.warmup:] - b.signal.values[b.warmup:])) < 1e-9
+        assert np.max(np.abs(a.values[SPP:] - b.values[SPP:])) < 1e-9
 
     def test_linearity(self):
         grid = grid_for(10)
@@ -269,9 +268,9 @@ class TestDemodulate:
         s2 = rng.normal(size=grid.n)
         a, b = 2.5, -0.75
         mixed = modulated_signal(a * s1 + b * s2, m, grid)
-        lhs = demodulate(mixed, m, ref, "even").signal.values
-        r1 = demodulate(modulated_signal(s1, m, grid), m, ref, "even").signal.values
-        r2 = demodulate(modulated_signal(s2, m, grid), m, ref, "even").signal.values
+        lhs = demodulate(mixed, m, ref, "even").values
+        r1 = demodulate(modulated_signal(s1, m, grid), m, ref, "even").values
+        r2 = demodulate(modulated_signal(s2, m, grid), m, ref, "even").values
         rhs = a * r1 + b * r2
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
@@ -287,7 +286,7 @@ class TestDemodulate:
         for f in (fit, scaled_fit):
             m = modulation_series(f, F_M)
             s_m = modulated_signal(s, m, grid)
-            out.append(demodulate(s_m, m, ref, "even").signal.values)
+            out.append(demodulate(s_m, m, ref, "even").values)
         assert np.max(np.abs(out[0] - out[1])) < 1e-12
 
     def test_slow_noise_perturbation_matches_brute_force_oracle(self):
@@ -304,7 +303,7 @@ class TestDemodulate:
         noisy = SampledSignal(grid, s_m.values + noise)
         clean_out = demodulate(s_m, m, ref, "even")
         noisy_out = demodulate(noisy, m, ref, "even")
-        perturbation = noisy_out.signal.values - clean_out.signal.values
+        perturbation = noisy_out.values - clean_out.values
 
         # brute-force oracle: trapezoid windowed integral of noise * reference
         r_even = synth(HarmonicSeries(F_M, 0.0, ref.cos_coeffs, np.zeros(7)), grid).values
@@ -318,12 +317,12 @@ class TestDemodulate:
 
         # regression: leakage at the phase-locked samples (modulation phase 0
         # of the window-center labels) is far below 1% of unit amplitude
-        centers = noisy_out.signal.times()
+        centers = noisy_out.times()
         locked = np.flatnonzero(
             np.isclose((centers * F_M) % 1.0, 0.0, atol=1e-6)
             | np.isclose((centers * F_M) % 1.0, 1.0, atol=1e-6)
         )
-        locked = locked[locked >= noisy_out.warmup]
+        locked = locked[locked >= SPP]
         leak_rms = np.sqrt(np.mean(perturbation[locked] ** 2))
         assert leak_rms < 1e-3
 
@@ -336,7 +335,7 @@ class TestDemodulate:
         s = np.sin(2 * np.pi * 2.0 * grid.times())
         s_m = modulated_signal(s, m, grid)
         even, odd = (demodulate(s_m, m, ref, c) for c in ("even", "odd"))
-        even, odd = even.signal.values[even.warmup:], odd.signal.values[odd.warmup:]
+        even, odd = even.values[SPP:], odd.values[SPP:]
         assert np.sqrt(np.mean((even - odd) ** 2)) < 0.01
 
     def test_even_and_odd_channels_agree_exactly_for_constant_signals(self):
@@ -346,7 +345,7 @@ class TestDemodulate:
         ref = square_ref(phase=0.6)
         s_m = modulated_signal(np.full(grid.n, 1.3), m, grid)
         even, odd = (demodulate(s_m, m, ref, c) for c in ("even", "odd"))
-        even, odd = even.signal.values[even.warmup:], odd.signal.values[odd.warmup:]
+        even, odd = even.values[SPP:], odd.values[SPP:]
         assert np.max(np.abs(even - odd)) < 1e-9
 
     def test_gain_floor_violation_rejected(self):
@@ -402,10 +401,9 @@ class TestSlopeCompensate:
         s_m = modulated_signal(0.3 + 150.0 * grid.times(), m, grid)
         raw = demodulate(s_m, m, ref, channel)
         out = slope_compensate(s_m, m, ref, channel)
-        w = out.warmup
-        target = 0.3 + 150.0 * out.signal.times()[w:]
-        assert np.max(np.abs(raw.signal.values[w:] - target)) > 1e-3  # the slope term is there
-        assert np.max(np.abs(out.signal.values[w:] - target)) <= 1e-12
+        target = 0.3 + 150.0 * out.times()[SPP:]
+        assert np.max(np.abs(raw.values[SPP:] - target)) > 1e-3  # the slope term is there
+        assert np.max(np.abs(out.values[SPP:] - target)) <= 1e-12
 
     def test_constant_plus_linear_disturbance_leaves_correction_unchanged(self):
         # the slope estimate ignores a disturbance that is constant or linear
@@ -419,7 +417,7 @@ class TestSlopeCompensate:
         def correction(x):
             raw = demodulate(x, m, ref, "even")
             out = slope_compensate(x, m, ref, "even")
-            return (out.signal.values - raw.signal.values)[out.warmup:]
+            return (out.values - raw.values)[SPP:]
 
         assert np.max(np.abs(correction(s_m))) > 1e-2
         # up to rounding of window sums of a disturbance of size ~4
@@ -433,8 +431,8 @@ class TestSlopeCompensate:
         i_step = 5 * SPP + 71
         step = np.where(np.arange(grid.n) >= i_step, 7.5, 0.0)
         disturbed = SampledSignal(grid, s_m.values + step)
-        dev = np.abs(slope_compensate(disturbed, m, ref, "even").signal.values
-                     - slope_compensate(s_m, m, ref, "even").signal.values)
+        dev = np.abs(slope_compensate(disturbed, m, ref, "even").values
+                     - slope_compensate(s_m, m, ref, "even").values)
         inside = np.zeros(grid.n, dtype=bool)
         inside[i_step : i_step + SPP] = True
         assert np.max(dev[~inside]) < 1e-10  # rounding of the 7.5 step
@@ -447,10 +445,9 @@ class TestSlopeCompensate:
         s_m = modulated_signal(np.sin(2 * np.pi * 50.0 * grid.times()), m, grid)
         raw = demodulate(s_m, m, ref, "even")
         out = slope_compensate(s_m, m, ref, "even")
-        w = out.warmup
-        target = np.sin(2 * np.pi * 50.0 * out.signal.times()[w:])
-        assert np.max(np.abs(raw.signal.values[w:] - target)) > 0.05
-        assert np.max(np.abs(out.signal.values[w:] - target)) < 0.005
+        target = np.sin(2 * np.pi * 50.0 * out.times()[SPP:])
+        assert np.max(np.abs(raw.values[SPP:] - target)) > 0.05
+        assert np.max(np.abs(out.values[SPP:] - target)) < 0.005
 
     def test_warmup_is_that_of_demodulate(self):
         grid = grid_for(4)
@@ -459,9 +456,8 @@ class TestSlopeCompensate:
         s_m = modulated_signal(np.sin(2 * np.pi * 50.0 * grid.times()), m, grid)
         raw = demodulate(s_m, m, ref, "even")
         out = slope_compensate(s_m, m, ref, "even")
-        assert out.warmup == raw.warmup == SPP
-        assert out.signal.grid == raw.signal.grid
-        assert np.array_equal(out.signal.values[:SPP], raw.signal.values[:SPP])
+        assert out.grid == raw.grid
+        assert np.array_equal(out.values[:SPP], raw.values[:SPP])
 
     def test_singular_slope_estimate_rejected(self):
         # two samples per period: a window of three samples cannot fit four unknowns
@@ -520,11 +516,10 @@ class TestLockinOracle:
         part = synth(channel_part(ref, channel), grid).values
         product = s_m.values * part
         out = demodulate(s_m, m, ref, channel)
-        assert out.warmup == SPP
         # warm-up outputs included: there the window starts at the first sample
         for j in list(range(0, n, 7)) + [n - 1]:
             expected = trapezoid_window_sum(product, j, SPP) * DT * 2.0 / (T_M * g)
-            assert abs(out.signal.values[j] - expected) < 1e-12
+            assert abs(out.values[j] - expected) < 1e-12
 
     @pytest.mark.parametrize(
         "fit, ref_kind, delay, channel, n, t0",
@@ -539,8 +534,8 @@ class TestLockinOracle:
         g = channel_gain(m, ref, channel)[0]
         m_values = synth(m, grid).values
         part = synth(channel_part(ref, channel), grid).values
-        raw = demodulate(s_m, m, ref, channel).signal.values
-        out = slope_compensate(s_m, m, ref, channel).signal.values
+        raw = demodulate(s_m, m, ref, channel).values
+        out = slope_compensate(s_m, m, ref, channel).values
         u = np.arange(SPP + 1) / SPP - 0.5
         if n < _BLOCK_SAMPLES:
             outputs = list(range(SPP, n, 7)) + [n - 1]

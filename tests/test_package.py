@@ -139,6 +139,9 @@ def test_one_json_writer():
     assert sites == ["config.py"]
     assert not hasattr(rotolock.lockin, "write_harmonics_csv")
     assert "write_harmonics_csv" not in rotolock.__all__
+    # and one dataclass-to-JSON rule, Config.to_dict, for the files it writes
+    for cls in (HarmonicSeries, rotolock.reference.TrapezoidFit):
+        assert cls.to_dict is rotolock.config.Config.to_dict, cls.__name__
 
 
 def test_traced_spans_resolve():
@@ -178,14 +181,20 @@ def test_sim_result_holds_only_what_is_read():
 
 def test_test_only_code_is_gone():
     # the Monte Carlo oracle and the angle-domain modulation live in
-    # tests/oracles.py; period detection and the warm-up trim had no caller
-    # in the package
+    # tests/oracles.py; period detection had no caller in the package, and
+    # the lock-in's (signal, warm-up) pair gave way to the plain signal, its
+    # warm-up being the one window of `window_samples`
     for module, name in ((rotolock.reference, "detect_period"),
                          (rotolock.reference, "transmitted_fraction_mc"),
-                         (rotolock.modulation, "eval_modulation")):
+                         (rotolock.modulation, "eval_modulation"),
+                         (rotolock.signals, "WindowedSignal")):
         assert not hasattr(module, name), name
         assert name not in rotolock.__all__, name
-    assert not hasattr(rotolock.signals.WindowedSignal, "valid")
+    grid = TimeGrid(dt=2e-6, n=4 * 200)
+    m = HarmonicSeries(2500.0, 0.5, [1.0, 0.3], [0.2, -0.1])
+    s_m = SampledSignal(grid, np.sin(2.0 * np.pi * 50.0 * grid.times()))
+    for lockin in (demodulate, slope_compensate):
+        assert type(lockin(s_m, m, m, "even")) is SampledSignal, lockin.__name__
 
 
 def test_config_reads_every_field_by_its_type():

@@ -21,7 +21,14 @@ from rotolock.sim import (
     step_contamination_mask,
 )
 import rotolock.signals
-from rotolock.signals import _BLOCK_SAMPLES, HarmonicSeries, SampledSignal, TimeGrid, synth
+from rotolock.signals import (
+    _BLOCK_SAMPLES,
+    HarmonicSeries,
+    SampledSignal,
+    TimeGrid,
+    period_grid,
+    synth,
+)
 
 
 def default_grid():
@@ -513,14 +520,16 @@ class TestSimResultArrays:
         assert onto_run == [10_000]
 
     def test_synth_evaluates_one_run_of_samples(self, monkeypatch):
-        # the measured waveform over the 10 000 samples that it and the
-        # modulation share, the first block of the error sum, the down-sampled
-        # grid and one-period tables; nothing is evaluated over the whole run
+        # synth evaluates the samples of `period_grid` and tiles them: the
+        # measured waveform over the 10 000 samples that it and the
+        # modulation share and again in the first block of the error sum,
+        # the down-sampled grid and one-period tables; nothing is evaluated
+        # over the whole run
         synth = rotolock.signals.synth
-        asked = []
+        evaluated = []
 
         def counting(series, grid):
-            asked.append(grid.n)
+            evaluated.append(period_grid(grid, series.f_fund).n)
             return synth(series, grid)
 
         for name, module in list(sys.modules.items()):
@@ -529,8 +538,8 @@ class TestSimResultArrays:
         cfg = SimConfig(duration=0.6)
         run_simulation(cfg)
         spp = cfg.samples_per_period
-        assert len(asked) == 6
-        assert sum(asked) <= 10_000 + _BLOCK_SAMPLES + cfg.n_samples // spp + 3 * spp
+        assert len(evaluated) == 6
+        assert sum(evaluated) <= 2 * 10_000 + 3 * spp + 50
 
 
 STACKS = (
