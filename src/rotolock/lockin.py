@@ -34,7 +34,7 @@ from .signals import (
     TimeGrid,
     frozen,
     synth,
-    window_samples,
+    whole_period,
     window_sums,
 )
 
@@ -119,8 +119,7 @@ def _lockin(
     part, g = _channel(m, r, channel)
     period = 1.0 / r.f_fund
     grid = s_m.grid
-    w = window_samples(grid, period)
-    one = TimeGrid(grid.dt, w, grid.t0)
+    one = whole_period(grid, r.f_fund)
     r_period = synth(part, one).values
     plain = _slope_term(synth(m, one).values, r_period, g) if compensate else ()
     # dt/T rather than 1/w: the lock-in integral is (2/T) * dt * trapezoid sum
@@ -142,8 +141,8 @@ def demodulate(
     The trailing window [t - T_m, t] estimates the signal at the window
     center, so the output grid is relabeled by -T_m/2: output sample times
     are the centers of the windows they integrate.  The first modulation
-    period, the first `window_samples(s_m.grid, T_m)` outputs, is warm-up:
-    those windows extend before the start of s_m, so they hold
+    period, the first `whole_period(s_m.grid, r.f_fund).n` outputs, is
+    warm-up: those windows extend before the start of s_m, so they hold
     partial-window values and must not be treated as valid output.  Exact
     for signals constant over each window; slowly varying signals are
     tracked with a ripple at the modulation frequency and its harmonics
@@ -262,7 +261,7 @@ def harmonic_outputs(
     means = {}
     for channel in CHANNELS:
         if channel_gain(m, r, channel)[1] >= GAIN_FLOOR:
-            warmup = window_samples(s_m.grid, 1.0 / r.f_fund)
+            warmup = whole_period(s_m.grid, r.f_fund).n
             means[channel] = float(np.mean(demodulate(s_m, m, r, channel).values[warmup:]))
     if not means:
         raise PreconditionError(

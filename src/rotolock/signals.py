@@ -16,7 +16,7 @@ import numpy as np
 from .config import Config
 from .errors import PreconditionError
 
-# relative tolerance used when a ratio (window/dt, rate/f_m) must be an integer
+# relative tolerance used when a ratio (a period over dt) must be an integer
 _RATIO_TOL = 1e-9
 
 # rows formatted and written per chunk by write_csv (see its docstring)
@@ -61,10 +61,6 @@ class TimeGrid:
         """Sample times t0 + i*dt for i in [start, stop) (all n by default);
         a slice gives the same bits as the full array sliced."""
         return self.t0 + np.arange(start, self.n if stop is None else stop) * self.dt
-
-    @property
-    def sample_rate(self) -> float:
-        return 1.0 / self.dt
 
     @property
     def duration(self) -> float:
@@ -181,6 +177,20 @@ def period_grid(grid: TimeGrid, *freqs: float) -> TimeGrid:
     return grid if k >= grid.n else TimeGrid(grid.dt, k, grid.t0)
 
 
+def whole_period(grid: TimeGrid, f: float) -> TimeGrid:
+    """One period of f on grid, `period_grid(grid, f)`: the lock-in's
+    window and warm-up and the down-sampler's stride.  f must be positive,
+    its period a whole number of samples (to within _RATIO_TOL) and shorter
+    than the grid."""
+    one = period_grid(grid, f) if f > 0.0 else grid
+    if one.n >= grid.n:
+        raise PreconditionError(
+            f"the period 1/f of f = {f:.6g} Hz must be a positive whole number of "
+            f"samples of dt = {grid.dt:.6g} s, fewer than the signal's n = {grid.n}"
+        )
+    return one
+
+
 def tile(period: SampledSignal, grid: TimeGrid) -> SampledSignal:
     """`period` repeated over grid: sample i is sample i % k of the k-sample
     period, whose grid must be the first k <= n samples of grid.  The period
@@ -276,21 +286,6 @@ def fit_harmonics(signal: SampledSignal, f_fund: float, l: int) -> tuple[Harmoni
         sin_coeffs=coeffs[l + 1 :],
     )
     return series, float(np.sqrt(np.mean(residual**2)))
-
-
-def window_samples(grid: TimeGrid, window: float) -> int:
-    """The number of samples w of a trailing window on grid: window/dt must
-    be a whole number and the window must fit in the signal (w < n)."""
-    w = integer_ratio(window / grid.dt)
-    if w is None:
-        raise PreconditionError(
-            f"window {window:.6g} s is not an integer multiple of dt {grid.dt:.6g} s"
-        )
-    if w >= grid.n:
-        raise PreconditionError(
-            f"window of {w} samples does not fit in signal of {grid.n} samples"
-        )
-    return w
 
 
 # an overflowing sum is left to SampledSignal's finiteness check, which
@@ -413,20 +408,13 @@ def window_sums(
 
 
 def downsample_at_phase(signal: SampledSignal, f_m: float, phase: float) -> SampledSignal:
-    """Keep one sample per modulation period: the one nearest the requested
-    modulation phase.  The output grid has dt = 1/f_m."""
+    """Keep one sample per modulation period (`whole_period`): the one
+    nearest the requested modulation phase.  The output grid has dt = 1/f_m."""
     grid = signal.grid
-    spp = integer_ratio(1.0 / (f_m * grid.dt))
-    if spp is None:
-        raise PreconditionError(
-            f"sample rate {grid.sample_rate:.6g} Hz is not an integer multiple "
-            f"of f_m {f_m:.6g} Hz"
-        )
+    spp = whole_period(grid, f_m).n
     # index (mod spp) whose modulation phase 2*pi*f_m*t is closest to `phase`
     frac = (phase / (2.0 * np.pi) - f_m * grid.t0) % 1.0
     k0 = int(round(frac * spp)) % spp
-    if k0 >= grid.n:
-        raise PreconditionError("signal too short to retain any sample")
     values = signal.values[k0::spp]
     out_grid = TimeGrid(dt=1.0 / f_m, n=len(values), t0=grid.t0 + k0 * grid.dt)
     return SampledSignal(out_grid, values)

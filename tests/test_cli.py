@@ -284,11 +284,17 @@ class TestSimulate:
         assert context in err
         assert not out.exists()
 
-    def test_precondition_failure_is_exit_three(self, tmp_path):
+    def test_precondition_failure_is_exit_three(self, tmp_path, capsys):
         # one modulation period: the integration window cannot fit
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"duration": 4e-4}))
-        assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path)) == 3
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 3
+        assert capsys.readouterr().err == (
+            "error: the period 1/f of f = 2500 Hz must be a positive whole number of "
+            "samples of dt = 2e-06 s, fewer than the signal's n = 200\n"
+        )
+        assert not out.exists() or not any(out.iterdir())
 
     def test_modulation_frequency_whose_period_does_not_round_trip(self, tmp_path, capsys):
         # 1/(1/1003) != 1003: the reference takes f_m itself, not its period

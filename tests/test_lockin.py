@@ -17,7 +17,14 @@ from rotolock.lockin import (
 )
 from rotolock.modulation import ModulationFit, modulation_series
 from rotolock.reference import synth_demod_reference
-from rotolock.signals import _BLOCK_SAMPLES, HarmonicSeries, SampledSignal, TimeGrid, synth
+from rotolock.signals import (
+    _BLOCK_SAMPLES,
+    HarmonicSeries,
+    SampledSignal,
+    TimeGrid,
+    downsample_at_phase,
+    synth,
+)
 
 F_M = 2500.0
 T_M = 1.0 / F_M
@@ -381,8 +388,29 @@ class TestDemodulate:
         m = unit_cosine_series()
         ref = unit_cosine_series()
         s_m = SampledSignal(grid, np.ones(grid.n))
-        with pytest.raises(PreconditionError, match="is not an integer multiple of dt"):
+        with pytest.raises(PreconditionError, match="whole number of samples of dt"):
             demodulate(s_m, m, ref, "even")
+
+    # one period exactly, and 133.3 samples per period
+    @pytest.mark.parametrize("grid", [grid_for(1), TimeGrid(dt=3e-6, n=1000)])
+    def test_lockin_and_downsampler_share_one_period_rule(self, grid):
+        # the lock-in's window and warm-up and the down-sampler's stride are
+        # one period of `whole_period`: each refuses the grid with that rule's one message
+        m = stock_modulation_series()
+        ref = square_ref(phase=np.pi / 6.0)
+        s_m = modulated_signal(np.ones(grid.n), m, grid)
+        refusals = (
+            lambda: demodulate(s_m, m, ref, "even"),
+            lambda: slope_compensate(s_m, m, ref, "even"),
+            lambda: harmonic_outputs(s_m, m, ref),
+            lambda: downsample_at_phase(s_m, F_M, 0.0),
+        )
+        messages = set()
+        for refuse in refusals:
+            with pytest.raises(PreconditionError, match="whole number of samples") as err:
+                refuse()
+            messages.add(str(err.value))
+        assert len(messages) == 1, messages
 
 
 class TestSlopeCompensate:

@@ -181,15 +181,19 @@ def test_sim_result_holds_only_what_is_read():
 
 def test_test_only_code_is_gone():
     # the Monte Carlo oracle and the angle-domain modulation live in
-    # tests/oracles.py; period detection had no caller in the package, and
-    # the lock-in's (signal, warm-up) pair gave way to the plain signal, its
-    # warm-up being the one window of `window_samples`
+    # tests/oracles.py; period detection had no caller in the package; the
+    # lock-in's (signal, warm-up) pair gave way to the plain signal; and one
+    # period rule, `whole_period`, counts the lock-in's window and warm-up and
+    # the down-sampler's stride, so `window_samples` and `TimeGrid.sample_rate`
+    # (read only by the down-sampler's own ratio) have no reader
     for module, name in ((rotolock.reference, "detect_period"),
                          (rotolock.reference, "transmitted_fraction_mc"),
                          (rotolock.modulation, "eval_modulation"),
-                         (rotolock.signals, "WindowedSignal")):
+                         (rotolock.signals, "WindowedSignal"),
+                         (rotolock.signals, "window_samples")):
         assert not hasattr(module, name), name
         assert name not in rotolock.__all__, name
+    assert not hasattr(TimeGrid, "sample_rate")
     grid = TimeGrid(dt=2e-6, n=4 * 200)
     m = HarmonicSeries(2500.0, 0.5, [1.0, 0.3], [0.2, -0.1])
     s_m = SampledSignal(grid, np.sin(2.0 * np.pi * 50.0 * grid.times()))

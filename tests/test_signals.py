@@ -442,8 +442,30 @@ class TestDownsampleAtPhase:
 
     def test_non_integer_rate_ratio_rejected(self):
         grid = TimeGrid(dt=3e-6, n=1000)
-        with pytest.raises(PreconditionError, match="integer multiple"):
+        with pytest.raises(PreconditionError, match="whole number of samples"):
             downsample_at_phase(SampledSignal(grid, np.zeros(grid.n)), F_M, 0.0)
+
+    # the stride is one period of `whole_period`, whatever the phase: a
+    # positive f_m whose period is a whole number of samples, fewer than n
+    @pytest.mark.parametrize("phase", [0.0, np.pi])
+    @pytest.mark.parametrize(
+        "grid, f_m",
+        [
+            (TimeGrid(dt=1e-200, n=4), 1e-200),  # f_m*dt underflows to 0
+            (default_grid(10), 0.0),
+            (default_grid(10), -F_M),
+            (TimeGrid(dt=DT, n=1000), 1e-300),  # one sample 1e300 s apart
+            (default_grid(1), F_M),  # exactly one period
+            (TimeGrid(dt=DT, n=50), F_M),  # a quarter of a period
+            (TimeGrid(dt=3e-6, n=1000), F_M),  # 133.3 samples per period
+        ],
+        ids=["underflow", "zero", "negative", "tiny", "one-period", "part-period",
+             "fractional"],
+    )
+    def test_signal_without_more_than_one_whole_period_rejected(self, grid, f_m, phase):
+        signal = SampledSignal(grid, np.zeros(grid.n))
+        with pytest.raises(PreconditionError, match="whole number of samples"):
+            downsample_at_phase(signal, f_m, phase)
 
 
 class TestOrthogonality:
