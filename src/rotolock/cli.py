@@ -100,6 +100,7 @@ def cmd_modwave(cfg: ModwaveConfig, out: Path) -> dict:
     n = 2 * cfg.samples_per_period
     grid = TimeGrid(dt=1.0 / (cfg.f_m * cfg.samples_per_period), n=n, t0=0.0)
     wave = synth(series, grid)
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(wave, out / "modwave.csv")
     write_json(series.to_dict(), out / "modwave_series.json")
     return {"files": [str(out / "modwave.csv"), str(out / "modwave_series.json")]}
@@ -109,8 +110,9 @@ def cmd_refsignal(cfg: RefsignalConfig, out: Path) -> dict:
     """Emit one period of the optical-switch reference plus its transition fit."""
     grid = TimeGrid(dt=1.0 / (cfg.f_rot * cfg.samples_per_period), n=cfg.samples_per_period, t0=0.0)
     wave = reference_waveform(cfg.geometry, grid, cfg.f_rot)
-    # fitted first, so that a failed fit leaves no file
+    # fitted first, so that a failed fit leaves no directory
     fit, resid = fit_trapezoid_cosine(wave, cfg.f_rot)
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(wave, out / "refsignal.csv")
     write_json(
         dict(fit.to_dict(), residual_rms=resid, period=1.0 / cfg.f_rot),
@@ -175,8 +177,9 @@ def main(argv=None) -> int:
             cfg = RefsignalConfig.from_dict(raw)
             runner = cmd_refsignal
 
+        # each runner makes the directory just before its first write, so a
+        # refused run leaves none behind
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         summary = runner(cfg, out)
         _write_manifest(args.subcommand, cfg.to_dict(), out)
         for f in summary["files"]:

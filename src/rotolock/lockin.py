@@ -238,11 +238,15 @@ def slope_compensate(
     This returns the demodulated output less K*s'_hat, where s'_hat is
     taken only from the samples of each output's own window (see
     `_slope_coefficients`): a disturbance that is constant or linear within
-    a window cancels exactly, the result is exact for a linear signal, and
+    a window cancels in s'_hat, the result is exact for a linear signal, and
     a noise step still affects only the outputs whose window contains it.
     What is left is second order in the signal (about 0.2% in the case
-    above).  The warm-up samples are those of `demodulate`.  One call of
-    `window_sums` gives both terms.
+    above).  The output keeps `demodulate`'s term of the disturbance,
+    though: a constant cancels in it, a linear one does not.  A 628/s ramp
+    (the steepest slope of a 10 Hz sine of amplitude 10) leaks up to 0.214
+    at most window positions of the default run; its default down-sample
+    phase picks one where the leak vanishes.  The warm-up samples are
+    those of `demodulate`.  One call of `window_sums` gives both terms.
     """
     return _lockin(s_m, m, r, channel, compensate=True)
 

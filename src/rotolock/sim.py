@@ -142,10 +142,12 @@ class SimResult:
     The modulated trace repeats with the period the measured sine and the
     modulation share, so it is kept as that one period, `modulated_period`
     (the whole run when it has no shorter one).  `modulated` is tiled from
-    it over the run each time it is read.
+    it over the run each time it is read.  The noise is kept as its spec:
+    `noise` is drawn again by `gen_noise` each time it is read, with the
+    same bits, so a run holds no full-length array of it.
     """
 
-    noise: SampledSignal
+    noise_spec: NoiseSpec
     modulated_period: SampledSignal
     modulated_noisy: SampledSignal
     restored_full: SampledSignal
@@ -155,7 +157,11 @@ class SimResult:
 
     @property
     def modulated(self) -> SampledSignal:
-        return tile(self.modulated_period, self.noise.grid)
+        return tile(self.modulated_period, self.modulated_noisy.grid)
+
+    @property
+    def noise(self) -> SampledSignal:
+        return gen_noise(self.noise_spec, self.modulated_noisy.grid)[0]
 
 
 def _first_samples_at_or_after(grid: TimeGrid, times: np.ndarray) -> np.ndarray:
@@ -299,6 +305,9 @@ def run_simulation(cfg: SimConfig) -> SimResult:
         np.add(period.values, noise.values[:whole].reshape(-1, k), out=rows)
         np.add(period.values[: grid.n - whole], noise.values[whole:], out=summed[whole:])
     noisy = SampledSignal(grid, frozen(summed))
+    # the noise is not read again: SimResult.noise draws it anew, so only the
+    # noisy sum and the lock-in output are full-length at the lock-in
+    del noise
 
     l = cfg.modulation.n_harmonics
     r = synth_demod_reference(cfg.f_m, cfg.ref_kind, l, cfg.ref_phase_delay)
@@ -358,7 +367,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
         "group_delay_s": 0.5 / cfg.f_m,
     }
     return SimResult(
-        noise=noise,
+        noise_spec=cfg.noise,
         modulated_period=period,
         modulated_noisy=noisy,
         restored_full=restored_full,

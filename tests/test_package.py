@@ -170,13 +170,15 @@ def test_traced_spans_resolve():
 def test_sim_result_holds_only_what_is_read():
     # report writes the five stacks, the metrics come with them and the
     # warm-up bounds their use; no field holds a full-length array that no
-    # output file, metric or CLI path reads, such as the measured sine, and
-    # the modulated trace is held as its one shared period and tiled when read
+    # output file, metric or CLI path reads, such as the measured sine; the
+    # modulated trace is held as its one shared period and tiled when read,
+    # and the noise as its spec and drawn when read
     assert [f.name for f in dataclasses.fields(rotolock.SimResult)] == [
-        "noise", "modulated_period", "modulated_noisy", "restored_full",
+        "noise_spec", "modulated_period", "modulated_noisy", "restored_full",
         "restored_downsampled", "warmup", "metrics",
     ]
-    assert isinstance(inspect.getattr_static(rotolock.SimResult, "modulated"), property)
+    for name in ("modulated", "noise"):
+        assert isinstance(inspect.getattr_static(rotolock.SimResult, name), property), name
 
 
 def test_test_only_code_is_gone():

@@ -418,10 +418,11 @@ class TestSimResultArrays:
                 stack.values[0] = 0.0
 
     def test_peak_memory_per_sample(self):
-        # the run holds three full-length arrays (the noise, the noisy sum and
-        # the lock-in output) and the lock-in's scratch at its peak (34 B per
-        # sample at this length); one more full-length copy, such as the
-        # modulated trace tiled over the run, would take it past the bound.
+        # the run holds two full-length arrays (the noisy sum and the lock-in
+        # output) and the lock-in's scratch at its peak (26 B per sample at
+        # this length); one more full-length copy, such as the noise kept
+        # past the noisy sum or the modulated trace tiled over the run,
+        # would take it past the bound.
         # A first run in the process also makes NumPy's lazy imports and
         # caches, so it is made untraced
         cfg = SimConfig(duration=0.3)
@@ -433,14 +434,14 @@ class TestSimResultArrays:
         finally:
             tracemalloc.stop()
         assert cfg.n_samples == 150_000
-        assert peak / cfg.n_samples < 37.0
+        assert peak / cfg.n_samples < 28.0
 
     def test_default_run_peak_memory(self, monkeypatch):
         # a first run makes NumPy's lazy imports and caches (in a fresh process
         # it peaks near 1.7e6 B) and hands over the lock-in's window-sum inputs.
-        # Then the run peaks at about 0.77e6 B, after the lock-in, and the
+        # Then the run peaks at about 0.65e6 B, after the lock-in, and the
         # window sums alone at about 0.32e6 B (output, block weights and
-        # operand).  The bounds sit 9 % above 0.767e6 and 0.366e6 B, inside
+        # operand).  The bounds sit 9 % above 0.649e6 and 0.366e6 B, inside
         # the benchmark's 10 % peak_alloc_mb gate.  On the 15 000-sample
         # default run the chunk of periods is the whole signal, so chunk-sized
         # scratch (118 KB) takes the window sums past theirs
@@ -456,7 +457,7 @@ class TestSimResultArrays:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[0] < 836_000
+        assert peaks[0] < 707_000
         assert peaks[1] < 400_000
 
     @pytest.mark.parametrize("kind", ["step", "sine"])
@@ -497,6 +498,16 @@ class TestSimResultArrays:
         res = run_simulation(cfg)
         summed = res.modulated.values + res.noise.values
         assert res.modulated_noisy.values.tobytes() == summed.tobytes()
+
+    @pytest.mark.parametrize("kind", ["step", "sine", "none"])
+    def test_noise_is_drawn_from_its_spec_when_read(self, kind):
+        # the run keeps the noise as its spec, not as an array: each read
+        # draws it again, with the bits gen_noise gives on the run's grid
+        cfg = SimConfig(noise=NoiseSpec(kind=kind))
+        res = run_simulation(cfg)
+        expected = gen_noise(cfg.noise, TimeGrid(cfg.dt, cfg.n_samples))[0].values.tobytes()
+        assert res.noise_spec == cfg.noise
+        assert [res.noise.values.tobytes() for _ in range(2)] == [expected, expected]
 
     def test_no_tile_over_the_run(self, monkeypatch):
         # the run keeps the modulated trace as its shared period: no array is
