@@ -17,8 +17,11 @@ trailing-window trapezoid kernel: it keeps running sums within each period
 and works through the modulated signal in cache-sized chunks of whole
 periods, one matrix product per block of phases and chunk.
 `demodulate` passes the scaled reference period as the trapezoid
-integrand; `slope_compensate` adds the slope term as plain window sums of
-the same call, so it needs only the modulated signal.
+integrand; `slope_compensate` adds the slope term to the same call as two
+plain sources, the periods ones and m, whose window sums of x and m*x are
+weighted per output phase by c0 + c1*u (u centred, in periods), so it needs
+only the modulated signal.  The kernel alone maps those weights onto its
+period rows.
 """
 
 from __future__ import annotations
@@ -155,12 +158,9 @@ def demodulate(
 # weights that overflow (a subnormal m) are left to SampledSignal's finiteness check
 @np.errstate(over="ignore", invalid="ignore")
 def _slope_term(m_period: np.ndarray, r_period: np.ndarray, g: float) -> tuple:
-    """The slope term K*s'_hat, subtracted, as plain sources of `window_sums`.
-
-    For output phase p it is the sum over the window of
-    (h0 + h1*u + (h2 + h3*u)*m) * x, h = h[p].  A sample at window index k
-    (u = k/w - 1/2) weighs a + b*k on x and on m*x, with k = q - p + w at
-    phase q of the output's own period and q - p in the period before.
+    """The slope term K*s'_hat, subtracted, as plain sources of `window_sums`:
+    for output phase p the window sum of (h0 + h1*u + (h2 + h3*u)*m) * x,
+    h = h[p], that is (ones, h0, h1) and (m, h2, h3).
     """
     w = len(m_period)
     # the window's end samples share a phase and carry u = -1/2 and +1/2,
@@ -172,15 +172,7 @@ def _slope_term(m_period: np.ndarray, r_period: np.ndarray, g: float) -> tuple:
     # K from the scaled period, with g scaled alike: the same bits as unscaled
     k_phase = _phase_sums(u, m_period * r_period) * (2.0 / (w * np.ldexp(g, -e)))
     h = -coef * np.ldexp(k_phase, -e)[:, None]
-    a0, b0 = h[:, 0] - 0.5 * h[:, 1], h[:, 1] / w
-    a1, b1 = h[:, 2] - 0.5 * h[:, 3], h[:, 3] / w
-    phase = np.arange(w)
-    return (
-        (np.ones(w), a0 + b0 * (w - phase), a0 - b0 * phase),
-        (phase, b0, b0),
-        (m_period, a1 + b1 * (w - phase), a1 - b1 * phase),
-        (phase * m_period, b1, b1),
-    )
+    return (np.ones(w), h[:, 0], h[:, 1]), (m_period, h[:, 2], h[:, 3])
 
 
 def _phase_sums(f: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -160,7 +160,10 @@ def emission_intensity(em: EmissionFit, beta) -> np.ndarray | float:
 
 
 def _wrap_angle(theta):
-    """Map an angle (float or array) to [-pi, pi)."""
+    """Map a finite angle (float or array) to [-pi, pi); a NaN or an
+    infinity, which has no place on the circle, is refused."""
+    if not np.all(np.isfinite(theta)):
+        raise PreconditionError("blade angles must be finite")
     return (theta + math.pi) % (2.0 * math.pi) - math.pi
 
 

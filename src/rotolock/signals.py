@@ -299,18 +299,17 @@ def window_sums(
     """Trailing-window sums of x, one output per sample, over windows of
     w + 1 samples, where w = len(trapezoid) is one period; needs w < len(x).
 
-    With p = j % w the phase of output j, output j >= w is
-        sum over i in [j-w, j] of e_i * trapezoid[i % w] * x[i]
-          + sum over the plain sources (s, cur, prev) of
-                cur[p] * (sum over i in [j-p, j] of s[i % w] * x[i])
-              + prev[p] * (sum over i in [j-w, j-p) of s[i % w] * x[i]),
-    where e_i is 1/2 at the window's two ends (both at phase p) and 1
-    inside: the trapezoid rule.  cur weights the phases of output j's own
-    period, prev those of the period before.  The first w outputs are
-    warm-up: the trapezoid sum over [0, j], without the plain sums.
-    The lock-in takes its scaled reference as the trapezoid, with the slope
-    term as plain sources; a trapezoid of dt per phase gives x's
-    trapezoid-rule integral over each window.
+    With p = j % w the phase of output j, i = j - w + k its window's sample
+    k = 0..w and u = k/w - 1/2, output j >= w is
+        sum over k of e_k * trapezoid[i % w] * x[i]
+          + sum over the plain sources (s, c0, c1) of
+                sum over k of (c0[p] + c1[p] * u) * s[i % w] * x[i],
+    where e_k is 1/2 at the window's two ends (both at phase p) and 1
+    inside: the trapezoid rule.  The first w outputs are warm-up: the
+    trapezoid sum over [0, j], without the plain sums.  The lock-in takes
+    its scaled reference as the trapezoid, with the slope term as plain
+    sources; a trapezoid of dt per phase gives x's trapezoid-rule integral
+    over each window.
 
     The signal is viewed one period per row, and every sum is a combination
     of running sums over phases within one period.  Those restart every
@@ -326,7 +325,7 @@ def window_sums(
     The rows go in chunks of whole periods of about _BLOCK_SAMPLES samples,
     so that a chunk's input, output and scratch stay in cache while every
     block passes over it.  A chunk is a view of its periods and the one
-    before them.  For S sources (the trapezoid and the plain ones), its one
+    before them.  For S sources (the trapezoid and two per plain one), its one
     operand of 2 * (_PHASE_BLOCK + S) columns takes, block by block, the
     block's samples of each output's period and of the period before, and
     the running totals before the block and from it on; one matrix product
@@ -343,9 +342,15 @@ def window_sums(
     chunk's running totals carry over to the next slab.
     """
     w, n = len(trapezoid), len(x)
-    sources = np.stack([trapezoid] + [s for s, _, _ in plain])
-    cur = np.stack([np.ones(w)] + [c for _, c, _ in plain])
-    prev = np.stack([np.ones(w)] + [p for _, _, p in plain])
+    # a plain source weighs a + b*k at window index k = 0..w, which is
+    # a + b*(w - p) + b*q at phase q of output p's own period and a - b*p + b*q
+    # in the period before: two internal sources, s with cur and prev, q*s with b
+    q = np.arange(w)
+    rows = [(trapezoid, np.ones(w), np.ones(w))]
+    for s, c0, c1 in plain:
+        a, b = c0 - 0.5 * c1, c1 / w
+        rows += [(s, a + b * (w - q), a - b * q), (q * s, b, b)]
+    sources, cur, prev = (np.stack(r) for r in zip(*rows))
     m = len(sources)  # S in the docstring
 
     out = np.empty(n)
@@ -409,7 +414,10 @@ def window_sums(
 
 def downsample_at_phase(signal: SampledSignal, f_m: float, phase: float) -> SampledSignal:
     """Keep one sample per modulation period (`whole_period`): the one
-    nearest the requested modulation phase.  The output grid has dt = 1/f_m."""
+    nearest the requested modulation phase, which must be finite.  The
+    output grid has dt = 1/f_m."""
+    if not np.isfinite(phase):
+        raise PreconditionError(f"down-sample phase must be finite, got {phase}")
     grid = signal.grid
     spp = whole_period(grid, f_m).n
     # index (mod spp) whose modulation phase 2*pi*f_m*t is closest to `phase`

@@ -45,14 +45,21 @@ def test_lockin_has_one_gain_path():
 
 def test_one_trailing_window_kernel(monkeypatch):
     # signals.window_sums is the only trailing-window sum: the lock-in keeps
-    # no kernel of its own, and each caller makes one call of it
+    # no kernel of its own, and each caller makes one call of it.  The slope
+    # term goes in as two plain sources (s, c0, c1), the periods ones and m
+    # with per-phase weights: how they fall on the kernel's period rows is
+    # the kernel's alone
     for name in ("_window_sums", "_PHASE_BLOCK"):
         assert not hasattr(rotolock.lockin, name), name
     kernel = rotolock.signals.window_sums
+    signature = inspect.signature(kernel)
+    assert list(signature.parameters) == ["x", "trapezoid", "plain"]
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
         return kernel(*args, **kwargs)
 
     # the lock-in holds the name it imported
@@ -61,13 +68,20 @@ def test_one_trailing_window_kernel(monkeypatch):
     grid = TimeGrid(dt=2e-6, n=4 * 200)  # whole periods of f_m = 2.5 kHz
     m = HarmonicSeries(2500.0, 0.5, [1.0, 0.3], [0.2, -0.1])
     s_m = SampledSignal(grid, np.sin(2.0 * np.pi * 50.0 * grid.times()))
-    for run in (
-        lambda: demodulate(s_m, m, m, "even"),
-        lambda: slope_compensate(s_m, m, m, "even"),
-    ):
-        calls.clear()
-        run()
-        assert len(calls) == 1
+    w = 200  # samples in one period of m
+    m_period = rotolock.signals.synth(m, TimeGrid(grid.dt, w)).values
+    m_unit = np.ldexp(m_period, -np.frexp(np.max(np.abs(m_period)))[1])  # peak in [0.5, 1)
+    demodulate(s_m, m, m, "even")
+    assert len(calls) == 1 and calls[0]["plain"] == ()
+    calls.clear()
+    slope_compensate(s_m, m, m, "even")
+    assert len(calls) == 1
+    plain = calls[0]["plain"]
+    assert len(plain) == 2
+    assert all(len(source) == 3 for source in plain)
+    assert all(np.shape(a) == (w,) for source in plain for a in source)
+    assert np.array_equal(plain[0][0], np.ones(w))
+    assert np.array_equal(plain[1][0], m_unit)
 
 
 def test_one_spike_window_rule(monkeypatch):

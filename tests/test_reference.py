@@ -125,6 +125,19 @@ def radial_oracle(g: SpotGeometry, a: float) -> float:
 
 
 class TestTransmittedFraction:
+    # a NaN or an infinite angle is no position of the blade: refused, not
+    # read as an open spot, and before the wrap can warn about it
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, bad):
+        g = SpotGeometry()
+        angles = np.linspace(-math.pi, math.pi, 600)
+        angles[500] = bad  # past the first block of angles
+        for theta in (bad, angles):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(PreconditionError, match="angles must be finite"):
+                    transmitted_fraction(g, theta)
+
     def test_far_blade_passes_everything(self):
         g = SpotGeometry()
         assert transmitted_fraction(g, -math.pi / 2.0) == 1.0

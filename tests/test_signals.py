@@ -380,10 +380,30 @@ def window_sum_terms(x, trapezoid, plain, j):
     e = np.ones(w + 1)
     e[[0, w]] = 0.5
     terms = (e * trapezoid[i % w] * x[i]).tolist()
-    own = i >= j - p
-    for source, cur, prev in plain:
-        terms += (np.where(own, cur[p], prev[p]) * (source[i % w] * x[i])).tolist()
+    u = np.arange(w + 1) / w - 0.5
+    for source, c0, c1 in plain:
+        terms += ((c0[p] + c1[p] * u) * source[i % w] * x[i]).tolist()
     return terms
+
+
+def check_window_sums(n, w, n_plain, outputs, zero=None):
+    """`window_sums` on random x, trapezoid and plain sources (s, c0, c1)
+    against `window_sum_terms` at outputs (`near_chunk_starts` when None);
+    `zero` names the weight, "c0" or "c1", set to 0 in every source."""
+    rng = np.random.default_rng(w)
+    x = 3.0 + rng.normal(size=n)
+    trapezoid = rng.uniform(0.5, 1.5, size=w)
+    plain = tuple(
+        tuple(np.zeros(w) if name == zero else rng.normal(size=w) for name in ("s", "c0", "c1"))
+        for _ in range(n_plain)
+    )
+    out = window_sums(x, trapezoid, plain)
+    if outputs is None:
+        outputs = near_chunk_starts(n, w)
+    for j in outputs:
+        terms = window_sum_terms(x, trapezoid, plain, j)
+        scale = math.fsum(abs(t) for t in terms)
+        assert abs(out[j] - math.fsum(terms)) <= 1e-14 * scale, j
 
 
 class TestWindowSums:
@@ -400,17 +420,12 @@ class TestWindowSums:
         ],
     )
     def test_plain_sources_match_exact_sums(self, n, w, n_plain, outputs):
-        rng = np.random.default_rng(w)
-        x = 3.0 + rng.normal(size=n)
-        trapezoid = rng.uniform(0.5, 1.5, size=w)
-        plain = tuple(tuple(rng.normal(size=w) for _ in range(3)) for _ in range(n_plain))
-        out = window_sums(x, trapezoid, plain)
-        if outputs is None:
-            outputs = near_chunk_starts(n, w)
-        for j in outputs:
-            terms = window_sum_terms(x, trapezoid, plain, j)
-            scale = math.fsum(abs(t) for t in terms)
-            assert abs(out[j] - math.fsum(terms)) <= 1e-14 * scale, j
+        check_window_sums(n, w, n_plain, outputs)
+
+    # flat weights (c1 = 0) and the slope alone (c0 = 0), every output
+    @pytest.mark.parametrize("zero", ["c1", "c0"])
+    def test_one_weight_of_each_plain_source_zero(self, zero):
+        check_window_sums(6 * 77 + 40, 77, 2, range(6 * 77 + 40), zero)
 
 
 class TestDownsampleAtPhase:
@@ -439,6 +454,12 @@ class TestDownsampleAtPhase:
         series = stock_modulation_series()
         out = downsample_at_phase(synth(series, default_grid(10)), F_M, phase=1.234)
         assert np.max(out.values) - np.min(out.values) < 1e-9
+
+    @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_rejected(self, phase):
+        signal = SampledSignal(default_grid(10), np.zeros(10 * SPP))
+        with pytest.raises(PreconditionError, match=f"phase must be finite, got {phase}"):
+            downsample_at_phase(signal, F_M, phase)
 
     def test_non_integer_rate_ratio_rejected(self):
         grid = TimeGrid(dt=3e-6, n=1000)
