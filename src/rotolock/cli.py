@@ -1,4 +1,11 @@
-"""Command-line interface: config ingestion, subcommand dispatch, CSV/JSON output."""
+"""Command-line interface: config ingestion and subcommand dispatch.
+
+One table, `_SUBCOMMANDS`, gives each subcommand its config type, its runner
+and its help line; the parser and `main` both read it.  A runner computes its
+outputs and writes them under --out with `signals.write_outputs`, which makes
+the directory just before the first write, and `main` writes the manifest
+with the same call, so a refused run leaves no directory behind.
+"""
 
 from __future__ import annotations
 
@@ -10,11 +17,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .config import Config, check_size, write_json
+from .config import Config, check_size
 from .errors import ConfigError, PreconditionError
 from .modulation import ModulationFit, modulation_series
 from .reference import SpotGeometry, fit_trapezoid_cosine, reference_waveform
-from .signals import TimeGrid, synth, write_csv
+from .signals import TimeGrid, synth, write_outputs
 from .sim import _NOISE_KINDS, _REF_KINDS, SimConfig, report, run_simulation
 
 
@@ -82,48 +89,39 @@ def _load_config(path, subcommand: str) -> dict:
     return data
 
 
-def _write_manifest(subcommand: str, config_dict: dict, out: Path) -> None:
-    write_json(
-        {
-            "subcommand": subcommand,
-            "config": config_dict,
-            "out_dir": str(out),
-            "version": __version__,
-        },
-        out / "manifest.json",
-    )
-
-
 def cmd_modwave(cfg: ModwaveConfig, out: Path) -> dict:
     """Emit the modulation waveform over two rotation periods plus its series."""
     series = modulation_series(cfg.modulation, cfg.f_m)
-    n = 2 * cfg.samples_per_period
-    grid = TimeGrid(dt=1.0 / (cfg.f_m * cfg.samples_per_period), n=n, t0=0.0)
-    wave = synth(series, grid)
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(wave, out / "modwave.csv")
-    write_json(series.to_dict(), out / "modwave_series.json")
-    return {"files": [str(out / "modwave.csv"), str(out / "modwave_series.json")]}
+    grid = TimeGrid(dt=1.0 / (cfg.f_m * cfg.samples_per_period), n=2 * cfg.samples_per_period)
+    files = {"modwave.csv": synth(series, grid), "modwave_series.json": series.to_dict()}
+    return {"files": write_outputs(files, out)}
 
 
 def cmd_refsignal(cfg: RefsignalConfig, out: Path) -> dict:
     """Emit one period of the optical-switch reference plus its transition fit."""
-    grid = TimeGrid(dt=1.0 / (cfg.f_rot * cfg.samples_per_period), n=cfg.samples_per_period, t0=0.0)
+    grid = TimeGrid(dt=1.0 / (cfg.f_rot * cfg.samples_per_period), n=cfg.samples_per_period)
     wave = reference_waveform(cfg.geometry, grid, cfg.f_rot)
-    # fitted first, so that a failed fit leaves no directory
+    # fitted before anything is written, so that a failed fit leaves no directory
     fit, resid = fit_trapezoid_cosine(wave, cfg.f_rot)
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(wave, out / "refsignal.csv")
-    write_json(
-        dict(fit.to_dict(), residual_rms=resid, period=1.0 / cfg.f_rot),
-        out / "trapezoid_fit.json",
-    )
-    return {"files": [str(out / "refsignal.csv"), str(out / "trapezoid_fit.json")]}
+    files = {
+        "refsignal.csv": wave,
+        "trapezoid_fit.json": dict(fit.to_dict(), residual_rms=resid, period=1.0 / cfg.f_rot),
+    }
+    return {"files": write_outputs(files, out)}
 
 
-def cmd_simulate(cfg: SimConfig, out: Path) -> dict:
-    """Run the end-to-end scenario; `report` writes its files."""
-    return report(run_simulation(cfg), out)
+# each subcommand's config type, its runner and its help line; a runner writes
+# its outputs under --out through `write_outputs` and returns their paths,
+# with the metrics of a simulate run
+_SUBCOMMANDS = {
+    "modwave": (ModwaveConfig, cmd_modwave, "emit the electrode modulation waveform"),
+    "refsignal": (RefsignalConfig, cmd_refsignal, "emit the optical-switch reference waveform"),
+    "simulate": (
+        SimConfig,
+        lambda cfg, out: report(run_simulation(cfg), out),
+        "run the end-to-end lock-in simulation",
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -133,29 +131,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"rotolock {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, helptext in (
-        ("modwave", "emit the electrode modulation waveform"),
-        ("refsignal", "emit the optical-switch reference waveform"),
-        ("simulate", "run the end-to-end lock-in simulation"),
-    ):
+    for name, (_, _, helptext) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", type=Path, default=None, help="JSON config file")
+        p.add_argument("--config", type=Path, help="JSON config file")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
         if name == "simulate":
-            p.add_argument("--seed", type=int, default=None, help="override noise seed")
-            p.add_argument(
-                "--noise", choices=_NOISE_KINDS, default=None,
-                help="override noise kind",
-            )
-            p.add_argument(
-                "--ref", choices=_REF_KINDS, default=None,
-                help="override reference kind",
-            )
+            p.add_argument("--seed", type=int, help="override noise seed")
+            p.add_argument("--noise", choices=_NOISE_KINDS, help="override noise kind")
+            p.add_argument("--ref", choices=_REF_KINDS, help="override reference kind")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    config_type, runner, _ = _SUBCOMMANDS[args.subcommand]
     try:
         raw = _load_config(args.config, args.subcommand)
         if args.subcommand == "simulate":
@@ -168,23 +157,16 @@ def main(argv=None) -> int:
                     noise["seed"] = args.seed
             if args.ref is not None:
                 raw["ref_kind"] = args.ref
-            cfg = SimConfig.from_dict(raw)
-            runner = cmd_simulate
-        elif args.subcommand == "modwave":
-            cfg = ModwaveConfig.from_dict(raw)
-            runner = cmd_modwave
-        else:
-            cfg = RefsignalConfig.from_dict(raw)
-            runner = cmd_refsignal
-
-        # each runner makes the directory just before its first write, so a
-        # refused run leaves none behind
-        out = Path(args.out)
-        summary = runner(cfg, out)
-        _write_manifest(args.subcommand, cfg.to_dict(), out)
-        for f in summary["files"]:
+        cfg = config_type.from_dict(raw)
+        summary = runner(cfg, args.out)
+        manifest = {
+            "subcommand": args.subcommand,
+            "config": cfg.to_dict(),
+            "out_dir": str(args.out),
+            "version": __version__,
+        }
+        for f in summary["files"] + write_outputs({"manifest.json": manifest}, args.out):
             print(f"wrote {f}")
-        print(f"wrote {out / 'manifest.json'}")
         if "metrics" in summary:
             for key in ("rms_error_full", "rms_error_downsampled", "bandwidth_hz"):
                 print(f"{key} = {summary['metrics'][key]:.6g}")

@@ -1,5 +1,5 @@
-"""Uniformly sampled signals, harmonic synthesis/fitting, windowed integration
-and phase-locked down-sampling.
+"""Uniformly sampled signals, harmonic synthesis/fitting, windowed integration,
+phase-locked down-sampling, and the one writer of output files.
 
 All angles and phases are radians, all times seconds, all frequencies Hz.
 Sample times are always derived from (t0, dt, n) so long signals cannot
@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .config import Config
+from .config import Config, write_json
 from .errors import PreconditionError
 
 # relative tolerance used when a ratio (a period over dt) must be an integer
@@ -450,3 +451,25 @@ def write_csv(signal: SampledSignal, path) -> None:
             rows[0::2] = grid.times(start, stop).tolist()
             rows[1::2] = values[start:stop].tolist()
             fh.write(("%.17g,%.17g\n" * (stop - start)) % tuple(rows))
+
+
+def write_outputs(files: dict, out) -> list[str]:
+    """Make the directory `out` and write each entry name -> value of `files`
+    in it, in order: a SampledSignal through `write_csv`, any other value
+    through `config.write_json`.  Returns the paths written, as strings.
+
+    Every file the package writes goes through here, and this is where the
+    directory is made, so a caller that refuses its input before this call
+    leaves no directory behind.  An OSError becomes one that names `out`.
+    """
+    out = Path(out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, value in files.items():
+            if isinstance(value, SampledSignal):
+                write_csv(value, out / name)
+            else:
+                write_json(value, out / name)
+    except OSError as exc:
+        raise OSError(f"failed writing outputs under {out}: {exc}") from exc
+    return [str(out / name) for name in files]

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .config import Config, check_size, write_json
+from .config import Config, check_size
 from .errors import ConfigError, PreconditionError
 from .lockin import CHANNELS, GAIN_FLOOR, channel_gain, modulate, slope_compensate
 from .modulation import ModulationFit, modulation_series
@@ -34,7 +33,7 @@ from .signals import (
     period_grid,
     synth,
     tile,
-    write_csv,
+    write_outputs,
 )
 
 _NOISE_KINDS = ("step", "sine", "none")
@@ -384,20 +383,15 @@ def report(result: SimResult, out_dir) -> dict:
     restored_downsampled.csv and metrics.json; returns a summary with the
     file paths and metric values.
     """
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        stacks = {
+    files = write_outputs(
+        {
             "noise.csv": result.noise,
             "modulated.csv": result.modulated,
             "modulated_noisy.csv": result.modulated_noisy,
             "restored.csv": result.restored_full,
             "restored_downsampled.csv": result.restored_downsampled,
-        }
-        for name, sig in stacks.items():
-            write_csv(sig, out / name)
-        write_json(result.metrics, out / "metrics.json")
-    except OSError as exc:
-        raise OSError(f"failed writing simulation outputs under {out}: {exc}") from exc
-    files = [str(out / name) for name in (*stacks, "metrics.json")]
+            "metrics.json": result.metrics,
+        },
+        out_dir,
+    )
     return {"files": files, "metrics": dict(result.metrics)}

@@ -307,12 +307,14 @@ class TestSimulate:
         assert capsys.readouterr().err == ""
 
     def test_out_of_memory_is_exit_three(self, tmp_path, capsys, monkeypatch):
-        def exhausted(cfg, out):
+        def exhausted(geom, grid, f_rot):
             raise MemoryError("Unable to allocate 37.3 GiB")
 
-        monkeypatch.setattr("rotolock.cli.cmd_refsignal", exhausted)
-        assert run_cli("refsignal", "--out", str(tmp_path)) == 3
+        # the refsignal runner holds the name it imported
+        monkeypatch.setattr("rotolock.cli.reference_waveform", exhausted)
+        assert run_cli("refsignal", "--out", str(tmp_path / "out")) == 3
         assert capsys.readouterr().err.startswith("error: out of memory")
+        assert not (tmp_path / "out").exists()
 
 
 METRIC_OVERFLOW = (
@@ -437,3 +439,47 @@ def test_simulate_and_modwave_never_import_scipy(tmp_path):
     # the probe does see SciPy where it is used: only the transition fit
     # needs it, the occlusion integral is a NumPy rule
     assert "'scipy.optimize'" in probes[1] and "'scipy.integrate'" not in probes[1]
+
+
+@pytest.mark.parametrize("subcommand", ["modwave", "refsignal", "simulate"])
+def test_unwritable_out_is_one_error_line(tmp_path, capsys, subcommand):
+    # every file goes through one writer, which names the directory it could
+    # not make or write under
+    out = tmp_path / "out"
+    out.write_text("a regular file")
+    assert run_cli(subcommand, "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: failed writing outputs under {out}: ")
+    assert err.count("\n") == 1
+    assert out.read_text() == "a regular file"
+
+
+@pytest.mark.parametrize(
+    "config, code, message",
+    [
+        ({"duration": 8e-4, "noise": {"rate_or_freq": 100000}}, 3,
+         "error: every downsampled window is warm-up or contains a noise step"),
+        (None, 2, "config error: cannot read config"),
+        # an integer that no float holds
+        ('{"duration": 1' + "0" * 400 + "}", 2,
+         "config error: SimConfig.duration must be a finite number, got inf"),
+        ({"duration": 0.0300001}, 2, "duration/dt must be a positive integer"),
+        ({"noise": {"amplitude": -1}}, 2, "noise amplitude must be >= 0"),
+        ({"noise": {"kind": "step", "rate_or_freq": 0}}, 2,
+         "rate_or_freq must be positive for kind 'step'"),
+        ({"noise": {"kind": "sine", "rate_or_freq": 0}}, 2,
+         "rate_or_freq must be positive for kind 'sine'"),
+    ],
+    ids=["all-windows-spiked", "missing-config", "huge-integer", "fractional-steps",
+         "negative-amplitude", "zero-step-rate", "zero-sine-frequency"],
+)
+def test_refused_simulate_leaves_no_directory(tmp_path, capsys, config, code, message):
+    cfg = tmp_path / "cfg.json"
+    if config is not None:
+        cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " if code == 2 else "error: ")
+    assert message in err and err.count("\n") == 1
+    assert not out.exists()

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -156,6 +157,37 @@ def test_one_json_writer():
     # and one dataclass-to-JSON rule, Config.to_dict, for the files it writes
     for cls in (HarmonicSeries, rotolock.reference.TrapezoidFit):
         assert cls.to_dict is rotolock.config.Config.to_dict, cls.__name__
+
+
+def call_sites(name: str) -> list[tuple[str, str]]:
+    """(module file, top-level function or class) of each call in the package
+    of a function or method named `name`."""
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called == name:
+                    sites.append((path.name, getattr(top, "name", None)))
+    return sites
+
+
+def test_one_output_writer():
+    # signals.write_outputs makes the output directory and writes every file
+    # of every subcommand, the manifest included: the package's one mkdir and
+    # its only calls of the CSV and JSON writers are there
+    for name in ("mkdir", "makedirs", "write_csv", "write_json"):
+        expected = [] if name == "makedirs" else [("signals.py", "write_outputs")]
+        assert call_sites(name) == expected, name
+    for name in ("cmd_simulate", "_write_manifest"):
+        assert not hasattr(rotolock.cli, name), name
+    # and one table of subcommands, which the parser reads
+    parser = rotolock.cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(rotolock.cli._SUBCOMMANDS)
 
 
 def test_traced_spans_resolve():

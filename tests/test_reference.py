@@ -349,6 +349,12 @@ class TestReferenceWaveform:
     F_ROT = F_ROT
     SPP = REF_SPP
 
+    @pytest.mark.parametrize("f_rot", [0.0, -2500.0, math.nan])
+    def test_non_positive_rotation_frequency_rejected(self, f_rot):
+        grid = TimeGrid(dt=1.0 / (F_ROT * REF_SPP), n=REF_SPP)
+        with pytest.raises(PreconditionError, match="rotation frequency must be positive"):
+            reference_waveform(SpotGeometry(), grid, f_rot)
+
     def test_zero_plateau_duty(self, one_period):
         g = SpotGeometry()
         expected = (g.theta_gnd - 2.0 * g.theta_max) / (2.0 * math.pi)
@@ -409,6 +415,11 @@ class TestReferenceWaveform:
 
 class TestFitTrapezoidCosine:
     F_ROT = 2500.0
+
+    @pytest.mark.parametrize("f_rot", [0.0, -2500.0, math.nan])
+    def test_non_positive_rotation_frequency_rejected(self, one_period, f_rot):
+        with pytest.raises(PreconditionError, match="rotation frequency must be positive"):
+            fit_trapezoid_cosine(one_period, f_rot)
 
     @pytest.mark.parametrize(
         "truth, rising",
@@ -565,6 +576,11 @@ class TestSynthDemodReference:
     def test_unknown_kind_rejected(self):
         with pytest.raises(PreconditionError, match="kind"):
             synth_demod_reference(1000.0, "triangle", l=3, phase=0.0)
+
+    @pytest.mark.parametrize("l", [0, -1])
+    def test_harmonic_count_below_one_rejected(self, l):
+        with pytest.raises(PreconditionError, match="harmonic count must be >= 1"):
+            synth_demod_reference(1000.0, "square", l=l, phase=0.0)
 
     @pytest.mark.parametrize("f_fund", [0.0, -2500.0, math.nan])
     def test_non_positive_fundamental_rejected(self, f_fund):

@@ -97,6 +97,22 @@ class TestSignalValues:
             SampledSignal(TimeGrid(dt=1.0, n=3), frozen(np.zeros(2)))
 
 
+class TestHarmonicSeries:
+    @pytest.mark.parametrize("cos_c, sin_c", [([1.0, 2.0], [1.0]), ([1.0], [1.0, 2.0]), ([], [])])
+    def test_coefficient_vectors_of_unequal_or_no_length_rejected(self, cos_c, sin_c):
+        with pytest.raises(PreconditionError, match="equal length >= 1"):
+            HarmonicSeries(F_M, 0.0, cos_c, sin_c)
+
+    @pytest.mark.parametrize(
+        "dc, cos_c, sin_c",
+        [(math.inf, [1.0], [1.0]), (0.0, [math.nan], [1.0]), (0.0, [1.0], [-math.inf])],
+        ids=["dc", "cos", "sin"],
+    )
+    def test_non_finite_coefficients_rejected(self, dc, cos_c, sin_c):
+        with pytest.raises(PreconditionError, match="coefficients must be finite"):
+            HarmonicSeries(F_M, dc, cos_c, sin_c)
+
+
 class TestSynth:
     def test_dc_only_is_constant(self):
         series = HarmonicSeries(f_fund=100.0, dc=1.0, cos_coeffs=[0.0], sin_coeffs=[0.0])
@@ -235,6 +251,12 @@ class TestFitHarmonics:
         signal = SampledSignal(grid, np.zeros(grid.n))
         with pytest.raises(PreconditionError):
             fit_harmonics(signal, F_M, l=7)
+
+    @pytest.mark.parametrize("l", [0, -1])
+    def test_harmonic_count_below_one_rejected(self, l):
+        signal = SampledSignal(default_grid(), np.zeros(SPP))
+        with pytest.raises(PreconditionError, match="harmonic count must be >= 1"):
+            fit_harmonics(signal, F_M, l=l)
 
     @settings(deadline=None, max_examples=25)
     @given(
