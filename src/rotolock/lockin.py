@@ -15,7 +15,10 @@ own window and removes it.
 The lock-in integral is one call of `signals.window_sums`, the package's
 trailing-window trapezoid kernel: it keeps running sums within each period
 and works through the modulated signal in cache-sized chunks of whole
-periods, one matrix product per block of phases and chunk.
+periods, one matrix product per block of phases and chunk.  It reads each
+chunk when it gets to it, so the signal can come as its values or as a
+reader of them by sample range: `sim.run_simulation` passes the noisy sum
+that way, built one chunk at a time and never held at full length.
 `demodulate` passes the scaled reference period as the trapezoid
 integrand; `slope_compensate` adds the slope term to the same call as two
 plain sources, the periods ones and m, whose window sums of x and m*x are
@@ -115,19 +118,20 @@ def _channel(m: HarmonicSeries, r: HarmonicSeries, channel: str) -> tuple[Harmon
 
 
 def _lockin(
-    s_m: SampledSignal, m: HarmonicSeries, r: HarmonicSeries, channel: str, compensate: bool
+    grid: TimeGrid, x, m: HarmonicSeries, r: HarmonicSeries, channel: str, compensate: bool
 ) -> SampledSignal:
     """The lock-in output of `demodulate`, and with `compensate` that of
-    `slope_compensate`, from one call of `window_sums`."""
+    `slope_compensate`, for the modulated signal with values x on grid,
+    from one call of `window_sums`: x is its values or a reader of them by
+    sample range, as `window_sums` takes it."""
     part, g = _channel(m, r, channel)
     period = 1.0 / r.f_fund
-    grid = s_m.grid
     one = whole_period(grid, r.f_fund)
     r_period = synth(part, one).values
     plain = _slope_term(synth(m, one).values, r_period, g) if compensate else ()
     # dt/T rather than 1/w: the lock-in integral is (2/T) * dt * trapezoid sum
     c = 2.0 * grid.dt / (period * g)
-    out = window_sums(s_m.values, c * r_period, plain)
+    out = window_sums(x, c * r_period, plain)
     centered = TimeGrid(grid.dt, grid.n, grid.t0 - period / 2.0)
     return SampledSignal(centered, frozen(out))
 
@@ -152,7 +156,7 @@ def demodulate(
     that is first order in the signal's slope.
     `slope_compensate` removes that term.
     """
-    return _lockin(s_m, m, r, channel, compensate=False)
+    return _lockin(s_m.grid, s_m.values, m, r, channel, compensate=False)
 
 
 # weights that overflow (a subnormal m) are left to SampledSignal's finiteness check
@@ -240,7 +244,7 @@ def slope_compensate(
     phase picks one where the leak vanishes.  The warm-up samples are
     those of `demodulate`.  One call of `window_sums` gives both terms.
     """
-    return _lockin(s_m, m, r, channel, compensate=True)
+    return _lockin(s_m.grid, s_m.values, m, r, channel, compensate=True)
 
 
 def harmonic_outputs(

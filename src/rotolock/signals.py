@@ -90,8 +90,9 @@ class SampledSignal:
     through `_finite_signal`: `tile` (copies of a period that was checked,
     which is how `synth`, sine noise, `lockin.modulate` and
     `reference.reference_waveform` fill a long grid), `sim.gen_noise`
-    (zeros, or step levels drawn from a finite range) and
-    `sim.measured_signal` (zeros).
+    (zeros, or step levels drawn from a finite range),
+    `sim.measured_signal` (zeros) and `sim.SimResult.modulated_noisy`
+    (checked range by range as its reader fills it).
     """
 
     grid: TimeGrid
@@ -202,11 +203,23 @@ def tile(period: SampledSignal, grid: TimeGrid) -> SampledSignal:
     if k == grid.n:
         return period
     values = np.empty(grid.n)
-    whole = grid.n - grid.n % k
-    values[:whole].reshape(-1, k)[:] = period.values
-    values[whole:] = period.values[: grid.n - whole]
+    _periodic(np.copyto, values, period.values, 0)
     # copies of the period's values, which SampledSignal checked
     return _finite_signal(grid, values)
+
+
+def _periodic(op, buf: np.ndarray, period: np.ndarray, start: int) -> None:
+    """op(dst, src) over buf, with buf holding samples start.. of a signal
+    whose sample i is period[i % k]: once for the part before the first
+    period boundary, once for the whole periods in between, one per row, and
+    once for the rest.  `np.copyto` fills buf with the repeated period."""
+    k, n = len(period), len(buf)
+    a = min(n, -start % k)
+    b = a + (n - a) // k * k
+    p = start % k
+    op(buf[:a], period[p : p + a])
+    op(buf[a:b].reshape(-1, k), period)
+    op(buf[b:], period[: n - b])
 
 
 def synth(series: HarmonicSeries, grid: TimeGrid) -> SampledSignal:
@@ -325,14 +338,18 @@ def window_sums(
 
     The rows go in chunks of whole periods of about _BLOCK_SAMPLES samples,
     so that a chunk's input, output and scratch stay in cache while every
-    block passes over it.  A chunk is a view of its periods and the one
-    before them.  For S sources (the trapezoid and two per plain one), its one
-    operand of 2 * (_PHASE_BLOCK + S) columns takes, block by block, the
-    block's samples of each output's period and of the period before, and
-    the running totals before the block and from it on; one matrix product
-    by the block's weights writes the block's outputs.  When n % w is not 0
-    the last n % w outputs come from one more chunk over a zero-padded copy
-    of the last two periods, so past x the only full-length array is the
+    block passes over it.  A chunk reads its periods and the one before
+    them as x[i - w : j], inside the loop over chunks, so x is an ndarray
+    (the read is a view) or any object with len and slicing that returns a
+    fresh float array for the range: such a reader, like the simulator's
+    noisy sum, never needs to exist at full length.  For S sources (the
+    trapezoid and two per plain one), a chunk's one operand of
+    2 * (_PHASE_BLOCK + S) columns takes, block by block, the block's
+    samples of each output's period and of the period before, and the
+    running totals before the block and from it on; one matrix product by
+    the block's weights writes the block's outputs.  When n % w is not 0 the
+    last n % w outputs come from one more chunk over a zero-padded copy of
+    the last two periods, so past x the only full-length array is the
     output.
 
     The weights, (2 * _PHASE_BLOCK + 2 * S) * _PHASE_BLOCK floats per block
@@ -340,7 +357,8 @@ def window_sums(
     period longer than _BLOCK_SAMPLES / (2 * _PHASE_BLOCK + 2 * S) phases is
     done in slabs of that many, whose weights are built and used over every
     chunk in turn, so they take about _BLOCK_SAMPLES floats at a time; each
-    chunk's running totals carry over to the next slab.
+    slab reads each chunk again, and each chunk's running totals carry over
+    to the next slab.
     """
     w, n = len(trapezoid), len(x)
     # a plain source weighs a + b*k at window index k = 0..w, which is
@@ -358,18 +376,23 @@ def window_sums(
     head = x[:w] * trapezoid
     out[0] = 0.0
     np.cumsum(0.5 * (head[1:] + head[:-1]), out=out[1:w])
-    # chunks: (its periods and the one before them, one period per row; the
-    # output rows of the windows ending in rows 1..)
+    # chunks: the samples [i, j) whose windows end in them, read with the
+    # period before them
     whole = n - n % w
     size = max(1, _BLOCK_SAMPLES // w) * w
-    chunks = []
-    for i in range(w, whole, size):
-        j = min(i + size, whole)
-        chunks.append((x[i - w : j].reshape(-1, w), out[i:j].reshape(-1, w)))
+    chunks = [(i, min(i + size, whole)) for i in range(w, whole, size)]
     if whole < n:
-        tail = np.zeros(2 * w)
-        tail[: n - whole + w] = x[whole - w :]
-        chunks.append((tail.reshape(2, w), np.empty((1, w))))
+        chunks.append((whole, n))
+        tail = np.empty((1, w))
+
+    def read(i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """The chunk's periods and the one before them, one period per row,
+        and the output rows of the windows ending in rows 1.."""
+        if j <= whole:
+            return x[i - w : j].reshape(-1, w), out[i:j].reshape(-1, w)
+        padded = np.zeros(2 * w)
+        padded[: j - i + w] = x[i - w : j]
+        return padded.reshape(2, w), tail
 
     blocks = [(p0, min(p0 + _PHASE_BLOCK, w)) for p0 in range(0, w, _PHASE_BLOCK)]
     width = 2 * (_PHASE_BLOCK + m)  # a block's operand columns
@@ -387,7 +410,8 @@ def window_sums(
             now = np.tril(cur[:, p0:p1].T @ src) - half
             before = np.tril(prev[:, p0:p1].T @ src, -1) + half
             weights.append(np.vstack([now.T, -before.T, cur[:, p0:p1], prev[:, p0:p1]]))
-        for c, (periods, rows) in enumerate(chunks):
+        for c, span in enumerate(chunks):
+            periods, rows = read(*span)
             # done[i, s]: sum over the phases before the block of source s times
             # x in period i; rest[i, s]: the same over the block and the phases after
             if s0 == 0:
@@ -409,7 +433,7 @@ def window_sums(
             if s0 + per_slab >= len(blocks):
                 totals[c] = None
     if whole < n:
-        out[whole:] = chunks[-1][1][0, : n - whole]
+        out[whole:] = tail[0, : n - whole]
     return out
 
 

@@ -12,13 +12,14 @@ bit-identical results.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import Config, check_size
 from .errors import ConfigError, PreconditionError
-from .lockin import CHANNELS, GAIN_FLOOR, channel_gain, modulate, slope_compensate
+from .lockin import CHANNELS, GAIN_FLOOR, _lockin, channel_gain, modulate
 from .modulation import ModulationFit, modulation_series
 from .reference import synth_demod_reference
 from .signals import (
@@ -27,8 +28,8 @@ from .signals import (
     SampledSignal,
     TimeGrid,
     _finite_signal,
+    _periodic,
     downsample_at_phase,
-    frozen,
     integer_ratio,
     period_grid,
     synth,
@@ -143,24 +144,39 @@ class SimResult:
     (the whole run when it has no shorter one).  `modulated` is tiled from
     it over the run each time it is read.  The noise is kept as its spec:
     `noise` is drawn again by `gen_noise` each time it is read, with the
-    same bits, so a run holds no full-length array of it.
+    same bits.  `modulated_noisy` is the reader the lock-in read, run over
+    the whole run into one array each time it is read: the noise drawn
+    again with the period added to it in place.  So when the shared period
+    is shorter than the run, `restored_full` is the one full-length array a
+    run holds.
     """
 
     noise_spec: NoiseSpec
     modulated_period: SampledSignal
-    modulated_noisy: SampledSignal
     restored_full: SampledSignal
     restored_downsampled: SampledSignal
     warmup: int
     metrics: dict
 
     @property
+    def _grid(self) -> TimeGrid:
+        """The run's grid: the start and step of the period, n of the output."""
+        one = self.modulated_period.grid
+        return TimeGrid(one.dt, self.restored_full.grid.n, one.t0)
+
+    @property
     def modulated(self) -> SampledSignal:
-        return tile(self.modulated_period, self.modulated_noisy.grid)
+        return tile(self.modulated_period, self._grid)
 
     @property
     def noise(self) -> SampledSignal:
-        return gen_noise(self.noise_spec, self.modulated_noisy.grid)[0]
+        return gen_noise(self.noise_spec, self._grid)[0]
+
+    @property
+    def modulated_noisy(self) -> SampledSignal:
+        grid = self._grid
+        # checked finite by the reader
+        return _finite_signal(grid, _NoisySum(self.modulated_period, self.noise_spec, grid)[:])
 
 
 def _first_samples_at_or_after(grid: TimeGrid, times: np.ndarray) -> np.ndarray:
@@ -185,13 +201,37 @@ def gen_noise(spec: NoiseSpec, grid: TimeGrid) -> tuple[SampledSignal, np.ndarra
     """The disturbance signal on a grid, seeded and reproducible, and its steps:
     the sorted sample indices where step noise changes value, taken from the
     level starts it draws (empty for sine and none noise)."""
+    fill, steps = _noise_draw(spec, grid)
+    # zeros, step levels drawn from a finite range, or copies of a sine
+    # period that synth checked
+    return _finite_signal(grid, fill(0, grid.n)), steps
+
+
+def _noise_draw(
+    spec: NoiseSpec, grid: TimeGrid
+) -> tuple[Callable[[int, int], np.ndarray], np.ndarray]:
+    """The disturbance drawn once, as a fill of any sample range [i, j) of
+    the grid, and its steps (see `gen_noise`).  The fill returns a fresh
+    array of the bits that the noise over the whole grid holds there.
+
+    Step noise keeps its levels and the sample where each starts, sine
+    noise its one period on `period_grid` (the whole grid when its period
+    is not a whole number of samples, as `synth` evaluates it), and none
+    noise nothing.
+    """
     no_steps = np.zeros(0, dtype=np.int64)
     if spec.kind == "none" or spec.amplitude == 0.0:
-        # zeros
-        return _finite_signal(grid, np.zeros(grid.n)), no_steps
+        return (lambda i, j: np.zeros(j - i)), no_steps
     if spec.kind == "sine":
         series = HarmonicSeries(spec.rate_or_freq, 0.0, [0.0], [spec.amplitude])
-        return synth(series, grid), no_steps
+        period = synth(series, period_grid(grid, spec.rate_or_freq)).values
+
+        def fill_sine(i: int, j: int) -> np.ndarray:
+            values = np.empty(j - i)
+            _periodic(np.copyto, values, period, i)
+            return values
+
+        return fill_sine, no_steps
 
     rng = np.random.default_rng(spec.seed)
     t_end = grid.t0 + grid.duration
@@ -204,15 +244,54 @@ def gen_noise(spec: NoiseSpec, grid: TimeGrid) -> tuple[SampledSignal, np.ndarra
             break
         boundaries.append(t_cur)
         levels.append(float(rng.uniform(-spec.amplitude, spec.amplitude)))
-    # level i holds from the first sample at or after boundary i - 1 up to the
-    # first sample at or after boundary i
+    # level l holds from the first sample at or after boundary l - 1, starts[l - 1],
+    # up to the first sample at or after boundary l, so sample k holds the
+    # level of the last start at or before it
     starts = _first_samples_at_or_after(grid, np.asarray(boundaries))
-    counts = np.diff(starts, prepend=0, append=grid.n)
-    # copies of the levels, finite because NoiseSpec bounds their range 2*amplitude
-    values = np.repeat(levels, counts)
+    levels = np.asarray(levels)
+
+    def fill_steps(i: int, j: int) -> np.ndarray:
+        lo, hi = np.searchsorted(starts, [i, j - 1], side="right")
+        return np.repeat(levels[lo : hi + 1], np.diff(starts[lo:hi], prepend=i, append=j))
+
+    def level_at(k: np.ndarray) -> np.ndarray:
+        return levels[np.searchsorted(starts, k, side="right")]
+
     # levels that hold a sample start at distinct samples; a level may equal the last
-    steps = starts[(counts[1:] > 0) & (starts > 0)]
-    return _finite_signal(grid, values), steps[values[steps] != values[steps - 1]]
+    steps = starts[(np.diff(starts, append=grid.n) > 0) & (starts > 0)]
+    return fill_steps, steps[level_at(steps) != level_at(steps - 1)]
+
+
+def _add_to(dst: np.ndarray, src: np.ndarray) -> None:
+    np.add(dst, src, out=dst)
+
+
+class _NoisySum:
+    """The modulated trace plus the noise of a run, read by sample range.
+
+    `reader[i:j]` fills the noise over [i, j) and adds the trace's shared
+    period to it in place, one period-aligned segment at a time (IEEE
+    addition commutes, so these are the bits of the tiled trace plus the
+    noise), and refuses a sum past the float range.  `window_sums` reads
+    it one chunk at a time, so the sum never exists at full length in a run.
+    """
+
+    def __init__(self, period: SampledSignal, spec: NoiseSpec, grid: TimeGrid):
+        self.period = period.values
+        self.fill, self.steps = _noise_draw(spec, grid)
+        self.n = grid.n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, s: slice) -> np.ndarray:
+        i, j, _ = s.indices(self.n)
+        values = self.fill(i, j)
+        with np.errstate(over="ignore"):
+            _periodic(_add_to, values, self.period, i)
+        if not np.all(np.isfinite(values)):
+            raise PreconditionError("signal values must all be finite")
+        return values
 
 
 def _step_in_window(steps: np.ndarray, window: int, outputs: np.ndarray) -> np.ndarray:
@@ -291,29 +370,20 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     m_series = modulation_series(cfg.modulation, cfg.f_m)
     # the product repeats with the shared period, so it is computed over one
     # (the same bits as over the whole grid) and never tiled over the run: the
-    # noise is added to it row by row over whole periods, then the tail
+    # lock-in reads the noisy sum one chunk at a time, each filled with the
+    # noise and the period added to it, so the lock-in output is the one
+    # full-length array of the run
     common = period_grid(grid, cfg.signal_freq, cfg.f_m)
     period = modulate(measured_signal(cfg, common), m_series)
-    noise, steps = gen_noise(cfg.noise, grid)
-    k = common.n
-    whole = grid.n - grid.n % k
-    summed = np.empty(grid.n)
-    # a sum past the float range is refused once, by SampledSignal's check
-    with np.errstate(over="ignore"):
-        rows = summed[:whole].reshape(-1, k)
-        np.add(period.values, noise.values[:whole].reshape(-1, k), out=rows)
-        np.add(period.values[: grid.n - whole], noise.values[whole:], out=summed[whole:])
-    noisy = SampledSignal(grid, frozen(summed))
-    # the noise is not read again: SimResult.noise draws it anew, so only the
-    # noisy sum and the lock-in output are full-length at the lock-in
-    del noise
+    noisy = _NoisySum(period, cfg.noise, grid)
 
     l = cfg.modulation.n_harmonics
     r = synth_demod_reference(cfg.f_m, cfg.ref_kind, l, cfg.ref_phase_delay)
     gains = {c: channel_gain(m_series, r, c)[0] for c in CHANNELS}
     channel = "even" if abs(gains["even"]) >= abs(gains["odd"]) else "odd"
 
-    restored_full = slope_compensate(noisy, m_series, r, channel)
+    # slope_compensate's output, on the reader rather than a full-length array
+    restored_full = _lockin(grid, noisy, m_series, r, channel, compensate=True)
     down = downsample_at_phase(restored_full, cfg.f_m, cfg.downsample_phase)
     # one modulation period: the lock-in's window, so its warm-up, the width
     # of a window that a step contaminates and the stride of the picks
@@ -325,7 +395,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     # downsampled error: also exclude windows that contain a noise step
     k0 = int(round((down.grid.t0 - restored_full.grid.t0) / cfg.dt))
     ds_idx = k0 + np.arange(down.grid.n) * spp
-    spiked = _step_in_window(steps, spp, ds_idx)
+    spiked = _step_in_window(noisy.steps, spp, ds_idx)
     good = (ds_idx >= spp) & ~spiked
     if not np.any(good):
         raise PreconditionError(
@@ -368,7 +438,6 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     return SimResult(
         noise_spec=cfg.noise,
         modulated_period=period,
-        modulated_noisy=noisy,
         restored_full=restored_full,
         restored_downsampled=down,
         warmup=spp,

@@ -218,12 +218,13 @@ def test_sim_result_holds_only_what_is_read():
     # warm-up bounds their use; no field holds a full-length array that no
     # output file, metric or CLI path reads, such as the measured sine; the
     # modulated trace is held as its one shared period and tiled when read,
-    # and the noise as its spec and drawn when read
+    # the noise as its spec and drawn when read, and the noisy sum as the
+    # two of them, summed when read
     assert [f.name for f in dataclasses.fields(rotolock.SimResult)] == [
-        "noise_spec", "modulated_period", "modulated_noisy", "restored_full",
-        "restored_downsampled", "warmup", "metrics",
+        "noise_spec", "modulated_period", "restored_full", "restored_downsampled",
+        "warmup", "metrics",
     ]
-    for name in ("modulated", "noise"):
+    for name in ("modulated", "noise", "modulated_noisy"):
         assert isinstance(inspect.getattr_static(rotolock.SimResult, name), property), name
 
 

@@ -449,6 +449,46 @@ class TestWindowSums:
     def test_one_weight_of_each_plain_source_zero(self, zero):
         check_window_sums(6 * 77 + 40, 77, 2, range(6 * 77 + 40), zero)
 
+    @pytest.mark.parametrize(
+        "n, w, rereads",
+        [
+            (5 * SPP + 37, SPP, False),
+            # three chunks of periods and a partial last period
+            (2 * _BLOCK_SAMPLES + 5 * SPP + 37, SPP, False),
+            # a period of several slabs of phase blocks, three chunks and a
+            # partial last period: each slab reads each chunk again
+            (2 * (_BLOCK_SAMPLES // 4000) * 4000 + 3 * 4000 + 123, 4000, True),
+        ],
+    )
+    def test_a_reader_gives_the_bits_of_its_array(self, n, w, rereads):
+        # x may be any object with len and slicing that returns a fresh float
+        # array, read one chunk at a time inside the kernel's loop
+        class Reader:
+            def __init__(self, values):
+                self.values, self.reads = values, []
+
+            def __len__(self):
+                return len(self.values)
+
+            def __getitem__(self, s):
+                i, j, _ = s.indices(len(self.values))
+                self.reads.append((i, j))
+                return self.values[i:j].copy()
+
+        rng = np.random.default_rng(11)
+        x, trapezoid = rng.normal(size=n), rng.normal(size=w)
+        plain = tuple(tuple(rng.normal(size=w) for _ in range(3)) for _ in range(2))
+        reader = Reader(x)
+        assert window_sums(reader, trapezoid, plain).tobytes() == \
+            window_sums(x, trapezoid, plain).tobytes()
+        # the warm-up's first period, then each chunk with the period before it
+        # as often as there are slabs, and never the whole signal at once
+        head, chunks = reader.reads[0], reader.reads[1:]
+        assert head == (0, w) and max(j - i for i, j in chunks) <= _BLOCK_SAMPLES + w
+        assert max(j for _, j in chunks) == n
+        counts = {chunks.count(c) for c in chunks}
+        assert len(counts) == 1 and (counts.pop() > 1) == rereads
+
 
 class TestDownsampleAtPhase:
     def test_retains_every_200th_sample_on_default_grid(self):

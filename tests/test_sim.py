@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 from rotolock.cli import main
-from rotolock.errors import ConfigError
-from rotolock.lockin import modulate
+from rotolock.errors import ConfigError, PreconditionError
+from rotolock.lockin import modulate, slope_compensate
 from rotolock.modulation import ModulationFit, modulation_series
+from rotolock.reference import synth_demod_reference
 from rotolock.sim import (
     NoiseSpec,
     SimConfig,
+    _noise_draw,
+    _NoisySum,
     gen_noise,
     measured_signal,
     report,
@@ -28,6 +31,7 @@ from rotolock.signals import (
     TimeGrid,
     period_grid,
     synth,
+    window_sums,
 )
 
 
@@ -62,6 +66,25 @@ class TestGenNoise:
         series = HarmonicSeries(500.0, 0.0, [0.0], [10.0])
         assert out.tobytes() == synth(series, grid).values.tobytes()
         assert np.array_equal(out.reshape(-1, 1000), np.broadcast_to(out[:1000], (1500, 1000)))
+
+    @pytest.mark.parametrize("spec", [
+        NoiseSpec(seed=3),
+        NoiseSpec(rate_or_freq=200_000.0, seed=4),  # levels of a few samples, some empty
+        NoiseSpec(kind="sine", rate_or_freq=500.0),
+        NoiseSpec(kind="sine", rate_or_freq=37.0),  # no whole period: the whole grid
+        NoiseSpec(kind="none"),
+    ], ids=["step", "fast-step", "sine", "sine-37Hz", "none"])
+    def test_draw_fills_any_range_with_the_bits_of_the_whole(self, spec):
+        # the lock-in reads the noise one range at a time; each range holds the
+        # bits of gen_noise over the whole grid, which is the fill of [0, n)
+        grid = TimeGrid(dt=2e-6, n=150_050)
+        whole, steps = gen_noise(spec, grid)
+        fill, drawn_steps = _noise_draw(spec, grid)
+        assert np.array_equal(drawn_steps, steps)
+        for i, j in [(0, grid.n), (0, 1), (1, 2), (7, 1007), (999, 66_000), (65_400, 130_800),
+                     (150_000, 150_050), (grid.n - 1, grid.n)]:
+            part = fill(i, j)
+            assert part.flags.writeable and part.tobytes() == whole.values[i:j].tobytes()
 
     def test_none_kind_is_zero(self):
         out, _ = gen_noise(NoiseSpec(kind="none"), default_grid())
@@ -417,40 +440,57 @@ class TestSimResultArrays:
             with pytest.raises(ValueError):
                 stack.values[0] = 0.0
 
+    @staticmethod
+    def _peak(cfg):
+        tracemalloc.start()
+        try:
+            run_simulation(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_peak_memory_per_sample(self):
-        # the run holds two full-length arrays (the noisy sum and the lock-in
-        # output) and the lock-in's scratch at its peak (26 B per sample at
-        # this length); one more full-length copy, such as the noise kept
-        # past the noisy sum or the modulated trace tiled over the run,
-        # would take it past the bound.
+        # at its peak the run holds one full-length array (the lock-in output)
+        # and fixed-size scratch, the lock-in's chunk of the noisy sum among
+        # it: 19.5 B per sample at this length.  The scratch is a large share
+        # of that here, so this bound caps the total, and the growth test
+        # below tells one more full-length array apart.
         # A first run in the process also makes NumPy's lazy imports and
         # caches, so it is made untraced
         cfg = SimConfig(duration=0.3)
         run_simulation(cfg)
-        tracemalloc.start()
-        try:
-            run_simulation(cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         assert cfg.n_samples == 150_000
-        assert peak / cfg.n_samples < 28.0
+        assert self._peak(cfg) / cfg.n_samples < 21.5
+
+    @pytest.mark.parametrize("kind", ["step", "sine", "none"])
+    def test_peak_grows_by_one_array(self, kind):
+        # between 0.3 s and 0.6 s the peak grows by the lock-in output, 8 B per
+        # sample (8.02 measured); a second full-length float array, such as
+        # the noisy sum, adds 8 B more
+        short, long = (SimConfig(duration=d, noise=NoiseSpec(kind=kind)) for d in (0.3, 0.6))
+        run_simulation(short)
+        growth = (self._peak(long) - self._peak(short)) / (long.n_samples - short.n_samples)
+        assert growth < 9.0
 
     def test_default_run_peak_memory(self, monkeypatch):
         # a first run makes NumPy's lazy imports and caches (in a fresh process
         # it peaks near 1.7e6 B) and hands over the lock-in's window-sum inputs.
-        # Then the run peaks at about 0.65e6 B, after the lock-in, and the
-        # window sums alone at about 0.32e6 B (output, block weights and
-        # operand).  The bounds sit 9 % above 0.649e6 and 0.366e6 B, inside
-        # the benchmark's 10 % peak_alloc_mb gate.  On the 15 000-sample
-        # default run the chunk of periods is the whole signal, so chunk-sized
-        # scratch (118 KB) takes the window sums past theirs
+        # Then the run peaks at about 0.54e6 B, after the lock-in, and the
+        # window sums alone, replayed on the noisy sum as an array, at about
+        # 0.32e6 B (output, block weights and operand).  The bounds sit 9 %
+        # above 0.649e6 and 0.366e6 B, inside the benchmark's 10 %
+        # peak_alloc_mb gate.  On the 15 000-sample default run the chunk
+        # of periods is the whole signal, so chunk-sized scratch (118 KB)
+        # takes the window sums past theirs
         kernel, calls = rotolock.lockin.window_sums, []
         monkeypatch.setattr(rotolock.lockin, "window_sums", lambda *a: calls.append(a) or kernel(*a))
         run_simulation(SimConfig())
         monkeypatch.undo()
+        reader, *args = calls[0]
+        x = reader[:]  # the run reads it one chunk at a time; the replay reads the array
+        assert isinstance(x, np.ndarray) and len(x) == len(reader)
         peaks = []
-        for run in (lambda: run_simulation(SimConfig()), lambda: kernel(*calls[0])):
+        for run in (lambda: run_simulation(SimConfig()), lambda: kernel(x, *args)):
             tracemalloc.start()
             try:
                 run()
@@ -461,12 +501,13 @@ class TestSimResultArrays:
         assert peaks[1] < 400_000
 
     @pytest.mark.parametrize("kind", ["step", "sine"])
-    def test_two_full_length_finiteness_scans(self, monkeypatch, kind):
+    def test_one_full_length_finiteness_scan(self, monkeypatch, kind):
         # only the noisy sum and the lock-in's window sums can leave the float
-        # range; the product is checked over its one shared period and never
-        # tiled over the run, and the noise (step levels from a finite range,
-        # a sine tiled from one checked period) and the measured sine are
-        # finite by construction and not scanned again
+        # range; the noisy sum is checked one chunk at a time as the lock-in
+        # reads it, the product over its one shared period, and the noise
+        # (step levels from a finite range, a sine tiled from one checked
+        # period) and the measured sine are finite by construction and not
+        # scanned again: the lock-in output is the one full-length scan
         cfg = SimConfig(duration=0.3, noise=NoiseSpec(kind=kind))
         isfinite = np.isfinite
         scans = []
@@ -478,7 +519,48 @@ class TestSimResultArrays:
 
         monkeypatch.setattr(np, "isfinite", counting)
         run_simulation(cfg)
-        assert len(scans) <= 2
+        assert len(scans) <= 1
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"signal_freq": 37.0}, {"duration": 0.3001}, {"f_m": 250.0, "dt": 1e-6}],
+        # 37 Hz has no shared period; 0.3001 s makes three chunks of the
+        # lock-in and a partial last period; at f_m = 250 Hz and dt = 1 us
+        # a period of 4 000 samples spans several slabs of phase blocks, so
+        # the lock-in reads each chunk once per slab
+        ids=["default", "37Hz", "chunks-and-partial-period", "slabs"],
+    )
+    @pytest.mark.parametrize("kind", ["step", "sine", "none"])
+    def test_lockin_reads_the_noisy_sum_by_chunks(self, overrides, kind):
+        # the lock-in reads the noisy sum one chunk at a time: the bits of
+        # slope_compensate on the whole sum, which is the tiled product plus
+        # the noise
+        cfg = SimConfig(noise=NoiseSpec(kind=kind), **overrides)
+        res = run_simulation(cfg)
+        noisy = res.modulated_noisy
+        assert noisy.values.tobytes() == (res.modulated.values + res.noise.values).tobytes()
+        m = modulation_series(cfg.modulation, cfg.f_m)
+        r = synth_demod_reference(
+            cfg.f_m, cfg.ref_kind, cfg.modulation.n_harmonics, cfg.ref_phase_delay
+        )
+        restored = slope_compensate(noisy, m, r, res.metrics["channel"])
+        assert res.restored_full.grid == restored.grid
+        assert res.restored_full.values.tobytes() == restored.values.tobytes()
+
+    def test_overflow_past_the_first_chunk_is_refused(self):
+        # the reader checks each range it fills: a sum that leaves the float
+        # range only past the lock-in's first chunk is refused when the
+        # kernel reads it, with the message of every other overflowing signal
+        grid = TimeGrid(dt=2e-6, n=150_000)
+        trace = np.zeros(grid.n)
+        trace[100_000:101_000] = 1.7e308  # one period of the sine noise
+        reader = _NoisySum(SampledSignal(grid, trace), NoiseSpec(kind="sine", amplitude=8e307), grid)
+        assert np.all(np.isfinite(reader[0:_BLOCK_SAMPLES]))
+        message = "^signal values must all be finite$"
+        with pytest.raises(PreconditionError, match=message):
+            reader[_BLOCK_SAMPLES : grid.n]
+        with pytest.raises(PreconditionError, match=message):
+            window_sums(reader, np.full(200, 2e-6))
 
     @SHARED_PERIOD_GRIDS
     def test_tiled_modulated_is_the_full_product(self, freq, duration):
