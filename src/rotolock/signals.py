@@ -83,16 +83,8 @@ class SampledSignal:
 
     `values` is read-only.  The signal keeps its own copy of the array it is
     given, unless that array is read-only and owns its data: then it is taken
-    as it is (see `frozen`).
-
-    Every value is checked to be finite, except in the few producers whose
-    values are finite by construction, which skip that full-length scan
-    through `_finite_signal`: `tile` (copies of a period that was checked,
-    which is how `synth`, sine noise, `lockin.modulate` and
-    `reference.reference_waveform` fill a long grid), `sim.gen_noise`
-    (zeros, or step levels drawn from a finite range),
-    `sim.measured_signal` (zeros) and `sim.SimResult.modulated_noisy`
-    (checked range by range as its reader fills it).
+    as it is (see `frozen`).  Every value is checked to be finite: this is
+    the one way to build a signal.
     """
 
     grid: TimeGrid
@@ -116,16 +108,6 @@ class SampledSignal:
 
     def times(self) -> np.ndarray:
         return self.grid.times()
-
-
-def _finite_signal(grid: TimeGrid, values: np.ndarray) -> SampledSignal:
-    """SampledSignal(grid, frozen(values)) without the finiteness scan, for a
-    fresh array of grid.n values that are finite by construction.  Each
-    caller says why they are."""
-    signal = object.__new__(SampledSignal)
-    object.__setattr__(signal, "grid", grid)
-    object.__setattr__(signal, "values", frozen(values))
-    return signal
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,7 +178,8 @@ def whole_period(grid: TimeGrid, f: float) -> TimeGrid:
 def tile(period: SampledSignal, grid: TimeGrid) -> SampledSignal:
     """`period` repeated over grid: sample i is sample i % k of the k-sample
     period, whose grid must be the first k <= n samples of grid.  The period
-    itself is returned when it is the whole grid."""
+    itself is returned when it is the whole grid; otherwise the copies make
+    a new signal, whose values are checked finite like any other's."""
     k = period.grid.n
     if k > grid.n or period.grid != TimeGrid(grid.dt, k, grid.t0):
         raise PreconditionError(f"period grid {period.grid} is not the start of {grid}")
@@ -204,8 +187,7 @@ def tile(period: SampledSignal, grid: TimeGrid) -> SampledSignal:
         return period
     values = np.empty(grid.n)
     _periodic(np.copyto, values, period.values, 0)
-    # copies of the period's values, which SampledSignal checked
-    return _finite_signal(grid, values)
+    return SampledSignal(grid, frozen(values))
 
 
 def _periodic(op, buf: np.ndarray, period: np.ndarray, start: int) -> None:

@@ -12,7 +12,6 @@ bit-identical results.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,13 +26,14 @@ from .signals import (
     HarmonicSeries,
     SampledSignal,
     TimeGrid,
-    _finite_signal,
     _periodic,
     downsample_at_phase,
+    frozen,
     integer_ratio,
     period_grid,
     synth,
     tile,
+    whole_period,
     write_outputs,
 )
 
@@ -144,11 +144,10 @@ class SimResult:
     (the whole run when it has no shorter one).  `modulated` is tiled from
     it over the run each time it is read.  The noise is kept as its spec:
     `noise` is drawn again by `gen_noise` each time it is read, with the
-    same bits.  `modulated_noisy` is the reader the lock-in read, run over
-    the whole run into one array each time it is read: the noise drawn
-    again with the period added to it in place.  So when the shared period
-    is shorter than the run, `restored_full` is the one full-length array a
-    run holds.
+    same bits.  `modulated_noisy` is the reader the lock-in read,
+    `_NoisySum` of the spec and the period, run over the whole run into one
+    array each time it is read.  So when the shared period is shorter than
+    the run, `restored_full` is the one full-length array a run holds.
     """
 
     noise_spec: NoiseSpec
@@ -175,8 +174,7 @@ class SimResult:
     @property
     def modulated_noisy(self) -> SampledSignal:
         grid = self._grid
-        # checked finite by the reader
-        return _finite_signal(grid, _NoisySum(self.modulated_period, self.noise_spec, grid)[:])
+        return SampledSignal(grid, frozen(_NoisySum(self.noise_spec, grid, self.modulated_period)[:]))
 
 
 def _first_samples_at_or_after(grid: TimeGrid, times: np.ndarray) -> np.ndarray:
@@ -201,65 +199,8 @@ def gen_noise(spec: NoiseSpec, grid: TimeGrid) -> tuple[SampledSignal, np.ndarra
     """The disturbance signal on a grid, seeded and reproducible, and its steps:
     the sorted sample indices where step noise changes value, taken from the
     level starts it draws (empty for sine and none noise)."""
-    fill, steps = _noise_draw(spec, grid)
-    # zeros, step levels drawn from a finite range, or copies of a sine
-    # period that synth checked
-    return _finite_signal(grid, fill(0, grid.n)), steps
-
-
-def _noise_draw(
-    spec: NoiseSpec, grid: TimeGrid
-) -> tuple[Callable[[int, int], np.ndarray], np.ndarray]:
-    """The disturbance drawn once, as a fill of any sample range [i, j) of
-    the grid, and its steps (see `gen_noise`).  The fill returns a fresh
-    array of the bits that the noise over the whole grid holds there.
-
-    Step noise keeps its levels and the sample where each starts, sine
-    noise its one period on `period_grid` (the whole grid when its period
-    is not a whole number of samples, as `synth` evaluates it), and none
-    noise nothing.
-    """
-    no_steps = np.zeros(0, dtype=np.int64)
-    if spec.kind == "none" or spec.amplitude == 0.0:
-        return (lambda i, j: np.zeros(j - i)), no_steps
-    if spec.kind == "sine":
-        series = HarmonicSeries(spec.rate_or_freq, 0.0, [0.0], [spec.amplitude])
-        period = synth(series, period_grid(grid, spec.rate_or_freq)).values
-
-        def fill_sine(i: int, j: int) -> np.ndarray:
-            values = np.empty(j - i)
-            _periodic(np.copyto, values, period, i)
-            return values
-
-        return fill_sine, no_steps
-
-    rng = np.random.default_rng(spec.seed)
-    t_end = grid.t0 + grid.duration
-    boundaries = []  # times where a new level starts
-    levels = [float(rng.uniform(-spec.amplitude, spec.amplitude))]
-    t_cur = grid.t0
-    while True:
-        t_cur += float(rng.exponential(1.0 / spec.rate_or_freq))
-        if t_cur >= t_end:
-            break
-        boundaries.append(t_cur)
-        levels.append(float(rng.uniform(-spec.amplitude, spec.amplitude)))
-    # level l holds from the first sample at or after boundary l - 1, starts[l - 1],
-    # up to the first sample at or after boundary l, so sample k holds the
-    # level of the last start at or before it
-    starts = _first_samples_at_or_after(grid, np.asarray(boundaries))
-    levels = np.asarray(levels)
-
-    def fill_steps(i: int, j: int) -> np.ndarray:
-        lo, hi = np.searchsorted(starts, [i, j - 1], side="right")
-        return np.repeat(levels[lo : hi + 1], np.diff(starts[lo:hi], prepend=i, append=j))
-
-    def level_at(k: np.ndarray) -> np.ndarray:
-        return levels[np.searchsorted(starts, k, side="right")]
-
-    # levels that hold a sample start at distinct samples; a level may equal the last
-    steps = starts[(np.diff(starts, append=grid.n) > 0) & (starts > 0)]
-    return fill_steps, steps[level_at(steps) != level_at(steps - 1)]
+    reader = _NoisySum(spec, grid)
+    return SampledSignal(grid, frozen(reader[:])), reader.steps
 
 
 def _add_to(dst: np.ndarray, src: np.ndarray) -> None:
@@ -267,28 +208,70 @@ def _add_to(dst: np.ndarray, src: np.ndarray) -> None:
 
 
 class _NoisySum:
-    """The modulated trace plus the noise of a run, read by sample range.
+    """The noise of a run plus the periods passed in, read by sample range.
 
-    `reader[i:j]` fills the noise over [i, j) and adds the trace's shared
-    period to it in place, one period-aligned segment at a time (IEEE
-    addition commutes, so these are the bits of the tiled trace plus the
-    noise), and refuses a sum past the float range.  `window_sums` reads
-    it one chunk at a time, so the sum never exists at full length in a run.
+    The noise is drawn once: step noise as its levels and the sample where
+    each starts, sine noise as one level of 0.0 with its `period_grid`
+    period (the whole grid when its period is not a whole number of
+    samples, as `synth` evaluates it) put ahead of the periods passed in,
+    and none noise (or an amplitude of 0) as one level of 0.0.  `steps`
+    are the sorted samples where the level changes (see `gen_noise`).
+
+    `reader[i:j]` fills the levels over [i, j) into a fresh array and adds
+    each period to it in place, one period-aligned segment at a time (IEEE
+    addition commutes, so a range holds the bits of the noise plus the
+    tiled periods over the whole grid), and refuses a sum past the float
+    range.  `gen_noise` is the reader over [0, n); `window_sums` reads the
+    run's noisy sum one chunk at a time, so that sum never exists at full
+    length in a run.
     """
 
-    def __init__(self, period: SampledSignal, spec: NoiseSpec, grid: TimeGrid):
-        self.period = period.values
-        self.fill, self.steps = _noise_draw(spec, grid)
+    def __init__(self, spec: NoiseSpec, grid: TimeGrid, *periods: SampledSignal):
         self.n = grid.n
+        self.periods = [p.values for p in periods]
+        self.levels = np.zeros(1)
+        self.starts = np.zeros(0, dtype=np.int64)
+        if spec.kind == "sine" and spec.amplitude != 0.0:
+            # synth adds its dc of 0.0 to every value, so it never returns
+            # -0.0, and the level 0.0 plus the sine is the sine itself
+            series = HarmonicSeries(spec.rate_or_freq, 0.0, [0.0], [spec.amplitude])
+            self.periods.insert(0, synth(series, period_grid(grid, spec.rate_or_freq)).values)
+        elif spec.kind == "step" and spec.amplitude != 0.0:
+            rng = np.random.default_rng(spec.seed)
+            t_end = grid.t0 + grid.duration
+            boundaries = []  # times where a new level starts
+            levels = [float(rng.uniform(-spec.amplitude, spec.amplitude))]
+            t_cur = grid.t0
+            while True:
+                t_cur += float(rng.exponential(1.0 / spec.rate_or_freq))
+                if t_cur >= t_end:
+                    break
+                boundaries.append(t_cur)
+                levels.append(float(rng.uniform(-spec.amplitude, spec.amplitude)))
+            # level l holds from the first sample at or after boundary l - 1,
+            # starts[l - 1], up to the first sample at or after boundary l, so
+            # sample k holds the level of the last start at or before it
+            self.starts = _first_samples_at_or_after(grid, np.asarray(boundaries))
+            self.levels = np.asarray(levels)
+        # levels that hold a sample start at distinct samples; a level may
+        # equal the last, so a start is a step when the level held from it on
+        # differs from the level held at the sample before
+        starts, levels = self.starts, self.levels
+        steps = starts[(np.diff(starts, append=grid.n) > 0) & (starts > 0)]
+        now, before = (levels[np.searchsorted(starts, steps, side)] for side in ("right", "left"))
+        self.steps = steps[now != before]
 
     def __len__(self) -> int:
         return self.n
 
     def __getitem__(self, s: slice) -> np.ndarray:
         i, j, _ = s.indices(self.n)
-        values = self.fill(i, j)
+        starts = self.starts
+        lo, hi = np.searchsorted(starts, [i, j - 1], side="right")
+        values = np.repeat(self.levels[lo : hi + 1], np.diff(starts[lo:hi], prepend=i, append=j))
         with np.errstate(over="ignore"):
-            _periodic(_add_to, values, self.period, i)
+            for period in self.periods:
+                _periodic(_add_to, values, period, i)
         if not np.all(np.isfinite(values)):
             raise PreconditionError("signal values must all be finite")
         return values
@@ -320,8 +303,7 @@ def measured_signal(cfg: SimConfig, grid: TimeGrid) -> SampledSignal:
     """
     f = cfg.signal_freq
     if f == 0.0:
-        # zeros
-        return _finite_signal(grid, np.zeros(grid.n))
+        return SampledSignal(grid, frozen(np.zeros(grid.n)))
     amp = cfg.signal_amp if f > 0.0 else -cfg.signal_amp
     return synth(HarmonicSeries(abs(f), 0.0, [0.0], [amp]), grid)
 
@@ -375,7 +357,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     # full-length array of the run
     common = period_grid(grid, cfg.signal_freq, cfg.f_m)
     period = modulate(measured_signal(cfg, common), m_series)
-    noisy = _NoisySum(period, cfg.noise, grid)
+    noisy = _NoisySum(cfg.noise, grid, period)
 
     l = cfg.modulation.n_harmonics
     r = synth_demod_reference(cfg.f_m, cfg.ref_kind, l, cfg.ref_phase_delay)
@@ -387,7 +369,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     down = downsample_at_phase(restored_full, cfg.f_m, cfg.downsample_phase)
     # one modulation period: the lock-in's window, so its warm-up, the width
     # of a window that a step contaminates and the stride of the picks
-    spp = cfg.samples_per_period
+    spp = whole_period(grid, cfg.f_m).n
 
     # full-rate error, warm-up excluded (noise spikes stay in: they are the output)
     rms_full = _rms_after(cfg, restored_full, spp)

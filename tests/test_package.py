@@ -190,6 +190,17 @@ def test_one_output_writer():
     assert list(sub.choices) == list(rotolock.cli._SUBCOMMANDS)
 
 
+def test_one_noise_reader_and_one_way_to_build_a_signal():
+    # sim._NoisySum draws the noise once and fills any sample range of it, for
+    # gen_noise and for the run's noisy sum alike, so it is the package's one
+    # random draw; and a SampledSignal is only built through its constructor,
+    # which checks every value, with no shortcut around that check
+    assert not hasattr(rotolock.sim, "_noise_draw")
+    assert not hasattr(rotolock.signals, "_finite_signal")
+    assert call_sites("default_rng") == [("sim.py", "_NoisySum")]
+    assert [path.name for path in SRC.glob("*.py") if "object.__new__(" in path.read_text()] == []
+
+
 def test_traced_spans_resolve():
     # the benchmark's traced run wraps each span <module>.<function> under
     # rotolock and reports 0 calls for one that is gone; a function moved or

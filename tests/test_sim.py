@@ -15,7 +15,6 @@ from rotolock.reference import synth_demod_reference
 from rotolock.sim import (
     NoiseSpec,
     SimConfig,
-    _noise_draw,
     _NoisySum,
     gen_noise,
     measured_signal,
@@ -70,21 +69,30 @@ class TestGenNoise:
     @pytest.mark.parametrize("spec", [
         NoiseSpec(seed=3),
         NoiseSpec(rate_or_freq=200_000.0, seed=4),  # levels of a few samples, some empty
+        NoiseSpec(amplitude=0.0),
         NoiseSpec(kind="sine", rate_or_freq=500.0),
         NoiseSpec(kind="sine", rate_or_freq=37.0),  # no whole period: the whole grid
         NoiseSpec(kind="none"),
-    ], ids=["step", "fast-step", "sine", "sine-37Hz", "none"])
+    ], ids=["step", "fast-step", "step-amplitude-0", "sine", "sine-37Hz", "none"])
     def test_draw_fills_any_range_with_the_bits_of_the_whole(self, spec):
         # the lock-in reads the noise one range at a time; each range holds the
-        # bits of gen_noise over the whole grid, which is the fill of [0, n)
+        # bits of the noise over the whole grid, built here without the reader:
+        # step levels by sample search, a sine by synth, and zeros
         grid = TimeGrid(dt=2e-6, n=150_050)
-        whole, steps = gen_noise(spec, grid)
-        fill, drawn_steps = _noise_draw(spec, grid)
-        assert np.array_equal(drawn_steps, steps)
+        if spec.amplitude == 0.0 or spec.kind == "none":
+            whole = np.zeros(grid.n)
+        elif spec.kind == "sine":
+            series = HarmonicSeries(spec.rate_or_freq, 0.0, [0.0], [spec.amplitude])
+            whole = synth(series, grid).values
+        else:
+            whole = self.step_noise_by_sample_search(spec, grid)
+        reader = _NoisySum(spec, grid)
+        steps = np.flatnonzero(np.diff(whole)) + 1 if spec.kind == "step" else []
+        assert np.array_equal(reader.steps, steps)
         for i, j in [(0, grid.n), (0, 1), (1, 2), (7, 1007), (999, 66_000), (65_400, 130_800),
                      (150_000, 150_050), (grid.n - 1, grid.n)]:
-            part = fill(i, j)
-            assert part.flags.writeable and part.tobytes() == whole.values[i:j].tobytes()
+            part = reader[i:j]
+            assert part.flags.writeable and part.tobytes() == whole[i:j].tobytes()
 
     def test_none_kind_is_zero(self):
         out, _ = gen_noise(NoiseSpec(kind="none"), default_grid())
@@ -502,12 +510,10 @@ class TestSimResultArrays:
 
     @pytest.mark.parametrize("kind", ["step", "sine"])
     def test_one_full_length_finiteness_scan(self, monkeypatch, kind):
-        # only the noisy sum and the lock-in's window sums can leave the float
-        # range; the noisy sum is checked one chunk at a time as the lock-in
-        # reads it, the product over its one shared period, and the noise
-        # (step levels from a finite range, a sine tiled from one checked
-        # period) and the measured sine are finite by construction and not
-        # scanned again: the lock-in output is the one full-length scan
+        # every signal checks its own values, and a run builds one full-length
+        # signal, the lock-in output: the noisy sum is checked one chunk at a
+        # time as the lock-in reads it, the product over its one shared
+        # period, and the measured sine over blocks of at most _BLOCK_SAMPLES
         cfg = SimConfig(duration=0.3, noise=NoiseSpec(kind=kind))
         isfinite = np.isfinite
         scans = []
@@ -554,7 +560,7 @@ class TestSimResultArrays:
         grid = TimeGrid(dt=2e-6, n=150_000)
         trace = np.zeros(grid.n)
         trace[100_000:101_000] = 1.7e308  # one period of the sine noise
-        reader = _NoisySum(SampledSignal(grid, trace), NoiseSpec(kind="sine", amplitude=8e307), grid)
+        reader = _NoisySum(NoiseSpec(kind="sine", amplitude=8e307), grid, SampledSignal(grid, trace))
         assert np.all(np.isfinite(reader[0:_BLOCK_SAMPLES]))
         message = "^signal values must all be finite$"
         with pytest.raises(PreconditionError, match=message):
