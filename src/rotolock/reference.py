@@ -50,7 +50,12 @@ _MIN_FIT_DECORRELATION = 1e-5
 
 @dataclass(frozen=True)
 class EmissionFit(Config):
-    """Emitted intensity vs emission angle: I(beta) = A*cos(k*beta) + c."""
+    """Emitted intensity vs emission angle: I(beta) = A*cos(k*beta) + c.
+
+    Calling the fit evaluates I, the one statement of the law: both
+    `emission_intensity` (which warns past the fitted lobe) and the
+    occlusion weight of `_minor_share` read it.
+    """
 
     A: float = DEFAULT_EMISSION_A
     k: float = DEFAULT_EMISSION_K
@@ -67,6 +72,9 @@ class EmissionFit(Config):
                 f"emission fit |A| + |c| must be at most {limit:.4g}, "
                 f"got A = {self.A:.4g}, c = {self.c:.4g}"
             )
+
+    def __call__(self, beta):
+        return self.A * np.cos(self.k * beta) + self.c
 
 
 @dataclass(frozen=True)
@@ -155,7 +163,7 @@ def emission_intensity(em: EmissionFit, beta) -> np.ndarray | float:
             "cosine fit is extrapolating",
             stacklevel=2,
         )
-    out = em.A * np.cos(em.k * beta) + em.c
+    out = em(beta)
     return float(out) if out.ndim == 0 else out
 
 
@@ -238,7 +246,7 @@ def _minor_share(geom: SpotGeometry, a: np.ndarray) -> np.ndarray:
     scale = geom.r0 / geom.d
 
     def weight(rho):
-        return em.A * np.cos(em.k * np.arctan(rho * scale)) + em.c
+        return em(np.arctan(rho * scale))
 
     share = np.empty_like(a)
     prev = np.full_like(a, math.inf)

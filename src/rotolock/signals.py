@@ -77,14 +77,15 @@ def frozen(values: np.ndarray) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledSignal:
     """Real-valued signal on a TimeGrid.
 
     `values` is read-only.  The signal keeps its own copy of the array it is
     given, unless that array is read-only and owns its data: then it is taken
     as it is (see `frozen`).  Every value is checked to be finite: this is
-    the one way to build a signal.
+    the one way to build a signal.  `==` and `hash` go by identity, as an
+    array has no single truth value to compare by.
     """
 
     grid: TimeGrid

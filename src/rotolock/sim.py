@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import iadd
 
 import numpy as np
 
@@ -134,47 +135,49 @@ class SimConfig(Config):
     def n_samples(self) -> int:
         return int(round(self.duration / self.dt))
 
+    @property
+    def grid(self) -> TimeGrid:
+        """The run's grid: n_samples samples dt apart from t = 0."""
+        return TimeGrid(self.dt, self.n_samples)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class SimResult:
-    """The stacks and metrics of one run.
+    """The stacks and metrics of one run, with the config it ran.
 
     The modulated trace repeats with the period the measured sine and the
     modulation share, so it is kept as that one period, `modulated_period`
-    (the whole run when it has no shorter one).  `modulated` is tiled from
-    it over the run each time it is read.  The noise is kept as its spec:
-    `noise` is drawn again by `gen_noise` each time it is read, with the
-    same bits.  `modulated_noisy` is the reader the lock-in read,
-    `_NoisySum` of the spec and the period, run over the whole run into one
-    array each time it is read.  So when the shared period is shorter than
-    the run, `restored_full` is the one full-length array a run holds.
+    (the whole run when it has no shorter one).  The other inputs are read
+    from `config` each time they are read: `modulated` tiles the period over
+    `config.grid`, `noise` is `gen_noise` of the config's noise spec, drawn
+    again with the same bits, and `modulated_noisy` is `gen_noise` of the
+    spec and the period, the reader the lock-in read run over the whole
+    grid.  So when the shared period is shorter than the run,
+    `restored_full` is the one full-length array a run holds.  A result
+    holds arrays, so `==` compares identity, as for `SampledSignal`.
     """
 
-    noise_spec: NoiseSpec
+    config: SimConfig
     modulated_period: SampledSignal
     restored_full: SampledSignal
     restored_downsampled: SampledSignal
-    warmup: int
     metrics: dict
 
     @property
-    def _grid(self) -> TimeGrid:
-        """The run's grid: the start and step of the period, n of the output."""
-        one = self.modulated_period.grid
-        return TimeGrid(one.dt, self.restored_full.grid.n, one.t0)
+    def warmup(self) -> int:
+        return self.metrics["warmup_samples"]
 
     @property
     def modulated(self) -> SampledSignal:
-        return tile(self.modulated_period, self._grid)
+        return tile(self.modulated_period, self.config.grid)
 
     @property
     def noise(self) -> SampledSignal:
-        return gen_noise(self.noise_spec, self._grid)[0]
+        return gen_noise(self.config.noise, self.config.grid)
 
     @property
     def modulated_noisy(self) -> SampledSignal:
-        grid = self._grid
-        return SampledSignal(grid, frozen(_NoisySum(self.noise_spec, grid, self.modulated_period)[:]))
+        return gen_noise(self.config.noise, self.config.grid, self.modulated_period)
 
 
 def _first_samples_at_or_after(grid: TimeGrid, times: np.ndarray) -> np.ndarray:
@@ -195,35 +198,31 @@ def _first_samples_at_or_after(grid: TimeGrid, times: np.ndarray) -> np.ndarray:
         k += early.astype(np.int64) - late
 
 
-def gen_noise(spec: NoiseSpec, grid: TimeGrid) -> tuple[SampledSignal, np.ndarray]:
-    """The disturbance signal on a grid, seeded and reproducible, and its steps:
-    the sorted sample indices where step noise changes value, taken from the
-    level starts it draws (empty for sine and none noise)."""
-    reader = _NoisySum(spec, grid)
-    return SampledSignal(grid, frozen(reader[:])), reader.steps
-
-
-def _add_to(dst: np.ndarray, src: np.ndarray) -> None:
-    np.add(dst, src, out=dst)
+def gen_noise(spec: NoiseSpec, grid: TimeGrid, *periods: SampledSignal) -> SampledSignal:
+    """The disturbance on a grid plus the periods passed in, seeded and
+    reproducible: `_NoisySum` read over the whole grid into one signal."""
+    return SampledSignal(grid, frozen(_NoisySum(spec, grid, *periods)[:]))
 
 
 class _NoisySum:
     """The noise of a run plus the periods passed in, read by sample range.
 
     The noise is drawn once: step noise as its levels and the sample where
-    each starts, sine noise as one level of 0.0 with its `period_grid`
-    period (the whole grid when its period is not a whole number of
-    samples, as `synth` evaluates it) put ahead of the periods passed in,
+    each starts, sine noise as its `period_grid` period (the whole grid when
+    its period is not a whole number of samples, as `synth` evaluates it),
     and none noise (or an amplitude of 0) as one level of 0.0.  `steps`
-    are the sorted samples where the level changes (see `gen_noise`).
+    are the sorted samples where the level changes, empty but for step
+    noise.
 
-    `reader[i:j]` fills the levels over [i, j) into a fresh array and adds
-    each period to it in place, one period-aligned segment at a time (IEEE
-    addition commutes, so a range holds the bits of the noise plus the
-    tiled periods over the whole grid), and refuses a sum past the float
-    range.  `gen_noise` is the reader over [0, n); `window_sums` reads the
-    run's noisy sum one chunk at a time, so that sum never exists at full
-    length in a run.
+    `reader[i:j]` fills the noise over [i, j) into a fresh array, the levels
+    repeated or the sine period laid, and adds each period passed in to it
+    in place, one period-aligned segment at a time (IEEE addition commutes,
+    so a range holds the bits of the noise plus the tiled periods over the
+    whole grid), and refuses a sum past the float range.  None noise is
+    the level 0.0, not an empty fill, so that a period holding -0.0 reads
+    0.0 + -0.0 = 0.0 there.  `gen_noise` is the reader over [0, n);
+    `window_sums` reads the run's noisy sum one chunk at a time, so that
+    sum never exists at full length in a run.
     """
 
     def __init__(self, spec: NoiseSpec, grid: TimeGrid, *periods: SampledSignal):
@@ -231,11 +230,10 @@ class _NoisySum:
         self.periods = [p.values for p in periods]
         self.levels = np.zeros(1)
         self.starts = np.zeros(0, dtype=np.int64)
+        self.sine = None
         if spec.kind == "sine" and spec.amplitude != 0.0:
-            # synth adds its dc of 0.0 to every value, so it never returns
-            # -0.0, and the level 0.0 plus the sine is the sine itself
             series = HarmonicSeries(spec.rate_or_freq, 0.0, [0.0], [spec.amplitude])
-            self.periods.insert(0, synth(series, period_grid(grid, spec.rate_or_freq)).values)
+            self.sine = synth(series, period_grid(grid, spec.rate_or_freq)).values
         elif spec.kind == "step" and spec.amplitude != 0.0:
             rng = np.random.default_rng(spec.seed)
             t_end = grid.t0 + grid.duration
@@ -266,12 +264,17 @@ class _NoisySum:
 
     def __getitem__(self, s: slice) -> np.ndarray:
         i, j, _ = s.indices(self.n)
-        starts = self.starts
-        lo, hi = np.searchsorted(starts, [i, j - 1], side="right")
-        values = np.repeat(self.levels[lo : hi + 1], np.diff(starts[lo:hi], prepend=i, append=j))
+        if self.sine is None:
+            starts = self.starts
+            lo, hi = np.searchsorted(starts, [i, j - 1], side="right")
+            counts = np.diff(starts[lo:hi], prepend=i, append=j)
+            values = np.repeat(self.levels[lo : hi + 1], counts)
+        else:
+            values = np.empty(j - i)
+            _periodic(np.copyto, values, self.sine, i)
         with np.errstate(over="ignore"):
             for period in self.periods:
-                _periodic(_add_to, values, period, i)
+                _periodic(iadd, values, period, i)
         if not np.all(np.isfinite(values)):
             raise PreconditionError("signal values must all be finite")
         return values
@@ -346,9 +349,9 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     sample per modulation period at the configured modulation phase.
     Metrics exclude the warm-up period, and the downsampled error also
     excludes the windows that hold a noise step (`spike_windows`), found at
-    the down-sample picks from the steps `gen_noise` draws.
+    the down-sample picks from the steps the noise reader draws.
     """
-    grid = TimeGrid(cfg.dt, cfg.n_samples, 0.0)
+    grid = cfg.grid
     m_series = modulation_series(cfg.modulation, cfg.f_m)
     # the product repeats with the shared period, so it is computed over one
     # (the same bits as over the whole grid) and never tiled over the run: the
@@ -417,14 +420,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
         "gain_scale_vs_aligned": scale,
         "group_delay_s": 0.5 / cfg.f_m,
     }
-    return SimResult(
-        noise_spec=cfg.noise,
-        modulated_period=period,
-        restored_full=restored_full,
-        restored_downsampled=down,
-        warmup=spp,
-        metrics=metrics,
-    )
+    return SimResult(cfg, period, restored_full, down, metrics)
 
 
 def report(result: SimResult, out_dir) -> dict:

@@ -225,18 +225,33 @@ def test_traced_spans_resolve():
 
 
 def test_sim_result_holds_only_what_is_read():
-    # report writes the five stacks, the metrics come with them and the
-    # warm-up bounds their use; no field holds a full-length array that no
-    # output file, metric or CLI path reads, such as the measured sine; the
-    # modulated trace is held as its one shared period and tiled when read,
-    # the noise as its spec and drawn when read, and the noisy sum as the
-    # two of them, summed when read
+    # report writes the five stacks and the metrics come with them; no field
+    # holds a full-length array that no output file, metric or CLI path
+    # reads, such as the measured sine.  The run's inputs are held as the
+    # config it ran, whose `grid` every property reads: the modulated trace
+    # as its one shared period, tiled when read, and the noise and the noisy
+    # sum drawn from the config's spec when read, by gen_noise.  The warm-up
+    # is read from the metrics, not held twice
     assert [f.name for f in dataclasses.fields(rotolock.SimResult)] == [
-        "noise_spec", "modulated_period", "restored_full", "restored_downsampled",
-        "warmup", "metrics",
+        "config", "modulated_period", "restored_full", "restored_downsampled", "metrics",
     ]
-    for name in ("modulated", "noise", "modulated_noisy"):
+    for name in ("warmup", "modulated", "noise", "modulated_noisy"):
         assert isinstance(inspect.getattr_static(rotolock.SimResult, name), property), name
+    assert isinstance(inspect.getattr_static(rotolock.SimConfig, "grid"), property)
+    assert not hasattr(rotolock.SimResult, "_grid")
+    assert inspect.signature(rotolock.gen_noise).return_annotation == "SampledSignal"
+    res = rotolock.run_simulation(rotolock.SimConfig())
+    assert res.warmup == res.metrics["warmup_samples"] == 200
+
+
+def test_one_emission_law():
+    # I(beta) = A*cos(k*beta) + c is written once, as EmissionFit.__call__;
+    # emission_intensity and the occlusion weight both evaluate it
+    source = (SRC / "reference.py").read_text()
+    assert len(re.findall(r"np\.cos\(\w+\.k \*", source)) == 1
+    em = rotolock.EmissionFit()
+    beta = np.linspace(-0.9, 0.9, 7) * math.pi / em.k  # inside the fitted lobe
+    assert rotolock.emission_intensity(em, beta).tobytes() == em(beta).tobytes()
 
 
 def test_test_only_code_is_gone():

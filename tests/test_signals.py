@@ -96,6 +96,14 @@ class TestSignalValues:
         with pytest.raises(PreconditionError, match="length"):
             SampledSignal(TimeGrid(dt=1.0, n=3), frozen(np.zeros(2)))
 
+    def test_equality_is_identity(self):
+        # a signal holds an array, which has no single truth value: == and
+        # hash go by identity and never raise, even for equal values
+        grid = TimeGrid(dt=1.0, n=4)
+        a, b = (SampledSignal(grid, np.arange(4.0)) for _ in range(2))
+        assert (a == b) is False and (a == a) is True and (a != b) is True
+        assert hash(a) != hash(b) and {a, b, a} == {a, b}
+
 
 class TestHarmonicSeries:
     @pytest.mark.parametrize("cos_c, sin_c", [([1.0, 2.0], [1.0]), ([1.0], [1.0, 2.0]), ([], [])])

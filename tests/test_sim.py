@@ -45,15 +45,15 @@ def signal_at(cfg, times):
 class TestGenNoise:
     def test_same_seed_is_bit_identical(self):
         spec = NoiseSpec(kind="step", amplitude=10.0, rate_or_freq=500.0, seed=99)
-        a, a_steps = gen_noise(spec, default_grid())
-        b, b_steps = gen_noise(spec, default_grid())
+        a, b = (gen_noise(spec, default_grid()) for _ in range(2))
         assert np.array_equal(a.values, b.values)
+        a_steps, b_steps = (_NoisySum(spec, default_grid()).steps for _ in range(2))
         assert np.array_equal(a_steps, b_steps)
 
     def test_sine_noise_peaks_at_amplitude(self):
         spec = NoiseSpec(kind="sine", amplitude=10.0, rate_or_freq=10.0, seed=0)
         grid = TimeGrid(dt=2e-6, n=50000)  # 0.1 s covers a full 10 Hz period
-        out, _ = gen_noise(spec, grid)
+        out = gen_noise(spec, grid)
         assert np.max(np.abs(out.values)) == pytest.approx(10.0, rel=1e-6)
 
     def test_sine_noise_is_one_period_tiled(self):
@@ -61,7 +61,7 @@ class TestGenNoise:
         # period evaluated and repeated exactly, not a sine drifting with t
         spec = NoiseSpec(kind="sine", amplitude=10.0, rate_or_freq=500.0)
         grid = TimeGrid(dt=2e-6, n=1_500_000)
-        out = gen_noise(spec, grid)[0].values
+        out = gen_noise(spec, grid).values
         series = HarmonicSeries(500.0, 0.0, [0.0], [10.0])
         assert out.tobytes() == synth(series, grid).values.tobytes()
         assert np.array_equal(out.reshape(-1, 1000), np.broadcast_to(out[:1000], (1500, 1000)))
@@ -94,8 +94,44 @@ class TestGenNoise:
             part = reader[i:j]
             assert part.flags.writeable and part.tobytes() == whole[i:j].tobytes()
 
+    @pytest.mark.parametrize("freq", [500.0, 37.0], ids=["500Hz", "37Hz-no-whole-period"])
+    def test_sine_range_is_laid_from_the_tiled_sine(self, monkeypatch, freq):
+        # sine noise is its period laid into each range, with no level fill
+        # ahead of it: a range plus a period passed in reads the bits of the
+        # tiled sine plus the tiled period
+        spec = NoiseSpec(kind="sine", rate_or_freq=freq)
+        grid = TimeGrid(dt=2e-6, n=150_050)
+        one = period_grid(grid, freq)
+        sine = synth(HarmonicSeries(freq, 0.0, [0.0], [spec.amplitude]), one).values
+        trace = np.sin(np.arange(1000) * 0.01) - 0.5
+        tiled_sine = np.tile(sine, -(-grid.n // one.n))[: grid.n]
+        tiled_trace = np.tile(trace, -(-grid.n // 1000))[: grid.n]
+        period = SampledSignal(TimeGrid(grid.dt, 1000), trace)
+        bare, summed = _NoisySum(spec, grid), _NoisySum(spec, grid, period)
+        monkeypatch.setattr(np, "repeat", None)  # no level is filled
+        for i, j in [(0, grid.n), (0, 1), (7, 1007), (999, 66_000), (150_000, 150_050)]:
+            assert bare[i:j].tobytes() == tiled_sine[i:j].tobytes()
+            assert summed[i:j].tobytes() == (tiled_sine + tiled_trace)[i:j].tobytes()
+
+    @pytest.mark.parametrize("spec", [
+        NoiseSpec(kind="none"), NoiseSpec(amplitude=0.0), NoiseSpec(kind="sine", amplitude=0.0),
+    ], ids=["none", "step-amplitude-0", "sine-amplitude-0"])
+    def test_no_noise_plus_negative_zero_reads_positive_zero(self, spec):
+        # no noise is the level 0.0, so a period holding -0.0 (0 Hz times a
+        # modulation that dips below 0) reads 0.0 + -0.0 = +0.0, as the
+        # modulated trace plus a noise of zeros does
+        grid = TimeGrid(dt=2e-6, n=2500)
+        period = SampledSignal(TimeGrid(grid.dt, 1000), np.full(1000, -0.0))
+        out = gen_noise(spec, grid, period).values
+        assert np.all(out == 0.0) and not np.any(np.signbit(out))
+        # the run's own trace: a modulation with no offset dips below 0
+        cfg = SimConfig(signal_freq=0.0, noise=spec, modulation=ModulationFit(offset=0.0))
+        res = run_simulation(cfg)
+        assert np.any(np.signbit(res.modulated_period.values))
+        assert not np.any(np.signbit(res.modulated_noisy.values))
+
     def test_none_kind_is_zero(self):
-        out, _ = gen_noise(NoiseSpec(kind="none"), default_grid())
+        out = gen_noise(NoiseSpec(kind="none"), default_grid())
         assert np.all(out.values == 0.0)
 
     @pytest.mark.parametrize("spec", [
@@ -103,7 +139,7 @@ class TestGenNoise:
         NoiseSpec(kind="step", amplitude=0.0),
     ])
     def test_steps_are_empty_without_step_levels(self, spec):
-        _, steps = gen_noise(spec, default_grid())
+        steps = _NoisySum(spec, default_grid()).steps
         assert steps.size == 0 and steps.dtype == np.int64
 
     def test_step_levels_bounded_and_rate_matches(self):
@@ -111,7 +147,7 @@ class TestGenNoise:
         counts = []
         for seed in range(50):
             spec = NoiseSpec(kind="step", amplitude=10.0, rate_or_freq=500.0, seed=seed)
-            out, _ = gen_noise(spec, grid)
+            out = gen_noise(spec, grid)
             assert np.max(np.abs(out.values)) <= 10.0
             counts.append(np.count_nonzero(np.diff(out.values)))
         # expected switch count = rate * duration = 15; mean over 50 seeds
@@ -147,9 +183,9 @@ class TestGenNoise:
         return np.asarray(levels)[seg]
 
     def assert_matches_sample_search(self, spec, grid):
-        """gen_noise's values equal the sample search's, and its steps are
-        where they change; returns the values."""
-        noise, steps = gen_noise(spec, grid)
+        """gen_noise's values equal the sample search's, and the reader's
+        steps are where they change; returns the values."""
+        noise, steps = gen_noise(spec, grid), _NoisySum(spec, grid).steps
         assert np.array_equal(noise.values, self.step_noise_by_sample_search(spec, grid))
         assert np.array_equal(steps, np.flatnonzero(np.diff(noise.values)) + 1)
         return noise.values
@@ -206,7 +242,7 @@ class TestGenNoise:
         ("step", 5000.0, 200), ("step", 50_000.0, 7), ("step", 500.0, 1), ("none", 0.0, 200),
     ])
     def test_contamination_mask_matches_per_step_loop(self, kind, rate, window):
-        noise, _ = gen_noise(NoiseSpec(kind=kind, rate_or_freq=rate, seed=3), default_grid())
+        noise = gen_noise(NoiseSpec(kind=kind, rate_or_freq=rate, seed=3), default_grid())
         expected = np.zeros(noise.grid.n, dtype=bool)
         for i in np.flatnonzero(np.diff(noise.values)) + 1:
             expected[i : i + window] = True
@@ -581,21 +617,32 @@ class TestSimResultArrays:
     @pytest.mark.parametrize("kind", ["step", "sine", "none"])
     def test_noisy_sum_is_the_tiled_product_plus_the_noise(self, freq, duration, kind):
         # the noise is added to the one-period product row by row, then the
-        # tail: the bits of the tiled product plus the noise
+        # tail: the bits of the tiled product plus the noise.  gen_noise of
+        # the spec and the period is the one reading of it over the grid
         cfg = SimConfig(signal_freq=freq, duration=duration, noise=NoiseSpec(kind=kind))
         res = run_simulation(cfg)
         summed = res.modulated.values + res.noise.values
         assert res.modulated_noisy.values.tobytes() == summed.tobytes()
+        noisy = gen_noise(cfg.noise, cfg.grid, res.modulated_period)
+        assert noisy.grid == res.modulated_noisy.grid == cfg.grid
+        assert noisy.values.tobytes() == summed.tobytes()
 
     @pytest.mark.parametrize("kind", ["step", "sine", "none"])
     def test_noise_is_drawn_from_its_spec_when_read(self, kind):
-        # the run keeps the noise as its spec, not as an array: each read
-        # draws it again, with the bits gen_noise gives on the run's grid
+        # the run keeps the noise as its config's spec, not as an array: each
+        # read draws it again, with the bits gen_noise gives on the run's grid
         cfg = SimConfig(noise=NoiseSpec(kind=kind))
         res = run_simulation(cfg)
-        expected = gen_noise(cfg.noise, TimeGrid(cfg.dt, cfg.n_samples))[0].values.tobytes()
-        assert res.noise_spec == cfg.noise
+        expected = gen_noise(cfg.noise, TimeGrid(cfg.dt, cfg.n_samples)).values.tobytes()
+        assert res.config is cfg and cfg.grid == TimeGrid(cfg.dt, cfg.n_samples)
         assert [res.noise.values.tobytes() for _ in range(2)] == [expected, expected]
+
+    def test_equality_is_identity(self):
+        # a result holds arrays: == and hash go by identity and never raise
+        cfg = SimConfig()
+        a, b = run_simulation(cfg), run_simulation(cfg)
+        assert (a == b) is False and (a == a) is True and (a != b) is True
+        assert hash(a) != hash(b) and {a, b, a} == {a, b}
 
     def test_no_tile_over_the_run(self, monkeypatch):
         # the run keeps the modulated trace as its shared period: no array is
