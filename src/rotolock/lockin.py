@@ -12,13 +12,17 @@ nothing.  The one-period window leaves a ripple that is first order in the
 signal's slope; `slope_compensate` estimates the slope from each output's
 own window and removes it.
 
-The lock-in integral is one call of `signals.window_sums`, the package's
+The lock-in integral is one pass of `signals.window_chunks`, the package's
 trailing-window trapezoid kernel: it keeps running sums within each period
 and works through the modulated signal in cache-sized chunks of whole
 periods, one matrix product per block of phases and chunk.  It reads each
-chunk when it gets to it, so the signal can come as its values or as a
-reader of them by sample range: `sim.run_simulation` passes the noisy sum
-that way, built one chunk at a time and never held at full length.
+chunk when it gets to it and hands on that chunk's output, so the signal
+can come as its values or as a reader of them by sample range, and the
+output can be consumed chunk by chunk: `sim.run_simulation` passes the
+noisy sum, built one chunk at a time, and takes its metrics from the
+output chunks, so neither is held at full length.  `demodulate` and
+`slope_compensate` return the output whole, collected by
+`signals.window_sums`.
 `demodulate` passes the scaled reference period as the trapezoid
 integrand; `slope_compensate` adds the slope term to the same call as two
 plain sources, the periods ones and m, whose window sums of x and m*x are
@@ -29,6 +33,7 @@ period rows.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +46,7 @@ from .signals import (
     frozen,
     synth,
     whole_period,
+    window_chunks,
     window_sums,
 )
 
@@ -117,13 +123,12 @@ def _channel(m: HarmonicSeries, r: HarmonicSeries, channel: str) -> tuple[Harmon
     return _part(r, channel), g
 
 
-def _lockin(
-    grid: TimeGrid, x, m: HarmonicSeries, r: HarmonicSeries, channel: str, compensate: bool
-) -> SampledSignal:
-    """The lock-in output of `demodulate`, and with `compensate` that of
-    `slope_compensate`, for the modulated signal with values x on grid,
-    from one call of `window_sums`: x is its values or a reader of them by
-    sample range, as `window_sums` takes it."""
+def _lockin_terms(
+    grid: TimeGrid, m: HarmonicSeries, r: HarmonicSeries, channel: str, compensate: bool
+) -> tuple[TimeGrid, np.ndarray, tuple]:
+    """The output grid of the lock-in on grid, and the trapezoid and plain
+    sources of its `window_sums` call: those of `demodulate`, and with
+    `compensate` those of `slope_compensate`."""
     part, g = _channel(m, r, channel)
     period = 1.0 / r.f_fund
     one = whole_period(grid, r.f_fund)
@@ -131,9 +136,29 @@ def _lockin(
     plain = _slope_term(synth(m, one).values, r_period, g) if compensate else ()
     # dt/T rather than 1/w: the lock-in integral is (2/T) * dt * trapezoid sum
     c = 2.0 * grid.dt / (period * g)
-    out = window_sums(x, c * r_period, plain)
     centered = TimeGrid(grid.dt, grid.n, grid.t0 - period / 2.0)
-    return SampledSignal(centered, frozen(out))
+    return centered, c * r_period, plain
+
+
+def _lockin(
+    grid: TimeGrid, x, m: HarmonicSeries, r: HarmonicSeries, channel: str, compensate: bool
+) -> SampledSignal:
+    """The lock-in output of `demodulate`, and with `compensate` that of
+    `slope_compensate`, for the modulated signal with values x on grid,
+    from one call of `window_sums`: x is its values or a reader of them by
+    sample range, as `window_chunks` takes it."""
+    centered, trapezoid, plain = _lockin_terms(grid, m, r, channel, compensate)
+    return SampledSignal(centered, frozen(window_sums(x, trapezoid, plain)))
+
+
+def _lockin_chunks(
+    grid: TimeGrid, x, m: HarmonicSeries, r: HarmonicSeries, channel: str, compensate: bool
+) -> tuple[TimeGrid, Iterator[np.ndarray]]:
+    """`_lockin`'s output grid, and its values as the chunks of
+    `window_chunks`, which a consumer checks finite itself: the lock-in
+    output that is never whole."""
+    centered, trapezoid, plain = _lockin_terms(grid, m, r, channel, compensate)
+    return centered, window_chunks(x, trapezoid, plain)
 
 
 def demodulate(

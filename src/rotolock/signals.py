@@ -9,6 +9,7 @@ accumulate stored-time drift.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,10 +28,16 @@ _CSV_CHUNK = 256
 # period, and fewer blocks mean fewer Python steps
 _PHASE_BLOCK = 32
 
-# samples in a cache-sized run (512 KiB of float64): `window_sums` works
-# through chunks of whole periods of about this size, and `sim._rms_after`
-# sums its error in blocks of it
+# samples in a cache-sized run (512 KiB of float64): `window_chunks` works
+# through chunks of whole periods of about this size and hands its output on
+# one such chunk at a time, and `sim._rms_after` sums its error in blocks of
+# it, read from those chunks as they come
 _BLOCK_SAMPLES = 2**16
+
+# floats (4 MiB) of `window_chunks`' block weights that it builds once per
+# call; a period whose weights take more builds them slab by slab for each
+# group of chunks whose outputs take about as much
+_WEIGHT_FLOATS = 8 * _BLOCK_SAMPLES
 
 
 def integer_ratio(ratio: float) -> int | None:
@@ -186,9 +193,7 @@ def tile(period: SampledSignal, grid: TimeGrid) -> SampledSignal:
         raise PreconditionError(f"period grid {period.grid} is not the start of {grid}")
     if k == grid.n:
         return period
-    values = np.empty(grid.n)
-    _periodic(np.copyto, values, period.values, 0)
-    return SampledSignal(grid, frozen(values))
+    return SampledSignal(grid, frozen(_Repeating(period.values, grid.n)[:]))
 
 
 def _periodic(op, buf: np.ndarray, period: np.ndarray, start: int) -> None:
@@ -285,16 +290,18 @@ def fit_harmonics(signal: SampledSignal, f_fund: float, l: int) -> tuple[Harmoni
     return series, float(np.sqrt(np.mean(residual**2)))
 
 
-# an overflowing sum is left to SampledSignal's finiteness check, which
-# reports it once as a precondition error
-@np.errstate(over="ignore", invalid="ignore")
-def window_sums(
-    x: np.ndarray,
+def window_chunks(
+    x,
     trapezoid: np.ndarray,
     plain: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = (),
-) -> np.ndarray:
+    out: np.ndarray | None = None,
+) -> Iterator[np.ndarray]:
     """Trailing-window sums of x, one output per sample, over windows of
     w + 1 samples, where w = len(trapezoid) is one period; needs w < len(x).
+    They come as consecutive chunks: the w warm-up outputs, then chunks of
+    whole periods, then the last n % w outputs when that is not 0.  So
+    every chunk starts at a whole period.  Each chunk is a fresh array, or,
+    given `out` of len(x), written into its place in out and a view of it.
 
     With p = j % w the phase of output j, i = j - w + k its window's sample
     k = 0..w and u = k/w - 1/2, output j >= w is
@@ -319,70 +326,88 @@ def window_sums(
     the half end weights; the sums before the block come from the running
     totals.
 
-    The rows go in chunks of whole periods of about _BLOCK_SAMPLES samples,
-    so that a chunk's input, output and scratch stay in cache while every
-    block passes over it.  A chunk reads its periods and the one before
-    them as x[i - w : j], inside the loop over chunks, so x is an ndarray
-    (the read is a view) or any object with len and slicing that returns a
-    fresh float array for the range: such a reader, like the simulator's
-    noisy sum, never needs to exist at full length.  For S sources (the
-    trapezoid and two per plain one), a chunk's one operand of
-    2 * (_PHASE_BLOCK + S) columns takes, block by block, the block's
-    samples of each output's period and of the period before, and the
-    running totals before the block and from it on; one matrix product by
-    the block's weights writes the block's outputs.  When n % w is not 0 the
-    last n % w outputs come from one more chunk over a zero-padded copy of
-    the last two periods, so past x the only full-length array is the
-    output.
+    A chunk holds whole periods of about _BLOCK_SAMPLES samples, so that its
+    input, output and scratch stay in cache while every block passes over
+    it.  It reads its periods and the one before them as x[i - w : j] when
+    it gets to them, so x is an ndarray (the read is a view) or any object
+    with len and slicing that returns a fresh float array for the range:
+    such a reader, like the simulator's noisy sum, never needs to exist at
+    full length.  The read is dropped before the chunk's output is handed
+    on, and nothing is kept across chunks but the weights (and, for a long
+    period, the outputs of the chunk's group, below), so a consumer that
+    drops each chunk in turn holds no full-length array.  For S sources (the trapezoid and two per plain
+    one), a chunk's one operand of 2 * (_PHASE_BLOCK + S) columns takes,
+    block by block, the block's samples of each output's period and of the
+    period before, and the running totals before the block and from it on;
+    one matrix product by the block's weights writes the block's outputs.
+    The last n % w outputs come from one more chunk over a zero-padded copy
+    of the last two periods.
 
-    The weights, (2 * _PHASE_BLOCK + 2 * S) * _PHASE_BLOCK floats per block
-    (the two triangles, then cur and prev), are built once per call.  A
-    period longer than _BLOCK_SAMPLES / (2 * _PHASE_BLOCK + 2 * S) phases is
-    done in slabs of that many, whose weights are built and used over every
-    chunk in turn, so they take about _BLOCK_SAMPLES floats at a time; each
-    slab reads each chunk again, and each chunk's running totals carry over
-    to the next slab.
+    The weights take (2 * _PHASE_BLOCK + 2 * S) * _PHASE_BLOCK floats per
+    block (the two triangles, then cur and prev), about 74 per phase for
+    the lock-in's S = 5.  When all of them fit in _WEIGHT_FLOATS (a period
+    of up to about 7 000 samples for the lock-in) they are built once per
+    call and each chunk is read once.  A longer period goes in slabs of
+    _BLOCK_SAMPLES / (2 * _PHASE_BLOCK + 2 * S) phases, whose weights take
+    about _BLOCK_SAMPLES floats, and its chunks in groups whose outputs take
+    about _WEIGHT_FLOATS: each slab's weights are built once per group and
+    passed over each of its chunks, read again for each slab, and the
+    running totals of each chunk carry over to the next slab.  A chunk is
+    handed on once every slab has passed over its group.
+
+    An overflowing sum is left to the consumer's finiteness check, which
+    reports it once as a precondition error: each chunk is computed with
+    NumPy's overflow and invalid warnings off, and they are back on while
+    the consumer holds it.
     """
     w, n = len(trapezoid), len(x)
-    # a plain source weighs a + b*k at window index k = 0..w, which is
-    # a + b*(w - p) + b*q at phase q of output p's own period and a - b*p + b*q
-    # in the period before: two internal sources, s with cur and prev, q*s with b
-    q = np.arange(w)
-    rows = [(trapezoid, np.ones(w), np.ones(w))]
-    for s, c0, c1 in plain:
-        a, b = c0 - 0.5 * c1, c1 / w
-        rows += [(s, a + b * (w - q), a - b * q), (q * s, b, b)]
-    sources, cur, prev = (np.stack(r) for r in zip(*rows))
-    m = len(sources)  # S in the docstring
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a plain source weighs a + b*k at window index k = 0..w, which is
+        # a + b*(w - p) + b*q at phase q of output p's own period and a - b*p + b*q
+        # in the period before: two internal sources, s with cur and prev, q*s with b
+        q = np.arange(w)
+        rows = [(trapezoid, np.ones(w), np.ones(w))]
+        for s, c0, c1 in plain:
+            a, b = c0 - 0.5 * c1, c1 / w
+            rows += [(s, a + b * (w - q), a - b * q), (q * s, b, b)]
+        sources, cur, prev = (np.stack(r) for r in zip(*rows))
+        m = len(sources)  # S in the docstring
+        head = x[:w] * trapezoid
+        warm = np.empty(w) if out is None else out[:w]
+        warm[0] = 0.0
+        np.cumsum(0.5 * (head[1:] + head[:-1]), out=warm[1:])
+    del head, rows
 
-    out = np.empty(n)
-    head = x[:w] * trapezoid
-    out[0] = 0.0
-    np.cumsum(0.5 * (head[1:] + head[:-1]), out=out[1:w])
+    blocks = [(p0, min(p0 + _PHASE_BLOCK, w)) for p0 in range(0, w, _PHASE_BLOCK)]
+    width = 2 * (_PHASE_BLOCK + m)  # a block's operand columns
     # chunks: the samples [i, j) whose windows end in them, read with the
     # period before them
     whole = n - n % w
     size = max(1, _BLOCK_SAMPLES // w) * w
-    chunks = [(i, min(i + size, whole)) for i in range(w, whole, size)]
+    spans = [(i, min(i + size, whole)) for i in range(w, whole, size)]
     if whole < n:
-        chunks.append((whole, n))
-        tail = np.empty((1, w))
+        spans.append((whole, n))
+    # one slab of every block, whose weights are built once, when they fit
+    # _WEIGHT_FLOATS; else slabs of weights of ~_BLOCK_SAMPLES floats, built
+    # for each group of chunks whose outputs take about _WEIGHT_FLOATS
+    if len(blocks) * width * _PHASE_BLOCK <= _WEIGHT_FLOATS:
+        per_slab, group = len(blocks), 1
+    else:
+        per_slab = _BLOCK_SAMPLES // (width * _PHASE_BLOCK)
+        group = max(1, _WEIGHT_FLOATS // size)
+    slabs = [blocks[s0 : s0 + per_slab] for s0 in range(0, len(blocks), per_slab)]
 
-    def read(i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """The chunk's periods and the one before them, one period per row,
-        and the output rows of the windows ending in rows 1.."""
+    def read(i: int, j: int) -> np.ndarray:
+        """The periods [i - w, j) of x, one per row: the last n % w samples
+        zero-padded to two periods."""
         if j <= whole:
-            return x[i - w : j].reshape(-1, w), out[i:j].reshape(-1, w)
+            return x[i - w : j].reshape(-1, w)
         padded = np.zeros(2 * w)
         padded[: j - i + w] = x[i - w : j]
-        return padded.reshape(2, w), tail
+        return padded.reshape(2, w)
 
-    blocks = [(p0, min(p0 + _PHASE_BLOCK, w)) for p0 in range(0, w, _PHASE_BLOCK)]
-    width = 2 * (_PHASE_BLOCK + m)  # a block's operand columns
-    per_slab = _BLOCK_SAMPLES // (width * _PHASE_BLOCK)  # weights of ~_BLOCK_SAMPLES floats
-    totals = [None] * len(chunks)
-    for s0 in range(0, len(blocks), per_slab):
-        slab = blocks[s0 : s0 + per_slab]
+    @np.errstate(over="ignore", invalid="ignore")
+    def slab_weights(slab: list) -> list:
         # block (p0, p1) weighs [x of period i | x of period i - 1 | done | rest]:
         # phase q <= p of period i and q < p of period i - 1 (subtracted from its
         # rest), and on the diagonals the half weights of the window's two ends
@@ -393,51 +418,174 @@ def window_sums(
             now = np.tril(cur[:, p0:p1].T @ src) - half
             before = np.tril(prev[:, p0:p1].T @ src, -1) + half
             weights.append(np.vstack([now.T, -before.T, cur[:, p0:p1], prev[:, p0:p1]]))
-        for c, span in enumerate(chunks):
-            periods, rows = read(*span)
-            # done[i, s]: sum over the phases before the block of source s times
-            # x in period i; rest[i, s]: the same over the block and the phases after
-            if s0 == 0:
-                totals[c] = (np.zeros((len(periods), m)), periods @ sources.T)
-            done, rest = totals[c]
-            operand = np.empty((len(rows), width))
-            for (p0, p1), weight in zip(slab, weights):
-                b = p1 - p0
-                xb = periods[:, p0:p1]
-                a = operand[:, : 2 * (b + m)]
-                a[:, :b] = xb[1:]
-                a[:, b : 2 * b] = xb[:-1]
-                a[:, 2 * b : 2 * b + m] = done[1:]
-                a[:, 2 * b + m :] = rest[:-1]
-                np.matmul(a, weight, out=rows[:, p0:p1])
-                step = xb @ sources[:, p0:p1].T
-                done += step
-                rest -= step
-            if s0 + per_slab >= len(blocks):
-                totals[c] = None
-    if whole < n:
-        out[whole:] = tail[0, : n - whole]
+        return weights
+
+    built = slab_weights(slabs[0]) if len(slabs) == 1 else None
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def sums(chunks: list) -> list:
+        """The outputs of the windows ending in each chunk [i, j), one
+        period per row (one row for the last n % w)."""
+        outs = [
+            np.empty((-(-(j - i) // w), w)) if out is None or j > whole
+            else out[i:j].reshape(-1, w)
+            for i, j in chunks
+        ]
+        totals = [None] * len(chunks)
+        for slab in slabs:
+            weights = built or slab_weights(slab)
+            for c, span in enumerate(chunks):
+                # each slab reads each chunk of the group again
+                periods, rows = read(*span), outs[c]
+                # done[i, s]: sum over the phases before the block of source s
+                # times x in period i; rest[i, s]: the same over the block and
+                # the phases after
+                if totals[c] is None:
+                    totals[c] = (np.zeros((len(periods), m)), periods @ sources.T)
+                done, rest = totals[c]
+                operand = np.empty((len(rows), width))
+                for (p0, p1), weight in zip(slab, weights):
+                    b = p1 - p0
+                    xb = periods[:, p0:p1]
+                    a = operand[:, : 2 * (b + m)]
+                    a[:, :b] = xb[1:]
+                    a[:, b : 2 * b] = xb[:-1]
+                    a[:, 2 * b : 2 * b + m] = done[1:]
+                    a[:, 2 * b + m :] = rest[:-1]
+                    np.matmul(a, weight, out=rows[:, p0:p1])
+                    step = xb @ sources[:, p0:p1].T
+                    done += step
+                    rest -= step
+        return outs
+
+    yield warm
+    del warm
+    for g in range(0, len(spans), group):
+        chunks = spans[g : g + group]
+        outs = sums(chunks)
+        for (i, j), rows in zip(chunks, outs):
+            chunk = rows.reshape(-1)[: j - i]
+            if out is not None and j > whole:
+                out[i:j] = chunk
+            yield chunk
+        del outs, rows, chunk
+
+
+def window_sums(
+    x,
+    trapezoid: np.ndarray,
+    plain: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = (),
+) -> np.ndarray:
+    """The outputs of `window_chunks`, which defines them, collected into one
+    array of len(x) outputs, each chunk written in its place: the array form
+    of the lock-in's output."""
+    out = np.empty(len(x))
+    for _ in window_chunks(x, trapezoid, plain, out):
+        pass
     return out
 
 
-def downsample_at_phase(signal: SampledSignal, f_m: float, phase: float) -> SampledSignal:
-    """Keep one sample per modulation period (`whole_period`): the one
-    nearest the requested modulation phase, which must be finite.  The
-    output grid has dt = 1/f_m."""
+def phase_picks(grid: TimeGrid, f_m: float, phase: float) -> tuple[int, int, TimeGrid]:
+    """The down-sampler's rule on grid: one sample per modulation period
+    (`whole_period`), the one nearest the requested modulation phase, which
+    must be finite.  Returns the first pick k0, the stride and the grid of
+    the picks k0, k0 + stride, ..., whose dt is 1/f_m."""
     if not np.isfinite(phase):
         raise PreconditionError(f"down-sample phase must be finite, got {phase}")
-    grid = signal.grid
     spp = whole_period(grid, f_m).n
     # index (mod spp) whose modulation phase 2*pi*f_m*t is closest to `phase`
     frac = (phase / (2.0 * np.pi) - f_m * grid.t0) % 1.0
     k0 = int(round(frac * spp)) % spp
-    values = signal.values[k0::spp]
-    out_grid = TimeGrid(dt=1.0 / f_m, n=len(values), t0=grid.t0 + k0 * grid.dt)
-    return SampledSignal(out_grid, values)
+    picks = len(range(k0, grid.n, spp))
+    return k0, spp, TimeGrid(dt=1.0 / f_m, n=picks, t0=grid.t0 + k0 * grid.dt)
 
 
-def write_csv(signal: SampledSignal, path) -> None:
+def downsample_at_phase(signal: SampledSignal, f_m: float, phase: float) -> SampledSignal:
+    """Keep one sample per modulation period, by the rule of `phase_picks`:
+    the one nearest the requested modulation phase.  The output grid has
+    dt = 1/f_m."""
+    k0, spp, grid = phase_picks(signal.grid, f_m, phase)
+    return SampledSignal(grid, signal.values[k0::spp])
+
+
+class _Repeating:
+    """A period repeated over n samples, read by sample range: `[i:j]` lays
+    it into a fresh array by `_periodic`, so that sample i is
+    period[i % len(period)]."""
+
+    def __init__(self, period: np.ndarray, n: int):
+        self.period, self.n = period, n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, s: slice) -> np.ndarray:
+        i, j, _ = s.indices(self.n)
+        values = np.empty(j - i)
+        _periodic(np.copyto, values, self.period, i)
+        return values
+
+
+class _Chunked:
+    """n samples that come as consecutive chunks (like `window_chunks`'
+    output), read by sample range in order.
+
+    `[i:j]` is a view of the chunk that holds the whole range, or else the
+    range copied across chunk edges into a buffer that the reader keeps for
+    the next range of the same length; so a range is valid until the next
+    read, and a range may not start before the chunk of the last read.  The
+    reader holds one chunk at a time, and lets go of it before it takes the
+    next one.  (A fresh buffer per copied range made a loop of 1.5 M-sample
+    runs touch ~5 700 new pages per run, as the heap grew and shrank.)
+    """
+
+    def __init__(self, n: int, chunks: Iterator[np.ndarray]):
+        self.n, self.chunks = n, chunks
+        self.at, self.chunk = 0, np.empty(0)
+        self.spare = np.empty(0)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def _next(self) -> None:
+        self.at += len(self.chunk)
+        self.chunk = None
+        self.chunk = next(self.chunks)
+        if self.at + len(self.chunk) == self.n:
+            # the last chunk: run the source to its end, so that a generator
+            # lets go of what it holds before the chunk is read
+            next(self.chunks, None)
+
+    def __getitem__(self, s: slice) -> np.ndarray:
+        i, j, _ = s.indices(self.n)
+        if i < self.at:
+            raise ValueError(f"samples from {i} on were read past, at {self.at}")
+        while i >= self.at + len(self.chunk) and i < j:
+            self._next()
+        if j <= self.at + len(self.chunk):
+            return self.chunk[i - self.at : j - self.at]
+        if len(self.spare) != j - i:
+            self.spare = None
+            self.spare = np.empty(j - i)
+        values = self.spare
+        k = i
+        while k < j:
+            if k == self.at + len(self.chunk):
+                self._next()
+            stop = min(j, self.at + len(self.chunk))
+            values[k - i : stop - i] = self.chunk[k - self.at : stop - self.at]
+            k = stop
+        return values
+
+
+def write_csv(signal, path) -> None:
     """Write a signal as `t,value` CSV with full float precision.
+
+    `signal` is a pair (grid, reader) of a TimeGrid and the signal's values
+    read by sample range, reader[i:j] for consecutive ranges in order: an
+    array, or a reader such as `_Chunked` or the simulator's noise reader,
+    so that the signal never needs to exist at full length.  A
+    SampledSignal is read as (its grid, its values).
 
     Each row is `%.17g,%.17g`, so every float reads back exactly.  Rows are
     formatted _CSV_CHUNK (256) at a time: the chunk's times and values are
@@ -449,7 +597,7 @@ def write_csv(signal: SampledSignal, path) -> None:
     lists and text of one chunk, ~40 KiB at 256 rows) grows with it, and a
     chunk that swallows a whole file would raise the peak memory of a run.
     """
-    grid, values = signal.grid, signal.values
+    grid, values = (signal.grid, signal.values) if isinstance(signal, SampledSignal) else signal
     with open(path, "w", newline="") as fh:
         fh.write("t,value\n")
         for start in range(0, grid.n, _CSV_CHUNK):
@@ -462,8 +610,8 @@ def write_csv(signal: SampledSignal, path) -> None:
 
 def write_outputs(files: dict, out) -> list[str]:
     """Make the directory `out` and write each entry name -> value of `files`
-    in it, in order: a SampledSignal through `write_csv`, any other value
-    through `config.write_json`.  Returns the paths written, as strings.
+    in it, in order: a SampledSignal or a (grid, reader) pair through
+    `write_csv`, any other value through `config.write_json`.  Returns the paths written, as strings.
 
     Every file the package writes goes through here, and this is where the
     directory is made, so a caller that refuses its input before this call
@@ -473,7 +621,7 @@ def write_outputs(files: dict, out) -> list[str]:
     try:
         out.mkdir(parents=True, exist_ok=True)
         for name, value in files.items():
-            if isinstance(value, SampledSignal):
+            if isinstance(value, (SampledSignal, tuple)):
                 write_csv(value, out / name)
             else:
                 write_json(value, out / name)

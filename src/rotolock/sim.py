@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import iadd
+from operator import iadd, isub
 
 import numpy as np
 
 from .config import Config, check_size
 from .errors import ConfigError, PreconditionError
-from .lockin import CHANNELS, GAIN_FLOOR, _lockin, channel_gain, modulate
+from .lockin import CHANNELS, GAIN_FLOOR, _lockin, _lockin_chunks, channel_gain, modulate
 from .modulation import ModulationFit, modulation_series
 from .reference import synth_demod_reference
 from .signals import (
@@ -27,14 +27,15 @@ from .signals import (
     HarmonicSeries,
     SampledSignal,
     TimeGrid,
+    _Chunked,
     _periodic,
-    downsample_at_phase,
+    _Repeating,
     frozen,
     integer_ratio,
     period_grid,
+    phase_picks,
     synth,
     tile,
-    whole_period,
     write_outputs,
 )
 
@@ -143,23 +144,23 @@ class SimConfig(Config):
 
 @dataclass(frozen=True, eq=False)
 class SimResult:
-    """The stacks and metrics of one run, with the config it ran.
+    """The down-sampled channel and metrics of one run, with the config it ran.
 
     The modulated trace repeats with the period the measured sine and the
     modulation share, so it is kept as that one period, `modulated_period`
-    (the whole run when it has no shorter one).  The other inputs are read
-    from `config` each time they are read: `modulated` tiles the period over
-    `config.grid`, `noise` is `gen_noise` of the config's noise spec, drawn
-    again with the same bits, and `modulated_noisy` is `gen_noise` of the
-    spec and the period, the reader the lock-in read run over the whole
-    grid.  So when the shared period is shorter than the run,
-    `restored_full` is the one full-length array a run holds.  A result
+    (the whole run when it has no shorter one).  Every full-rate stack is
+    read from `config` each time it is read, with the bits of the run:
+    `modulated` tiles the period over `config.grid`, `noise` is `gen_noise`
+    of the config's noise spec, drawn again, `modulated_noisy` is
+    `gen_noise` of the spec and the period, the reader the lock-in read run
+    over the whole grid, and `restored_full` runs the lock-in again on that
+    reader, on the channel in `metrics`.  So when the shared period is
+    shorter than the run, a result holds no full-length array.  A result
     holds arrays, so `==` compares identity, as for `SampledSignal`.
     """
 
     config: SimConfig
     modulated_period: SampledSignal
-    restored_full: SampledSignal
     restored_downsampled: SampledSignal
     metrics: dict
 
@@ -178,6 +179,18 @@ class SimResult:
     @property
     def modulated_noisy(self) -> SampledSignal:
         return gen_noise(self.config.noise, self.config.grid, self.modulated_period)
+
+    @property
+    def restored_full(self) -> SampledSignal:
+        return self._restored(_lockin)
+
+    def _restored(self, lockin):
+        """`lockin` (`_lockin` or `_lockin_chunks`) of the run's noisy sum,
+        on the channel the run chose."""
+        cfg = self.config
+        m, r = _series(cfg)
+        noisy = _NoisySum(cfg.noise, cfg.grid, self.modulated_period)
+        return lockin(cfg.grid, noisy, m, r, self.metrics["channel"], compensate=True)
 
 
 def _first_samples_at_or_after(grid: TimeGrid, times: np.ndarray) -> np.ndarray:
@@ -220,9 +233,10 @@ class _NoisySum:
     so a range holds the bits of the noise plus the tiled periods over the
     whole grid), and refuses a sum past the float range.  None noise is
     the level 0.0, not an empty fill, so that a period holding -0.0 reads
-    0.0 + -0.0 = 0.0 there.  `gen_noise` is the reader over [0, n);
-    `window_sums` reads the run's noisy sum one chunk at a time, so that
-    sum never exists at full length in a run.
+    0.0 + -0.0 = 0.0 there.  `gen_noise` is the reader over [0, n); the
+    lock-in reads the run's noisy sum one chunk at a time and `report`
+    writes the noise and the noisy sum 256 rows at a time, so neither
+    exists at full length.
     """
 
     def __init__(self, spec: NoiseSpec, grid: TimeGrid, *periods: SampledSignal):
@@ -233,7 +247,8 @@ class _NoisySum:
         self.sine = None
         if spec.kind == "sine" and spec.amplitude != 0.0:
             series = HarmonicSeries(spec.rate_or_freq, 0.0, [0.0], [spec.amplitude])
-            self.sine = synth(series, period_grid(grid, spec.rate_or_freq)).values
+            sine = synth(series, period_grid(grid, spec.rate_or_freq)).values
+            self.sine = _Repeating(sine, grid.n)
         elif spec.kind == "step" and spec.amplitude != 0.0:
             rng = np.random.default_rng(spec.seed)
             t_end = grid.t0 + grid.duration
@@ -270,8 +285,7 @@ class _NoisySum:
             counts = np.diff(starts[lo:hi], prepend=i, append=j)
             values = np.repeat(self.levels[lo : hi + 1], counts)
         else:
-            values = np.empty(j - i)
-            _periodic(np.copyto, values, self.sine, i)
+            values = self.sine[i:j]
         with np.errstate(over="ignore"):
             for period in self.periods:
                 _periodic(iadd, values, period, i)
@@ -311,20 +325,21 @@ def measured_signal(cfg: SimConfig, grid: TimeGrid) -> SampledSignal:
     return synth(HarmonicSeries(abs(f), 0.0, [0.0], [amp]), grid)
 
 
-# an error past the float range gives inf, which run_simulation refuses
-@np.errstate(over="ignore", invalid="ignore")
-def _rms_after(cfg: SimConfig, restored: SampledSignal, start: int) -> float:
-    """RMS of restored minus the measured waveform, over the samples from
-    index `start` on.
+def _rms_after(cfg: SimConfig, grid: TimeGrid, restored, start: int) -> float:
+    """RMS of the restored signal on grid minus the measured waveform, over
+    the samples from index `start` on.
 
-    The sum of squares is taken one block at a time, so no full-length array
-    is added to a long run's peak memory.  When the waveform's `period_grid`
-    holds at most _BLOCK_SAMPLES samples, a block is a whole number of
-    periods and the waveform of the first block serves them all, as `synth`
+    `restored` is read by sample range, in order, one block at a time, and
+    each block has the waveform subtracted from it in place: so it is a
+    reader that hands out each range once, such as `signals._Chunked`, and
+    no full-length array is added to a long run's peak memory.  When the
+    waveform's `period_grid` holds at most _BLOCK_SAMPLES samples, a block
+    is a whole number of periods and the one period at the first block's
+    start serves them all, laid over each block by `_periodic`, as `synth`
     would have tiled it; otherwise each block is evaluated on its own slice
-    of the grid.
+    of the grid.  An error past the float range gives inf, which
+    run_simulation refuses.
     """
-    grid = restored.grid
     spp = period_grid(grid, cfg.signal_freq).n
     tiled = spp <= _BLOCK_SAMPLES
     size = spp * (_BLOCK_SAMPLES // spp) if tiled else _BLOCK_SAMPLES
@@ -332,11 +347,31 @@ def _rms_after(cfg: SimConfig, restored: SampledSignal, start: int) -> float:
     total = 0.0
     for i in range(start, grid.n, size):
         k = min(size, grid.n - i)
+        # the block is read first, so that its waveform is not held while a
+        # reader like `_Chunked` computes it
+        block = restored[i : i + k]
         if wave is None or not tiled:
-            wave = measured_signal(cfg, TimeGrid(grid.dt, k, grid.t0 + i * grid.dt)).values
-        dev = restored.values[i : i + k] - wave[:k]
-        total += float(np.dot(dev, dev))
+            wave = None  # the last block's waveform goes before this one is made
+            wave_grid = TimeGrid(grid.dt, min(k, spp) if tiled else k, grid.t0 + i * grid.dt)
+            wave = measured_signal(cfg, wave_grid).values
+        total += _squared_deviation(block, wave)
+        del block  # nor this block while it computes the next
     return math.sqrt(total / (grid.n - start))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _squared_deviation(block: np.ndarray, wave: np.ndarray) -> float:
+    """The sum of squares of block less the period wave laid over it from
+    its start, subtracted in place."""
+    _periodic(isub, block, wave, 0)
+    return float(np.dot(block, block))
+
+
+def _series(cfg: SimConfig) -> tuple[HarmonicSeries, HarmonicSeries]:
+    """The run's modulation series and demodulation reference."""
+    m = modulation_series(cfg.modulation, cfg.f_m)
+    l = cfg.modulation.n_harmonics
+    return m, synth_demod_reference(cfg.f_m, cfg.ref_kind, l, cfg.ref_phase_delay)
 
 
 def run_simulation(cfg: SimConfig) -> SimResult:
@@ -350,35 +385,46 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     Metrics exclude the warm-up period, and the downsampled error also
     excludes the windows that hold a noise step (`spike_windows`), found at
     the down-sample picks from the steps the noise reader draws.
+
+    The lock-in output is taken one chunk at a time, as `window_chunks`
+    hands it on: each chunk is checked finite, gives its down-sample picks
+    and its samples of the full-rate error, and is let go, so the output is
+    never whole.  `SimResult.restored_full` computes it again.
     """
     grid = cfg.grid
-    m_series = modulation_series(cfg.modulation, cfg.f_m)
+    m_series, r = _series(cfg)
     # the product repeats with the shared period, so it is computed over one
     # (the same bits as over the whole grid) and never tiled over the run: the
     # lock-in reads the noisy sum one chunk at a time, each filled with the
-    # noise and the period added to it, so the lock-in output is the one
-    # full-length array of the run
+    # noise and the period added to it
     common = period_grid(grid, cfg.signal_freq, cfg.f_m)
     period = modulate(measured_signal(cfg, common), m_series)
     noisy = _NoisySum(cfg.noise, grid, period)
 
-    l = cfg.modulation.n_harmonics
-    r = synth_demod_reference(cfg.f_m, cfg.ref_kind, l, cfg.ref_phase_delay)
     gains = {c: channel_gain(m_series, r, c)[0] for c in CHANNELS}
     channel = "even" if abs(gains["even"]) >= abs(gains["odd"]) else "odd"
 
-    # slope_compensate's output, on the reader rather than a full-length array
-    restored_full = _lockin(grid, noisy, m_series, r, channel, compensate=True)
-    down = downsample_at_phase(restored_full, cfg.f_m, cfg.downsample_phase)
-    # one modulation period: the lock-in's window, so its warm-up, the width
-    # of a window that a step contaminates and the stride of the picks
-    spp = whole_period(grid, cfg.f_m).n
+    # slope_compensate's output, on the reader rather than a full-length
+    # array, and as chunks rather than one array; spp is one modulation
+    # period: the lock-in's window, so its warm-up, the width of a window
+    # that a step contaminates and the stride of the picks
+    out_grid, chunks = _lockin_chunks(grid, noisy, m_series, r, channel, compensate=True)
+    k0, spp, down_grid = phase_picks(out_grid, cfg.f_m, cfg.downsample_phase)
+    picks = []
 
-    # full-rate error, warm-up excluded (noise spikes stay in: they are the output)
-    rms_full = _rms_after(cfg, restored_full, spp)
+    def checked(chunk: np.ndarray) -> np.ndarray:
+        if not np.all(np.isfinite(chunk)):
+            raise PreconditionError("signal values must all be finite")
+        picks.append(chunk[k0::spp].copy())  # every chunk starts at a whole period
+        return chunk
+
+    # full-rate error, warm-up excluded (noise spikes stay in: they are the
+    # output); it reads the output to its end, so every chunk is checked
+    # and has given its picks
+    rms_full = _rms_after(cfg, out_grid, _Chunked(grid.n, map(checked, chunks)), spp)
+    down = SampledSignal(down_grid, frozen(np.concatenate(picks)))
 
     # downsampled error: also exclude windows that contain a noise step
-    k0 = int(round((down.grid.t0 - restored_full.grid.t0) / cfg.dt))
     ds_idx = k0 + np.arange(down.grid.n) * spp
     spiked = _step_in_window(noisy.steps, spp, ds_idx)
     good = (ds_idx >= spp) & ~spiked
@@ -401,7 +447,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     # scale (and sign, for a half-period flip) error of skipping calibration;
     # None when the aligned gain on this channel is below the floor (an
     # aligned reference has no odd part, so always on the odd channel)
-    aligned = synth_demod_reference(cfg.f_m, cfg.ref_kind, l, 0.0)
+    aligned = synth_demod_reference(cfg.f_m, cfg.ref_kind, cfg.modulation.n_harmonics, 0.0)
     g_aligned, share_aligned = channel_gain(m_series, aligned, channel)
     scale = None
     if share_aligned >= GAIN_FLOOR:
@@ -420,7 +466,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
         "gain_scale_vs_aligned": scale,
         "group_delay_s": 0.5 / cfg.f_m,
     }
-    return SimResult(cfg, period, restored_full, down, metrics)
+    return SimResult(cfg, period, down, metrics)
 
 
 def report(result: SimResult, out_dir) -> dict:
@@ -428,14 +474,22 @@ def report(result: SimResult, out_dir) -> dict:
 
     Emits noise.csv, modulated.csv, modulated_noisy.csv, restored.csv,
     restored_downsampled.csv and metrics.json; returns a summary with the
-    file paths and metric values.
+    file paths and metric values.  Each full-rate stack is written from a
+    reader by sample range, with the bits of the `SimResult` property of
+    the same name, so none exists at full length: the noise and the noisy
+    sum from the noise reader, the modulated trace as its period laid over
+    each range (not through the noise reader, whose 0.0 level would turn a
+    -0.0 in the period into 0.0), and the restored signal as the chunks of
+    the lock-in, run again.
     """
+    cfg, grid = result.config, result.config.grid
+    restored_grid, chunks = result._restored(_lockin_chunks)
     files = write_outputs(
         {
-            "noise.csv": result.noise,
-            "modulated.csv": result.modulated,
-            "modulated_noisy.csv": result.modulated_noisy,
-            "restored.csv": result.restored_full,
+            "noise.csv": (grid, _NoisySum(cfg.noise, grid)),
+            "modulated.csv": (grid, _Repeating(result.modulated_period.values, grid.n)),
+            "modulated_noisy.csv": (grid, _NoisySum(cfg.noise, grid, result.modulated_period)),
+            "restored.csv": (restored_grid, _Chunked(grid.n, chunks)),
             "restored_downsampled.csv": result.restored_downsampled,
             "metrics.json": result.metrics,
         },

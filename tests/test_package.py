@@ -226,16 +226,16 @@ def test_traced_spans_resolve():
 
 def test_sim_result_holds_only_what_is_read():
     # report writes the five stacks and the metrics come with them; no field
-    # holds a full-length array that no output file, metric or CLI path
-    # reads, such as the measured sine.  The run's inputs are held as the
-    # config it ran, whose `grid` every property reads: the modulated trace
-    # as its one shared period, tiled when read, and the noise and the noisy
-    # sum drawn from the config's spec when read, by gen_noise.  The warm-up
-    # is read from the metrics, not held twice
+    # holds a full-length array.  The run's inputs are held as the config it
+    # ran, whose `grid` every property reads: the modulated trace as its one
+    # shared period, tiled when read, the noise and the noisy sum drawn from
+    # the config's spec when read, by gen_noise, and the lock-in output run
+    # again on the noisy sum when read.  The warm-up is read from the
+    # metrics, not held twice
     assert [f.name for f in dataclasses.fields(rotolock.SimResult)] == [
-        "config", "modulated_period", "restored_full", "restored_downsampled", "metrics",
+        "config", "modulated_period", "restored_downsampled", "metrics",
     ]
-    for name in ("warmup", "modulated", "noise", "modulated_noisy"):
+    for name in ("warmup", "modulated", "noise", "modulated_noisy", "restored_full"):
         assert isinstance(inspect.getattr_static(rotolock.SimResult, name), property), name
     assert isinstance(inspect.getattr_static(rotolock.SimConfig, "grid"), property)
     assert not hasattr(rotolock.SimResult, "_grid")
@@ -298,6 +298,10 @@ KEEP = {
     "harmonic_outputs": "criterion 7: per-harmonic quadrature outputs",
     "demodulate": "criterion 7: `harmonic_outputs` demodulates each usable channel with it",
     "SimResult": "the result type of run_simulation, which report takes",
+    "downsample_at_phase": "the down-sampler of a whole signal; run_simulation picks from "
+                           "the lock-in's chunks by its rule, signals.phase_picks",
+    "gen_noise": "the noise reader over a whole grid, as one signal: SimResult.noise and "
+                 "SimResult.modulated_noisy return it; report writes from the reader",
 }
 
 

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from rotolock.errors import PreconditionError
 from rotolock.modulation import ModulationFit
 from rotolock.sim import NoiseSpec, SimConfig, measured_signal, run_simulation
+import rotolock.signals
 from rotolock.signals import (
     _BLOCK_SAMPLES,
     _PHASE_BLOCK,
+    _WEIGHT_FLOATS,
     HarmonicSeries,
     SampledSignal,
     TimeGrid,
@@ -20,7 +22,9 @@ from rotolock.signals import (
     frozen,
     integer_ratio,
     synth,
+    _Chunked,
     tile,
+    window_chunks,
     window_sums,
     write_csv,
 )
@@ -463,9 +467,13 @@ class TestWindowSums:
             (5 * SPP + 37, SPP, False),
             # three chunks of periods and a partial last period
             (2 * _BLOCK_SAMPLES + 5 * SPP + 37, SPP, False),
-            # a period of several slabs of phase blocks, three chunks and a
-            # partial last period: each slab reads each chunk again
-            (2 * (_BLOCK_SAMPLES // 4000) * 4000 + 3 * 4000 + 123, 4000, True),
+            # a period whose block weights fit _WEIGHT_FLOATS, three chunks
+            # and a partial last period: the weights are built once and each
+            # chunk is read once
+            (2 * (_BLOCK_SAMPLES // 4000) * 4000 + 3 * 4000 + 123, 4000, False),
+            # one whose weights do not: they go in slabs, and each slab reads
+            # each chunk of its group again
+            (2 * (_BLOCK_SAMPLES // 8000) * 8000 + 3 * 8000 + 123, 8000, True),
         ],
     )
     def test_a_reader_gives_the_bits_of_its_array(self, n, w, rereads):
@@ -496,6 +504,67 @@ class TestWindowSums:
         assert max(j for _, j in chunks) == n
         counts = {chunks.count(c) for c in chunks}
         assert len(counts) == 1 and (counts.pop() > 1) == rereads
+
+
+    def test_chunks_are_whole_periods_and_the_bits_of_the_array(self):
+        # warm-up first, then chunks of whole periods of about _BLOCK_SAMPLES,
+        # then the partial last period: each a fresh array, whose
+        # concatenation is window_sums' output
+        n, w = 2 * _BLOCK_SAMPLES + 5 * SPP + 37, SPP
+        rng = np.random.default_rng(5)
+        x, trapezoid = rng.normal(size=n), rng.normal(size=w)
+        plain = ((rng.normal(size=w), rng.normal(size=w), rng.normal(size=w)),)
+        chunks = list(window_chunks(x, trapezoid, plain))
+        lengths = [len(c) for c in chunks]
+        assert lengths[0] == w and lengths[-1] == n % w and sum(lengths) == n
+        assert all(k % w == 0 and k <= _BLOCK_SAMPLES for k in lengths[1:-1])
+        assert len({id(c.base if c.base is not None else c) for c in chunks}) == len(chunks)
+        assert np.concatenate(chunks).tobytes() == window_sums(x, trapezoid, plain).tobytes()
+
+    def test_weights_past_the_budget_give_the_bits_of_one_slab(self, monkeypatch):
+        # a period whose block weights do not fit _WEIGHT_FLOATS builds them
+        # slab by slab for each group of chunks: eleven chunks make two groups
+        # here.  The sums are those of one slab of every block, built once
+        n, w = 11 * (_BLOCK_SAMPLES // 8000) * 8000 + 8000 + 123, 8000
+        rng = np.random.default_rng(6)
+        x, trapezoid = rng.normal(size=n), rng.normal(size=w)
+        plain = tuple(tuple(rng.normal(size=w) for _ in range(3)) for _ in range(2))
+        assert (w // _PHASE_BLOCK) * 2 * (_PHASE_BLOCK + 5) * _PHASE_BLOCK > _WEIGHT_FLOATS
+        grouped = window_sums(x, trapezoid, plain)
+        monkeypatch.setattr(rotolock.signals, "_WEIGHT_FLOATS", 2**40)
+        assert grouped.tobytes() == window_sums(x, trapezoid, plain).tobytes()
+
+
+class TestChunked:
+    def test_ranges_read_in_order_are_the_bits_of_the_whole(self):
+        # ranges within a chunk are views of it; a range across chunk edges
+        # is copied; the reader takes the chunks as the ranges reach them
+        rng = np.random.default_rng(8)
+        whole = rng.normal(size=5000)
+        edges = [0, 1, 700, 701, 2000, 4999, 5000]
+        taken = []
+
+        def chunks():
+            for i, j in zip(edges, edges[1:]):
+                taken.append(i)
+                yield whole[i:j].copy()
+
+        reader = _Chunked(len(whole), chunks())
+        start = 0
+        for k in [3, 256, 1, 1000, 700, 256, 2000, 784]:
+            assert reader[start : start + k].tobytes() == whole[start : start + k].tobytes()
+            start += k
+        assert start == len(whole) and taken == edges[:-1]
+        with pytest.raises(ValueError, match="read past"):
+            reader[0:10]
+
+    def test_writes_the_bytes_of_the_whole_signal(self, tmp_path):
+        grid = TimeGrid(dt=DT, n=1000, t0=-0.3 * DT)
+        values = np.random.default_rng(9).standard_normal(grid.n)
+        chunks = (values[i : i + 300].copy() for i in range(0, grid.n, 300))
+        write_csv((grid, _Chunked(grid.n, chunks)), tmp_path / "streamed.csv")
+        write_csv(SampledSignal(grid, values), tmp_path / "whole.csv")
+        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 class TestDownsampleAtPhase:

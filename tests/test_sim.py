@@ -1,21 +1,26 @@
 import json
 import math
+import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rotolock
 from rotolock.cli import main
 from rotolock.errors import ConfigError, PreconditionError
-from rotolock.lockin import modulate, slope_compensate
+from rotolock.lockin import _lockin_chunks, modulate, slope_compensate
 from rotolock.modulation import ModulationFit, modulation_series
 from rotolock.reference import synth_demod_reference
 from rotolock.sim import (
     NoiseSpec,
     SimConfig,
     _NoisySum,
+    _series,
     gen_noise,
     measured_signal,
     report,
@@ -28,9 +33,11 @@ from rotolock.signals import (
     HarmonicSeries,
     SampledSignal,
     TimeGrid,
+    downsample_at_phase,
     period_grid,
     synth,
     window_sums,
+    write_csv,
 )
 
 
@@ -485,71 +492,89 @@ class TestSimResultArrays:
                 stack.values[0] = 0.0
 
     @staticmethod
-    def _peak(cfg):
+    def _peak(run, *args):
         tracemalloc.start()
         try:
-            run_simulation(cfg)
+            run(*args)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     def test_peak_memory_per_sample(self):
-        # at its peak the run holds one full-length array (the lock-in output)
-        # and fixed-size scratch, the lock-in's chunk of the noisy sum among
-        # it: 19.5 B per sample at this length.  The scratch is a large share
-        # of that here, so this bound caps the total, and the growth test
-        # below tells one more full-length array apart.
+        # the run holds fixed-size scratch, the lock-in's chunk of the noisy
+        # sum and of its output among it, and no full-length array: 14 B per
+        # sample at this length, all of it scratch.  The growth tests below
+        # tell a full-length array apart.
         # A first run in the process also makes NumPy's lazy imports and
         # caches, so it is made untraced
         cfg = SimConfig(duration=0.3)
         run_simulation(cfg)
         assert cfg.n_samples == 150_000
-        assert self._peak(cfg) / cfg.n_samples < 21.5
+        assert self._peak(run_simulation, cfg) / cfg.n_samples < 21.5
 
     @pytest.mark.parametrize("kind", ["step", "sine", "none"])
-    def test_peak_grows_by_one_array(self, kind):
-        # between 0.3 s and 0.6 s the peak grows by the lock-in output, 8 B per
-        # sample (8.02 measured); a second full-length float array, such as
-        # the noisy sum, adds 8 B more
+    @pytest.mark.parametrize("writes", [False, True], ids=["run", "run-and-report"])
+    def test_peak_does_not_grow(self, monkeypatch, tmp_path, kind, writes):
+        # between 0.3 s and 0.6 s the peak grows by less than 1 B per sample
+        # (0.04-0.06 measured): the lock-in output is taken one chunk at a
+        # time, and report hands every stack to the writer as a reader by
+        # range.  One full-length float array, such as the lock-in output,
+        # would add 8 B.  The writer reads each stack's ranges as write_csv
+        # does but formats nothing, as formatting under tracemalloc is slow;
+        # its own memory is pinned in test_signals
+        def read_ranges(signal, path):
+            grid, values = signal if isinstance(signal, tuple) else (signal.grid, signal.values)
+            for start in range(0, grid.n, 256):
+                values[start : start + 256]
+
+        monkeypatch.setattr(rotolock.signals, "write_csv", read_ranges)
+
+        def run(cfg):
+            res = run_simulation(cfg)
+            if writes:
+                report(res, tmp_path)
+
         short, long = (SimConfig(duration=d, noise=NoiseSpec(kind=kind)) for d in (0.3, 0.6))
-        run_simulation(short)
-        growth = (self._peak(long) - self._peak(short)) / (long.n_samples - short.n_samples)
-        assert growth < 9.0
+        run(short)
+        growth = (self._peak(run, long) - self._peak(run, short)) / (
+            long.n_samples - short.n_samples
+        )
+        assert growth < 1.0
 
     def test_default_run_peak_memory(self, monkeypatch):
         # a first run makes NumPy's lazy imports and caches (in a fresh process
-        # it peaks near 1.7e6 B) and hands over the lock-in's window-sum inputs.
-        # Then the run peaks at about 0.54e6 B, after the lock-in, and the
-        # window sums alone, replayed on the noisy sum as an array, at about
-        # 0.32e6 B (output, block weights and operand).  The bounds sit 9 %
-        # above 0.649e6 and 0.366e6 B, inside the benchmark's 10 %
-        # peak_alloc_mb gate.  On the 15 000-sample default run the chunk
-        # of periods is the whole signal, so chunk-sized scratch (118 KB)
-        # takes the window sums past theirs
-        kernel, calls = rotolock.lockin.window_sums, []
-        monkeypatch.setattr(rotolock.lockin, "window_sums", lambda *a: calls.append(a) or kernel(*a))
+        # it peaks near 1.7e6 B) and hands over the lock-in's kernel inputs.
+        # Then the run peaks at about 0.54e6 B, in the lock-in, and the
+        # kernel alone, replayed on the noisy sum as an array and drained
+        # chunk by chunk, at about 0.33e6 B (one chunk's output, block
+        # weights and operand).  The bounds sit 9 % above 0.649e6 and
+        # 0.366e6 B, inside the benchmark's 10 % peak_alloc_mb gate.  On the
+        # 15 000-sample default run the chunk of periods is the whole signal
+        # but its first period, so chunk-sized scratch (118 KB) takes the
+        # kernel past its bound
+        kernel, calls = rotolock.lockin.window_chunks, []
+        monkeypatch.setattr(rotolock.lockin, "window_chunks", lambda *a: calls.append(a) or kernel(*a))
         run_simulation(SimConfig())
         monkeypatch.undo()
         reader, *args = calls[0]
         x = reader[:]  # the run reads it one chunk at a time; the replay reads the array
         assert isinstance(x, np.ndarray) and len(x) == len(reader)
-        peaks = []
-        for run in (lambda: run_simulation(SimConfig()), lambda: kernel(x, *args)):
-            tracemalloc.start()
-            try:
-                run()
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+
+        def drain():
+            for _ in kernel(x, *args):
+                pass
+
+        peaks = [self._peak(run_simulation, SimConfig()), self._peak(drain)]
         assert peaks[0] < 707_000
         assert peaks[1] < 400_000
 
     @pytest.mark.parametrize("kind", ["step", "sine"])
-    def test_one_full_length_finiteness_scan(self, monkeypatch, kind):
-        # every signal checks its own values, and a run builds one full-length
-        # signal, the lock-in output: the noisy sum is checked one chunk at a
-        # time as the lock-in reads it, the product over its one shared
-        # period, and the measured sine over blocks of at most _BLOCK_SAMPLES
+    def test_no_full_length_finiteness_scan(self, monkeypatch, kind):
+        # every signal checks its own values, and a run builds no full-length
+        # signal: the noisy sum is checked one chunk at a time as the lock-in
+        # reads it, the lock-in output one chunk at a time as the run takes
+        # it, the product over its one shared period, and the measured sine
+        # over one period
         cfg = SimConfig(duration=0.3, noise=NoiseSpec(kind=kind))
         isfinite = np.isfinite
         scans = []
@@ -561,7 +586,7 @@ class TestSimResultArrays:
 
         monkeypatch.setattr(np, "isfinite", counting)
         run_simulation(cfg)
-        assert len(scans) <= 1
+        assert scans == []
 
     @pytest.mark.parametrize(
         "overrides",
@@ -603,6 +628,85 @@ class TestSimResultArrays:
             reader[_BLOCK_SAMPLES : grid.n]
         with pytest.raises(PreconditionError, match=message):
             window_sums(reader, np.full(200, 2e-6))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"signal_freq": 37.0}, {"duration": 0.3001}, {"f_m": 250.0, "dt": 1e-6}],
+        ids=["default", "37Hz", "chunks-and-partial-period", "slabs"],
+    )
+    @pytest.mark.parametrize("kind", ["step", "sine"])
+    def test_metrics_from_the_chunks_are_those_of_the_whole_output(self, overrides, kind):
+        # the run takes its picks and its full-rate error from the lock-in's
+        # chunks as they come: the bits of downsample_at_phase on the whole
+        # output, and of the error summed over the same blocks of it
+        cfg = SimConfig(noise=NoiseSpec(kind=kind), **overrides)
+        res = run_simulation(cfg)
+        whole = res.restored_full
+        down = downsample_at_phase(whole, cfg.f_m, cfg.downsample_phase)
+        assert res.restored_downsampled.grid == down.grid
+        assert res.restored_downsampled.values.tobytes() == down.values.tobytes()
+        # the error blocks: whole periods of the measured sine of at most
+        # _BLOCK_SAMPLES samples from the end of the warm-up, each against the
+        # sine of the first block (as synth tiles it), or blocks of
+        # _BLOCK_SAMPLES when its period is longer, each against the sine
+        # evaluated on its own slice of the grid
+        grid, start = whole.grid, res.warmup
+        spp = period_grid(grid, cfg.signal_freq).n
+        tiled = spp <= _BLOCK_SAMPLES
+        size = spp * (_BLOCK_SAMPLES // spp) if tiled else _BLOCK_SAMPLES
+        total, wave = 0.0, None
+        for i in range(start, grid.n, size):
+            k = min(size, grid.n - i)
+            if wave is None or not tiled:
+                wave = measured_signal(cfg, TimeGrid(grid.dt, k, grid.t0 + i * grid.dt)).values
+            dev = whole.values[i : i + k] - wave[:k]
+            total += float(np.dot(dev, dev))
+        assert res.metrics["rms_error_full"] == math.sqrt(total / (grid.n - start))
+
+    # a slow sine of a large amplitude, with no noise: the lock-in's sums
+    # overflow once the sine has grown, past the third chunk of its output
+    LATE_OVERFLOW = {
+        "duration": 0.6, "signal_freq": 0.25, "signal_amp": 4e304, "noise": {"kind": "none"},
+    }
+
+    def test_overflow_past_the_first_output_chunks_is_refused(self):
+        # each output chunk is computed with NumPy's overflow warnings off and
+        # checked finite by the run: no RuntimeWarning, whichever chunk
+        # overflows, and the one message of every other overflowing signal.
+        # While the consumer holds a chunk, NumPy's error state is its own:
+        # the kernel's is not left set across its yield
+        cfg = SimConfig.from_dict(self.LATE_OVERFLOW)
+        m, r = _series(cfg)
+        period = modulate(measured_signal(cfg, cfg.grid), m)
+        noisy = _NoisySum(cfg.noise, cfg.grid, period)
+        state = np.geterr()
+        finite = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for chunk in _lockin_chunks(cfg.grid, noisy, m, r, "even", compensate=True)[1]:
+                assert np.geterr() == state
+                finite.append(bool(np.all(np.isfinite(chunk))))
+            assert finite[:3] == [True] * 3 and not all(finite)
+            with pytest.raises(PreconditionError, match="^signal values must all be finite$"):
+                run_simulation(cfg)
+
+    def test_cli_refuses_a_late_overflow_under_warnings_as_errors(self, tmp_path):
+        # the same run through the console entry point, with every warning an
+        # error: exit 3, one error line and no --out directory
+        config = tmp_path / "late_overflow.json"
+        config.write_text(json.dumps(self.LATE_OVERFLOW))
+        src = Path(rotolock.__file__).resolve().parents[1]
+        argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "out")]
+        code = (
+            f"import sys; sys.path.insert(0, {str(src)!r}); from rotolock.cli import main\n"
+            f"sys.exit(main({argv!r}))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == "error: signal values must all be finite\n"
+        assert not (tmp_path / "out").exists()
 
     @SHARED_PERIOD_GRIDS
     def test_tiled_modulated_is_the_full_product(self, freq, duration):
@@ -725,6 +829,27 @@ class TestReport:
         report(run_simulation(cfg), second)
         for name in STACKS + ("metrics.json",):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"duration": 0.3001}, {"f_m": 250.0, "dt": 1e-6}],
+        # three chunks of the lock-in and a partial last period; a period of
+        # several slabs of phase blocks
+        ids=["chunks-and-partial-period", "slabs"],
+    )
+    def test_streamed_stacks_are_the_bytes_of_the_whole_signals(self, tmp_path, overrides):
+        # report writes each full-rate stack from a reader by range; each file
+        # has the bytes of write_csv of the whole signal
+        cfg = SimConfig(**overrides)
+        res = run_simulation(cfg)
+        report(res, tmp_path / "streamed")
+        m, r = _series(cfg)
+        restored = slope_compensate(res.modulated_noisy, m, r, res.metrics["channel"])
+        for name, signal in (("noise.csv", res.noise), ("modulated.csv", res.modulated),
+                             ("modulated_noisy.csv", res.modulated_noisy),
+                             ("restored.csv", restored)):
+            write_csv(signal, tmp_path / name)
+            assert (tmp_path / "streamed" / name).read_bytes() == (tmp_path / name).read_bytes()
 
     def test_cli_writes_what_report_writes(self, tmp_path):
         # `rotolock simulate` is report(run_simulation(cfg)) plus its manifest
