@@ -851,6 +851,21 @@ class TestReport:
             write_csv(signal, tmp_path / name)
             assert (tmp_path / "streamed" / name).read_bytes() == (tmp_path / name).read_bytes()
 
+    def test_modulated_stack_keeps_its_negative_zeros(self, tmp_path):
+        # modulated.csv lays the period over each range rather than adding it
+        # to the noise reader's 0.0 level: a 0 Hz run whose modulation dips
+        # below 0 writes the -0.0 of its trace, and modulated_noisy.csv, the
+        # trace plus no noise, writes 0.0 there
+        cfg = SimConfig(signal_freq=0.0, noise=NoiseSpec(kind="none"),
+                        modulation=ModulationFit(offset=0.0))
+        res = run_simulation(cfg)
+        report(res, tmp_path / "streamed")
+        write_csv(res.modulated, tmp_path / "modulated.csv")
+        streamed = (tmp_path / "streamed" / "modulated.csv").read_bytes()
+        assert streamed == (tmp_path / "modulated.csv").read_bytes()
+        assert b",-0\n" in streamed
+        assert b",-0\n" not in (tmp_path / "streamed" / "modulated_noisy.csv").read_bytes()
+
     def test_cli_writes_what_report_writes(self, tmp_path):
         # `rotolock simulate` is report(run_simulation(cfg)) plus its manifest
         lib, cli = tmp_path / "lib", tmp_path / "cli"
