@@ -531,8 +531,10 @@ class TestWindowSums:
         plain = tuple(tuple(rng.normal(size=w) for _ in range(3)) for _ in range(2))
         assert (w // _PHASE_BLOCK) * 2 * (_PHASE_BLOCK + 5) * _PHASE_BLOCK > _WEIGHT_FLOATS
         grouped = window_sums(x, trapezoid, plain)
+        chunks = np.concatenate(list(window_chunks(x, trapezoid, plain)))
         monkeypatch.setattr(rotolock.signals, "_WEIGHT_FLOATS", 2**40)
-        assert grouped.tobytes() == window_sums(x, trapezoid, plain).tobytes()
+        one_slab = window_sums(x, trapezoid, plain).tobytes()
+        assert grouped.tobytes() == chunks.tobytes() == one_slab
 
 
 class TestChunked:
