@@ -553,7 +553,9 @@ class TestSimResultArrays:
         # but its first period, so chunk-sized scratch (118 KB) takes the
         # kernel past its bound
         kernel, calls = rotolock.lockin.window_chunks, []
-        monkeypatch.setattr(rotolock.lockin, "window_chunks", lambda *a: calls.append(a) or kernel(*a))
+        monkeypatch.setattr(
+            rotolock.lockin, "window_chunks", lambda *a: calls.append(a) or kernel(*a)
+        )
         run_simulation(SimConfig())
         monkeypatch.undo()
         reader, *args = calls[0]
