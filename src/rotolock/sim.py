@@ -235,7 +235,7 @@ class _NoisySum:
     the level 0.0, not an empty fill, so that a period holding -0.0 reads
     0.0 + -0.0 = 0.0 there.  `gen_noise` is the reader over [0, n); the
     lock-in reads the run's noisy sum one chunk at a time and `report`
-    writes the noise and the noisy sum 256 rows at a time, so neither
+    writes the noise and the noisy sum 4 096 rows at a time, so neither
     exists at full length.
     """
 

@@ -30,6 +30,7 @@ from rotolock.sim import (
 import rotolock.signals
 from rotolock.signals import (
     _BLOCK_SAMPLES,
+    _CSV_READ,
     HarmonicSeries,
     SampledSignal,
     TimeGrid,
@@ -524,8 +525,8 @@ class TestSimResultArrays:
         # its own memory is pinned in test_signals
         def read_ranges(signal, path):
             grid, values = signal if isinstance(signal, tuple) else (signal.grid, signal.values)
-            for start in range(0, grid.n, 256):
-                values[start : start + 256]
+            for start in range(0, grid.n, _CSV_READ):
+                values[start : start + _CSV_READ]
 
         monkeypatch.setattr(rotolock.signals, "write_csv", read_ranges)
 
