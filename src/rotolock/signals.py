@@ -32,13 +32,13 @@ _PHASE_BLOCK = 32
 
 # samples in a cache-sized run (512 KiB of float64): `window_chunks` works
 # through chunks of whole periods of about this size and hands its output on
-# one such chunk at a time, and `sim._rms_after` sums its error in blocks of
-# it, read from those chunks as they come
+# one such chunk at a time, and `sim._Deviation` sums its error in blocks of
+# it, taken from those chunks as they come
 _BLOCK_SAMPLES = 2**16
 
 # floats (4 MiB) of `window_chunks`' block weights that it builds once per
-# call; a period whose weights take more builds them slab by slab for each
-# group of chunks whose outputs take about as much
+# call; a period whose weights take more builds them slab by slab, once per
+# group of chunks of a stream whose outputs take about as much
 _WEIGHT_FLOATS = 8 * _BLOCK_SAMPLES
 
 
@@ -350,13 +350,16 @@ def window_chunks(
     block (the two triangles, then cur and prev), about 74 per phase for
     the lock-in's S = 5.  When all of them fit in _WEIGHT_FLOATS (a period
     of up to about 7 000 samples for the lock-in) they are built once per
-    call and each chunk is read once.  A longer period goes in slabs of
-    _BLOCK_SAMPLES / (2 * _PHASE_BLOCK + 2 * S) phases, whose weights take
-    about _BLOCK_SAMPLES floats, and its chunks in groups whose outputs take
-    about _WEIGHT_FLOATS: each slab's weights are built once per group and
-    passed over each of its chunks, read again for each slab, and the
-    running totals of each chunk carry over to the next slab.  A chunk is
-    handed on once every slab has passed over its group.
+    call and each chunk is read once, and handed on once summed.  A longer
+    period goes in slabs of _BLOCK_SAMPLES / (2 * _PHASE_BLOCK + 2 * S)
+    phases, whose weights take about _BLOCK_SAMPLES floats, and its chunks
+    in groups: each slab's weights are built once per group and passed over
+    each of its chunks, read again for each slab; each chunk's running
+    totals carry over to the next slab, and a chunk is handed on once the
+    last slab has passed over it.  The array form (`out` given) holds every
+    output anyway, so all its chunks are one group and each slab's weights
+    are built once per call; a stream's groups are chunks whose outputs
+    take about _WEIGHT_FLOATS.
 
     An overflowing sum is left to the consumer's finiteness check, which
     reports it once as a precondition error: each chunk is computed with
@@ -383,22 +386,19 @@ def window_chunks(
 
     blocks = [(p0, min(p0 + _PHASE_BLOCK, w)) for p0 in range(0, w, _PHASE_BLOCK)]
     width = 2 * (_PHASE_BLOCK + m)  # a block's operand columns
+    # one slab of every block when their weights fit _WEIGHT_FLOATS, else
+    # slabs whose weights take about _BLOCK_SAMPLES floats
+    fits = len(blocks) * width * _PHASE_BLOCK <= _WEIGHT_FLOATS
+    per_slab = len(blocks) if fits else max(1, _BLOCK_SAMPLES // (width * _PHASE_BLOCK))
+    slabs = [blocks[s0 : s0 + per_slab] for s0 in range(0, len(blocks), per_slab)]
     # chunks: the samples [i, j) whose windows end in them, read with the
-    # period before them
+    # period before them, in groups that each slab's weights pass over
     whole = n - n % w
     size = max(1, _BLOCK_SAMPLES // w) * w
     spans = [(i, min(i + size, whole)) for i in range(w, whole, size)]
     if whole < n:
         spans.append((whole, n))
-    # one slab of every block, whose weights are built once, when they fit
-    # _WEIGHT_FLOATS; else slabs of weights of ~_BLOCK_SAMPLES floats, built
-    # for each group of chunks whose outputs take about _WEIGHT_FLOATS
-    if len(blocks) * width * _PHASE_BLOCK <= _WEIGHT_FLOATS:
-        per_slab, group = len(blocks), 1
-    else:
-        per_slab = _BLOCK_SAMPLES // (width * _PHASE_BLOCK)
-        group = max(1, _WEIGHT_FLOATS // size)
-    slabs = [blocks[s0 : s0 + per_slab] for s0 in range(0, len(blocks), per_slab)]
+    group = len(spans) if out is not None else max(1, _WEIGHT_FLOATS // size)
 
     def read(i: int, j: int) -> np.ndarray:
         """The periods [i - w, j) of x, one per row: the last n % w samples
@@ -425,53 +425,52 @@ def window_chunks(
 
     built = slab_weights(slabs[0]) if len(slabs) == 1 else None
 
-    @np.errstate(over="ignore", invalid="ignore")
-    def sums(chunks: list) -> list:
-        """The outputs of the windows ending in each chunk [i, j), one
-        period per row (one row for the last n % w)."""
-        outs = [
-            np.empty((-(-(j - i) // w), w)) if out is None or j > whole
-            else out[i:j].reshape(-1, w)
-            for i, j in chunks
-        ]
-        totals = [None] * len(chunks)
-        for slab in slabs:
+    def sums(chunks: list) -> Iterator[np.ndarray]:
+        """The outputs of the windows ending in each chunk [i, j), each
+        handed on once the last slab has passed over it."""
+        outs, totals = [None] * len(chunks), [None] * len(chunks)
+        for s, slab in enumerate(slabs):
             weights = built or slab_weights(slab)
-            for c, span in enumerate(chunks):
-                # each slab reads each chunk of the group again
-                periods, rows = read(*span), outs[c]
-                # done[i, s]: sum over the phases before the block of source s
-                # times x in period i; rest[i, s]: the same over the block and
-                # the phases after
-                if totals[c] is None:
-                    totals[c] = (np.zeros((len(periods), m)), periods @ sources.T)
-                done, rest = totals[c]
-                operand = np.empty((len(rows), width))
-                for (p0, p1), weight in zip(slab, weights):
-                    b = p1 - p0
-                    xb = periods[:, p0:p1]
-                    a = operand[:, : 2 * (b + m)]
-                    a[:, :b] = xb[1:]
-                    a[:, b : 2 * b] = xb[:-1]
-                    a[:, 2 * b : 2 * b + m] = done[1:]
-                    a[:, 2 * b + m :] = rest[:-1]
-                    np.matmul(a, weight, out=rows[:, p0:p1])
-                    step = xb @ sources[:, p0:p1].T
-                    done += step
-                    rest -= step
-        return outs
+            for c, (i, j) in enumerate(chunks):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    # each slab reads each chunk of the group again
+                    periods = read(i, j)
+                    if outs[c] is None:
+                        # one period per row (one row for the last n % w);
+                        # done[i, s]: sum over the phases before the block of
+                        # source s times x in period i; rest[i, s]: the same
+                        # over the block and the phases after
+                        outs[c] = (np.empty((-(-(j - i) // w), w)) if out is None or j > whole
+                                   else out[i:j].reshape(-1, w))
+                        totals[c] = (np.zeros((len(periods), m)), periods @ sources.T)
+                    rows, (done, rest) = outs[c], totals[c]
+                    operand = np.empty((len(rows), width))
+                    for (p0, p1), weight in zip(slab, weights):
+                        b = p1 - p0
+                        xb = periods[:, p0:p1]
+                        a = operand[:, : 2 * (b + m)]
+                        a[:, :b] = xb[1:]
+                        a[:, b : 2 * b] = xb[:-1]
+                        a[:, 2 * b : 2 * b + m] = done[1:]
+                        a[:, 2 * b + m :] = rest[:-1]
+                        np.matmul(a, weight, out=rows[:, p0:p1])
+                        step = xb @ sources[:, p0:p1].T
+                        done += step
+                        rest -= step
+                del periods, xb, operand, a, step, done, rest
+                if s == len(slabs) - 1:
+                    outs[c] = totals[c] = None
+                    chunk = rows.reshape(-1)[: j - i]
+                    if out is not None and j > whole:
+                        out[i:j] = chunk
+                    del rows
+                    yield chunk
+                    del chunk
 
     yield warm
     del warm
     for g in range(0, len(spans), group):
-        chunks = spans[g : g + group]
-        outs = sums(chunks)
-        for (i, j), rows in zip(chunks, outs):
-            chunk = rows.reshape(-1)[: j - i]
-            if out is not None and j > whole:
-                out[i:j] = chunk
-            yield chunk
-        del outs, rows, chunk
+        yield from sums(spans[g : g + group])
 
 
 def window_sums(
@@ -488,27 +487,30 @@ def window_sums(
     return out
 
 
-def phase_picks(grid: TimeGrid, f_m: float, phase: float) -> tuple[int, int, TimeGrid]:
-    """The down-sampler's rule on grid: one sample per modulation period
-    (`whole_period`), the one nearest the requested modulation phase, which
-    must be finite.  Returns the first pick k0, the stride and the grid of
-    the picks k0, k0 + stride, ..., whose dt is 1/f_m."""
+def downsample_at_phase(signal, f_m: float, phase: float) -> SampledSignal:
+    """Keep one sample per modulation period (`whole_period`): the one
+    nearest the requested modulation phase, which must be finite.  The
+    output grid has dt = 1/f_m.
+
+    `signal` is a SampledSignal, or a pair (grid, chunks) of a TimeGrid and
+    the signal's values as consecutive arrays that each start at a whole
+    period, as `window_chunks` hands them on.  The picks are copied out of
+    each chunk before the next is taken, so a stream of chunks is never
+    held whole."""
+    grid, chunks = (signal.grid, [signal.values]) if isinstance(signal, SampledSignal) else signal
     if not np.isfinite(phase):
         raise PreconditionError(f"down-sample phase must be finite, got {phase}")
     spp = whole_period(grid, f_m).n
     # index (mod spp) whose modulation phase 2*pi*f_m*t is closest to `phase`
     frac = (phase / (2.0 * np.pi) - f_m * grid.t0) % 1.0
     k0 = int(round(frac * spp)) % spp
-    picks = len(range(k0, grid.n, spp))
-    return k0, spp, TimeGrid(dt=1.0 / f_m, n=picks, t0=grid.t0 + k0 * grid.dt)
-
-
-def downsample_at_phase(signal: SampledSignal, f_m: float, phase: float) -> SampledSignal:
-    """Keep one sample per modulation period, by the rule of `phase_picks`:
-    the one nearest the requested modulation phase.  The output grid has
-    dt = 1/f_m."""
-    k0, spp, grid = phase_picks(signal.grid, f_m, phase)
-    return SampledSignal(grid, signal.values[k0::spp])
+    picks = []
+    for chunk in chunks:
+        picks.append(chunk[k0::spp].copy())
+        del chunk  # not held while the next one is made
+    values = np.concatenate(picks)
+    out_grid = TimeGrid(dt=1.0 / f_m, n=len(values), t0=grid.t0 + k0 * grid.dt)
+    return SampledSignal(out_grid, frozen(values))
 
 
 class _Repeating:
@@ -538,9 +540,10 @@ class _Chunked:
     the next range of the same length; so a range is valid until the next
     read, and a range may not start before the chunk of the last read.  The
     reader holds one chunk at a time, and lets go of it before it takes the
-    next one.  The buffer is kept because a fresh one per copied range let
-    the heap grow and shrink with every chunk: a loop of 1.5 M-sample runs
-    then touched ~5 700 new pages per run, and ran ~35 % slower.
+    next one.  The buffer is kept, as `sim._Deviation` keeps its own,
+    because a fresh one per copied range lets the heap grow and shrink with
+    every chunk: a loop of 1.5 M-sample runs that read their output that way
+    touched ~5 700 new pages per run, and ran ~35 % slower.
     """
 
     def __init__(self, n: int, chunks: Iterator[np.ndarray]):

@@ -30,12 +30,13 @@ from .signals import (
     _Chunked,
     _periodic,
     _Repeating,
+    downsample_at_phase,
     frozen,
     integer_ratio,
     period_grid,
-    phase_picks,
     synth,
     tile,
+    whole_period,
     write_outputs,
 )
 
@@ -150,13 +151,14 @@ class SimResult:
     modulation share, so it is kept as that one period, `modulated_period`
     (the whole run when it has no shorter one).  Every full-rate stack is
     read from `config` each time it is read, with the bits of the run:
-    `modulated` tiles the period over `config.grid`, `noise` is `gen_noise`
-    of the config's noise spec, drawn again, `modulated_noisy` is
-    `gen_noise` of the spec and the period, the reader the lock-in read run
-    over the whole grid, and `restored_full` runs the lock-in again on that
-    reader, on the channel in `metrics`.  So when the shared period is
-    shorter than the run, a result holds no full-length array.  A result
-    holds arrays, so `==` compares identity, as for `SampledSignal`.
+    `modulated` tiles the period over `config.grid`, `noise` reads the
+    whole grid from `gen_noise` of the config's noise spec, drawn again,
+    `modulated_noisy` from `gen_noise` of the spec and the period, the
+    reader the lock-in read, and `restored_full` runs the lock-in again on
+    that reader, on the channel in `metrics`, on each read.  So when the
+    shared period is shorter than the run, a result holds no full-length
+    array.  A result holds arrays, so `==` compares identity, as for
+    `SampledSignal`.
     """
 
     config: SimConfig
@@ -174,11 +176,14 @@ class SimResult:
 
     @property
     def noise(self) -> SampledSignal:
-        return gen_noise(self.config.noise, self.config.grid)
+        grid = self.config.grid
+        return SampledSignal(grid, frozen(gen_noise(self.config.noise, grid)[:]))
 
     @property
     def modulated_noisy(self) -> SampledSignal:
-        return gen_noise(self.config.noise, self.config.grid, self.modulated_period)
+        grid = self.config.grid
+        noisy = gen_noise(self.config.noise, grid, self.modulated_period)
+        return SampledSignal(grid, frozen(noisy[:]))
 
     @property
     def restored_full(self) -> SampledSignal:
@@ -189,7 +194,7 @@ class SimResult:
         on the channel the run chose."""
         cfg = self.config
         m, r = _series(cfg)
-        noisy = _NoisySum(cfg.noise, cfg.grid, self.modulated_period)
+        noisy = gen_noise(cfg.noise, cfg.grid, self.modulated_period)
         return lockin(cfg.grid, noisy, m, r, self.metrics["channel"], compensate=True)
 
 
@@ -211,10 +216,11 @@ def _first_samples_at_or_after(grid: TimeGrid, times: np.ndarray) -> np.ndarray:
         k += early.astype(np.int64) - late
 
 
-def gen_noise(spec: NoiseSpec, grid: TimeGrid, *periods: SampledSignal) -> SampledSignal:
+def gen_noise(spec: NoiseSpec, grid: TimeGrid, *periods: SampledSignal) -> _NoisySum:
     """The disturbance on a grid plus the periods passed in, seeded and
-    reproducible: `_NoisySum` read over the whole grid into one signal."""
-    return SampledSignal(grid, frozen(_NoisySum(spec, grid, *periods)[:]))
+    reproducible, as the `_NoisySum` reader by sample range: `[:]` is its
+    values over the whole grid."""
+    return _NoisySum(spec, grid, *periods)
 
 
 class _NoisySum:
@@ -233,10 +239,10 @@ class _NoisySum:
     so a range holds the bits of the noise plus the tiled periods over the
     whole grid), and refuses a sum past the float range.  None noise is
     the level 0.0, not an empty fill, so that a period holding -0.0 reads
-    0.0 + -0.0 = 0.0 there.  `gen_noise` is the reader over [0, n); the
-    lock-in reads the run's noisy sum one chunk at a time and `report`
-    writes the noise and the noisy sum 4 096 rows at a time, so neither
-    exists at full length.
+    0.0 + -0.0 = 0.0 there.  `gen_noise` makes the reader; the lock-in
+    reads the run's noisy sum one chunk at a time and `report` writes the
+    noise and the noisy sum 4 096 rows at a time, so neither exists at full
+    length.
     """
 
     def __init__(self, spec: NoiseSpec, grid: TimeGrid, *periods: SampledSignal):
@@ -325,38 +331,62 @@ def measured_signal(cfg: SimConfig, grid: TimeGrid) -> SampledSignal:
     return synth(HarmonicSeries(abs(f), 0.0, [0.0], [amp]), grid)
 
 
-def _rms_after(cfg: SimConfig, grid: TimeGrid, restored, start: int) -> float:
-    """RMS of the restored signal on grid minus the measured waveform, over
-    the samples from index `start` on.
+class _Deviation:
+    """The RMS of the restored signal on grid less the measured waveform,
+    over the samples from index `start` on, taken from the signal's
+    consecutive chunks, from sample 0 on, as `add` is given them: so the
+    signal never needs to exist at full length.
 
-    `restored` is read by sample range, in order, one block at a time, and
-    each block has the waveform subtracted from it in place: so it is a
-    reader that hands out each range once, such as `signals._Chunked`, and
-    no full-length array is added to a long run's peak memory.  When the
-    waveform's `period_grid` holds at most _BLOCK_SAMPLES samples, a block
-    is a whole number of periods and the one period at the first block's
-    start serves them all, laid over each block by `_periodic`, as `synth`
-    would have tiled it; otherwise each block is evaluated on its own slice
-    of the grid.  An error past the float range gives inf, which
-    run_simulation refuses.
+    The samples are summed in blocks from `start`, each with the waveform
+    subtracted from it in place.  A block that lies in one chunk is a view
+    of it, so `add` changes the chunk it is given; one that crosses a chunk
+    edge is copied into a buffer kept for the next such block, as
+    `signals._Chunked` keeps its own.  When the waveform's `period_grid`
+    holds at most _BLOCK_SAMPLES samples, a block is a whole number of
+    periods and the one period at the first block's start serves them all,
+    laid over each block by `_periodic`, as `synth` would have tiled it;
+    otherwise each block is evaluated on its own slice of the grid, and not
+    kept.  An error past the float range gives inf, which run_simulation
+    refuses.
     """
-    spp = period_grid(grid, cfg.signal_freq).n
-    tiled = spp <= _BLOCK_SAMPLES
-    size = spp * (_BLOCK_SAMPLES // spp) if tiled else _BLOCK_SAMPLES
-    wave = None
-    total = 0.0
-    for i in range(start, grid.n, size):
-        k = min(size, grid.n - i)
-        # the block is read first, so that its waveform is not held while a
-        # reader like `_Chunked` computes it
-        block = restored[i : i + k]
-        if wave is None or not tiled:
-            wave = None  # the last block's waveform goes before this one is made
-            wave_grid = TimeGrid(grid.dt, min(k, spp) if tiled else k, grid.t0 + i * grid.dt)
-            wave = measured_signal(cfg, wave_grid).values
-        total += _squared_deviation(block, wave)
-        del block  # nor this block while it computes the next
-    return math.sqrt(total / (grid.n - start))
+
+    def __init__(self, cfg: SimConfig, grid: TimeGrid, start: int):
+        self.cfg, self.grid, self.start = cfg, grid, start
+        self.spp = period_grid(grid, cfg.signal_freq).n
+        self.tiled = self.spp <= _BLOCK_SAMPLES
+        self.size = self.spp * (_BLOCK_SAMPLES // self.spp) if self.tiled else _BLOCK_SAMPLES
+        self.at = 0  # the samples given so far
+        self.first = start  # the block being summed starts here
+        self.spare, self.wave, self.total = np.empty(0), None, 0.0
+
+    def add(self, chunk: np.ndarray) -> None:
+        i, self.at = self.at, self.at + len(chunk)  # chunk holds samples [i, at)
+        while self.first < self.at:
+            stop = min(self.first + self.size, self.grid.n)
+            lo, hi = max(self.first, i), min(stop, self.at)
+            if lo == self.first and hi == stop:
+                block = chunk[lo - i : hi - i]
+            else:
+                if lo == self.first and len(self.spare) != stop - lo:
+                    self.spare = None  # not held while the new one is made
+                    self.spare = np.empty(stop - lo)
+                self.spare[lo - self.first : hi - self.first] = chunk[lo - i : hi - i]
+                if hi < stop:
+                    return
+                block = self.spare
+            wave = self.wave
+            if wave is None:
+                k = min(len(block), self.spp) if self.tiled else len(block)
+                grid = TimeGrid(self.grid.dt, k, self.grid.t0 + self.first * self.grid.dt)
+                wave = measured_signal(self.cfg, grid).values
+                if self.tiled:
+                    self.wave = wave
+            self.total += _squared_deviation(block, wave)
+            self.first = stop
+
+    @property
+    def rms(self) -> float:
+        return math.sqrt(self.total / (self.grid.n - self.start))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -388,8 +418,8 @@ def run_simulation(cfg: SimConfig) -> SimResult:
 
     The lock-in output is taken one chunk at a time, as `window_chunks`
     hands it on: each chunk is checked finite, gives its down-sample picks
-    and its samples of the full-rate error, and is let go, so the output is
-    never whole.  `SimResult.restored_full` computes it again.
+    and then its samples of the full-rate error, and is let go, so the
+    output is never whole.  `SimResult.restored_full` computes it again.
     """
     grid = cfg.grid
     m_series, r = _series(cfg)
@@ -399,7 +429,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     # noise and the period added to it
     common = period_grid(grid, cfg.signal_freq, cfg.f_m)
     period = modulate(measured_signal(cfg, common), m_series)
-    noisy = _NoisySum(cfg.noise, grid, period)
+    noisy = gen_noise(cfg.noise, grid, period)
 
     gains = {c: channel_gain(m_series, r, c)[0] for c in CHANNELS}
     channel = "even" if abs(gains["even"]) >= abs(gains["odd"]) else "odd"
@@ -409,22 +439,29 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     # period: the lock-in's window, so its warm-up, the width of a window
     # that a step contaminates and the stride of the picks
     out_grid, chunks = _lockin_chunks(grid, noisy, m_series, r, channel, compensate=True)
-    k0, spp, down_grid = phase_picks(out_grid, cfg.f_m, cfg.downsample_phase)
-    picks = []
+    spp = whole_period(grid, cfg.f_m).n
+    # full-rate error, warm-up excluded (noise spikes stay in: they are the output)
+    deviation = _Deviation(cfg, out_grid, spp)
 
-    def checked(chunk: np.ndarray) -> np.ndarray:
-        if not np.all(np.isfinite(chunk)):
-            raise PreconditionError("signal values must all be finite")
-        picks.append(chunk[k0::spp].copy())  # every chunk starts at a whole period
-        return chunk
+    def checked():
+        at = 0
+        for chunk in chunks:
+            if not np.all(np.isfinite(chunk)):
+                raise PreconditionError("signal values must all be finite")
+            at += len(chunk)
+            if at == grid.n:
+                # the last chunk: run the kernel to its end, so that it lets go
+                # of its weights before the chunk is summed
+                next(chunks, None)
+            yield chunk  # the down-sampler copies its picks out first,
+            deviation.add(chunk)  # as this subtracts the waveform in place
+            del chunk  # not held while the next one is made
 
-    # full-rate error, warm-up excluded (noise spikes stay in: they are the
-    # output); it reads the output to its end, so every chunk is checked
-    # and has given its picks
-    rms_full = _rms_after(cfg, out_grid, _Chunked(grid.n, map(checked, chunks)), spp)
-    down = SampledSignal(down_grid, frozen(np.concatenate(picks)))
+    down = downsample_at_phase((out_grid, checked()), cfg.f_m, cfg.downsample_phase)
+    rms_full = deviation.rms
 
     # downsampled error: also exclude windows that contain a noise step
+    k0 = int(round((down.grid.t0 - out_grid.t0) / cfg.dt))
     ds_idx = k0 + np.arange(down.grid.n) * spp
     spiked = _step_in_window(noisy.steps, spp, ds_idx)
     good = (ds_idx >= spp) & ~spiked
@@ -486,9 +523,9 @@ def report(result: SimResult, out_dir) -> dict:
     restored_grid, chunks = result._restored(_lockin_chunks)
     files = write_outputs(
         {
-            "noise.csv": (grid, _NoisySum(cfg.noise, grid)),
+            "noise.csv": (grid, gen_noise(cfg.noise, grid)),
             "modulated.csv": (grid, _Repeating(result.modulated_period.values, grid.n)),
-            "modulated_noisy.csv": (grid, _NoisySum(cfg.noise, grid, result.modulated_period)),
+            "modulated_noisy.csv": (grid, gen_noise(cfg.noise, grid, result.modulated_period)),
             "restored.csv": (restored_grid, _Chunked(grid.n, chunks)),
             "restored_downsampled.csv": result.restored_downsampled,
             "metrics.json": result.metrics,

@@ -229,8 +229,8 @@ def test_sim_result_holds_only_what_is_read():
     # holds a full-length array.  The run's inputs are held as the config it
     # ran, whose `grid` every property reads: the modulated trace as its one
     # shared period, tiled when read, the noise and the noisy sum drawn from
-    # the config's spec when read, by gen_noise, and the lock-in output run
-    # again on the noisy sum when read.  The warm-up is read from the
+    # the config's spec when read, from gen_noise's reader, and the lock-in
+    # output run again on the noisy sum when read.  The warm-up is read from the
     # metrics, not held twice
     assert [f.name for f in dataclasses.fields(rotolock.SimResult)] == [
         "config", "modulated_period", "restored_downsampled", "metrics",
@@ -239,7 +239,7 @@ def test_sim_result_holds_only_what_is_read():
         assert isinstance(inspect.getattr_static(rotolock.SimResult, name), property), name
     assert isinstance(inspect.getattr_static(rotolock.SimConfig, "grid"), property)
     assert not hasattr(rotolock.SimResult, "_grid")
-    assert inspect.signature(rotolock.gen_noise).return_annotation == "SampledSignal"
+    assert inspect.signature(rotolock.gen_noise).return_annotation == "_NoisySum"
     res = rotolock.run_simulation(rotolock.SimConfig())
     assert res.warmup == res.metrics["warmup_samples"] == 200
 
@@ -298,10 +298,6 @@ KEEP = {
     "harmonic_outputs": "criterion 7: per-harmonic quadrature outputs",
     "demodulate": "criterion 7: `harmonic_outputs` demodulates each usable channel with it",
     "SimResult": "the result type of run_simulation, which report takes",
-    "downsample_at_phase": "the down-sampler of a whole signal; run_simulation picks from "
-                           "the lock-in's chunks by its rule, signals.phase_picks",
-    "gen_noise": "the noise reader over a whole grid, as one signal: SimResult.noise and "
-                 "SimResult.modulated_noisy return it; report writes from the reader",
 }
 
 

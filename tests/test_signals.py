@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -448,9 +449,13 @@ class TestWindowSums:
             (2 * _BLOCK_SAMPLES + 5 * SPP + 37, SPP, 4, None),
             # w not a multiple of _PHASE_BLOCK, every output
             (6 * 77 + 40, 77, 2, range(6 * 77 + 40)),
-            # two slabs of phase blocks: every phase of one period, and the tail
+            # 35 phase blocks, whose weights fit _WEIGHT_FLOATS: every phase of
+            # one period, and the tail
             (4 * 1100 + 123, 1100, 2, list(range(2 * 1100, 3 * 1100)) + [4 * 1100 + 122]),
             (3 * 1500 + 9, 1500, 3, list(range(0, 3 * 1500 + 9, 7))),
+            # ten slabs of phase blocks, whose weights do not: phases across
+            # every slab edge of one period, and the tail
+            (3 * 8000 + 123, 8000, 2, list(range(2 * 8000, 3 * 8000, 97)) + [3 * 8000 + 122]),
         ],
     )
     def test_plain_sources_match_exact_sums(self, n, w, n_plain, outputs):
@@ -523,15 +528,21 @@ class TestWindowSums:
 
     def test_weights_past_the_budget_give_the_bits_of_one_slab(self, monkeypatch):
         # a period whose block weights do not fit _WEIGHT_FLOATS builds them
-        # slab by slab for each group of chunks: eleven chunks make two groups
-        # here.  The sums are those of one slab of every block, built once
+        # slab by slab for each group of chunks: the array form, which holds
+        # every output anyway, takes its eleven chunks as one group and
+        # builds each block's weights once, and the stream takes them in two
+        # groups.  The sums are those of one slab of every block, built once
         n, w = 11 * (_BLOCK_SAMPLES // 8000) * 8000 + 8000 + 123, 8000
         rng = np.random.default_rng(6)
         x, trapezoid = rng.normal(size=n), rng.normal(size=w)
         plain = tuple(tuple(rng.normal(size=w) for _ in range(3)) for _ in range(2))
         assert (w // _PHASE_BLOCK) * 2 * (_PHASE_BLOCK + 5) * _PHASE_BLOCK > _WEIGHT_FLOATS
+        tril, trils = np.tril, []  # two per block's weights
+        monkeypatch.setattr(np, "tril", lambda *a: trils.append(1) or tril(*a))
         grouped = window_sums(x, trapezoid, plain)
+        assert len(trils) == 2 * (w // _PHASE_BLOCK)
         chunks = np.concatenate(list(window_chunks(x, trapezoid, plain)))
+        assert len(trils) == 2 * 3 * (w // _PHASE_BLOCK)
         monkeypatch.setattr(rotolock.signals, "_WEIGHT_FLOATS", 2**40)
         one_slab = window_sums(x, trapezoid, plain).tobytes()
         assert grouped.tobytes() == chunks.tobytes() == one_slab
@@ -595,6 +606,29 @@ class TestDownsampleAtPhase:
         series = stock_modulation_series()
         out = downsample_at_phase(synth(series, default_grid(10)), F_M, phase=1.234)
         assert np.max(out.values) - np.min(out.values) < 1e-9
+
+    @pytest.mark.parametrize("phase", [0.0, 1.234, -2.5])
+    def test_chunks_give_the_bits_of_the_whole_signal(self, phase):
+        # a (grid, chunks) pair of whole periods, the last one cut short, is
+        # picked as the signal it makes; each chunk is let go before the next
+        # is made, as the picks are copied out of it
+        grid = TimeGrid(dt=DT, n=7 * SPP + 37, t0=-0.3 * DT)
+        values = np.random.default_rng(4).standard_normal(grid.n)
+        edges = [0, SPP, 4 * SPP, 5 * SPP, 7 * SPP, grid.n]
+        alive = []
+
+        def chunks():
+            for i, j in zip(edges, edges[1:]):
+                assert not any(ref() is not None for ref in alive)
+                chunk = values[i:j].copy()
+                alive.append(weakref.ref(chunk))
+                yield chunk
+                del chunk
+
+        out = downsample_at_phase((grid, chunks()), F_M, phase)
+        whole = downsample_at_phase(SampledSignal(grid, values), F_M, phase)
+        assert out.grid == whole.grid and len(alive) == len(edges) - 1
+        assert out.values.tobytes() == whole.values.tobytes()
 
     @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
     def test_non_finite_phase_rejected(self, phase):
