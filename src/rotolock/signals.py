@@ -21,8 +21,8 @@ from .errors import PreconditionError
 # relative tolerance used when a ratio (a period over dt) must be an integer
 _RATIO_TOL = 1e-9
 
-# rows formatted and written per chunk by write_csv (see its docstring), and
-# rows it reads from the signal at a time (32 KiB of values)
+# rows formatted and written at a time by write_csv (see its docstring), and
+# rows of a reader by range that `_ranges` hands it at a time (32 KiB of values)
 _CSV_CHUNK = 256
 _CSV_READ = 16 * _CSV_CHUNK
 
@@ -531,96 +531,53 @@ class _Repeating:
         return values
 
 
-class _Chunked:
-    """n samples that come as consecutive chunks (like `window_chunks`'
-    output), read by sample range in order.
-
-    `[i:j]` is a view of the chunk that holds the whole range, or else the
-    range copied across chunk edges into a buffer that the reader keeps for
-    the next range of the same length; so a range is valid until the next
-    read, and a range may not start before the chunk of the last read.  The
-    reader holds one chunk at a time, and lets go of it before it takes the
-    next one.  The buffer is kept, as `sim._Deviation` keeps its own,
-    because a fresh one per copied range lets the heap grow and shrink with
-    every chunk: a loop of 1.5 M-sample runs that read their output that way
-    touched ~5 700 new pages per run, and ran ~35 % slower.
-    """
-
-    def __init__(self, n: int, chunks: Iterator[np.ndarray]):
-        self.n, self.chunks = n, chunks
-        self.at, self.chunk = 0, np.empty(0)
-        self.spare = np.empty(0)
-
-    def __len__(self) -> int:
-        return self.n
-
-    def _next(self) -> None:
-        self.at += len(self.chunk)
-        self.chunk = None  # not held while the next one is made
-        self.chunk = next(self.chunks)
-        if self.at + len(self.chunk) == self.n:
-            # the last chunk: run the source to its end, so that a generator
-            # lets go of what it holds before the chunk is read
-            next(self.chunks, None)
-
-    def __getitem__(self, s: slice) -> np.ndarray:
-        i, j, _ = s.indices(self.n)
-        if i < self.at:
-            raise ValueError(f"samples from {i} on were read past, at {self.at}")
-        while i >= self.at + len(self.chunk) and i < j:
-            self._next()
-        if j <= self.at + len(self.chunk):
-            return self.chunk[i - self.at : j - self.at]
-        if len(self.spare) != j - i:
-            self.spare = None  # not held while the new one is made
-            self.spare = np.empty(j - i)
-        values = self.spare
-        k = i
-        while k < j:
-            if k == self.at + len(self.chunk):
-                self._next()
-            stop = min(j, self.at + len(self.chunk))
-            values[k - i : stop - i] = self.chunk[k - self.at : stop - self.at]
-            k = stop
-        return values
+def _ranges(reader) -> Iterator[np.ndarray]:
+    """A reader by sample range, such as the simulator's noise reader or a
+    `_Repeating` period, as the consecutive chunks `write_csv` takes:
+    reader[i : i + _CSV_READ] over its len, each read as the last is let
+    go, so the signal never needs to exist at full length."""
+    for i in range(0, len(reader), _CSV_READ):
+        yield reader[i : i + _CSV_READ]
 
 
 def write_csv(signal, path) -> None:
     """Write a signal as `t,value` CSV with full float precision.
 
-    `signal` is a pair (grid, reader) of a TimeGrid and the signal's values
-    read by sample range, reader[i:j] for consecutive ranges of _CSV_READ
-    (4096) rows in order: an array, or a reader such as `_Chunked` or the
-    simulator's noise reader, so that the signal never needs to exist at
-    full length.  A SampledSignal is read as (its grid, its values).
+    `signal` is a SampledSignal, read as (its grid, [its values]), or a pair
+    (grid, chunks) of a TimeGrid and the signal's values as consecutive
+    arrays, the form `downsample_at_phase` takes: the chunks of
+    `window_chunks`, or a reader's ranges by `_ranges`.  Each chunk is let
+    go before the next is taken, so a stream of chunks is never held whole.
 
     Each row is `%.17g,%.17g`, so every float reads back exactly.  Rows are
-    formatted _CSV_CHUNK (256) at a time: the chunk's times and values are
-    interleaved into one list and formatted by one `%` over a repeated row
-    format, then written with one call.  That is the same text as one
-    f-string and one write per row, in 30-45 % less time; the per-value
-    `%.17g` is the floor.  The chunk is fixed, not an option: between 64 and
-    2048 rows the speed barely changes, while the writer's memory (times,
-    lists and text of one chunk, ~40 KiB at 256 rows) grows with it, and a
-    chunk that swallows a whole file would raise the peak memory of a run.
+    formatted _CSV_CHUNK (256) at a time, their times taken from a running
+    offset into the grid: their times and values are interleaved into one
+    list and formatted by one `%` over a repeated row format, then written
+    with one call.  That is the same text as one f-string and one write per
+    row, in 30-45 % less time; the per-value `%.17g` is the floor.  The 256
+    rows are fixed, not an option: between 64 and 2048 rows the speed barely
+    changes, while the writer's memory (times, lists and text of 256 rows,
+    ~40 KiB) grows with them, and formatting a whole file at once would
+    raise the peak memory of a run.
     """
-    grid, values = (signal.grid, signal.values) if isinstance(signal, SampledSignal) else signal
+    grid, chunks = (signal.grid, [signal.values]) if isinstance(signal, SampledSignal) else signal
     with open(path, "w", newline="") as fh:
         fh.write("t,value\n")
-        for first in range(0, grid.n, _CSV_READ):
-            # one read per _CSV_READ rows: a reader's range costs tens of us
-            block = values[first : min(first + _CSV_READ, grid.n)]
-            for start in range(first, first + len(block), _CSV_CHUNK):
-                stop = min(start + _CSV_CHUNK, grid.n)
-                rows = [0.0] * (2 * (stop - start))
-                rows[0::2] = grid.times(start, stop).tolist()
-                rows[1::2] = block[start - first : stop - first].tolist()
-                fh.write(("%.17g,%.17g\n" * (stop - start)) % tuple(rows))
+        first = 0  # the grid index of the chunk's first row
+        for chunk in chunks:
+            for start in range(0, len(chunk), _CSV_CHUNK):
+                k = min(_CSV_CHUNK, len(chunk) - start)
+                rows = [0.0] * (2 * k)
+                rows[0::2] = grid.times(first + start, first + start + k).tolist()
+                rows[1::2] = chunk[start : start + k].tolist()
+                fh.write(("%.17g,%.17g\n" * k) % tuple(rows))
+            first += len(chunk)
+            del chunk  # not held while the next one is made
 
 
 def write_outputs(files: dict, out) -> list[str]:
     """Make the directory `out` and write each entry name -> value of `files`
-    in it, in order: a SampledSignal or a (grid, reader) pair through
+    in it, in order: a SampledSignal or a (grid, chunks) pair through
     `write_csv`, any other value through `config.write_json`.  Returns the
     paths written, as strings.
 

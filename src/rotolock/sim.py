@@ -27,8 +27,8 @@ from .signals import (
     HarmonicSeries,
     SampledSignal,
     TimeGrid,
-    _Chunked,
     _periodic,
+    _ranges,
     _Repeating,
     downsample_at_phase,
     frozen,
@@ -119,15 +119,18 @@ class SimConfig(Config):
                 f"step noise rate must not exceed the sample rate 1/dt = {1.0 / self.dt:g}, "
                 f"got {self.noise.rate_or_freq:g}"
             )
-        # a run's arrays hold n_samples entries, except synth's one-period table
-        # of min(n_samples, spp) x harmonics; by the rule above the expected
+        # a run's largest arrays: a full-length one of n_samples entries (the
+        # SimResult properties, and a run whose sine shares no period with the
+        # modulation or whose sine noise has no whole period); synth's
+        # one-period table of min(n_samples, spp) x harmonics; and the slope
+        # estimate's Gram stack of 4 x 4 per phase of the lock-in's one-period
+        # window (lockin._slope_coefficients).  By the rule above the expected
         # step count rate_or_freq*duration is at most n_samples, so the first
         # bound also caps gen_noise's draws
+        window = min(self.n_samples, self.samples_per_period)
         check_size("duration/dt", self.n_samples)
-        check_size(
-            "min(duration/dt, 1/(f_m*dt)) * harmonics",
-            min(self.n_samples, self.samples_per_period) * self.modulation.n_harmonics,
-        )
+        check_size("min(duration/dt, 1/(f_m*dt)) * harmonics", window * self.modulation.n_harmonics)
+        check_size("16 * min(duration/dt, 1/(f_m*dt))", 16 * window)
 
     @property
     def samples_per_period(self) -> int:
@@ -340,14 +343,14 @@ class _Deviation:
     The samples are summed in blocks from `start`, each with the waveform
     subtracted from it in place.  A block that lies in one chunk is a view
     of it, so `add` changes the chunk it is given; one that crosses a chunk
-    edge is copied into a buffer kept for the next such block, as
-    `signals._Chunked` keeps its own.  When the waveform's `period_grid`
-    holds at most _BLOCK_SAMPLES samples, a block is a whole number of
-    periods and the one period at the first block's start serves them all,
-    laid over each block by `_periodic`, as `synth` would have tiled it;
-    otherwise each block is evaluated on its own slice of the grid, and not
-    kept.  An error past the float range gives inf, which run_simulation
-    refuses.
+    edge is copied into a buffer kept for the next such block, as a fresh
+    one per block would let the heap grow and shrink with every chunk.
+    When the waveform's `period_grid` holds at most _BLOCK_SAMPLES samples,
+    a block is a whole number of periods and the one period at the first
+    block's start serves them all, laid over each block by `_periodic`, as
+    `synth` would have tiled it; otherwise each block is evaluated on its
+    own slice of the grid, and not kept.  An error past the float range
+    gives inf, which run_simulation refuses.
     """
 
     def __init__(self, cfg: SimConfig, grid: TimeGrid, start: int):
@@ -511,22 +514,23 @@ def report(result: SimResult, out_dir) -> dict:
 
     Emits noise.csv, modulated.csv, modulated_noisy.csv, restored.csv,
     restored_downsampled.csv and metrics.json; returns a summary with the
-    file paths and metric values.  Each full-rate stack is written from a
-    reader by sample range, with the bits of the `SimResult` property of
-    the same name, so none exists at full length: the noise and the noisy
-    sum from the noise reader, the modulated trace as its period laid over
-    each range (not through the noise reader, whose 0.0 level would turn a
-    -0.0 in the period into 0.0), and the restored signal as the chunks of
-    the lock-in, run again.
+    file paths and metric values.  Each full-rate stack is handed to the
+    writer as consecutive chunks, with the bits of the `SimResult` property
+    of the same name, so none exists at full length: the noise and the
+    noisy sum as ranges of the noise reader, the modulated trace as ranges
+    of its period laid out (not through the noise reader, whose 0.0 level
+    would turn a -0.0 in the period into 0.0), both by `signals._ranges`,
+    and the restored signal as the chunks of the lock-in, run again, as
+    they come.
     """
-    cfg, grid = result.config, result.config.grid
+    cfg, grid, period = result.config, result.config.grid, result.modulated_period
     restored_grid, chunks = result._restored(_lockin_chunks)
     files = write_outputs(
         {
-            "noise.csv": (grid, gen_noise(cfg.noise, grid)),
-            "modulated.csv": (grid, _Repeating(result.modulated_period.values, grid.n)),
-            "modulated_noisy.csv": (grid, gen_noise(cfg.noise, grid, result.modulated_period)),
-            "restored.csv": (restored_grid, _Chunked(grid.n, chunks)),
+            "noise.csv": (grid, _ranges(gen_noise(cfg.noise, grid))),
+            "modulated.csv": (grid, _ranges(_Repeating(period.values, grid.n))),
+            "modulated_noisy.csv": (grid, _ranges(gen_noise(cfg.noise, grid, period))),
+            "restored.csv": (restored_grid, chunks),
             "restored_downsampled.csv": result.restored_downsampled,
             "metrics.json": result.metrics,
         },

@@ -85,6 +85,12 @@ def test_size_limit_refuses_before_allocating():
         SimConfig.from_dict({"duration": 10000.0})
     with pytest.raises(ConfigError, match=r"SimConfig: min\(duration/dt, 1/\(f_m\*dt\)\) \* harmonics"):
         SimConfig.from_dict({"modulation": {"amplitudes": [0.1] * (MAX_ELEMENTS // 200 + 1)}})
+    # a 4 M-sample period passes both bounds above (8 M samples, a 28 M-entry
+    # table), but the lock-in's slope estimate would stack two 4 x 4 Gram
+    # matrices per phase, of 64 M entries each
+    long_period = {"f_m": 0.25, "dt": 1e-6, "duration": 8.0, "signal_freq": 0.1}
+    with pytest.raises(ConfigError, match=r"SimConfig: 16 \* min\(duration/dt, 1/\(f_m\*dt\)\) = 64000000 exceeds the size limit"):
+        SimConfig.from_dict(long_period)
     spp = MAX_ELEMENTS // 14  # default modulation: 7 harmonics over 2 periods
     assert ModwaveConfig.from_dict({"samples_per_period": spp}).samples_per_period == spp
     with pytest.raises(ConfigError, match=r"ModwaveConfig: 2 \* samples_per_period \* harmonics"):

@@ -23,7 +23,6 @@ from rotolock.signals import (
     frozen,
     integer_ratio,
     synth,
-    _Chunked,
     tile,
     window_chunks,
     window_sums,
@@ -548,38 +547,6 @@ class TestWindowSums:
         assert grouped.tobytes() == chunks.tobytes() == one_slab
 
 
-class TestChunked:
-    def test_ranges_read_in_order_are_the_bits_of_the_whole(self):
-        # ranges within a chunk are views of it; a range across chunk edges
-        # is copied; the reader takes the chunks as the ranges reach them
-        rng = np.random.default_rng(8)
-        whole = rng.normal(size=5000)
-        edges = [0, 1, 700, 701, 2000, 4999, 5000]
-        taken = []
-
-        def chunks():
-            for i, j in zip(edges, edges[1:]):
-                taken.append(i)
-                yield whole[i:j].copy()
-
-        reader = _Chunked(len(whole), chunks())
-        start = 0
-        for k in [3, 256, 1, 1000, 700, 256, 2000, 784]:
-            assert reader[start : start + k].tobytes() == whole[start : start + k].tobytes()
-            start += k
-        assert start == len(whole) and taken == edges[:-1]
-        with pytest.raises(ValueError, match="read past"):
-            reader[0:10]
-
-    def test_writes_the_bytes_of_the_whole_signal(self, tmp_path):
-        grid = TimeGrid(dt=DT, n=1000, t0=-0.3 * DT)
-        values = np.random.default_rng(9).standard_normal(grid.n)
-        chunks = (values[i : i + 300].copy() for i in range(0, grid.n, 300))
-        write_csv((grid, _Chunked(grid.n, chunks)), tmp_path / "streamed.csv")
-        write_csv(SampledSignal(grid, values), tmp_path / "whole.csv")
-        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
-
-
 class TestDownsampleAtPhase:
     def test_retains_every_200th_sample_on_default_grid(self):
         grid = default_grid(n_periods=10)
@@ -742,6 +709,35 @@ class TestCsvBytes:
                       res.modulated, res.modulated_noisy, res.restored_full,
                       res.restored_downsampled):
             assert_same_bytes(stack, tmp_path)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            list(range(0, 1000, 300)) + [1000],
+            # a one-sample chunk, and edges off the 256-row grid
+            [0, 1, 700, 701, 2000, 4999, 5000],
+        ],
+        ids=["chunks-of-300", "one-sample-and-off-grid-edges"],
+    )
+    def test_writes_the_bytes_of_the_whole_signal(self, tmp_path, edges):
+        # a (grid, chunks) pair of consecutive arrays is written as the signal
+        # they make, each chunk let go before the next is made
+        grid = TimeGrid(dt=DT, n=edges[-1], t0=-0.3 * DT)
+        values = np.random.default_rng(9).standard_normal(grid.n)
+        alive = []
+
+        def chunks():
+            for i, j in zip(edges, edges[1:]):
+                assert not any(ref() is not None for ref in alive)
+                chunk = values[i:j].copy()
+                alive.append(weakref.ref(chunk))
+                yield chunk
+                del chunk
+
+        write_csv((grid, chunks()), tmp_path / "streamed.csv")
+        write_csv_per_row(SampledSignal(grid, values), tmp_path / "per_row.csv")
+        assert len(alive) == len(edges) - 1
+        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "per_row.csv").read_bytes()
 
     def test_memory_does_not_grow_with_rows(self, tmp_path):
         n = 200_000

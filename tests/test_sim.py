@@ -30,7 +30,6 @@ from rotolock.sim import (
 import rotolock.signals
 from rotolock.signals import (
     _BLOCK_SAMPLES,
-    _CSV_READ,
     HarmonicSeries,
     SampledSignal,
     TimeGrid,
@@ -523,17 +522,17 @@ class TestSimResultArrays:
     def test_peak_does_not_grow(self, monkeypatch, tmp_path, kind, writes):
         # between 0.3 s and 0.6 s the peak grows by less than 1 B per sample
         # (0.04-0.06 measured): the lock-in output is taken one chunk at a
-        # time, and report hands every stack to the writer as a reader by
-        # range.  One full-length float array, such as the lock-in output,
-        # would add 8 B.  The writer reads each stack's ranges as write_csv
+        # time, and report hands every stack to the writer as consecutive
+        # chunks.  One full-length float array, such as the lock-in output,
+        # would add 8 B.  The writer takes each stack's chunks as write_csv
         # does but formats nothing, as formatting under tracemalloc is slow;
         # its own memory is pinned in test_signals
-        def read_ranges(signal, path):
-            grid, values = signal if isinstance(signal, tuple) else (signal.grid, signal.values)
-            for start in range(0, grid.n, _CSV_READ):
-                values[start : start + _CSV_READ]
+        def take_chunks(signal, path):
+            _, chunks = signal if isinstance(signal, tuple) else (signal.grid, [signal.values])
+            for chunk in chunks:
+                del chunk  # not held while the next one is made
 
-        monkeypatch.setattr(rotolock.signals, "write_csv", read_ranges)
+        monkeypatch.setattr(rotolock.signals, "write_csv", take_chunks)
 
         def run(cfg):
             res = run_simulation(cfg)
@@ -601,10 +600,9 @@ class TestSimResultArrays:
         "overrides",
         [{}, {"signal_freq": 37.0}, {"duration": 0.3001}, {"f_m": 250.0, "dt": 1e-6}],
         # 37 Hz has no shared period; 0.3001 s makes three chunks of the
-        # lock-in and a partial last period; at f_m = 250 Hz and dt = 1 us
-        # a period of 4 000 samples spans several slabs of phase blocks, so
-        # the lock-in reads each chunk once per slab
-        ids=["default", "37Hz", "chunks-and-partial-period", "slabs"],
+        # lock-in and a partial last period; at f_m = 250 Hz and dt = 1 us a
+        # period of 4 000 samples, whose block weights still fit one slab
+        ids=["default", "37Hz", "chunks-and-partial-period", "long-period"],
     )
     @pytest.mark.parametrize("kind", ["step", "sine", "none"])
     def test_lockin_reads_the_noisy_sum_by_chunks(self, overrides, kind):
@@ -641,8 +639,12 @@ class TestSimResultArrays:
     @pytest.mark.parametrize(
         "overrides",
         [{}, {"signal_freq": 37.0}, {"duration": 0.3001}, {"f_m": 250.0, "dt": 1e-6},
-         {"signal_freq": 37.0, "duration": 0.3001}],
-        ids=["default", "37Hz", "chunks-and-partial-period", "slabs", "37Hz-chunks"],
+         {"signal_freq": 37.0, "duration": 0.3001},
+         {"f_m": 125.0, "dt": 1e-6, "duration": 0.6001}],
+        # a period of 4 000 samples fits one slab of block weights; one of
+        # 8 000 takes ten slabs, over eleven chunks in two groups
+        ids=["default", "37Hz", "chunks-and-partial-period", "long-period", "37Hz-chunks",
+             "slabs-in-groups"],
     )
     @pytest.mark.parametrize("kind", ["step", "sine"])
     def test_metrics_from_the_chunks_are_those_of_the_whole_output(self, overrides, kind):
@@ -842,14 +844,16 @@ class TestReport:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{"duration": 0.3001}, {"f_m": 250.0, "dt": 1e-6}],
+        [{"duration": 0.3001}, {"f_m": 250.0, "dt": 1e-6},
+         {"f_m": 125.0, "dt": 1e-6, "duration": 0.2001, "noise": NoiseSpec(kind="sine")}],
         # three chunks of the lock-in and a partial last period; a period of
-        # several slabs of phase blocks
-        ids=["chunks-and-partial-period", "slabs"],
+        # 4 000 samples, whose block weights fit one slab; one of 8 000, in
+        # ten slabs over four chunks
+        ids=["chunks-and-partial-period", "long-period", "slabs"],
     )
     def test_streamed_stacks_are_the_bytes_of_the_whole_signals(self, tmp_path, overrides):
-        # report writes each full-rate stack from a reader by range; each file
-        # has the bytes of write_csv of the whole signal
+        # report hands each full-rate stack to the writer as consecutive
+        # chunks; each file has the bytes of write_csv of the whole signal
         cfg = SimConfig(**overrides)
         res = run_simulation(cfg)
         report(res, tmp_path / "streamed")
