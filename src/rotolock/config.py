@@ -25,8 +25,8 @@ from .errors import ConfigError, PreconditionError
 # Largest array, in elements, that a config may ask for: 2**25 (about 33.5 M).
 # A 60 s simulation at the default 2 us step (30 M samples) is still accepted:
 # run_simulation holds no full-length array, and its tracemalloc peak is about
-# 2.1 MiB at 1.5 M samples and grows only with the one pick per period it
-# keeps (7.7 MiB at 60 s).  A finite but absurd run such as duration 10000 s
+# 1.6 MiB at 1.5 M samples and grows only with the one pick per period it
+# keeps (6.6 MiB at 60 s).  A finite but absurd run such as duration 10000 s
 # (5e9 samples) is a config error instead of a failed allocation.
 MAX_ELEMENTS = 2**25
 

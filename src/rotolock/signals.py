@@ -32,8 +32,8 @@ _PHASE_BLOCK = 32
 
 # samples in a cache-sized run (512 KiB of float64): `window_chunks` works
 # through chunks of whole periods of about this size and hands its output on
-# one such chunk at a time, and `sim._Deviation` sums its error in blocks of
-# it, taken from those chunks as they come
+# one such chunk at a time, and `sim._Deviation` keeps the measured sine's
+# period to lay over each chunk when the period holds at most this many
 _BLOCK_SAMPLES = 2**16
 
 # floats (4 MiB) of `window_chunks`' block weights that it builds once per

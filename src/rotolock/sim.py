@@ -340,52 +340,39 @@ class _Deviation:
     consecutive chunks, from sample 0 on, as `add` is given them: so the
     signal never needs to exist at full length.
 
-    The samples are summed in blocks from `start`, each with the waveform
-    subtracted from it in place.  A block that lies in one chunk is a view
-    of it, so `add` changes the chunk it is given; one that crosses a chunk
-    edge is copied into a buffer kept for the next such block, as a fresh
-    one per block would let the heap grow and shrink with every chunk.
-    When the waveform's `period_grid` holds at most _BLOCK_SAMPLES samples,
-    a block is a whole number of periods and the one period at the first
-    block's start serves them all, laid over each block by `_periodic`, as
-    `synth` would have tiled it; otherwise each block is evaluated on its
-    own slice of the grid, and not kept.  An error past the float range
-    gives inf, which run_simulation refuses.
+    Each chunk's samples from `start` on are summed as the chunk comes, with
+    the waveform subtracted from them in place, so `add` changes the chunk
+    it is given.  When the waveform's `period_grid` holds at most
+    _BLOCK_SAMPLES samples, its one period at `start` is evaluated once, for
+    the first chunk that reaches past `start`, and laid over each chunk from
+    the chunk's own phase by `_periodic`, as `synth` would have tiled it;
+    otherwise it is evaluated on each chunk's own slice of the grid, and not
+    kept.  An error past the
+    float range gives inf, which run_simulation refuses.
     """
 
     def __init__(self, cfg: SimConfig, grid: TimeGrid, start: int):
         self.cfg, self.grid, self.start = cfg, grid, start
         self.spp = period_grid(grid, cfg.signal_freq).n
-        self.tiled = self.spp <= _BLOCK_SAMPLES
-        self.size = self.spp * (_BLOCK_SAMPLES // self.spp) if self.tiled else _BLOCK_SAMPLES
-        self.at = 0  # the samples given so far
-        self.first = start  # the block being summed starts here
-        self.spare, self.wave, self.total = np.empty(0), None, 0.0
+        self.at, self.wave, self.total = 0, None, 0.0  # at: the samples given so far
 
     def add(self, chunk: np.ndarray) -> None:
         i, self.at = self.at, self.at + len(chunk)  # chunk holds samples [i, at)
-        while self.first < self.at:
-            stop = min(self.first + self.size, self.grid.n)
-            lo, hi = max(self.first, i), min(stop, self.at)
-            if lo == self.first and hi == stop:
-                block = chunk[lo - i : hi - i]
-            else:
-                if lo == self.first and len(self.spare) != stop - lo:
-                    self.spare = None  # not held while the new one is made
-                    self.spare = np.empty(stop - lo)
-                self.spare[lo - self.first : hi - self.first] = chunk[lo - i : hi - i]
-                if hi < stop:
-                    return
-                block = self.spare
-            wave = self.wave
-            if wave is None:
-                k = min(len(block), self.spp) if self.tiled else len(block)
-                grid = TimeGrid(self.grid.dt, k, self.grid.t0 + self.first * self.grid.dt)
-                wave = measured_signal(self.cfg, grid).values
-                if self.tiled:
-                    self.wave = wave
-            self.total += _squared_deviation(block, wave)
-            self.first = stop
+        lo = max(i, self.start)
+        if lo >= self.at:
+            return
+        part = chunk[lo - i :]
+        if self.spp > _BLOCK_SAMPLES:
+            self.total += _squared_deviation(part, self._measured(lo, len(part)), 0)
+            return
+        if self.wave is None:
+            self.wave = self._measured(self.start, min(self.spp, self.grid.n - self.start))
+        self.total += _squared_deviation(part, self.wave, lo - self.start)
+
+    def _measured(self, i: int, k: int) -> np.ndarray:
+        """The measured waveform over the k samples of grid from index i."""
+        grid = self.grid
+        return measured_signal(self.cfg, TimeGrid(grid.dt, k, grid.t0 + i * grid.dt)).values
 
     @property
     def rms(self) -> float:
@@ -393,11 +380,11 @@ class _Deviation:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _squared_deviation(block: np.ndarray, wave: np.ndarray) -> float:
-    """The sum of squares of block less the period wave laid over it from
-    its start, subtracted in place."""
-    _periodic(isub, block, wave, 0)
-    return float(np.dot(block, block))
+def _squared_deviation(part: np.ndarray, wave: np.ndarray, phase: int) -> float:
+    """The sum of squares of part less the period wave laid over it from
+    `phase`, subtracted in place."""
+    _periodic(isub, part, wave, phase)
+    return float(np.dot(part, part))
 
 
 def _series(cfg: SimConfig) -> tuple[HarmonicSeries, HarmonicSeries]:

@@ -298,11 +298,18 @@ class TestRunSimulation:
         res = run_simulation(SimConfig(noise=NoiseSpec(kind="none")))
         assert res.metrics["bandwidth_hz"] == pytest.approx(1250.0)
 
-    def test_full_error_of_a_period_longer_than_a_block(self):
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"signal_freq": 5.0, "duration": 0.3}, {"signal_freq": 50.0, "duration": 0.3001}],
         # a 5 Hz period is 100 000 samples, past _BLOCK_SAMPLES: the error sum
-        # evaluates the waveform block by block, not one period tiled
-        cfg = SimConfig(signal_freq=5.0, duration=0.3)
-        assert round(1.0 / (cfg.signal_freq * cfg.dt)) > _BLOCK_SAMPLES
+        # evaluates the waveform on each chunk's own slice, not one period
+        # laid.  A 50 Hz period of 10 000 samples is laid over each chunk of
+        # the lock-in (65 400 samples, but for the last two), and past the
+        # first from a non-zero phase
+        ids=["period-past-a-block", "period-laid-from-a-chunk-phase"],
+    )
+    def test_full_error_of_a_sliced_or_laid_period(self, overrides):
+        cfg = SimConfig(**overrides)
         res = run_simulation(cfg)
         restored = res.restored_full
         dev = restored.values - measured_signal(cfg, restored.grid).values
@@ -507,15 +514,16 @@ class TestSimResultArrays:
 
     def test_peak_memory_per_sample(self):
         # the run holds fixed-size scratch, the lock-in's chunk of the noisy
-        # sum and of its output among it, and no full-length array: 14 B per
-        # sample at this length, all of it scratch.  The growth tests below
-        # tell a full-length array apart.
+        # sum and of its output among it, and no full-length array: 10.9 B per
+        # sample at this length, all of it scratch (14.1 while the error sum
+        # kept a buffer for its blocks that crossed a chunk edge).  The growth
+        # tests below tell a full-length array apart.
         # A first run in the process also makes NumPy's lazy imports and
         # caches, so it is made untraced
         cfg = SimConfig(duration=0.3)
         run_simulation(cfg)
         assert cfg.n_samples == 150_000
-        assert self._peak(run_simulation, cfg) / cfg.n_samples < 21.5
+        assert self._peak(run_simulation, cfg) / cfg.n_samples < 12
 
     @pytest.mark.parametrize("kind", ["step", "sine", "none"])
     @pytest.mark.parametrize("writes", [False, True], ids=["run", "run-and-report"])
@@ -650,29 +658,33 @@ class TestSimResultArrays:
     def test_metrics_from_the_chunks_are_those_of_the_whole_output(self, overrides, kind):
         # the run takes its picks and its full-rate error from the lock-in's
         # chunks as they come: the bits of downsample_at_phase on the whole
-        # output, and of the error summed over the same blocks of it
+        # output, and of the error summed chunk by chunk
         cfg = SimConfig(noise=NoiseSpec(kind=kind), **overrides)
         res = run_simulation(cfg)
         whole = res.restored_full
         down = downsample_at_phase(whole, cfg.f_m, cfg.downsample_phase)
         assert res.restored_downsampled.grid == down.grid
         assert res.restored_downsampled.values.tobytes() == down.values.tobytes()
-        # the error blocks: whole periods of the measured sine of at most
-        # _BLOCK_SAMPLES samples from the end of the warm-up, each against the
-        # sine of the first block (as synth tiles it), or blocks of
-        # _BLOCK_SAMPLES when its period is longer, each against the sine
-        # evaluated on its own slice of the grid
-        grid, start = whole.grid, res.warmup
-        spp = period_grid(grid, cfg.signal_freq).n
-        tiled = spp <= _BLOCK_SAMPLES
-        size = spp * (_BLOCK_SAMPLES // spp) if tiled else _BLOCK_SAMPLES
-        total, wave = 0.0, None
-        for i in range(start, grid.n, size):
-            k = min(size, grid.n - i)
-            if wave is None or not tiled:
-                wave = measured_signal(cfg, TimeGrid(grid.dt, k, grid.t0 + i * grid.dt)).values
-            dev = whole.values[i : i + k] - wave[:k]
-            total += float(np.dot(dev, dev))
+        # the error: summed over each chunk of the lock-in from the end of the
+        # warm-up on, against the sine over the grid from there (as synth
+        # tiles one period) when its period has at most _BLOCK_SAMPLES
+        # samples, else against the sine evaluated on the chunk's own slice
+        grid, chunks = res._restored(_lockin_chunks)
+        start = res.warmup
+
+        def sine(i, j):  # over samples [i, j) of grid
+            return measured_signal(cfg, TimeGrid(grid.dt, j - i, grid.t0 + i * grid.dt)).values
+
+        tiled = period_grid(grid, cfg.signal_freq).n <= _BLOCK_SAMPLES
+        laid = sine(start, grid.n) if tiled else None
+        total, i = 0.0, 0
+        for chunk in chunks:
+            lo, j = max(i, start), i + len(chunk)
+            if lo < j:
+                wave = laid[lo - start : j - start] if tiled else sine(lo, j)
+                dev = chunk[lo - i :] - wave
+                total += float(np.dot(dev, dev))
+            i = j
         assert res.metrics["rms_error_full"] == math.sqrt(total / (grid.n - start))
 
     # a slow sine of a large amplitude, with no noise: the lock-in's sums
