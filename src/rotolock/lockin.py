@@ -155,10 +155,11 @@ def _lockin_chunks(
     grid: TimeGrid, x, m: HarmonicSeries, r: HarmonicSeries, channel: str, compensate: bool
 ) -> tuple[TimeGrid, Iterator[np.ndarray]]:
     """`_lockin`'s output grid, and its values as the chunks of
-    `window_chunks`, which a consumer checks finite itself: the lock-in
-    output that is never whole."""
+    `window_chunks`, each checked by `SampledSignal.finite` as it comes, as
+    `_lockin`'s signal checks them whole: the lock-in output that is never
+    whole.  A non-finite chunk is refused, not handed on."""
     centered, trapezoid, plain = _lockin_terms(grid, m, r, channel, compensate)
-    return centered, window_chunks(x, trapezoid, plain)
+    return centered, map(SampledSignal.finite, window_chunks(x, trapezoid, plain))
 
 
 def demodulate(

@@ -92,7 +92,7 @@ class SampledSignal:
 
     `values` is read-only.  The signal keeps its own copy of the array it is
     given, unless that array is read-only and owns its data: then it is taken
-    as it is (see `frozen`).  Every value is checked to be finite: this is
+    as it is (see `frozen`).  Every value is checked by `finite`: this is
     the one way to build a signal.  `==` and `hash` go by identity, as an
     array has no single truth value to compare by.
     """
@@ -106,8 +106,7 @@ class SampledSignal:
             raise PreconditionError(
                 f"values length {values.shape} does not match grid n={self.grid.n}"
             )
-        if not np.all(np.isfinite(values)):
-            raise PreconditionError("signal values must all be finite")
+        self.finite(values)
         # a read-only array that owns its data was handed over by the code that
         # made it (see `frozen`); any other array may still be written through
         # by a caller, so it is copied
@@ -118,6 +117,15 @@ class SampledSignal:
 
     def times(self) -> np.ndarray:
         return self.grid.times()
+
+    @staticmethod
+    def finite(values: np.ndarray) -> np.ndarray:
+        """values, refused unless every one is finite: the package's one
+        finiteness rule, for a signal's values and for each range or chunk
+        of one that is never whole (the noise reader's, the lock-in's)."""
+        if not np.all(np.isfinite(values)):
+            raise PreconditionError("signal values must all be finite")
+        return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,10 +369,13 @@ def window_chunks(
     are built once per call; a stream's groups are chunks whose outputs
     take about _WEIGHT_FLOATS.
 
-    An overflowing sum is left to the consumer's finiteness check, which
-    reports it once as a precondition error: each chunk is computed with
-    NumPy's overflow and invalid warnings off, and they are back on while
-    the consumer holds it.
+    The last chunk is handed on only once the kernel has let go of its
+    weights, sources and inputs, so a consumer that works on it holds none
+    of them.  An overflowing sum is left to the caller's finiteness check,
+    `SampledSignal.finite`, which reports it once as a precondition error:
+    the lock-in applies it to each chunk as it comes, and to the array form
+    as a signal.  Each chunk is computed with NumPy's overflow and invalid
+    warnings off, and they are back on while the consumer holds it.
     """
     w, n = len(trapezoid), len(x)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -464,13 +475,17 @@ def window_chunks(
                     if out is not None and j > whole:
                         out[i:j] = chunk
                     del rows
+                    if (i, j) == spans[-1]:
+                        return chunk  # handed on below, once the state is let go
                     yield chunk
                     del chunk
 
     yield warm
     del warm
     for g in range(0, len(spans), group):
-        yield from sums(spans[g : g + group])
+        last = yield from sums(spans[g : g + group])
+    del built, sources, cur, prev, q, x, trapezoid, plain
+    yield last
 
 
 def window_sums(

@@ -298,9 +298,7 @@ class _NoisySum:
         with np.errstate(over="ignore"):
             for period in self.periods:
                 _periodic(iadd, values, period, i)
-        if not np.all(np.isfinite(values)):
-            raise PreconditionError("signal values must all be finite")
-        return values
+        return SampledSignal.finite(values)
 
 
 def _step_in_window(steps: np.ndarray, window: int, outputs: np.ndarray) -> np.ndarray:
@@ -406,10 +404,10 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     excludes the windows that hold a noise step (`spike_windows`), found at
     the down-sample picks from the steps the noise reader draws.
 
-    The lock-in output is taken one chunk at a time, as `window_chunks`
-    hands it on: each chunk is checked finite, gives its down-sample picks
-    and then its samples of the full-rate error, and is let go, so the
-    output is never whole.  `SimResult.restored_full` computes it again.
+    The lock-in output is taken one chunk at a time, as `_lockin_chunks`
+    hands it on, checked finite: each chunk gives its down-sample picks and
+    then its samples of the full-rate error, and is let go, so the output
+    is never whole.  `SimResult.restored_full` computes it again.
     """
     grid = cfg.grid
     m_series, r = _series(cfg)
@@ -433,21 +431,13 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     # full-rate error, warm-up excluded (noise spikes stay in: they are the output)
     deviation = _Deviation(cfg, out_grid, spp)
 
-    def checked():
-        at = 0
+    def summed():
         for chunk in chunks:
-            if not np.all(np.isfinite(chunk)):
-                raise PreconditionError("signal values must all be finite")
-            at += len(chunk)
-            if at == grid.n:
-                # the last chunk: run the kernel to its end, so that it lets go
-                # of its weights before the chunk is summed
-                next(chunks, None)
             yield chunk  # the down-sampler copies its picks out first,
             deviation.add(chunk)  # as this subtracts the waveform in place
             del chunk  # not held while the next one is made
 
-    down = downsample_at_phase((out_grid, checked()), cfg.f_m, cfg.downsample_phase)
+    down = downsample_at_phase((out_grid, summed()), cfg.f_m, cfg.downsample_phase)
     rms_full = deviation.rms
 
     # downsampled error: also exclude windows that contain a noise step

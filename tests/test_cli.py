@@ -126,15 +126,18 @@ class TestRefsignal:
 
     def test_bad_geometry_is_config_error(self, tmp_path, capsys):
         # a spot wider than the sector (r0 = 0.5 against R0*sin(1.5 deg) =
-        # 0.157) is refused as the geometry is read, before the output
-        # directory is made
-        for geometry in ({"r0": 3.0}, {"theta_gnd_deg": 3.0}):
+        # 0.157), or a sector angle outside (0, 180) degrees, is refused as
+        # the geometry is read, before the output directory is made
+        for geometry, reason in (({"r0": 3.0}, "spot radius"),
+                                 ({"theta_gnd_deg": 3.0}, "spot radius"),
+                                 ({"theta_gnd_deg": 180.0}, "blade sector angle"),
+                                 ({"theta_gnd_deg": 0.0}, "blade sector angle")):
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({"geometry": geometry}))
             out = tmp_path / "out"
             assert run_cli("refsignal", "--config", str(cfg), "--out", str(out)) == 2
             err = capsys.readouterr().err
-            assert err.startswith("config error: RefsignalConfig.geometry: spot radius")
+            assert err.startswith(f"config error: RefsignalConfig.geometry: {reason}")
             assert err.count("\n") == 1
             assert not out.exists()
 

@@ -36,8 +36,9 @@ class TestModulationFit:
         assert ModulationFit.from_dict(fit.to_dict()) == fit
 
     def test_non_finite_rejected(self):
-        with pytest.raises(PreconditionError):
-            ModulationFit(amplitudes=[np.inf])
+        for fields in ({"amplitudes": [np.inf]}, {"phase": np.nan}, {"offset": -np.inf}):
+            with pytest.raises(PreconditionError, match="must be (a non-empty )?finite"):
+                ModulationFit(**fields)
 
 
 class TestEvalModulation:

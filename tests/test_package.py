@@ -201,6 +201,22 @@ def test_one_noise_reader_and_one_way_to_build_a_signal():
     assert [path.name for path in SRC.glob("*.py") if "object.__new__(" in path.read_text()] == []
 
 
+def test_one_finiteness_rule():
+    # SampledSignal.finite is the one finiteness rule, applied where values
+    # are made: its message is written once in the package, the constructor
+    # and the noise reader call it, and the lock-in's stream maps it over its
+    # chunks
+    sites = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for line in path.read_text().splitlines()
+        if "signal values must all be finite" in line
+    ]
+    assert sites == ["signals.py"]
+    assert call_sites("finite") == [("signals.py", "SampledSignal"), ("sim.py", "_NoisySum")]
+    assert "map(SampledSignal.finite," in inspect.getsource(rotolock.lockin._lockin_chunks)
+
+
 def test_traced_spans_resolve():
     # the benchmark's traced run wraps each span <module>.<function> under
     # rotolock and reports 0 calls for one that is gone; a function moved or

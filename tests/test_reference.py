@@ -66,6 +66,12 @@ class TestEmission:
         EmissionFit(A=big, c=0.0)
         EmissionFit(A=-big / 2.0, c=big / 2.0)
 
+    @pytest.mark.parametrize("field", ["A", "k", "c"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_rejected(self, field, bad):
+        with pytest.raises(PreconditionError, match="^emission fit parameters must be finite$"):
+            EmissionFit(**{field: bad})
+
 
 class TestGeometry:
     def test_default_theta_max(self):
@@ -420,6 +426,13 @@ class TestFitTrapezoidCosine:
     def test_non_positive_rotation_frequency_rejected(self, one_period, f_rot):
         with pytest.raises(PreconditionError, match="rotation frequency must be positive"):
             fit_trapezoid_cosine(one_period, f_rot)
+
+    @pytest.mark.parametrize("field", ["B", "u", "phi", "c2"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_rejected(self, field, bad):
+        fields = {"B": 0.5, "u": 18.8, "phi": 2.2, "c2": 0.5, field: bad}
+        with pytest.raises(PreconditionError, match="^trapezoid fit parameters must be finite$"):
+            TrapezoidFit(**fields)
 
     @pytest.mark.parametrize(
         "truth, rising",

@@ -270,6 +270,12 @@ class TestFitHarmonics:
         with pytest.raises(PreconditionError, match="harmonic count must be >= 1"):
             fit_harmonics(signal, F_M, l=l)
 
+    @pytest.mark.parametrize("f_fund", [0.0, -1.0, math.nan])
+    def test_non_positive_fundamental_rejected(self, f_fund):
+        signal = SampledSignal(default_grid(), np.zeros(SPP))
+        with pytest.raises(PreconditionError, match="^fundamental must be positive, got"):
+            fit_harmonics(signal, f_fund, l=3)
+
     @settings(deadline=None, max_examples=25)
     @given(
         dc=st.floats(-2, 2),

@@ -19,6 +19,7 @@ from rotolock.reference import synth_demod_reference
 from rotolock.sim import (
     NoiseSpec,
     SimConfig,
+    SimResult,
     _NoisySum,
     _series,
     gen_noise,
@@ -564,8 +565,10 @@ class TestSimResultArrays:
         # above 0.544e6 and 0.366e6 B, inside the benchmark's 10 %
         # peak_alloc_mb gate.  On the 15 000-sample default run the chunk of
         # periods is the whole signal but its first period, so chunk-sized
-        # scratch (118 KB) takes the kernel past its bound, and so does
-        # holding the kernel's weights (0.13e6 B) while that chunk is summed
+        # scratch (118 KB) takes the kernel past its bound.  The kernel lets
+        # go of its weights (0.13e6 B) before it hands on that last chunk;
+        # a kernel that held them while the run sums it would peak at about
+        # 0.69e6 B, past the run's bound
         kernel, calls = rotolock.lockin.window_chunks, []
         monkeypatch.setattr(
             rotolock.lockin, "window_chunks", lambda *a: calls.append(a) or kernel(*a)
@@ -588,8 +591,8 @@ class TestSimResultArrays:
     def test_no_full_length_finiteness_scan(self, monkeypatch, kind):
         # every signal checks its own values, and a run builds no full-length
         # signal: the noisy sum is checked one chunk at a time as the lock-in
-        # reads it, the lock-in output one chunk at a time as the run takes
-        # it, the product over its one shared period, and the measured sine
+        # reads it, the lock-in output one chunk at a time as the lock-in
+        # makes it, the product over its one shared period, and the measured sine
         # over one period
         cfg = SimConfig(duration=0.3, noise=NoiseSpec(kind=kind))
         isfinite = np.isfinite
@@ -695,24 +698,44 @@ class TestSimResultArrays:
 
     def test_overflow_past_the_first_output_chunks_is_refused(self):
         # each output chunk is computed with NumPy's overflow warnings off and
-        # checked finite by the run: no RuntimeWarning, whichever chunk
-        # overflows, and the one message of every other overflowing signal.
-        # While the consumer holds a chunk, NumPy's error state is its own:
-        # the kernel's is not left set across its yield
+        # checked finite by the lock-in's stream as it comes: the finite
+        # chunks are handed on, the first that is not is refused with the one
+        # message of every other overflowing signal, and no RuntimeWarning,
+        # whichever chunk overflows.  While the consumer holds a chunk,
+        # NumPy's error state is its own: the kernel's is not left set across
+        # its yield
         cfg = SimConfig.from_dict(self.LATE_OVERFLOW)
         m, r = _series(cfg)
         period = modulate(measured_signal(cfg, cfg.grid), m)
         noisy = _NoisySum(cfg.noise, cfg.grid, period)
         state = np.geterr()
         finite = []
+        message = "^signal values must all be finite$"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for chunk in _lockin_chunks(cfg.grid, noisy, m, r, "even", compensate=True)[1]:
-                assert np.geterr() == state
-                finite.append(bool(np.all(np.isfinite(chunk))))
-            assert finite[:3] == [True] * 3 and not all(finite)
-            with pytest.raises(PreconditionError, match="^signal values must all be finite$"):
+            with pytest.raises(PreconditionError, match=message):
+                for chunk in _lockin_chunks(cfg.grid, noisy, m, r, "even", compensate=True)[1]:
+                    assert np.geterr() == state
+                    finite.append(bool(np.all(np.isfinite(chunk))))
+            assert len(finite) >= 3 and all(finite)
+            with pytest.raises(PreconditionError, match=message):
                 run_simulation(cfg)
+
+    def test_report_refuses_a_late_overflow(self, tmp_path):
+        # report runs the lock-in again on a result's noisy sum, so a result
+        # built by hand for a run that run_simulation refuses is refused when
+        # its restored stack is written: restored.csv keeps only the rows of
+        # the finite chunks before the refusal, and nothing after it is written
+        cfg = SimConfig.from_dict(self.LATE_OVERFLOW)
+        period = modulate(measured_signal(cfg, cfg.grid), _series(cfg)[0])
+        down = SampledSignal(TimeGrid(1.0 / cfg.f_m, 1), np.zeros(1))
+        res = SimResult(cfg, period, down, {"channel": "even"})
+        with pytest.raises(PreconditionError, match="^signal values must all be finite$"):
+            report(res, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(STACKS[:4])
+        rows = (tmp_path / "restored.csv").read_text().splitlines()[1:]
+        assert 0 < len(rows) < cfg.n_samples
+        assert np.all(np.isfinite(np.array([row.split(",") for row in rows], dtype=float)))
 
     def test_cli_refuses_a_late_overflow_under_warnings_as_errors(self, tmp_path):
         # the same run through the console entry point, with every warning an
