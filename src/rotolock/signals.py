@@ -8,8 +8,9 @@ accumulate stored-time drift.
 
 from __future__ import annotations
 
+import contextlib
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -369,7 +370,9 @@ def window_chunks(
     are built once per call; a stream's groups are chunks whose outputs
     take about _WEIGHT_FLOATS.
 
-    The last chunk is handed on only once the kernel has let go of its
+    The plain sources, and the scratch that `_window_sources` builds the
+    sources from, are let go before the first output is handed on.  The
+    last chunk is handed on only once the kernel has let go of its
     weights, sources and inputs, so a consumer that works on it holds none
     of them.  An overflowing sum is left to the caller's finiteness check,
     `SampledSignal.finite`, which reports it once as a precondition error:
@@ -378,22 +381,15 @@ def window_chunks(
     warnings off, and they are back on while the consumer holds it.
     """
     w, n = len(trapezoid), len(x)
+    sources, cur, prev = _window_sources(trapezoid, plain)
+    del plain  # the plain sources live on in sources, cur and prev only
+    m = len(sources)  # S in the docstring
     with np.errstate(over="ignore", invalid="ignore"):
-        # a plain source weighs a + b*k at window index k = 0..w, which is
-        # a + b*(w - p) + b*q at phase q of output p's own period and a - b*p + b*q
-        # in the period before: two internal sources, s with cur and prev, q*s with b
-        q = np.arange(w)
-        rows = [(trapezoid, np.ones(w), np.ones(w))]
-        for s, c0, c1 in plain:
-            a, b = c0 - 0.5 * c1, c1 / w
-            rows += [(s, a + b * (w - q), a - b * q), (q * s, b, b)]
-        sources, cur, prev = (np.stack(r) for r in zip(*rows))
-        m = len(sources)  # S in the docstring
         head = x[:w] * trapezoid
         warm = np.empty(w) if out is None else out[:w]
         warm[0] = 0.0
         np.cumsum(0.5 * (head[1:] + head[:-1]), out=warm[1:])
-    del head, rows
+    del head
 
     blocks = [(p0, min(p0 + _PHASE_BLOCK, w)) for p0 in range(0, w, _PHASE_BLOCK)]
     width = 2 * (_PHASE_BLOCK + m)  # a block's operand columns
@@ -484,8 +480,27 @@ def window_chunks(
     del warm
     for g in range(0, len(spans), group):
         last = yield from sums(spans[g : g + group])
-    del built, sources, cur, prev, q, x, trapezoid, plain
+    del built, sources, cur, prev, x, trapezoid
     yield last
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _window_sources(trapezoid: np.ndarray, plain: tuple) -> tuple[np.ndarray, ...]:
+    """The sources of `window_chunks`, one per row, with their weights on
+    the phases of an output's own period (cur) and of the period before
+    (prev): the trapezoid, then two per plain source (s, c0, c1).  Their
+    scratch lives in this call only, so the kernel's stream holds none of
+    it."""
+    w = len(trapezoid)
+    # a plain source weighs a + b*k at window index k = 0..w, which is
+    # a + b*(w - p) + b*q at phase q of output p's own period and a - b*p + b*q
+    # in the period before: two internal sources, s with cur and prev, q*s with b
+    q = np.arange(w)
+    rows = [(trapezoid, np.ones(w), np.ones(w))]
+    for s, c0, c1 in plain:
+        a, b = c0 - 0.5 * c1, c1 / w
+        rows += [(s, a + b * (w - q), a - b * q), (q * s, b, b)]
+    return tuple(np.stack(r) for r in zip(*rows))
 
 
 def window_sums(
@@ -502,6 +517,12 @@ def window_sums(
     return out
 
 
+def _stream(signal) -> tuple[TimeGrid, Iterable]:
+    """A SampledSignal as (its grid, [its values]), the streamed form of a
+    signal held whole; a (grid, chunks) pair as it is."""
+    return (signal.grid, [signal.values]) if isinstance(signal, SampledSignal) else signal
+
+
 def downsample_at_phase(signal, f_m: float, phase: float) -> SampledSignal:
     """Keep one sample per modulation period (`whole_period`): the one
     nearest the requested modulation phase, which must be finite.  The
@@ -512,7 +533,7 @@ def downsample_at_phase(signal, f_m: float, phase: float) -> SampledSignal:
     period, as `window_chunks` hands them on.  The picks are copied out of
     each chunk before the next is taken, so a stream of chunks is never
     held whole."""
-    grid, chunks = (signal.grid, [signal.values]) if isinstance(signal, SampledSignal) else signal
+    grid, chunks = _stream(signal)
     if not np.isfinite(phase):
         raise PreconditionError(f"down-sample phase must be finite, got {phase}")
     spp = whole_period(grid, f_m).n
@@ -555,59 +576,124 @@ def _ranges(reader) -> Iterator[np.ndarray]:
         yield reader[i : i + _CSV_READ]
 
 
-def write_csv(signal, path) -> None:
-    """Write a signal as `t,value` CSV with full float precision.
+def _blocks(chunks) -> Iterator[np.ndarray]:
+    """Consecutive chunks re-cut into blocks of _CSV_CHUNK values, the last
+    one shorter: a block inside a chunk is a view of it, and one across a
+    chunk edge a copy, as is the tail of a chunk held for the next block, so
+    each chunk is let go before the next is made."""
+    carry = np.empty(0)
+    for chunk in chunks:
+        i = 0
+        if len(carry):
+            i = _CSV_CHUNK - len(carry)
+            carry = np.concatenate([carry, chunk[:i]])
+            if len(carry) < _CSV_CHUNK:
+                del chunk
+                continue
+            yield carry
+        j = i + (len(chunk) - i) // _CSV_CHUNK * _CSV_CHUNK
+        for k in range(i, j, _CSV_CHUNK):
+            yield chunk[k : k + _CSV_CHUNK]
+        carry = chunk[j:].copy()
+        del chunk  # not held while the next one is made
+    if len(carry):
+        yield carry
 
-    `signal` is a SampledSignal, read as (its grid, [its values]), or a pair
-    (grid, chunks) of a TimeGrid and the signal's values as consecutive
-    arrays, the form `downsample_at_phase` takes: the chunks of
-    `window_chunks`, or a reader's ranges by `_ranges`.  Each chunk is let
-    go before the next is taken, so a stream of chunks is never held whole.
 
-    Each row is `%.17g,%.17g`, so every float reads back exactly.  Rows are
-    formatted _CSV_CHUNK (256) at a time, their times taken from a running
-    offset into the grid: their times and values are interleaved into one
-    list and formatted by one `%` over a repeated row format, then written
-    with one call.  That is the same text as one f-string and one write per
-    row, in 30-45 % less time; the per-value `%.17g` is the floor.  The 256
-    rows are fixed, not an option: between 64 and 2048 rows the speed barely
-    changes, while the writer's memory (times, lists and text of 256 rows,
-    ~40 KiB) grows with them, and formatting a whole file at once would
-    raise the peak memory of a run.
+def write_csv(signal, path, *more) -> None:
+    """Write a signal as `t,value` CSV with full float precision, and with
+    it each (signal, path) pair of `more`, whose signals share its grid.
+
+    A signal is a SampledSignal, read as (its grid, [its values]), or a
+    pair (grid, chunks) of a TimeGrid and the signal's values as
+    consecutive arrays, the form `downsample_at_phase` takes: the chunks of
+    `window_chunks`, or a reader's ranges by `_ranges`.  Each is re-cut
+    into blocks of _CSV_CHUNK (256) rows by `_blocks`, and each chunk is
+    let go before the next is made, so a stream of chunks is never held
+    whole.
+
+    Each row is `%.17g,%.17g`, so every float reads back exactly.  The
+    files are written together, block by block: the block's times are
+    taken from the grid once, and each file's rows are formatted by one `%`
+    and written with one call.  A file alone on its grid interleaves its
+    times and values into one list under a repeated row format.  A group
+    of files formats the block's times once, into rows that hold a
+    `%.17g` for each value, and each file fills them with its values: the
+    time column is formatted once for them all.  A block whose values all
+    share one bit pattern (compared as int64, so -0.0 and 0.0 stay apart),
+    such as a level of step noise, none noise or a plateau of the reference,
+    has that value formatted once.  Every path writes the text of one
+    f-string and one write per row; the per-value `%.17g` is the floor.
+    A signal on another grid than the first, or whose values are not the
+    n of its grid, is refused.
+    The 256 rows are fixed, not an option: between 64 and 2048 rows the
+    speed barely changes, while the writer's memory (times, lists and text
+    of 256 rows, ~40 KiB) grows with them, and formatting a whole file at
+    once would raise the peak memory of a run.
     """
-    grid, chunks = (signal.grid, [signal.values]) if isinstance(signal, SampledSignal) else signal
-    with open(path, "w", newline="") as fh:
-        fh.write("t,value\n")
-        first = 0  # the grid index of the chunk's first row
-        for chunk in chunks:
-            for start in range(0, len(chunk), _CSV_CHUNK):
-                k = min(_CSV_CHUNK, len(chunk) - start)
-                rows = [0.0] * (2 * k)
-                rows[0::2] = grid.times(first + start, first + start + k).tolist()
-                rows[1::2] = chunk[start : start + k].tolist()
-                fh.write(("%.17g,%.17g\n" * k) % tuple(rows))
-            first += len(chunk)
-            del chunk  # not held while the next one is made
+    stacks = [(signal, path), *more]
+    pairs = [_stream(s) for s, _ in stacks]
+    grid = pairs[0][0]
+    if any(g != grid for g, _ in pairs):
+        raise PreconditionError(f"files written together must share a grid: {[g for g, _ in pairs]}")
+    streams = [_blocks(chunks) for _, chunks in pairs]
+    wrong = f"a signal written must hold the {grid.n} samples of its grid"
+    with contextlib.ExitStack() as files:
+        handles = [files.enter_context(open(p, "w", newline="")) for _, p in stacks]
+        for fh in handles:
+            fh.write("t,value\n")
+        for start in range(0, grid.n, _CSV_CHUNK):
+            k = min(_CSV_CHUNK, grid.n - start)
+            times = grid.times(start, start + k).tolist()
+            # a group's rows, the times formatted and a %.17g for each value
+            rows = ("%.17g,%%.17g\n" * k) % tuple(times) if more else None
+            for fh, blocks in zip(handles, streams):
+                block = next(blocks, ())
+                if len(block) != k:
+                    raise PreconditionError(wrong)
+                bits = block.view(np.int64)
+                if bits[0] == bits[-1] and np.all(bits == bits[0]):
+                    value = "%.17g" % float(block[0])
+                    fh.write(rows.replace("%.17g", value) if more
+                             else ("%.17g," + value + "\n") * k % tuple(times))
+                elif more:
+                    fh.write(rows % tuple(block.tolist()))
+                else:
+                    cells = [0.0] * (2 * k)
+                    cells[0::2] = times
+                    cells[1::2] = block.tolist()
+                    fh.write(("%.17g,%.17g\n" * k) % tuple(cells))
+                del block, bits  # not held while the next block is cut
+        if any(next(blocks, None) is not None for blocks in streams):
+            raise PreconditionError(wrong)
 
 
 def write_outputs(files: dict, out) -> list[str]:
     """Make the directory `out` and write each entry name -> value of `files`
-    in it, in order: a SampledSignal or a (grid, chunks) pair through
-    `write_csv`, any other value through `config.write_json`.  Returns the
-    paths written, as strings.
+    in it: a SampledSignal or a (grid, chunks) pair through `write_csv`, any
+    other value through `config.write_json`.  The CSV entries that share a
+    TimeGrid go to one `write_csv` call, which writes them together (their
+    time column formatted once), at the place of the first of them; every
+    other entry is written in order.  Returns the paths written, as
+    strings, in the order of `files`.
 
     Every file the package writes goes through here, and this is where the
     directory is made, so a caller that refuses its input before this call
     leaves no directory behind.  An OSError becomes one that names `out`.
     """
     out = Path(out)
+    # each CSV grid or JSON name -> its entries as (value, path), in order
+    writes = {}
+    for name, value in files.items():
+        key = _stream(value)[0] if isinstance(value, (SampledSignal, tuple)) else name
+        writes.setdefault(key, []).append((value, out / name))
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for name, value in files.items():
-            if isinstance(value, (SampledSignal, tuple)):
-                write_csv(value, out / name)
+        for key, (first, *more) in writes.items():
+            if isinstance(key, TimeGrid):
+                write_csv(*first, *more)
             else:
-                write_json(value, out / name)
+                write_json(*first)
     except OSError as exc:
         raise OSError(f"failed writing outputs under {out}: {exc}") from exc
     return [str(out / name) for name in files]

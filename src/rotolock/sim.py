@@ -498,7 +498,8 @@ def report(result: SimResult, out_dir) -> dict:
     of its period laid out (not through the noise reader, whose 0.0 level
     would turn a -0.0 in the period into 0.0), both by `signals._ranges`,
     and the restored signal as the chunks of the lock-in, run again, as
-    they come.
+    they come.  The three stacks on the run grid share one `write_csv`
+    call, which `write_outputs` makes, and so their time column.
     """
     cfg, grid, period = result.config, result.config.grid, result.modulated_period
     restored_grid, chunks = result._restored(_lockin_chunks)

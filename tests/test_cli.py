@@ -486,3 +486,67 @@ def test_refused_simulate_leaves_no_directory(tmp_path, capsys, config, code, me
     assert err.startswith("config error: " if code == 2 else "error: ")
     assert message in err and err.count("\n") == 1
     assert not out.exists()
+
+
+# The console-script contract: each case that the CI step ran through the
+# installed `rotolock` entry point, by the output directory it named there.
+# Each row is (argv before --config and --out, the config file's JSON or
+# None, the exit code); an --out that is a regular file is marked FILE_OUT.
+FILE_OUT = object()
+CONTRACT = [
+    pytest.param(["modwave"], None, 0, id="modwave"),
+    pytest.param(["refsignal"], None, 0, id="refsignal"),
+    pytest.param(["simulate"], None, 0, id="simulate"),
+    pytest.param(["simulate", "--noise", "sine"], None, 0, id="simulate_sine"),
+    # the noise reader's zero level
+    pytest.param(["simulate", "--noise", "none"], None, 0, id="simulate_none"),
+    # a modulated trace of zeros on that level
+    pytest.param(["simulate", "--noise", "none"], {"signal_freq": 0.0}, 0,
+                 id="simulate_no_signal"),
+    # no whole period: a sine over the whole grid
+    pytest.param(["simulate"], {"noise": {"kind": "sine", "rate_or_freq": 37.0}}, 0,
+                 id="simulate_sine_37hz"),
+    # a 4 000-sample period, whose block weights still fit one slab
+    pytest.param(["simulate"], {"f_m": 250.0, "dt": 1e-6}, 0, id="simulate_long_period"),
+    # three chunks of the lock-in's output and a partial last period
+    pytest.param(["simulate"], {"duration": 0.3001}, 0, id="simulate_chunks"),
+    # an 8 000-sample period: ten slabs of block weights over eleven chunks
+    pytest.param(["simulate"], {"f_m": 125.0, "dt": 1e-6, "duration": 0.6001}, 0,
+                 id="simulate_slabs"),
+    pytest.param(["simulate"], {"duration": 4e-4}, 3, id="one_period"),
+    pytest.param(["simulate"], {"no_such_key": 1}, 2, id="unknown_key"),
+    # the noisy sum overflows, refused by the lock-in's stream
+    pytest.param(["simulate"], {"noise": {"amplitude": 8e307}}, 3, id="overflow"),
+    # a blade sector angle outside (0, 180) degrees
+    pytest.param(["refsignal"], {"geometry": {"theta_gnd_deg": 180.0}}, 2, id="flat_sector"),
+    pytest.param(["modwave"], FILE_OUT, 3, id="out_is_a_file"),
+]
+
+
+@pytest.mark.parametrize("argv, config, code", CONTRACT)
+def test_console_script_contract(tmp_path, capsys, argv, config, code):
+    # the entry point's `main`, in process: a run exits 0 with an empty
+    # stderr, and its re-run from its own manifest writes the same bytes
+    # (criterion 8); a refusal exits 2 (config) or 3 with one stderr line
+    # and makes no --out directory
+    out = tmp_path / "out"
+    if config is FILE_OUT:
+        out.write_text("a regular file")
+    elif config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+    assert main([*argv, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code != 0:
+        assert err.endswith("\n") and err.count("\n") == 1, err
+        assert not out.is_dir()
+        return
+    assert err == ""
+    again = tmp_path / "again"
+    assert main([argv[0], "--config", str(out / "manifest.json"), "--out", str(again)]) == 0
+    assert capsys.readouterr().err == ""
+    names = sorted(p.name for p in out.iterdir())
+    assert sorted(p.name for p in again.iterdir()) == names
+    for name in names:
+        if name != "manifest.json":  # it names its own output directory
+            assert (out / name).read_bytes() == (again / name).read_bytes(), name

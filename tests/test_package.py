@@ -190,6 +190,20 @@ def test_one_output_writer():
     assert list(sub.choices) == list(rotolock.cli._SUBCOMMANDS)
 
 
+def test_one_csv_row_formatter():
+    # signals.write_csv formats every CSV row of the package, for a file
+    # alone on its grid and for a group written together: the full-precision
+    # `%.17g` is in its body and nowhere else
+    sites = [
+        (path.name, top.name)
+        for path in sorted(SRC.glob("*.py"))
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and ".17g" in node.value
+    ]
+    assert sites and set(sites) == {("signals.py", "write_csv")}
+
+
 def test_one_noise_reader_and_one_way_to_build_a_signal():
     # sim._NoisySum draws the noise once and fills any sample range of it, for
     # gen_noise and for the run's noisy sum alike, so it is the package's one

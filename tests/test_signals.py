@@ -16,6 +16,8 @@ from rotolock.signals import (
     _PHASE_BLOCK,
     _WEIGHT_FLOATS,
     HarmonicSeries,
+    _Repeating,
+    _ranges,
     SampledSignal,
     TimeGrid,
     downsample_at_phase,
@@ -531,6 +533,24 @@ class TestWindowSums:
         assert len({id(c.base if c.base is not None else c) for c in chunks}) == len(chunks)
         assert np.concatenate(chunks).tobytes() == window_sums(x, trapezoid, plain).tobytes()
 
+    def test_the_stream_lets_go_of_the_plain_sources(self):
+        # the sources are built from the plain ones in a call of their own:
+        # from the first output on, the stream's frame holds neither the
+        # plain sources nor the scratch built from them, and the plain
+        # arrays, held by nothing else, are gone
+        n, w = 5 * SPP + 37, SPP
+        rng = np.random.default_rng(5)
+        x, trapezoid = rng.normal(size=n), rng.normal(size=w)
+        plain = ((rng.normal(size=w), rng.normal(size=w), rng.normal(size=w)),)
+        refs = [weakref.ref(a) for a in plain[0]]
+        stream = window_chunks(x, trapezoid, plain)
+        del plain
+        chunks = [next(stream)]
+        assert not set(stream.gi_frame.f_locals) & {"plain", "rows", "q", "a", "b", "s", "c0", "c1"}
+        assert all(ref() is None for ref in refs)
+        chunks += list(stream)
+        assert sum(len(c) for c in chunks) == n
+
     def test_weights_past_the_budget_give_the_bits_of_one_slab(self, monkeypatch):
         # a period whose block weights do not fit _WEIGHT_FLOATS builds them
         # slab by slab for each group of chunks: the array form, which holds
@@ -745,6 +765,71 @@ class TestCsvBytes:
         assert len(alive) == len(edges) - 1
         assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "per_row.csv").read_bytes()
 
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 9001])
+    def test_a_group_writes_the_bytes_of_each_whole_signal(self, tmp_path, monkeypatch, n):
+        # three stacks on one grid written by one call, each as its own file:
+        # a signal held whole, the ranges of a repeated period, and chunks of
+        # 300 rows with a one-sample chunk, so that their chunk edges do not
+        # line up.  The first block of the first is -0.0 with one 0.0 in its
+        # middle, and the chunks are -0.0 but for a 0.0 at row 300: -0.0 and
+        # 0.0 are formatted apart.  Each block's times are taken once for the
+        # three, and every chunk of each stream is let go before the next is
+        # made
+        grid = TimeGrid(dt=DT, n=n, t0=-0.3 * DT)
+        rng = np.random.default_rng(n)
+        whole = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        whole[: min(n, 256)] = -0.0
+        whole[min(n, 256) // 2] = 0.0
+        period = rng.standard_normal(37)
+        period[3] = -0.0
+        zeros = np.full(n, -0.0)
+        zeros[300:301] = 0.0
+        edges = sorted({0, n, min(n, 300), *range(301, n, 300)})
+
+        class Released:
+            # values read by range as a fresh array, each read once the
+            # earlier ones are let go
+            def __init__(self, values):
+                self.values, self.refs = values, []
+
+            def __len__(self):
+                return len(self.values)
+
+            def __getitem__(self, s):
+                assert not any(ref() is not None for ref in self.refs)
+                chunk = np.array(self.values[s])
+                self.refs.append(weakref.ref(chunk))
+                return chunk
+
+        ranges, cut = Released(_Repeating(period, n)), Released(zeros)
+        chunks = (cut[i:j] for i, j in zip(edges, edges[1:]))
+        times, calls = TimeGrid.times, []
+        monkeypatch.setattr(TimeGrid, "times", lambda self, *a: calls.append(a) or times(self, *a))
+        write_csv(SampledSignal(grid, whole), tmp_path / "whole.csv",
+                  ((grid, _ranges(ranges)), tmp_path / "ranges.csv"),
+                  ((grid, chunks), tmp_path / "cut.csv"))
+        monkeypatch.undo()
+        assert len(calls) == -(-n // 256)
+        assert [len(ranges.refs), len(cut.refs)] == [-(-n // 4096), len(edges) - 1]
+        for name, values in (("whole", whole), ("ranges", ranges.values[:]), ("cut", zeros)):
+            write_csv_per_row(SampledSignal(grid, values), tmp_path / "per_row.csv")
+            assert (tmp_path / f"{name}.csv").read_bytes() == \
+                (tmp_path / "per_row.csv").read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "other, message",
+        [
+            (SampledSignal(TimeGrid(dt=2.0, n=3), [1.0, 2.0, 3.0]), "must share a grid"),
+            ((TimeGrid(dt=1.0, n=3), [np.zeros(1), np.zeros(1)]), "must hold the 3 samples"),
+            ((TimeGrid(dt=1.0, n=3), [np.zeros(2), np.zeros(2)]), "must hold the 3 samples"),
+        ],
+        ids=["another-grid", "short", "long"],
+    )
+    def test_a_group_refuses_what_its_grid_does_not_hold(self, tmp_path, other, message):
+        signal = SampledSignal(TimeGrid(dt=1.0, n=3), [1.0, 2.0, 3.0])
+        with pytest.raises(PreconditionError, match=message):
+            write_csv(signal, tmp_path / "a.csv", (other, tmp_path / "b.csv"))
+
     def test_memory_does_not_grow_with_rows(self, tmp_path):
         n = 200_000
         signal = SampledSignal(TimeGrid(dt=DT, n=n), np.random.default_rng(0).standard_normal(n))
@@ -756,3 +841,22 @@ class TestCsvBytes:
             tracemalloc.stop()
         # one chunk's times, lists and text, not the 1.6 MB time column
         assert peak < 256 * 1024
+
+    def test_group_memory_does_not_grow_with_rows(self, tmp_path):
+        # three stacks written together: a signal held whole, the ranges of a
+        # repeated period and those of a constant level.  The writer holds
+        # one range of each streamed stack (32 KiB) and one block's times,
+        # lists and text for the three: 0.13e6 B, not a 0.8 MB column
+        n = 100_000
+        grid = TimeGrid(dt=DT, n=n)
+        rng = np.random.default_rng(0)
+        signal = SampledSignal(grid, rng.standard_normal(n))
+        stacks = [((grid, _ranges(_Repeating(period, n))), tmp_path / f"{i}.csv")
+                  for i, period in enumerate((rng.standard_normal(SPP), np.array([-0.0])))]
+        tracemalloc.start()
+        try:
+            write_csv(signal, tmp_path / "whole.csv", *stacks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 192 * 1024

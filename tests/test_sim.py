@@ -533,13 +533,15 @@ class TestSimResultArrays:
         # (0.04-0.06 measured): the lock-in output is taken one chunk at a
         # time, and report hands every stack to the writer as consecutive
         # chunks.  One full-length float array, such as the lock-in output,
-        # would add 8 B.  The writer takes each stack's chunks as write_csv
+        # would add 8 B.  The writer takes the chunks of each stack of its
+        # call, the three that share the run grid among them, as write_csv
         # does but formats nothing, as formatting under tracemalloc is slow;
         # its own memory is pinned in test_signals
-        def take_chunks(signal, path):
-            _, chunks = signal if isinstance(signal, tuple) else (signal.grid, [signal.values])
-            for chunk in chunks:
-                del chunk  # not held while the next one is made
+        def take_chunks(signal, path, *more):
+            for stack, _ in [(signal, path), *more]:
+                _, chunks = stack if isinstance(stack, tuple) else (stack.grid, [stack.values])
+                for chunk in chunks:
+                    del chunk  # not held while the next one is made
 
         monkeypatch.setattr(rotolock.signals, "write_csv", take_chunks)
 
@@ -558,7 +560,8 @@ class TestSimResultArrays:
     def test_default_run_peak_memory(self, monkeypatch):
         # a first run makes NumPy's lazy imports and caches (in a fresh process
         # it peaks near 1.7e6 B) and hands over the lock-in's kernel inputs.
-        # Then the run peaks at about 0.544e6 B, as it sums the error of the
+        # Then the run peaks at about 0.530e6 B (0.544e6 B while the kernel
+        # held its plain sources), as it sums the error of the
         # lock-in's last chunk, and the kernel alone, replayed on the noisy
         # sum as an array and drained chunk by chunk, at about 0.33e6 B (one
         # chunk's output, block weights and operand).  The bounds sit 9 %
