@@ -524,11 +524,13 @@ CONTRACT = [
 
 
 @pytest.mark.parametrize("argv, config, code", CONTRACT)
-def test_console_script_contract(tmp_path, capsys, argv, config, code):
+def test_console_script_contract(tmp_path, capsys, recwarn, argv, config, code):
     # the entry point's `main`, in process: a run exits 0 with an empty
     # stderr, and its re-run from its own manifest writes the same bytes
     # (criterion 8); a refusal exits 2 (config) or 3 with one stderr line
-    # and makes no --out directory
+    # and leaves nothing at --out.  The installed script would print any
+    # warning to stderr, so a warning of any category (`recwarn` records
+    # them all) breaks these as a stderr line would
     out = tmp_path / "out"
     if config is FILE_OUT:
         out.write_text("a regular file")
@@ -537,14 +539,19 @@ def test_console_script_contract(tmp_path, capsys, argv, config, code):
         argv = [*argv, "--config", str(tmp_path / "cfg.json")]
     assert main([*argv, "--out", str(out)]) == code
     err = capsys.readouterr().err
+    assert not recwarn.list, [str(w.message) for w in recwarn]
     if code != 0:
         assert err.endswith("\n") and err.count("\n") == 1, err
-        assert not out.is_dir()
+        if config is FILE_OUT:
+            assert out.read_text() == "a regular file"
+        else:
+            assert not out.exists()
         return
     assert err == ""
     again = tmp_path / "again"
     assert main([argv[0], "--config", str(out / "manifest.json"), "--out", str(again)]) == 0
     assert capsys.readouterr().err == ""
+    assert not recwarn.list, [str(w.message) for w in recwarn]
     names = sorted(p.name for p in out.iterdir())
     assert sorted(p.name for p in again.iterdir()) == names
     for name in names:

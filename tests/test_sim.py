@@ -727,8 +727,9 @@ class TestSimResultArrays:
     def test_report_refuses_a_late_overflow(self, tmp_path):
         # report runs the lock-in again on a result's noisy sum, so a result
         # built by hand for a run that run_simulation refuses is refused when
-        # its restored stack is written: restored.csv keeps only the rows of
-        # the finite chunks before the refusal, and nothing after it is written
+        # its restored stack is written: restored.csv keeps only rows of the
+        # finite chunks before the refusal (up to the last whole block of the
+        # writer), and nothing after it is written
         cfg = SimConfig.from_dict(self.LATE_OVERFLOW)
         period = modulate(measured_signal(cfg, cfg.grid), _series(cfg)[0])
         down = SampledSignal(TimeGrid(1.0 / cfg.f_m, 1), np.zeros(1))
