@@ -21,8 +21,8 @@ can come as its values or as a reader of them by sample range, and the
 output can be consumed chunk by chunk: `sim.run_simulation` passes the
 noisy sum, built one chunk at a time, and takes its metrics from the
 output chunks, so neither is held at full length.  `demodulate` and
-`slope_compensate` return the output whole, collected by
-`signals.window_sums`.
+`slope_compensate` return that stream, `_lockin_chunks`, held whole by
+`signals._joined`.
 `demodulate` passes the scaled reference period as the trapezoid
 integrand; `slope_compensate` adds the slope term to the same call as two
 plain sources, the periods ones and m, whose window sums of x and m*x are
@@ -43,11 +43,11 @@ from .signals import (
     HarmonicSeries,
     SampledSignal,
     TimeGrid,
+    _joined,
     frozen,
     synth,
     whole_period,
     window_chunks,
-    window_sums,
 )
 
 # smallest usable |g| / (|m_ac|*|r|), see `channel_gain`
@@ -127,7 +127,7 @@ def _lockin_terms(
     grid: TimeGrid, m: HarmonicSeries, r: HarmonicSeries, channel: str, compensate: bool
 ) -> tuple[TimeGrid, np.ndarray, tuple]:
     """The output grid of the lock-in on grid, and the trapezoid and plain
-    sources of its `window_sums` call: those of `demodulate`, and with
+    sources of its `window_chunks` call: those of `demodulate`, and with
     `compensate` those of `slope_compensate`."""
     part, g = _channel(m, r, channel)
     period = 1.0 / r.f_fund
@@ -140,24 +140,15 @@ def _lockin_terms(
     return centered, c * r_period, plain
 
 
-def _lockin(
-    grid: TimeGrid, x, m: HarmonicSeries, r: HarmonicSeries, channel: str, compensate: bool
-) -> SampledSignal:
-    """The lock-in output of `demodulate`, and with `compensate` that of
-    `slope_compensate`, for the modulated signal with values x on grid,
-    from one call of `window_sums`: x is its values or a reader of them by
-    sample range, as `window_chunks` takes it."""
-    centered, trapezoid, plain = _lockin_terms(grid, m, r, channel, compensate)
-    return SampledSignal(centered, frozen(window_sums(x, trapezoid, plain)))
-
-
 def _lockin_chunks(
     grid: TimeGrid, x, m: HarmonicSeries, r: HarmonicSeries, channel: str, compensate: bool
 ) -> tuple[TimeGrid, Iterator[np.ndarray]]:
-    """`_lockin`'s output grid, and its values as the chunks of
-    `window_chunks`, each checked by `SampledSignal.finite` as it comes, as
-    `_lockin`'s signal checks them whole: the lock-in output that is never
-    whole.  A non-finite chunk is refused, not handed on."""
+    """The lock-in output of `demodulate`, and with `compensate` that of
+    `slope_compensate`, for the modulated signal with values x on grid, as
+    its output grid and the chunks of one `window_chunks` call: x is its
+    values or a reader of them by sample range.  Each chunk is checked by
+    `SampledSignal.finite` as it comes, so a non-finite chunk is refused,
+    not handed on.  The package's one form of the lock-in output."""
     centered, trapezoid, plain = _lockin_terms(grid, m, r, channel, compensate)
     return centered, map(SampledSignal.finite, window_chunks(x, trapezoid, plain))
 
@@ -182,13 +173,13 @@ def demodulate(
     that is first order in the signal's slope.
     `slope_compensate` removes that term.
     """
-    return _lockin(s_m.grid, s_m.values, m, r, channel, compensate=False)
+    return _joined(*_lockin_chunks(s_m.grid, s_m.values, m, r, channel, compensate=False))
 
 
 # weights that overflow (a subnormal m) are left to SampledSignal's finiteness check
 @np.errstate(over="ignore", invalid="ignore")
 def _slope_term(m_period: np.ndarray, r_period: np.ndarray, g: float) -> tuple:
-    """The slope term K*s'_hat, subtracted, as plain sources of `window_sums`:
+    """The slope term K*s'_hat, subtracted, as plain sources of `window_chunks`:
     for output phase p the window sum of (h0 + h1*u + (h2 + h3*u)*m) * x,
     h = h[p], that is (ones, h0, h1) and (m, h2, h3).
     """
@@ -268,9 +259,10 @@ def slope_compensate(
     (the steepest slope of a 10 Hz sine of amplitude 10) leaks up to 0.214
     at most window positions of the default run; its default down-sample
     phase picks one where the leak vanishes.  The warm-up samples are
-    those of `demodulate`.  One call of `window_sums` gives both terms.
+    those of `demodulate`.  One call of `window_chunks` gives both terms,
+    as the stream of `_lockin_chunks` held whole.
     """
-    return _lockin(s_m.grid, s_m.values, m, r, channel, compensate=True)
+    return _joined(*_lockin_chunks(s_m.grid, s_m.values, m, r, channel, compensate=True))
 
 
 def harmonic_outputs(

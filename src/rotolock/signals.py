@@ -27,8 +27,8 @@ _RATIO_TOL = 1e-9
 _CSV_CHUNK = 256
 _CSV_READ = 16 * _CSV_CHUNK
 
-# phases per block of `window_sums`: one product by its weights per block and
-# period, and fewer blocks mean fewer Python steps
+# phases per block of `window_chunks`: one product by its weights per block
+# and period, and fewer blocks mean fewer Python steps
 _PHASE_BLOCK = 32
 
 # samples in a cache-sized run (512 KiB of float64): `window_chunks` works
@@ -305,14 +305,13 @@ def window_chunks(
     x,
     trapezoid: np.ndarray,
     plain: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = (),
-    out: np.ndarray | None = None,
 ) -> Iterator[np.ndarray]:
     """Trailing-window sums of x, one output per sample, over windows of
     w + 1 samples, where w = len(trapezoid) is one period; needs w < len(x).
     They come as consecutive chunks: the w warm-up outputs, then chunks of
     whole periods, then the last n % w outputs when that is not 0.  So
-    every chunk starts at a whole period.  Each chunk is a fresh array, or,
-    given `out` of len(x), written into its place in out and a view of it.
+    every chunk starts at a whole period.  Each chunk is a fresh array, and
+    `_joined` holds the stream whole.
 
     With p = j % w the phase of output j, i = j - w + k its window's sample
     k = 0..w and u = k/w - 1/2, output j >= w is
@@ -365,10 +364,8 @@ def window_chunks(
     in groups: each slab's weights are built once per group and passed over
     each of its chunks, read again for each slab; each chunk's running
     totals carry over to the next slab, and a chunk is handed on once the
-    last slab has passed over it.  The array form (`out` given) holds every
-    output anyway, so all its chunks are one group and each slab's weights
-    are built once per call; a stream's groups are chunks whose outputs
-    take about _WEIGHT_FLOATS.
+    last slab has passed over it.  A group is the chunks whose outputs take
+    about _WEIGHT_FLOATS.
 
     The plain sources, and the scratch that `_window_sources` builds the
     sources from, are let go before the first output is handed on.  The
@@ -376,9 +373,9 @@ def window_chunks(
     weights, sources and inputs, so a consumer that works on it holds none
     of them.  An overflowing sum is left to the caller's finiteness check,
     `SampledSignal.finite`, which reports it once as a precondition error:
-    the lock-in applies it to each chunk as it comes, and to the array form
-    as a signal.  Each chunk is computed with NumPy's overflow and invalid
-    warnings off, and they are back on while the consumer holds it.
+    the lock-in applies it to each chunk as it comes.  Each chunk is
+    computed with NumPy's overflow and invalid warnings off, and they are
+    back on while the consumer holds it.
     """
     w, n = len(trapezoid), len(x)
     sources, cur, prev = _window_sources(trapezoid, plain)
@@ -386,7 +383,7 @@ def window_chunks(
     m = len(sources)  # S in the docstring
     with np.errstate(over="ignore", invalid="ignore"):
         head = x[:w] * trapezoid
-        warm = np.empty(w) if out is None else out[:w]
+        warm = np.empty(w)
         warm[0] = 0.0
         np.cumsum(0.5 * (head[1:] + head[:-1]), out=warm[1:])
     del head
@@ -405,7 +402,7 @@ def window_chunks(
     spans = [(i, min(i + size, whole)) for i in range(w, whole, size)]
     if whole < n:
         spans.append((whole, n))
-    group = len(spans) if out is not None else max(1, _WEIGHT_FLOATS // size)
+    group = max(1, _WEIGHT_FLOATS // size)
 
     def read(i: int, j: int) -> np.ndarray:
         """The periods [i - w, j) of x, one per row: the last n % w samples
@@ -447,8 +444,7 @@ def window_chunks(
                         # done[i, s]: sum over the phases before the block of
                         # source s times x in period i; rest[i, s]: the same
                         # over the block and the phases after
-                        outs[c] = (np.empty((-(-(j - i) // w), w)) if out is None or j > whole
-                                   else out[i:j].reshape(-1, w))
+                        outs[c] = np.empty((-(-(j - i) // w), w))
                         totals[c] = (np.zeros((len(periods), m)), periods @ sources.T)
                     rows, (done, rest) = outs[c], totals[c]
                     operand = np.empty((len(rows), width))
@@ -468,8 +464,6 @@ def window_chunks(
                 if s == len(slabs) - 1:
                     outs[c] = totals[c] = None
                     chunk = rows.reshape(-1)[: j - i]
-                    if out is not None and j > whole:
-                        out[i:j] = chunk
                     del rows
                     if (i, j) == spans[-1]:
                         return chunk  # handed on below, once the state is let go
@@ -503,24 +497,26 @@ def _window_sources(trapezoid: np.ndarray, plain: tuple) -> tuple[np.ndarray, ..
     return tuple(np.stack(r) for r in zip(*rows))
 
 
-def window_sums(
-    x,
-    trapezoid: np.ndarray,
-    plain: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = (),
-) -> np.ndarray:
-    """The outputs of `window_chunks`, which defines them, collected into one
-    array of len(x) outputs, each chunk written in its place: the array form
-    of the lock-in's output."""
-    out = np.empty(len(x))
-    for _ in window_chunks(x, trapezoid, plain, out):
-        pass
-    return out
-
-
 def _stream(signal) -> tuple[TimeGrid, Iterable]:
     """A SampledSignal as (its grid, [its values]), the streamed form of a
     signal held whole; a (grid, chunks) pair as it is."""
     return (signal.grid, [signal.values]) if isinstance(signal, SampledSignal) else signal
+
+
+def _joined(grid: TimeGrid, chunks: Iterable) -> SampledSignal:
+    """The stream (grid, chunks) held whole, the one way to make a signal of
+    a stream: each chunk is copied into its place in one array of grid.n
+    values as it comes and let go before the next is made, so the stream
+    adds one chunk to the array, where chunks kept to be joined at the end
+    would add a second full-length array."""
+    values, i = np.empty(grid.n), 0
+    for chunk in chunks:
+        values[i : i + len(chunk)] = chunk
+        i += len(chunk)
+        del chunk  # not held while the next one is made
+    if i != grid.n:
+        raise PreconditionError(f"a stream of {i} values does not fill its grid of {grid.n}")
+    return SampledSignal(grid, frozen(values))
 
 
 def downsample_at_phase(signal, f_m: float, phase: float) -> SampledSignal:

@@ -12,6 +12,7 @@ bit-identical results.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from operator import iadd, isub
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .config import Config, check_size
 from .errors import ConfigError, PreconditionError
-from .lockin import CHANNELS, GAIN_FLOOR, _lockin, _lockin_chunks, channel_gain, modulate
+from .lockin import CHANNELS, GAIN_FLOOR, _lockin_chunks, channel_gain, modulate
 from .modulation import ModulationFit, modulation_series
 from .reference import synth_demod_reference
 from .signals import (
@@ -27,6 +28,7 @@ from .signals import (
     HarmonicSeries,
     SampledSignal,
     TimeGrid,
+    _joined,
     _periodic,
     _ranges,
     _Repeating,
@@ -35,12 +37,13 @@ from .signals import (
     integer_ratio,
     period_grid,
     synth,
-    tile,
     whole_period,
     write_outputs,
 )
 
 _NOISE_KINDS = ("step", "sine", "none")
+# the full-rate stacks of a run, by the CSV name `report` writes each as
+_STACKS = ("noise.csv", "modulated.csv", "modulated_noisy.csv", "restored.csv")
 _REF_KINDS = ("square", "sine")
 
 
@@ -153,15 +156,13 @@ class SimResult:
     The modulated trace repeats with the period the measured sine and the
     modulation share, so it is kept as that one period, `modulated_period`
     (the whole run when it has no shorter one).  Every full-rate stack is
-    read from `config` each time it is read, with the bits of the run:
-    `modulated` tiles the period over `config.grid`, `noise` reads the
-    whole grid from `gen_noise` of the config's noise spec, drawn again,
-    `modulated_noisy` from `gen_noise` of the spec and the period, the
-    reader the lock-in read, and `restored_full` runs the lock-in again on
-    that reader, on the channel in `metrics`, on each read.  So when the
-    shared period is shorter than the run, a result holds no full-length
-    array.  A result holds arrays, so `==` compares identity, as for
-    `SampledSignal`.
+    made from `config` each time it is read, with the bits of the run, by
+    `stack`, the one place that says how a stack is made: `report` writes
+    its stream, and each property holds it whole (`signals._joined`), so a
+    property read makes the stack again and builds one full-length array:
+    `restored_full` runs the lock-in again.  So when the shared period is
+    shorter than the run, a result holds no full-length array.  A result
+    holds arrays, so `==` compares identity, as for `SampledSignal`.
     """
 
     config: SimConfig
@@ -175,30 +176,40 @@ class SimResult:
 
     @property
     def modulated(self) -> SampledSignal:
-        return tile(self.modulated_period, self.config.grid)
+        return _joined(*self.stack("modulated.csv"))
 
     @property
     def noise(self) -> SampledSignal:
-        grid = self.config.grid
-        return SampledSignal(grid, frozen(gen_noise(self.config.noise, grid)[:]))
+        return _joined(*self.stack("noise.csv"))
 
     @property
     def modulated_noisy(self) -> SampledSignal:
-        grid = self.config.grid
-        noisy = gen_noise(self.config.noise, grid, self.modulated_period)
-        return SampledSignal(grid, frozen(noisy[:]))
+        return _joined(*self.stack("modulated_noisy.csv"))
 
     @property
     def restored_full(self) -> SampledSignal:
-        return self._restored(_lockin)
+        return _joined(*self.stack("restored.csv"))
 
-    def _restored(self, lockin):
-        """`lockin` (`_lockin` or `_lockin_chunks`) of the run's noisy sum,
-        on the channel the run chose."""
-        cfg = self.config
-        m, r = _series(cfg)
-        noisy = gen_noise(cfg.noise, cfg.grid, self.modulated_period)
-        return lockin(cfg.grid, noisy, m, r, self.metrics["channel"], compensate=True)
+    def stack(self, name: str) -> tuple[TimeGrid, Iterator[np.ndarray]]:
+        """The full-rate stack `report` writes as `name`, one of _STACKS, as
+        its (grid, chunks) stream; only that stack is made.  The noise and
+        the noisy sum are ranges of `gen_noise`'s reader of the config's
+        spec (and the period), drawn again; the modulated trace is ranges of
+        its period laid out (not through the noise reader, whose 0.0 level
+        would turn a -0.0 in the period into 0.0), both by `signals._ranges`;
+        and the restored signal is the lock-in run again on the noisy sum,
+        on the channel in `metrics`, as the chunks it hands on."""
+        cfg, grid, period = self.config, self.config.grid, self.modulated_period
+        if name == "noise.csv":
+            return grid, _ranges(gen_noise(cfg.noise, grid))
+        if name == "modulated.csv":
+            return grid, _ranges(_Repeating(period.values, grid.n))
+        noisy = gen_noise(cfg.noise, grid, period)
+        if name == "modulated_noisy.csv":
+            return grid, _ranges(noisy)
+        if name == "restored.csv":
+            return _restored(cfg, noisy, _series(cfg), self.metrics["channel"])
+        raise KeyError(f"no full-rate stack {name!r}; use one of {_STACKS}")
 
 
 def _first_samples_at_or_after(grid: TimeGrid, times: np.ndarray) -> np.ndarray:
@@ -392,6 +403,18 @@ def _series(cfg: SimConfig) -> tuple[HarmonicSeries, HarmonicSeries]:
     return m, synth_demod_reference(cfg.f_m, cfg.ref_kind, l, cfg.ref_phase_delay)
 
 
+def _restored(
+    cfg: SimConfig, noisy: _NoisySum, series: tuple, channel: str
+) -> tuple[TimeGrid, Iterator[np.ndarray]]:
+    """The restored signal of a run: slope_compensate's output on the run's
+    noisy sum, for its (modulation, reference) series and channel, as the
+    stream of `lockin._lockin_chunks`, each chunk checked finite as it
+    comes.  `run_simulation` takes its metrics from it, and
+    `SimResult.stack` makes it again."""
+    m, r = series
+    return _lockin_chunks(cfg.grid, noisy, m, r, channel, compensate=True)
+
+
 def run_simulation(cfg: SimConfig) -> SimResult:
     """Run the full chain and compute recovery metrics.
 
@@ -404,10 +427,10 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     excludes the windows that hold a noise step (`spike_windows`), found at
     the down-sample picks from the steps the noise reader draws.
 
-    The lock-in output is taken one chunk at a time, as `_lockin_chunks`
-    hands it on, checked finite: each chunk gives its down-sample picks and
-    then its samples of the full-rate error, and is let go, so the output
-    is never whole.  `SimResult.restored_full` computes it again.
+    The lock-in output is taken one chunk at a time, as `_restored` hands
+    it on, checked finite: each chunk gives its down-sample picks and then
+    its samples of the full-rate error, and is let go, so the output is
+    never whole.  `SimResult.stack("restored.csv")` makes it again.
     """
     grid = cfg.grid
     m_series, r = _series(cfg)
@@ -426,7 +449,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     # array, and as chunks rather than one array; spp is one modulation
     # period: the lock-in's window, so its warm-up, the width of a window
     # that a step contaminates and the stride of the picks
-    out_grid, chunks = _lockin_chunks(grid, noisy, m_series, r, channel, compensate=True)
+    out_grid, chunks = _restored(cfg, noisy, (m_series, r), channel)
     spp = whole_period(grid, cfg.f_m).n
     # full-rate error, warm-up excluded (noise spikes stay in: they are the output)
     deviation = _Deviation(cfg, out_grid, spp)
@@ -492,26 +515,13 @@ def report(result: SimResult, out_dir) -> dict:
     Emits noise.csv, modulated.csv, modulated_noisy.csv, restored.csv,
     restored_downsampled.csv and metrics.json; returns a summary with the
     file paths and metric values.  Each full-rate stack is handed to the
-    writer as consecutive chunks, with the bits of the `SimResult` property
-    of the same name, so none exists at full length: the noise and the
-    noisy sum as ranges of the noise reader, the modulated trace as ranges
-    of its period laid out (not through the noise reader, whose 0.0 level
-    would turn a -0.0 in the period into 0.0), both by `signals._ranges`,
-    and the restored signal as the chunks of the lock-in, run again, as
-    they come.  The three stacks on the run grid share one `write_csv`
-    call, which `write_outputs` makes, and so their time column.
+    writer as the stream `SimResult.stack` makes of it, chunk by chunk, so
+    none exists at full length; all four are made before the directory is,
+    so a result whose lock-in is refused up front writes nothing.  The
+    three stacks on the run grid share one `write_csv` call, which
+    `write_outputs` makes, and so their time column.
     """
-    cfg, grid, period = result.config, result.config.grid, result.modulated_period
-    restored_grid, chunks = result._restored(_lockin_chunks)
-    files = write_outputs(
-        {
-            "noise.csv": (grid, _ranges(gen_noise(cfg.noise, grid))),
-            "modulated.csv": (grid, _ranges(_Repeating(period.values, grid.n))),
-            "modulated_noisy.csv": (grid, _ranges(gen_noise(cfg.noise, grid, period))),
-            "restored.csv": (restored_grid, chunks),
-            "restored_downsampled.csv": result.restored_downsampled,
-            "metrics.json": result.metrics,
-        },
-        out_dir,
-    )
-    return {"files": files, "metrics": dict(result.metrics)}
+    files = {name: result.stack(name) for name in _STACKS}
+    files["restored_downsampled.csv"] = result.restored_downsampled
+    files["metrics.json"] = result.metrics
+    return {"files": write_outputs(files, out_dir), "metrics": dict(result.metrics)}

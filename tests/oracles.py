@@ -1,12 +1,13 @@
-"""Independent oracles that tests check the package against, and the reader
-that takes its CSV outputs back."""
+"""Independent oracles that tests check the package against, the reader
+that takes its CSV outputs back, and the trailing-window kernel's stream
+held as one array."""
 
 import numpy as np
 
 from rotolock.errors import PreconditionError
 from rotolock.modulation import ModulationFit
 from rotolock.reference import SpotGeometry, _wrap_angle
-from rotolock.signals import SampledSignal, TimeGrid
+from rotolock.signals import SampledSignal, TimeGrid, _joined, window_chunks
 
 
 def transmitted_fraction_mc(
@@ -43,6 +44,12 @@ def eval_modulation(fit: ModulationFit, alpha) -> np.ndarray | float:
     terms = fit.amplitudes * np.cos(i * alpha[..., None] + fit.phase)
     out = fit.offset + terms.sum(axis=-1)
     return float(out) if out.ndim == 0 else out
+
+
+def window_sums(x, trapezoid, plain=()) -> np.ndarray:
+    """The outputs of `window_chunks`, which defines them, as one array of
+    len(x): the stream held whole by `_joined`, as the lock-in holds it."""
+    return _joined(TimeGrid(1.0, len(x)), window_chunks(x, trapezoid, plain)).values
 
 
 def read_csv(path) -> SampledSignal:

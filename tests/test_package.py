@@ -45,14 +45,15 @@ def test_lockin_has_one_gain_path():
 
 
 def test_one_trailing_window_kernel(monkeypatch):
-    # signals.window_sums is the only trailing-window sum: the lock-in keeps
-    # no kernel of its own, and each caller makes one call of it.  The slope
-    # term goes in as two plain sources (s, c0, c1), the periods ones and m
-    # with per-phase weights: how they fall on the kernel's period rows is
-    # the kernel's alone
-    for name in ("_window_sums", "_PHASE_BLOCK"):
+    # signals.window_chunks is the only trailing-window sum, with one output
+    # form, its stream: the lock-in keeps no kernel of its own and no array
+    # form, and each caller makes one call of it.  The slope term goes in as
+    # two plain sources (s, c0, c1), the periods ones and m with per-phase
+    # weights: how they fall on the kernel's period rows is the kernel's alone
+    for name in ("_window_sums", "_PHASE_BLOCK", "_lockin"):
         assert not hasattr(rotolock.lockin, name), name
-    kernel = rotolock.signals.window_sums
+    assert not hasattr(rotolock.signals, "window_sums")
+    kernel = rotolock.signals.window_chunks
     signature = inspect.signature(kernel)
     assert list(signature.parameters) == ["x", "trapezoid", "plain"]
     calls = []
@@ -64,8 +65,8 @@ def test_one_trailing_window_kernel(monkeypatch):
         return kernel(*args, **kwargs)
 
     # the lock-in holds the name it imported
-    monkeypatch.setattr(rotolock.signals, "window_sums", counted)
-    monkeypatch.setattr(rotolock.lockin, "window_sums", counted)
+    monkeypatch.setattr(rotolock.signals, "window_chunks", counted)
+    monkeypatch.setattr(rotolock.lockin, "window_chunks", counted)
     grid = TimeGrid(dt=2e-6, n=4 * 200)  # whole periods of f_m = 2.5 kHz
     m = HarmonicSeries(2500.0, 0.5, [1.0, 0.3], [0.2, -0.1])
     s_m = SampledSignal(grid, np.sin(2.0 * np.pi * 50.0 * grid.times()))
@@ -254,24 +255,51 @@ def test_traced_spans_resolve():
     assert revived == []
 
 
-def test_sim_result_holds_only_what_is_read():
+def test_sim_result_holds_only_what_is_read(monkeypatch, tmp_path):
     # report writes the five stacks and the metrics come with them; no field
     # holds a full-length array.  The run's inputs are held as the config it
-    # ran, whose `grid` every property reads: the modulated trace as its one
-    # shared period, tiled when read, the noise and the noisy sum drawn from
-    # the config's spec when read, from gen_noise's reader, and the lock-in
-    # output run again on the noisy sum when read.  The warm-up is read from the
-    # metrics, not held twice
+    # ran, whose `grid` every property reads.  Each full-rate stack is made
+    # in one place, `SimResult.stack`, as a stream: report writes each
+    # stream, one call per stack, and each property holds one whole, one
+    # call per read.  The warm-up is read from the metrics, not held twice
     assert [f.name for f in dataclasses.fields(rotolock.SimResult)] == [
         "config", "modulated_period", "restored_downsampled", "metrics",
     ]
     for name in ("warmup", "modulated", "noise", "modulated_noisy", "restored_full"):
         assert isinstance(inspect.getattr_static(rotolock.SimResult, name), property), name
     assert isinstance(inspect.getattr_static(rotolock.SimConfig, "grid"), property)
-    assert not hasattr(rotolock.SimResult, "_grid")
+    for name in ("_grid", "_restored"):
+        assert not hasattr(rotolock.SimResult, name), name
+    for name in ("tile", "_lockin"):
+        assert not hasattr(rotolock.sim, name), name
     assert inspect.signature(rotolock.gen_noise).return_annotation == "_NoisySum"
     res = rotolock.run_simulation(rotolock.SimConfig())
     assert res.warmup == res.metrics["warmup_samples"] == 200
+
+    stack, stacks = rotolock.SimResult.stack, []
+    monkeypatch.setattr(rotolock.SimResult, "stack",
+                        lambda self, name: stacks.append(name) or stack(self, name))
+    for prop, name in (("modulated", "modulated.csv"), ("noise", "noise.csv"),
+                       ("modulated_noisy", "modulated_noisy.csv"),
+                       ("restored_full", "restored.csv")):
+        stacks.clear()
+        assert getattr(res, prop).grid.n == res.config.grid.n
+        assert stacks == [name], prop
+    stacks.clear()
+    rotolock.report(res, tmp_path)
+    assert stacks == ["noise.csv", "modulated.csv", "modulated_noisy.csv", "restored.csv"]
+    # a stack is made alone: reading `noise` draws one _NoisySum, of the
+    # spec and grid, and makes no lock-in terms
+    reader, readers = rotolock.sim._NoisySum, []
+    terms, made = rotolock.lockin._lockin_terms, []
+    monkeypatch.setattr(rotolock.sim, "_NoisySum",
+                        lambda *a: readers.append(len(a)) or reader(*a))
+    monkeypatch.setattr(rotolock.lockin, "_lockin_terms",
+                        lambda *a: made.append(1) or terms(*a))
+    assert res.noise.grid == res.config.grid
+    assert readers == [2] and made == []
+    assert res.restored_full.grid.n == res.config.grid.n
+    assert readers == [2, 3] and made == [1]
 
 
 def test_one_emission_law():

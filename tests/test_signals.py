@@ -27,11 +27,10 @@ from rotolock.signals import (
     synth,
     tile,
     window_chunks,
-    window_sums,
     write_csv,
 )
 
-from oracles import eval_modulation, read_csv
+from oracles import eval_modulation, read_csv, window_sums
 
 F_M = 2500.0
 DT = 2e-6
@@ -304,7 +303,7 @@ def trapezoid_window_sum(y, j, w):
 
 
 def near_chunk_starts(n, w):
-    """Outputs within 2w of where `window_sums` starts a chunk of periods or
+    """Outputs within 2w of where `window_chunks` starts a chunk of periods or
     its pass over a partial last period.  When w is long, only those within
     _PHASE_BLOCK of such a start and every (w // 8)th of the others, so that
     the O(w) oracle per output stays cheap."""
@@ -411,7 +410,7 @@ class TestTrapezoidWindowSums:
 
 
 def window_sum_terms(x, trapezoid, plain, j):
-    """The terms of output j of `window_sums`, as its docstring defines it."""
+    """The terms of output j of `window_chunks`, as its docstring defines it."""
     w = len(trapezoid)
     if j < w:  # warm-up: the trapezoid sum over [0, j]
         e = np.ones(j + 1)
@@ -553,10 +552,9 @@ class TestWindowSums:
 
     def test_weights_past_the_budget_give_the_bits_of_one_slab(self, monkeypatch):
         # a period whose block weights do not fit _WEIGHT_FLOATS builds them
-        # slab by slab for each group of chunks: the array form, which holds
-        # every output anyway, takes its eleven chunks as one group and
-        # builds each block's weights once, and the stream takes them in two
-        # groups.  The sums are those of one slab of every block, built once
+        # slab by slab for each group of chunks: the stream takes its eleven
+        # chunks in two groups, and builds each block's weights once per
+        # group.  The sums are those of one slab of every block, built once
         n, w = 11 * (_BLOCK_SAMPLES // 8000) * 8000 + 8000 + 123, 8000
         rng = np.random.default_rng(6)
         x, trapezoid = rng.normal(size=n), rng.normal(size=w)
@@ -564,13 +562,11 @@ class TestWindowSums:
         assert (w // _PHASE_BLOCK) * 2 * (_PHASE_BLOCK + 5) * _PHASE_BLOCK > _WEIGHT_FLOATS
         tril, trils = np.tril, []  # two per block's weights
         monkeypatch.setattr(np, "tril", lambda *a: trils.append(1) or tril(*a))
-        grouped = window_sums(x, trapezoid, plain)
-        assert len(trils) == 2 * (w // _PHASE_BLOCK)
         chunks = np.concatenate(list(window_chunks(x, trapezoid, plain)))
-        assert len(trils) == 2 * 3 * (w // _PHASE_BLOCK)
+        assert len(trils) == 2 * 2 * (w // _PHASE_BLOCK)
         monkeypatch.setattr(rotolock.signals, "_WEIGHT_FLOATS", 2**40)
         one_slab = window_sums(x, trapezoid, plain).tobytes()
-        assert grouped.tobytes() == chunks.tobytes() == one_slab
+        assert chunks.tobytes() == one_slab
 
 
 class TestDownsampleAtPhase:

@@ -37,9 +37,11 @@ from rotolock.signals import (
     downsample_at_phase,
     period_grid,
     synth,
-    window_sums,
+    tile,
     write_csv,
 )
+
+from oracles import window_sums
 
 
 def default_grid():
@@ -526,6 +528,22 @@ class TestSimResultArrays:
         assert cfg.n_samples == 150_000
         assert self._peak(run_simulation, cfg) / cfg.n_samples < 12
 
+    @pytest.mark.parametrize("prop", ["restored_full", "noise"])
+    def test_a_whole_read_holds_one_array(self, prop):
+        # a property read holds its stack's stream whole, each chunk copied
+        # into one array as it comes: between 0.3 s and 0.6 s its peak grows
+        # by the array's 8 B per sample, 8.03 measured for restored_full,
+        # whose peak is at the kernel's last chunk (fixed scratch), and 9.00
+        # for noise, whose peak is at the signal's finiteness scan of the
+        # array (1 B per sample more).  Chunks kept to be joined at the end,
+        # a second full-length array, would add 8 B
+        short, long = (run_simulation(SimConfig(duration=d)) for d in (0.3, 0.6))
+        getattr(short, prop)  # a first read makes NumPy's lazy imports and caches
+        growth = (self._peak(getattr, long, prop) - self._peak(getattr, short, prop)) / (
+            long.config.n_samples - short.config.n_samples
+        )
+        assert growth < 10.0
+
     @pytest.mark.parametrize("kind", ["step", "sine", "none"])
     @pytest.mark.parametrize("writes", [False, True], ids=["run", "run-and-report"])
     def test_peak_does_not_grow(self, monkeypatch, tmp_path, kind, writes):
@@ -675,7 +693,7 @@ class TestSimResultArrays:
         # warm-up on, against the sine over the grid from there (as synth
         # tiles one period) when its period has at most _BLOCK_SAMPLES
         # samples, else against the sine evaluated on the chunk's own slice
-        grid, chunks = res._restored(_lockin_chunks)
+        grid, chunks = res.stack("restored.csv")
         start = res.warmup
 
         def sine(i, j):  # over samples [i, j) of grid
@@ -801,7 +819,8 @@ class TestSimResultArrays:
 
     def test_no_tile_over_the_run(self, monkeypatch):
         # the run keeps the modulated trace as its shared period: no array is
-        # tiled onto the run's grid until `modulated` is read
+        # tiled onto the run's grid, and `modulated` lays the period out by
+        # range, as report writes it, rather than tiling it
         tile = rotolock.signals.tile
         cfg = SimConfig(duration=0.3)
         run_grid = TimeGrid(cfg.dt, cfg.n_samples)
@@ -817,8 +836,9 @@ class TestSimResultArrays:
                 monkeypatch.setattr(module, "tile", counting)
         res = run_simulation(cfg)
         assert onto_run == []
-        assert res.modulated.grid == run_grid
-        assert onto_run == [10_000]
+        modulated = res.modulated
+        assert modulated.grid == run_grid and onto_run == []
+        assert modulated.values.tobytes() == tile(res.modulated_period, run_grid).values.tobytes()
 
     def test_synth_evaluates_one_run_of_samples(self, monkeypatch):
         # synth evaluates the samples of `period_grid` and tiles them: the
@@ -892,15 +912,18 @@ class TestReport:
     )
     def test_streamed_stacks_are_the_bytes_of_the_whole_signals(self, tmp_path, overrides):
         # report hands each full-rate stack to the writer as consecutive
-        # chunks; each file has the bytes of write_csv of the whole signal
+        # chunks; each file has the bytes of write_csv of the whole signal,
+        # built here without SimResult.stack, which the properties read
         cfg = SimConfig(**overrides)
         res = run_simulation(cfg)
         report(res, tmp_path / "streamed")
+        grid, period = cfg.grid, res.modulated_period
+        noisy = whole_noise(cfg.noise, grid, period)
         m, r = _series(cfg)
-        restored = slope_compensate(res.modulated_noisy, m, r, res.metrics["channel"])
-        for name, signal in (("noise.csv", res.noise), ("modulated.csv", res.modulated),
-                             ("modulated_noisy.csv", res.modulated_noisy),
-                             ("restored.csv", restored)):
+        restored = slope_compensate(noisy, m, r, res.metrics["channel"])
+        for name, signal in (("noise.csv", whole_noise(cfg.noise, grid)),
+                             ("modulated.csv", tile(period, grid)),
+                             ("modulated_noisy.csv", noisy), ("restored.csv", restored)):
             write_csv(signal, tmp_path / name)
             assert (tmp_path / "streamed" / name).read_bytes() == (tmp_path / name).read_bytes()
 
