@@ -15,14 +15,15 @@ own window and removes it.
 The lock-in integral is one pass of `signals.window_chunks`, the package's
 trailing-window trapezoid kernel: it keeps running sums within each period
 and works through the modulated signal in cache-sized chunks of whole
-periods, one matrix product per block of phases and chunk.  It reads each
-chunk when it gets to it and hands on that chunk's output, so the signal
-can come as its values or as a reader of them by sample range, and the
-output can be consumed chunk by chunk: `sim.run_simulation` passes the
-noisy sum, built one chunk at a time, and takes its metrics from the
-output chunks, so neither is held at full length.  `demodulate` and
-`slope_compensate` return that stream, `_lockin_chunks`, held whole by
-`signals._joined`.
+periods, each read once: one matrix product per block of phases and chunk
+when the block weights fit its budget, and one cumulative sum per source
+and chunk for a longer period.  It hands on each chunk's output when the
+chunk is summed, so the signal can come as its values or as a reader of
+them by sample range, and the output can be consumed chunk by chunk:
+`sim.run_simulation` passes the noisy sum, built one chunk at a time, and
+takes its metrics from the output chunks, so neither is held at full
+length.  `demodulate` and `slope_compensate` return that stream,
+`_lockin_chunks`, held whole by `signals._joined`.
 `demodulate` passes the scaled reference period as the trapezoid
 integrand; `slope_compensate` adds the slope term to the same call as two
 plain sources, the periods ones and m, whose window sums of x and m*x are

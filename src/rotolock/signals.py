@@ -27,8 +27,8 @@ _RATIO_TOL = 1e-9
 _CSV_CHUNK = 256
 _CSV_READ = 16 * _CSV_CHUNK
 
-# phases per block of `window_chunks`: one product by its weights per block
-# and period, and fewer blocks mean fewer Python steps
+# phases per block of `window_chunks`' block weights: one product by them
+# per block and chunk, and fewer blocks mean fewer Python steps
 _PHASE_BLOCK = 32
 
 # samples in a cache-sized run (512 KiB of float64): `window_chunks` works
@@ -38,8 +38,8 @@ _PHASE_BLOCK = 32
 _BLOCK_SAMPLES = 2**16
 
 # floats (4 MiB) of `window_chunks`' block weights that it builds once per
-# call; a period whose weights take more builds them slab by slab, once per
-# group of chunks of a stream whose outputs take about as much
+# call; a period whose weights take more builds none and takes each source's
+# running sums instead
 _WEIGHT_FLOATS = 8 * _BLOCK_SAMPLES
 
 
@@ -328,44 +328,47 @@ def window_chunks(
     The signal is viewed one period per row, and every sum is a combination
     of running sums over phases within one period.  Those restart every
     period, so unlike one running sum over the whole signal, subtracted,
-    they do not lose bits as the run grows.  The phases go in blocks of
-    _PHASE_BLOCK, and the w % _PHASE_BLOCK left over form one more block:
-    within a block the running sums grow by the block's samples up to phase
-    p, a lower-triangular (phase x phase) weight matrix applied to the
-    block's columns of every period at once, whose diagonal also takes off
-    the half end weights; the sums before the block come from the running
-    totals.
+    they do not lose bits as the run grows.  For S sources (the trapezoid
+    and two per plain one), each with its weights cur on the phases of an
+    output's own period and prev on those of the period before, let C[r, q]
+    be a source's running sum of source times x over phases 0..q of period
+    r (0 for q = -1) and T[r] its whole-period total: output phase p of
+    period r is
+        sum over the sources of cur[p] * C[r, p]
+                                + prev[p] * (T[r - 1] - C[r - 1, p - 1]),
+    less half the trapezoid's end samples at phase p of both periods.
 
     A chunk holds whole periods of about _BLOCK_SAMPLES samples, so that its
-    input, output and scratch stay in cache while every block passes over
-    it.  It reads its periods and the one before them as x[i - w : j] when
-    it gets to them, so x is an ndarray (the read is a view) or any object
-    with len and slicing that returns a fresh float array for the range:
-    such a reader, like the simulator's noisy sum, never needs to exist at
-    full length.  The read is dropped before the chunk's output is handed
-    on, and nothing is kept across chunks but the weights (and, for a long
-    period, the outputs of the chunk's group, below), so a consumer that
-    drops each chunk in turn holds no full-length array.  For S sources
-    (the trapezoid and two per plain one), a chunk's one operand of
-    2 * (_PHASE_BLOCK + S) columns takes, block by block, the block's
-    samples of each output's period and of the period before, and the
-    running totals before the block and from it on; one matrix product by
-    the block's weights writes the block's outputs.
+    input, output and scratch stay in cache while it is summed.  It reads
+    its periods and the one before them as x[i - w : j], once, when it gets
+    to them, so x is an ndarray (the read is a view) or any object with len
+    and slicing that returns a fresh float array for the range: such a
+    reader, like the simulator's noisy sum, never needs to exist at full
+    length.  The read is dropped before the chunk's output is handed on,
+    and nothing is kept across chunks but the sources and their weights, so
+    a consumer that drops each chunk in turn holds no full-length array.
     The last n % w outputs come from one more chunk over a zero-padded copy
     of the last two periods.
 
+    A chunk's periods become its output rows in one of two ways.  When the
+    block weights below fit _WEIGHT_FLOATS (a period of up to 7 072 samples
+    for the lock-in's S = 5), the phases go in blocks of _PHASE_BLOCK, and
+    the w % _PHASE_BLOCK left over form one more block: within a block the
+    running sums grow by the block's samples up to phase p, a
+    lower-triangular (phase x phase) weight matrix applied to the block's
+    columns of every period at once, whose diagonal also takes off the half
+    end weights; the sums before the block come from the running totals.
     The weights take (2 * _PHASE_BLOCK + 2 * S) * _PHASE_BLOCK floats per
-    block (the two triangles, then cur and prev), about 74 per phase for
-    the lock-in's S = 5.  When all of them fit in _WEIGHT_FLOATS (a period
-    of up to about 7 000 samples for the lock-in) they are built once per
-    call and each chunk is read once, and handed on once summed.  A longer
-    period goes in slabs of _BLOCK_SAMPLES / (2 * _PHASE_BLOCK + 2 * S)
-    phases, whose weights take about _BLOCK_SAMPLES floats, and its chunks
-    in groups: each slab's weights are built once per group and passed over
-    each of its chunks, read again for each slab; each chunk's running
-    totals carry over to the next slab, and a chunk is handed on once the
-    last slab has passed over it.  A group is the chunks whose outputs take
-    about _WEIGHT_FLOATS.
+    block (the two triangles, then cur and prev) and are built once per
+    call.  A chunk's one operand of 2 * (_PHASE_BLOCK + S) columns takes,
+    block by block, the block's samples of each output's period and of the
+    period before, and the running totals before the block and from it on;
+    one matrix product by the block's weights writes the block's outputs.
+    A longer period builds no weights: each source's running sums C are one
+    `np.cumsum` over the chunk's rows, combined as above.  Both restart
+    every period, and the cumulative sum rounds more: against exact sums of
+    random terms, up to about 7e-15 of an output's sum of |terms| where the
+    blocks stay within about 1e-15.
 
     The plain sources, and the scratch that `_window_sources` builds the
     sources from, are let go before the first output is handed on.  The
@@ -390,19 +393,14 @@ def window_chunks(
 
     blocks = [(p0, min(p0 + _PHASE_BLOCK, w)) for p0 in range(0, w, _PHASE_BLOCK)]
     width = 2 * (_PHASE_BLOCK + m)  # a block's operand columns
-    # one slab of every block when their weights fit _WEIGHT_FLOATS, else
-    # slabs whose weights take about _BLOCK_SAMPLES floats
     fits = len(blocks) * width * _PHASE_BLOCK <= _WEIGHT_FLOATS
-    per_slab = len(blocks) if fits else max(1, _BLOCK_SAMPLES // (width * _PHASE_BLOCK))
-    slabs = [blocks[s0 : s0 + per_slab] for s0 in range(0, len(blocks), per_slab)]
-    # chunks: the samples [i, j) whose windows end in them, read with the
-    # period before them, in groups that each slab's weights pass over
+    # chunks: the samples [i, j) whose windows end in them, each read once
+    # with the period before them
     whole = n - n % w
     size = max(1, _BLOCK_SAMPLES // w) * w
     spans = [(i, min(i + size, whole)) for i in range(w, whole, size)]
     if whole < n:
         spans.append((whole, n))
-    group = max(1, _WEIGHT_FLOATS // size)
 
     def read(i: int, j: int) -> np.ndarray:
         """The periods [i - w, j) of x, one per row: the last n % w samples
@@ -414,68 +412,62 @@ def window_chunks(
         return padded.reshape(2, w)
 
     @np.errstate(over="ignore", invalid="ignore")
-    def slab_weights(slab: list) -> list:
+    def block_weights(p0: int, p1: int) -> np.ndarray:
         # block (p0, p1) weighs [x of period i | x of period i - 1 | done | rest]:
         # phase q <= p of period i and q < p of period i - 1 (subtracted from its
         # rest), and on the diagonals the half weights of the window's two ends
-        weights = []
-        for p0, p1 in slab:
-            src = sources[:, p0:p1]
-            half = np.diag(0.5 * trapezoid[p0:p1])
-            now = np.tril(cur[:, p0:p1].T @ src) - half
-            before = np.tril(prev[:, p0:p1].T @ src, -1) + half
-            weights.append(np.vstack([now.T, -before.T, cur[:, p0:p1], prev[:, p0:p1]]))
-        return weights
+        src = sources[:, p0:p1]
+        half = np.diag(0.5 * trapezoid[p0:p1])
+        now = np.tril(cur[:, p0:p1].T @ src) - half
+        before = np.tril(prev[:, p0:p1].T @ src, -1) + half
+        return np.vstack([now.T, -before.T, cur[:, p0:p1], prev[:, p0:p1]])
 
-    built = slab_weights(slabs[0]) if len(slabs) == 1 else None
+    weights = [block_weights(p0, p1) for p0, p1 in blocks] if fits else []
 
-    def sums(chunks: list) -> Iterator[np.ndarray]:
-        """The outputs of the windows ending in each chunk [i, j), each
-        handed on once the last slab has passed over it."""
-        outs, totals = [None] * len(chunks), [None] * len(chunks)
-        for s, slab in enumerate(slabs):
-            weights = built or slab_weights(slab)
-            for c, (i, j) in enumerate(chunks):
-                with np.errstate(over="ignore", invalid="ignore"):
-                    # each slab reads each chunk of the group again
-                    periods = read(i, j)
-                    if outs[c] is None:
-                        # one period per row (one row for the last n % w);
-                        # done[i, s]: sum over the phases before the block of
-                        # source s times x in period i; rest[i, s]: the same
-                        # over the block and the phases after
-                        outs[c] = np.empty((-(-(j - i) // w), w))
-                        totals[c] = (np.zeros((len(periods), m)), periods @ sources.T)
-                    rows, (done, rest) = outs[c], totals[c]
-                    operand = np.empty((len(rows), width))
-                    for (p0, p1), weight in zip(slab, weights):
-                        b = p1 - p0
-                        xb = periods[:, p0:p1]
-                        a = operand[:, : 2 * (b + m)]
-                        a[:, :b] = xb[1:]
-                        a[:, b : 2 * b] = xb[:-1]
-                        a[:, 2 * b : 2 * b + m] = done[1:]
-                        a[:, 2 * b + m :] = rest[:-1]
-                        np.matmul(a, weight, out=rows[:, p0:p1])
-                        step = xb @ sources[:, p0:p1].T
-                        done += step
-                        rest -= step
-                del periods, xb, operand, a, step, done, rest
-                if s == len(slabs) - 1:
-                    outs[c] = totals[c] = None
-                    chunk = rows.reshape(-1)[: j - i]
-                    del rows
-                    if (i, j) == spans[-1]:
-                        return chunk  # handed on below, once the state is let go
-                    yield chunk
-                    del chunk
+    def blocked(periods: np.ndarray) -> np.ndarray:
+        """Output rows of periods[1:] by the block weights."""
+        rows = np.empty((len(periods) - 1, w))
+        # done[i, s]: sum over the phases before the block of source s times
+        # x in period i; rest[i, s]: the same over the block and the phases after
+        done, rest = np.zeros((len(periods), m)), periods @ sources.T
+        operand = np.empty((len(rows), width))
+        for (p0, p1), weight in zip(blocks, weights):
+            b = p1 - p0
+            xb = periods[:, p0:p1]
+            a = operand[:, : 2 * (b + m)]
+            a[:, :b] = xb[1:]
+            a[:, b : 2 * b] = xb[:-1]
+            a[:, 2 * b : 2 * b + m] = done[1:]
+            a[:, 2 * b + m :] = rest[:-1]
+            np.matmul(a, weight, out=rows[:, p0:p1])
+            step = xb @ sources[:, p0:p1].T
+            done += step
+            rest -= step
+        return rows
 
+    def running(periods: np.ndarray) -> np.ndarray:
+        """Output rows of periods[1:] by each source's running sums."""
+        rows = -0.5 * trapezoid * (periods[1:] + periods[:-1])
+        for s, now, before in zip(sources, cur, prev):
+            partial = periods * s
+            np.cumsum(partial, axis=1, out=partial)  # C, and T in its last column
+            rows += now * partial[1:]
+            rows += before * partial[:-1, -1:]
+            rows[:, 1:] -= before[1:] * partial[:-1, :-1]
+        return rows
+
+    rows_of = blocked if fits else running
     yield warm
     del warm
-    for g in range(0, len(spans), group):
-        last = yield from sums(spans[g : g + group])
-    del built, sources, cur, prev, x, trapezoid
-    yield last
+    for i, j in spans:
+        with np.errstate(over="ignore", invalid="ignore"):
+            chunk = rows_of(read(i, j)).reshape(-1)[: j - i]
+        if j == n:
+            break  # handed on below, once the state is let go
+        yield chunk
+        del chunk
+    del weights, sources, cur, prev, x, trapezoid
+    yield chunk
 
 
 @np.errstate(over="ignore", invalid="ignore")

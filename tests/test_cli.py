@@ -506,13 +506,14 @@ CONTRACT = [
     # no whole period: a sine over the whole grid
     pytest.param(["simulate"], {"noise": {"kind": "sine", "rate_or_freq": 37.0}}, 0,
                  id="simulate_sine_37hz"),
-    # a 4 000-sample period, whose block weights still fit one slab
+    # a 4 000-sample period, whose block weights fit _WEIGHT_FLOATS
     pytest.param(["simulate"], {"f_m": 250.0, "dt": 1e-6}, 0, id="simulate_long_period"),
     # three chunks of the lock-in's output and a partial last period
     pytest.param(["simulate"], {"duration": 0.3001}, 0, id="simulate_chunks"),
-    # an 8 000-sample period: ten slabs of block weights over eleven chunks
+    # an 8 000-sample period, whose block weights do not fit: the running
+    # sums over eleven chunks
     pytest.param(["simulate"], {"f_m": 125.0, "dt": 1e-6, "duration": 0.6001}, 0,
-                 id="simulate_slabs"),
+                 id="simulate_running_sums"),
     pytest.param(["simulate"], {"duration": 4e-4}, 3, id="one_period"),
     pytest.param(["simulate"], {"no_such_key": 1}, 2, id="unknown_key"),
     # the noisy sum overflows, refused by the lock-in's stream

@@ -56,6 +56,14 @@ def test_one_trailing_window_kernel(monkeypatch):
     kernel = rotolock.signals.window_chunks
     signature = inspect.signature(kernel)
     assert list(signature.parameters) == ["x", "trapezoid", "plain"]
+    # a period past the weight budget takes per-period running sums, each
+    # chunk read once: no slabs of weights, rebuilt per group of chunks
+    # that each slab reads again, and no per-chunk state kept across slabs
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(kernel))):
+        names.add(getattr(node, "id", getattr(node, "name", getattr(node, "arg", None))))
+    gone = {"slabs", "per_slab", "slab_weights", "group", "built", "sums", "outs", "totals"}
+    assert not names & gone, names & gone
     calls = []
 
     def counted(*args, **kwargs):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from rotolock.errors import PreconditionError
 from rotolock.modulation import ModulationFit
 from rotolock.sim import NoiseSpec, SimConfig, measured_signal, run_simulation
-import rotolock.signals
 from rotolock.signals import (
     _BLOCK_SAMPLES,
     _PHASE_BLOCK,
@@ -362,9 +361,9 @@ class TestTrapezoidWindowSums:
             assert abs(out[j] - expected) < 1e-14 * abs(expected)
 
     def test_memory_does_not_grow_with_the_window(self):
-        # the output, per-phase arrays, the warm-up and one slab of block
-        # weights take ~35 B per sample at w = n / 2; the weights of every
-        # phase at once would add ~390 B per sample
+        # past the weight budget: the output, the warm-up and one chunk's
+        # periods, running sums and scratch take ~42 B per sample at
+        # w = n / 2; the block weights of every phase would add ~390 B
         n = 200_000
         v = np.random.default_rng(2).normal(size=n)
         tracemalloc.start()
@@ -459,8 +458,11 @@ class TestWindowSums:
             # one period, and the tail
             (4 * 1100 + 123, 1100, 2, list(range(2 * 1100, 3 * 1100)) + [4 * 1100 + 122]),
             (3 * 1500 + 9, 1500, 3, list(range(0, 3 * 1500 + 9, 7))),
-            # ten slabs of phase blocks, whose weights do not: phases across
-            # every slab edge of one period, and the tail
+            # the longest period whose block weights fit _WEIGHT_FLOATS for the
+            # lock-in's five sources, and the shortest whose weights do not,
+            # which the running sums take: phases across one period, and the tail
+            (3 * 7072 + 123, 7072, 2, list(range(2 * 7072, 3 * 7072, 97)) + [3 * 7072 + 122]),
+            (3 * 7073 + 123, 7073, 2, list(range(2 * 7073, 3 * 7073, 97)) + [3 * 7073 + 122]),
             (3 * 8000 + 123, 8000, 2, list(range(2 * 8000, 3 * 8000, 97)) + [3 * 8000 + 122]),
         ],
     )
@@ -473,21 +475,20 @@ class TestWindowSums:
         check_window_sums(6 * 77 + 40, 77, 2, range(6 * 77 + 40), zero)
 
     @pytest.mark.parametrize(
-        "n, w, rereads",
+        "n, w",
         [
-            (5 * SPP + 37, SPP, False),
+            (5 * SPP + 37, SPP),
             # three chunks of periods and a partial last period
-            (2 * _BLOCK_SAMPLES + 5 * SPP + 37, SPP, False),
+            (2 * _BLOCK_SAMPLES + 5 * SPP + 37, SPP),
             # a period whose block weights fit _WEIGHT_FLOATS, three chunks
-            # and a partial last period: the weights are built once and each
-            # chunk is read once
-            (2 * (_BLOCK_SAMPLES // 4000) * 4000 + 3 * 4000 + 123, 4000, False),
-            # one whose weights do not: they go in slabs, and each slab reads
-            # each chunk of its group again
-            (2 * (_BLOCK_SAMPLES // 8000) * 8000 + 3 * 8000 + 123, 8000, True),
+            # and a partial last period
+            (2 * (_BLOCK_SAMPLES // 4000) * 4000 + 3 * 4000 + 123, 4000),
+            # the shortest whose weights do not, and a longer one: running sums
+            (2 * (_BLOCK_SAMPLES // 7073) * 7073 + 3 * 7073 + 123, 7073),
+            (2 * (_BLOCK_SAMPLES // 8000) * 8000 + 3 * 8000 + 123, 8000),
         ],
     )
-    def test_a_reader_gives_the_bits_of_its_array(self, n, w, rereads):
+    def test_a_reader_gives_the_bits_of_its_array(self, n, w):
         # x may be any object with len and slicing that returns a fresh float
         # array, read one chunk at a time inside the kernel's loop
         class Reader:
@@ -508,13 +509,12 @@ class TestWindowSums:
         reader = Reader(x)
         assert window_sums(reader, trapezoid, plain).tobytes() == \
             window_sums(x, trapezoid, plain).tobytes()
-        # the warm-up's first period, then each chunk with the period before it
-        # as often as there are slabs, and never the whole signal at once
+        # the warm-up's first period, then each chunk once with the period
+        # before it, and never the whole signal at once
         head, chunks = reader.reads[0], reader.reads[1:]
         assert head == (0, w) and max(j - i for i, j in chunks) <= _BLOCK_SAMPLES + w
         assert max(j for _, j in chunks) == n
-        counts = {chunks.count(c) for c in chunks}
-        assert len(counts) == 1 and (counts.pop() > 1) == rereads
+        assert len(set(chunks)) == len(chunks)
 
 
     def test_chunks_are_whole_periods_and_the_bits_of_the_array(self):
@@ -550,23 +550,22 @@ class TestWindowSums:
         chunks += list(stream)
         assert sum(len(c) for c in chunks) == n
 
-    def test_weights_past_the_budget_give_the_bits_of_one_slab(self, monkeypatch):
-        # a period whose block weights do not fit _WEIGHT_FLOATS builds them
-        # slab by slab for each group of chunks: the stream takes its eleven
-        # chunks in two groups, and builds each block's weights once per
-        # group.  The sums are those of one slab of every block, built once
-        n, w = 11 * (_BLOCK_SAMPLES // 8000) * 8000 + 8000 + 123, 8000
+    def test_past_the_budget_no_block_weights_are_built(self, monkeypatch):
+        # a period whose block weights do not fit _WEIGHT_FLOATS takes each
+        # source's running sums instead: no triangle of block weights is
+        # built, for any chunk.  Within the budget, the weights are built
+        # once per call: two triangles per block
         rng = np.random.default_rng(6)
-        x, trapezoid = rng.normal(size=n), rng.normal(size=w)
-        plain = tuple(tuple(rng.normal(size=w) for _ in range(3)) for _ in range(2))
-        assert (w // _PHASE_BLOCK) * 2 * (_PHASE_BLOCK + 5) * _PHASE_BLOCK > _WEIGHT_FLOATS
-        tril, trils = np.tril, []  # two per block's weights
+        tril, trils = np.tril, []
         monkeypatch.setattr(np, "tril", lambda *a: trils.append(1) or tril(*a))
-        chunks = np.concatenate(list(window_chunks(x, trapezoid, plain)))
-        assert len(trils) == 2 * 2 * (w // _PHASE_BLOCK)
-        monkeypatch.setattr(rotolock.signals, "_WEIGHT_FLOATS", 2**40)
-        one_slab = window_sums(x, trapezoid, plain).tobytes()
-        assert chunks.tobytes() == one_slab
+        for w, built in ((7073, 0), (7072, 2 * -(-7072 // _PHASE_BLOCK))):
+            assert (-(-w // _PHASE_BLOCK) * 2 * (_PHASE_BLOCK + 5) * _PHASE_BLOCK
+                    <= _WEIGHT_FLOATS) == bool(built)
+            n = 3 * (_BLOCK_SAMPLES // w) * w + w + 123  # three chunks and a tail
+            plain = tuple(tuple(rng.normal(size=w) for _ in range(3)) for _ in range(2))
+            trils.clear()
+            assert len(window_sums(rng.normal(size=n), rng.normal(size=w), plain)) == n
+            assert len(trils) == built
 
 
 class TestDownsampleAtPhase:

@@ -633,7 +633,7 @@ class TestSimResultArrays:
         [{}, {"signal_freq": 37.0}, {"duration": 0.3001}, {"f_m": 250.0, "dt": 1e-6}],
         # 37 Hz has no shared period; 0.3001 s makes three chunks of the
         # lock-in and a partial last period; at f_m = 250 Hz and dt = 1 us a
-        # period of 4 000 samples, whose block weights still fit one slab
+        # period of 4 000 samples, whose block weights fit _WEIGHT_FLOATS
         ids=["default", "37Hz", "chunks-and-partial-period", "long-period"],
     )
     @pytest.mark.parametrize("kind", ["step", "sine", "none"])
@@ -673,10 +673,10 @@ class TestSimResultArrays:
         [{}, {"signal_freq": 37.0}, {"duration": 0.3001}, {"f_m": 250.0, "dt": 1e-6},
          {"signal_freq": 37.0, "duration": 0.3001},
          {"f_m": 125.0, "dt": 1e-6, "duration": 0.6001}],
-        # a period of 4 000 samples fits one slab of block weights; one of
-        # 8 000 takes ten slabs, over eleven chunks in two groups
+        # a period of 4 000 samples, whose block weights fit _WEIGHT_FLOATS;
+        # one of 8 000, whose weights do not: the running sums over eleven chunks
         ids=["default", "37Hz", "chunks-and-partial-period", "long-period", "37Hz-chunks",
-             "slabs-in-groups"],
+             "running-sums"],
     )
     @pytest.mark.parametrize("kind", ["step", "sine"])
     def test_metrics_from_the_chunks_are_those_of_the_whole_output(self, overrides, kind):
@@ -906,9 +906,9 @@ class TestReport:
         [{"duration": 0.3001}, {"f_m": 250.0, "dt": 1e-6},
          {"f_m": 125.0, "dt": 1e-6, "duration": 0.2001, "noise": NoiseSpec(kind="sine")}],
         # three chunks of the lock-in and a partial last period; a period of
-        # 4 000 samples, whose block weights fit one slab; one of 8 000, in
-        # ten slabs over four chunks
-        ids=["chunks-and-partial-period", "long-period", "slabs"],
+        # 4 000 samples, whose block weights fit _WEIGHT_FLOATS; one of 8 000,
+        # whose weights do not: the running sums over four chunks
+        ids=["chunks-and-partial-period", "long-period", "running-sums"],
     )
     def test_streamed_stacks_are_the_bytes_of_the_whole_signals(self, tmp_path, overrides):
         # report hands each full-rate stack to the writer as consecutive
