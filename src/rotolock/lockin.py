@@ -22,8 +22,9 @@ chunk is summed, so the signal can come as its values or as a reader of
 them by sample range, and the output can be consumed chunk by chunk:
 `sim.run_simulation` passes the noisy sum, built one chunk at a time, and
 takes its metrics from the output chunks, so neither is held at full
-length.  `demodulate` and `slope_compensate` return that stream,
-`_lockin_chunks`, held whole by `signals._joined`.
+length.  One function, `_lockin_chunks`, checks the channel's gain,
+builds the kernel's sources and returns that stream; `demodulate` and
+`slope_compensate` return it held whole by `signals._joined`.
 `demodulate` passes the scaled reference period as the trapezoid
 integrand; `slope_compensate` adds the slope term to the same call as two
 plain sources, the periods ones and m, whose window sums of x and m*x are
@@ -113,45 +114,34 @@ def channel_gain(m: HarmonicSeries, r: HarmonicSeries, channel: str) -> tuple[fl
     return g, (abs(float(um[row, :l] @ ur[row, :l])) / bound if bound > 0.0 else 0.0)
 
 
-def _channel(m: HarmonicSeries, r: HarmonicSeries, channel: str) -> tuple[HarmonicSeries, float]:
-    """The channel's part of r and its gain; a gain below the floor is refused."""
-    g, share = channel_gain(m, r, channel)
-    if not share >= GAIN_FLOOR:
-        raise PreconditionError(
-            f"unusable reference: channel {channel!r} gain {g:.3g} is {share:.3g} of its "
-            f"bound |m_ac|*|r|, below the floor {GAIN_FLOOR:g}"
-        )
-    return _part(r, channel), g
-
-
-def _lockin_terms(
-    grid: TimeGrid, m: HarmonicSeries, r: HarmonicSeries, channel: str, compensate: bool
-) -> tuple[TimeGrid, np.ndarray, tuple]:
-    """The output grid of the lock-in on grid, and the trapezoid and plain
-    sources of its `window_chunks` call: those of `demodulate`, and with
-    `compensate` those of `slope_compensate`."""
-    part, g = _channel(m, r, channel)
-    period = 1.0 / r.f_fund
-    one = whole_period(grid, r.f_fund)
-    r_period = synth(part, one).values
-    plain = _slope_term(synth(m, one).values, r_period, g) if compensate else ()
-    # dt/T rather than 1/w: the lock-in integral is (2/T) * dt * trapezoid sum
-    c = 2.0 * grid.dt / (period * g)
-    centered = TimeGrid(grid.dt, grid.n, grid.t0 - period / 2.0)
-    return centered, c * r_period, plain
-
-
 def _lockin_chunks(
     grid: TimeGrid, x, m: HarmonicSeries, r: HarmonicSeries, channel: str, compensate: bool
 ) -> tuple[TimeGrid, Iterator[np.ndarray]]:
     """The lock-in output of `demodulate`, and with `compensate` that of
     `slope_compensate`, for the modulated signal with values x on grid, as
     its output grid and the chunks of one `window_chunks` call: x is its
-    values or a reader of them by sample range.  Each chunk is checked by
-    `SampledSignal.finite` as it comes, so a non-finite chunk is refused,
-    not handed on.  The package's one form of the lock-in output."""
-    centered, trapezoid, plain = _lockin_terms(grid, m, r, channel, compensate)
-    return centered, map(SampledSignal.finite, window_chunks(x, trapezoid, plain))
+    values or a reader of them by sample range.  The package's one lock-in
+    setup and its one form of the lock-in output.
+
+    The setup runs on the call, not on the first chunk, so a channel whose
+    gain is below the floor is refused before anything is written.  Each
+    chunk is checked by `SampledSignal.finite` as it comes, so a non-finite
+    chunk is refused, not handed on.
+    """
+    g, share = channel_gain(m, r, channel)
+    if not share >= GAIN_FLOOR:
+        raise PreconditionError(
+            f"unusable reference: channel {channel!r} gain {g:.3g} is {share:.3g} of its "
+            f"bound |m_ac|*|r|, below the floor {GAIN_FLOOR:g}"
+        )
+    period = 1.0 / r.f_fund
+    one = whole_period(grid, r.f_fund)
+    r_period = synth(_part(r, channel), one).values
+    plain = _slope_term(synth(m, one).values, r_period, g) if compensate else ()
+    # dt/T rather than 1/w: the lock-in integral is (2/T) * dt * trapezoid sum
+    c = 2.0 * grid.dt / (period * g)
+    centered = TimeGrid(grid.dt, grid.n, grid.t0 - period / 2.0)
+    return centered, map(SampledSignal.finite, window_chunks(x, c * r_period, plain))
 
 
 def demodulate(

@@ -280,11 +280,10 @@ def fit_harmonics(signal: SampledSignal, f_fund: float, l: int) -> tuple[Harmoni
             f"signal spans {grid.duration:.3g} s, less than one period "
             f"{period:.3g} s; lengthen the window"
         )
+    # m >= n_unknowns: round(n_periods * spp) >= round(spp) >= n_unknowns, and
+    # n_periods >= 1 gives grid.n >= spp * (1 - _RATIO_TOL), so grid.n >= n_unknowns
+    # for any l below 5e8
     m = min(grid.n, int(round(n_periods * spp)))
-    if m < n_unknowns:
-        raise PreconditionError(
-            f"{m} usable samples for {n_unknowns} unknowns; lengthen the window"
-        )
 
     t = grid.times(0, m)
     j = np.arange(1, l + 1)

@@ -302,7 +302,7 @@ class _NoisySum:
         if self.sine is None:
             starts = self.starts
             lo, hi = np.searchsorted(starts, [i, j - 1], side="right")
-            counts = np.diff(starts[lo:hi], prepend=i, append=j)
+            counts = np.diff(np.concatenate(([i], starts[lo:hi], [j])))
             values = np.repeat(self.levels[lo : hi + 1], counts)
         else:
             values = self.sine[i:j]

@@ -2,6 +2,8 @@
 that takes its CSV outputs back, and the trailing-window kernel's stream
 held as one array."""
 
+import math
+
 import numpy as np
 
 from rotolock.errors import PreconditionError
@@ -44,6 +46,14 @@ def eval_modulation(fit: ModulationFit, alpha) -> np.ndarray | float:
     terms = fit.amplitudes * np.cos(i * alpha[..., None] + fit.phase)
     out = fit.offset + terms.sum(axis=-1)
     return float(out) if out.ndim == 0 else out
+
+
+def trapezoid_window_sum(y, j, w):
+    """Exact (fsum) trapezoid sum of y over the samples [max(0, j - w), j]."""
+    lo = max(0, j - w)
+    if j == lo:
+        return 0.0
+    return math.fsum(y[lo + 1 : j].tolist() + [0.5 * y[lo], 0.5 * y[j]])
 
 
 def window_sums(x, trapezoid, plain=()) -> np.ndarray:

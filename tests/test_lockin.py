@@ -26,6 +26,8 @@ from rotolock.signals import (
     synth,
 )
 
+from oracles import trapezoid_window_sum
+
 F_M = 2500.0
 T_M = 1.0 / F_M
 DT = 2e-6
@@ -495,14 +497,6 @@ class TestSlopeCompensate:
         s_m = modulated_signal(np.ones(grid.n), m, grid)
         with pytest.raises(PreconditionError, match="singular"):
             slope_compensate(s_m, m, ref, "even")
-
-
-def trapezoid_window_sum(y, j, w):
-    """Exact (fsum) trapezoid sum of y over the samples [max(0, j - w), j]."""
-    lo = max(0, j - w)
-    if j == lo:
-        return 0.0
-    return math.fsum(y[lo + 1 : j].tolist() + [0.5 * y[lo], 0.5 * y[j]])
 
 
 def channel_part(ref, channel):

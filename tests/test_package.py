@@ -49,8 +49,10 @@ def test_one_trailing_window_kernel(monkeypatch):
     # form, its stream: the lock-in keeps no kernel of its own and no array
     # form, and each caller makes one call of it.  The slope term goes in as
     # two plain sources (s, c0, c1), the periods ones and m with per-phase
-    # weights: how they fall on the kernel's period rows is the kernel's alone
-    for name in ("_window_sums", "_PHASE_BLOCK", "_lockin"):
+    # weights: how they fall on the kernel's period rows is the kernel's alone.
+    # One lock-in function, `_lockin_chunks`, checks the channel, builds the
+    # sources and streams the call: no setup helpers of its own
+    for name in ("_window_sums", "_PHASE_BLOCK", "_lockin", "_lockin_terms", "_channel"):
         assert not hasattr(rotolock.lockin, name), name
     assert not hasattr(rotolock.signals, "window_sums")
     kernel = rotolock.signals.window_chunks
@@ -297,12 +299,12 @@ def test_sim_result_holds_only_what_is_read(monkeypatch, tmp_path):
     rotolock.report(res, tmp_path)
     assert stacks == ["noise.csv", "modulated.csv", "modulated_noisy.csv", "restored.csv"]
     # a stack is made alone: reading `noise` draws one _NoisySum, of the
-    # spec and grid, and makes no lock-in terms
+    # spec and grid, and runs no lock-in setup (counted by its slope term)
     reader, readers = rotolock.sim._NoisySum, []
-    terms, made = rotolock.lockin._lockin_terms, []
+    terms, made = rotolock.lockin._slope_term, []
     monkeypatch.setattr(rotolock.sim, "_NoisySum",
                         lambda *a: readers.append(len(a)) or reader(*a))
-    monkeypatch.setattr(rotolock.lockin, "_lockin_terms",
+    monkeypatch.setattr(rotolock.lockin, "_slope_term",
                         lambda *a: made.append(1) or terms(*a))
     assert res.noise.grid == res.config.grid
     assert readers == [2] and made == []

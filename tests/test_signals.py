@@ -29,7 +29,7 @@ from rotolock.signals import (
     write_csv,
 )
 
-from oracles import eval_modulation, read_csv, window_sums
+from oracles import eval_modulation, read_csv, trapezoid_window_sum, window_sums
 
 F_M = 2500.0
 DT = 2e-6
@@ -291,14 +291,6 @@ class TestFitHarmonics:
         assert np.allclose(fitted.cos_coeffs, series.cos_coeffs, atol=1e-9)
         assert np.allclose(fitted.sin_coeffs, series.sin_coeffs, atol=1e-9)
         assert fitted.dc == pytest.approx(series.dc, abs=1e-9)
-
-
-def trapezoid_window_sum(y, j, w):
-    """Exact (fsum) trapezoid sum of y over the samples [max(0, j - w), j]."""
-    lo = max(0, j - w)
-    if j == lo:
-        return 0.0
-    return math.fsum(y[lo + 1 : j].tolist() + [0.5 * y[lo], 0.5 * y[j]])
 
 
 def near_chunk_starts(n, w):
