@@ -23,7 +23,7 @@ from .errors import PreconditionError
 _RATIO_TOL = 1e-9
 
 # rows formatted and written at a time by write_csv (see its docstring), and
-# rows of a reader by range that `_ranges` hands it at a time (32 KiB of values)
+# rows of a reader or signal that `_ranges` hands on at a time (32 KiB of values)
 _CSV_CHUNK = 256
 _CSV_READ = 16 * _CSV_CHUNK
 
@@ -488,25 +488,41 @@ def _window_sources(trapezoid: np.ndarray, plain: tuple) -> tuple[np.ndarray, ..
     return tuple(np.stack(r) for r in zip(*rows))
 
 
-def _stream(signal) -> tuple[TimeGrid, Iterable]:
-    """A SampledSignal as (its grid, [its values]), the streamed form of a
-    signal held whole; a (grid, chunks) pair as it is."""
-    return (signal.grid, [signal.values]) if isinstance(signal, SampledSignal) else signal
+def _stream(signal) -> tuple[TimeGrid, Iterator[np.ndarray]]:
+    """A signal as (its grid, its chunks), the package's one reader of a
+    stream: a SampledSignal is read in the ranges of `_ranges`, views of
+    its values, and a (grid, chunks) pair of consecutive arrays, cut
+    anywhere, is read as its chunks come.  Its one rule, with one message:
+    the chunks hold the grid's n values, so a stream is refused once its
+    chunks pass n (that chunk is not handed on) or when they end short of
+    it.  Each chunk is let go before the next is made."""
+    grid, chunks = (signal.grid, _ranges(signal.values)) if isinstance(signal, SampledSignal) else signal
+
+    def filled() -> Iterator[np.ndarray]:
+        i = 0
+        for chunk in chunks:
+            i += len(chunk)
+            if i > grid.n:
+                break
+            yield chunk
+            del chunk  # not held while the next one is made
+        if i != grid.n:
+            raise PreconditionError(f"a stream must hold the {grid.n} samples of its grid")
+
+    return grid, filled()
 
 
 def _joined(grid: TimeGrid, chunks: Iterable) -> SampledSignal:
     """The stream (grid, chunks) held whole, the one way to make a signal of
-    a stream: each chunk is copied into its place in one array of grid.n
-    values as it comes and let go before the next is made, so the stream
-    adds one chunk to the array, where chunks kept to be joined at the end
-    would add a second full-length array."""
+    a stream: each chunk `_stream` hands on is copied into its place in one
+    array of grid.n values and let go before the next is made, so the
+    stream adds one chunk to the array, where chunks kept to be joined at
+    the end would add a second full-length array."""
     values, i = np.empty(grid.n), 0
-    for chunk in chunks:
+    for chunk in _stream((grid, chunks))[1]:
         values[i : i + len(chunk)] = chunk
         i += len(chunk)
         del chunk  # not held while the next one is made
-    if i != grid.n:
-        raise PreconditionError(f"a stream of {i} values does not fill its grid of {grid.n}")
     return SampledSignal(grid, frozen(values))
 
 
@@ -515,11 +531,10 @@ def downsample_at_phase(signal, f_m: float, phase: float) -> SampledSignal:
     nearest the requested modulation phase, which must be finite.  The
     output grid has dt = 1/f_m.
 
-    `signal` is a SampledSignal, or a pair (grid, chunks) of a TimeGrid and
-    the signal's values as consecutive arrays that each start at a whole
-    period, as `window_chunks` hands them on.  The picks are copied out of
-    each chunk before the next is taken, so a stream of chunks is never
-    held whole."""
+    `signal` is a SampledSignal or a (grid, chunks) pair, read by `_stream`:
+    the chunks may be cut anywhere, as each chunk's picks start from where
+    the chunk does.  The picks are copied out of each chunk before the next
+    is taken, so a stream of chunks is never held whole."""
     grid, chunks = _stream(signal)
     if not np.isfinite(phase):
         raise PreconditionError(f"down-sample phase must be finite, got {phase}")
@@ -527,9 +542,10 @@ def downsample_at_phase(signal, f_m: float, phase: float) -> SampledSignal:
     # index (mod spp) whose modulation phase 2*pi*f_m*t is closest to `phase`
     frac = (phase / (2.0 * np.pi) - f_m * grid.t0) % 1.0
     k0 = int(round(frac * spp)) % spp
-    picks = []
+    picks, i = [], 0
     for chunk in chunks:
-        picks.append(chunk[k0::spp].copy())
+        picks.append(chunk[(k0 - i) % spp :: spp].copy())
+        i += len(chunk)
         del chunk  # not held while the next one is made
     values = np.concatenate(picks)
     out_grid = TimeGrid(dt=1.0 / f_m, n=len(values), t0=grid.t0 + k0 * grid.dt)
@@ -555,113 +571,100 @@ class _Repeating:
 
 
 def _ranges(reader) -> Iterator[np.ndarray]:
-    """A reader by sample range, such as the simulator's noise reader or a
-    `_Repeating` period, as the consecutive chunks `write_csv` takes:
+    """A reader by sample range, such as the simulator's noise reader, a
+    `_Repeating` period or a signal's values, as consecutive chunks:
     reader[i : i + _CSV_READ] over its len, each read as the last is let
     go, so the signal never needs to exist at full length."""
     for i in range(0, len(reader), _CSV_READ):
         yield reader[i : i + _CSV_READ]
 
 
-def _blocks(chunks) -> Iterator[np.ndarray]:
-    """Consecutive chunks re-cut into blocks of _CSV_CHUNK values, the last
-    one shorter: a block inside a chunk is a view of it, and one across a
-    chunk edge a copy, as is the tail of a chunk held for the next block, so
-    each chunk is let go before the next is made."""
-    carry = np.empty(0)
-    for chunk in chunks:
-        i = 0
-        if len(carry):
-            i = _CSV_CHUNK - len(carry)
-            carry = np.concatenate([carry, chunk[:i]])
-            if len(carry) < _CSV_CHUNK:
-                del chunk
-                continue
-            yield carry
-        j = i + (len(chunk) - i) // _CSV_CHUNK * _CSV_CHUNK
-        for k in range(i, j, _CSV_CHUNK):
-            yield chunk[k : k + _CSV_CHUNK]
-        carry = chunk[j:].copy()
-        del chunk  # not held while the next one is made
-    if len(carry):
-        yield carry
-
-
 def write_csv(signal, path, *more) -> None:
     """Write a signal as `t,value` CSV with full float precision, and with
     it each (signal, path) pair of `more`, whose signals share its grid.
 
-    A signal is a SampledSignal, read as (its grid, [its values]), or a
-    pair (grid, chunks) of a TimeGrid and the signal's values as
-    consecutive arrays, the form `downsample_at_phase` takes: the chunks of
-    `window_chunks`, or a reader's ranges by `_ranges`.  Each is re-cut
-    into blocks of _CSV_CHUNK (256) rows by `_blocks`, and each chunk is
-    let go before the next is made, so a stream of chunks is never held
-    whole.
+    Each signal is a SampledSignal or a (grid, chunks) pair, read by
+    `_stream`, which refuses one whose chunks do not hold the n values of
+    its grid: the chunks of `window_chunks`, or a reader's ranges by
+    `_ranges`.  The files are written together, one chunk of each stream
+    at a time, so the streams of one call must be cut at the same places,
+    or the call is refused; every call the package makes is, as a
+    SampledSignal is read in the same ranges as a reader.  Each chunk is
+    written as views of at most _CSV_CHUNK (256) rows, starting at its own
+    first row, and is let go before the next is made, so a stream of
+    chunks is never held whole and no chunk's tail is copied.
 
-    Each row is `%.17g,%.17g`, so every float reads back exactly.  The
-    files are written together, block by block: the block's times are
-    taken from the grid once, and each file's rows are formatted by one `%`
-    and written with one call.  A file alone on its grid interleaves its
-    times and values into one list under a repeated row format.  A group
-    of files formats the block's times once, into rows that hold a
-    `%.17g` for each value, and each file fills them with its values: the
-    time column is formatted once for them all.  A block whose values all
-    share one bit pattern (compared as int64, so -0.0 and 0.0 stay apart),
-    such as a level of step noise, none noise or a plateau of the reference,
-    has that value formatted once.  Every path writes the text of one
-    f-string and one write per row; the per-value `%.17g` is the floor.
-    A signal on another grid than the first, or whose values are not the
-    n of its grid, is refused.
+    Each row is `%.17g,%.17g`, so every float reads back exactly.  For each
+    block of rows, `write` takes the block's times from the grid once, and
+    each file's rows are formatted by one `%` and written with one call.  A
+    file alone on its grid interleaves its times and values into one list
+    under a repeated row format.  A group of files formats the block's
+    times once, into rows that hold a `%.17g` for each value, and each file
+    fills them with its values: the time column is formatted once for them
+    all.  A block whose values all share one bit pattern (compared as
+    int64, so -0.0 and 0.0 stay apart), such as a level of step noise, none
+    noise or a plateau of the reference, has that value formatted once.
+    Every path writes the text of one f-string and one write per row; the
+    per-value `%.17g` is the floor.  The block's times, lists and text live
+    in `write` only, so none is held while the next chunk is made.  A
+    signal on another grid than the first is refused.
     The 256 rows are fixed, not an option: between 64 and 2048 rows the
     speed barely changes, while the writer's memory (times, lists and text
     of 256 rows, ~40 KiB) grows with them, and formatting a whole file at
     once would raise the peak memory of a run.
     """
     stacks = [(signal, path), *more]
-    pairs = [_stream(s) for s, _ in stacks]
-    grid = pairs[0][0]
-    if any(g != grid for g, _ in pairs):
-        raise PreconditionError(f"files written together must share a grid: {[g for g, _ in pairs]}")
-    streams = [_blocks(chunks) for _, chunks in pairs]
-    wrong = f"a signal written must hold the {grid.n} samples of its grid"
+    (grid, first), *others = [_stream(s) for s, _ in stacks]
+    if any(g != grid for g, _ in others):
+        raise PreconditionError(f"files written together must share a grid: {[grid, *(g for g, _ in others)]}")
+
+    def write(start: int, blocks: list) -> None:
+        """Write rows start.. of each file, from its block of values."""
+        k = len(blocks[0])
+        times = grid.times(start, start + k).tolist()
+        # a group's rows, the times formatted and a %.17g for each value
+        rows = ("%.17g,%%.17g\n" * k) % tuple(times) if more else None
+        for fh, block in zip(handles, blocks):
+            bits = block.view(np.int64)
+            if bits[0] == bits[-1] and np.all(bits == bits[0]):
+                value = "%.17g" % float(block[0])
+                fh.write(rows.replace("%.17g", value) if more
+                         else ("%.17g," + value + "\n") * k % tuple(times))
+            elif more:
+                fh.write(rows % tuple(block.tolist()))
+            else:
+                cells = [0.0] * (2 * k)
+                cells[0::2] = times
+                cells[1::2] = block.tolist()
+                fh.write(("%.17g,%.17g\n" * k) % tuple(cells))
+
     with contextlib.ExitStack() as files:
         handles = [files.enter_context(open(p, "w", newline="")) for _, p in stacks]
         for fh in handles:
             fh.write("t,value\n")
-        for start in range(0, grid.n, _CSV_CHUNK):
-            k = min(_CSV_CHUNK, grid.n - start)
-            times = grid.times(start, start + k).tolist()
-            # a group's rows, the times formatted and a %.17g for each value
-            rows = ("%.17g,%%.17g\n" * k) % tuple(times) if more else None
-            for fh, blocks in zip(handles, streams):
-                block = next(blocks, ())
-                if len(block) != k:
-                    raise PreconditionError(wrong)
-                bits = block.view(np.int64)
-                if bits[0] == bits[-1] and np.all(bits == bits[0]):
-                    value = "%.17g" % float(block[0])
-                    fh.write(rows.replace("%.17g", value) if more
-                             else ("%.17g," + value + "\n") * k % tuple(times))
-                elif more:
-                    fh.write(rows % tuple(block.tolist()))
-                else:
-                    cells = [0.0] * (2 * k)
-                    cells[0::2] = times
-                    cells[1::2] = block.tolist()
-                    fh.write(("%.17g,%.17g\n" * k) % tuple(cells))
-                del block, bits  # not held while the next block is cut
-        if any(next(blocks, None) is not None for blocks in streams):
-            raise PreconditionError(wrong)
+        start = 0
+        for chunk in first:
+            cut = [chunk, *(next(chunks, ()) for _, chunks in others)]
+            del chunk
+            if any(len(c) != len(cut[0]) for c in cut):
+                raise PreconditionError("files written together must be cut at the same places")
+            for i in range(0, len(cut[0]), _CSV_CHUNK):
+                write(start + i, [c[i : i + _CSV_CHUNK] for c in cut])
+            start += len(cut[0])
+            del cut  # not held while the next chunks are made
+        for _, chunks in others:
+            next(chunks, None)  # a chunk past the grid's n is refused by `_stream`
 
 
 def write_outputs(files: dict, out) -> list[str]:
     """Make the directory `out` and write each entry name -> value of `files`
     in it: a SampledSignal or a (grid, chunks) pair through `write_csv`, any
     other value through `config.write_json`.  The CSV entries that share a
-    TimeGrid go to one `write_csv` call, which writes them together (their
-    time column formatted once), at the place of the first of them; every
-    other entry is written in order.  Returns the paths written, as
+    TimeGrid, its grid as `_stream` reads it, go to one `write_csv` call,
+    which writes them together, one chunk of each at a time (their time
+    column formatted once), at the place of the first of them; so they
+    must be cut at the same places, as every stack of the package is.
+    Every other entry is written in order.  Returns the paths written, as
     strings, in the order of `files`.
 
     Every file the package writes goes through here, and this is where the

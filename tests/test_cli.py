@@ -518,14 +518,20 @@ CONTRACT = [
     pytest.param(["simulate"], {"no_such_key": 1}, 2, id="unknown_key"),
     # the noisy sum overflows, refused by the lock-in's stream
     pytest.param(["simulate"], {"noise": {"amplitude": 8e307}}, 3, id="overflow"),
+    # the signals are finite, but rms_error_full's sum of squares is not
+    pytest.param(["simulate"], {"signal_amp": 1e200, "noise": {"kind": "none"}}, 3,
+                 id="metric_overflow"),
     # a blade sector angle outside (0, 180) degrees
     pytest.param(["refsignal"], {"geometry": {"theta_gnd_deg": 180.0}}, 2, id="flat_sector"),
     pytest.param(["modwave"], FILE_OUT, 3, id="out_is_a_file"),
 ]
 
+# the stderr line of a refusal whose words the table pins, by its row's id
+CONTRACT_LINES = {"metric_overflow": METRIC_OVERFLOW}
+
 
 @pytest.mark.parametrize("argv, config, code", CONTRACT)
-def test_console_script_contract(tmp_path, capsys, recwarn, argv, config, code):
+def test_console_script_contract(request, tmp_path, capsys, recwarn, argv, config, code):
     # the entry point's `main`, in process: a run exits 0 with an empty
     # stderr, and its re-run from its own manifest writes the same bytes
     # (criterion 8); a refusal exits 2 (config) or 3 with one stderr line
@@ -543,6 +549,7 @@ def test_console_script_contract(tmp_path, capsys, recwarn, argv, config, code):
     assert not recwarn.list, [str(w.message) for w in recwarn]
     if code != 0:
         assert err.endswith("\n") and err.count("\n") == 1, err
+        assert err == CONTRACT_LINES.get(request.node.callspec.id, err)
         if config is FILE_OUT:
             assert out.read_text() == "a regular file"
         else:

@@ -242,6 +242,24 @@ def test_one_finiteness_rule():
     assert "map(SampledSignal.finite," in inspect.getsource(rotolock.lockin._lockin_chunks)
 
 
+def test_one_stream_length_rule():
+    # signals._stream is the one reader of a stream and holds its one rule,
+    # that the chunks hold the n values of the grid: its message is written
+    # once in the package, every reader of a stream calls it (write_outputs
+    # for the grid alone), and the writer re-cuts no stream into blocks of
+    # its own
+    sites = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for line in path.read_text().splitlines()
+        if "samples of its grid" in line
+    ]
+    assert sites == ["signals.py"]
+    readers = ["_joined", "downsample_at_phase", "write_csv", "write_outputs"]
+    assert call_sites("_stream") == [("signals.py", name) for name in readers]
+    assert not hasattr(rotolock.signals, "_blocks")
+
+
 def test_traced_spans_resolve():
     # the benchmark's traced run wraps each span <module>.<function> under
     # rotolock and reports 0 calls for one that is gone; a function moved or

@@ -15,8 +15,11 @@ from rotolock.signals import (
     _PHASE_BLOCK,
     _WEIGHT_FLOATS,
     HarmonicSeries,
+    _CSV_READ,
     _Repeating,
+    _joined,
     _ranges,
+    _stream,
     SampledSignal,
     TimeGrid,
     downsample_at_phase,
@@ -560,6 +563,47 @@ class TestWindowSums:
             assert len(trils) == built
 
 
+class TestStream:
+    # signals._stream is the one reader of a stream, with one rule: its
+    # chunks hold the n values of its grid, refused with one message once
+    # they pass n or when they end short of it
+
+    def test_a_signal_is_read_in_ranges_of_views(self):
+        grid = TimeGrid(dt=DT, n=2 * _CSV_READ + 5)
+        signal = SampledSignal(grid, np.arange(grid.n, dtype=float))
+        got, chunks = _stream(signal)
+        chunks = list(chunks)
+        assert got == grid and [len(c) for c in chunks] == [_CSV_READ, _CSV_READ, 5]
+        assert all(np.shares_memory(c, signal.values) for c in chunks)
+
+    def test_the_chunk_past_the_grid_is_not_handed_on(self):
+        grid = TimeGrid(dt=1.0, n=3)
+        chunks = _stream((grid, [np.zeros(2), np.zeros(2)]))[1]
+        assert len(next(chunks)) == 2
+        with pytest.raises(PreconditionError, match="^a stream must hold the 3 samples of its grid$"):
+            next(chunks)
+
+    @pytest.mark.parametrize("n", [3, 5], ids=["short", "long"])
+    @pytest.mark.parametrize(
+        "read",
+        [
+            _joined,
+            lambda grid, chunks: downsample_at_phase((grid, chunks), 1.0, 0.0),
+            lambda grid, chunks: write_csv((grid, chunks), "x.csv"),
+        ],
+        ids=["joined", "downsample", "write_csv"],
+    )
+    def test_every_reader_refuses_a_stream_that_does_not_fill_its_grid(self, tmp_path,
+                                                                       monkeypatch, read, n):
+        # half-second samples of a 1 Hz modulation: 4 samples are two
+        # periods.  Each chunk is one sample, so a long stream is refused
+        # before its fifth is handed on
+        monkeypatch.chdir(tmp_path)
+        grid = TimeGrid(dt=0.5, n=4)
+        with pytest.raises(PreconditionError, match="^a stream must hold the 4 samples of its grid$"):
+            read(grid, [np.array([float(i)]) for i in range(n)])
+
+
 class TestDownsampleAtPhase:
     def test_retains_every_200th_sample_on_default_grid(self):
         grid = default_grid(n_periods=10)
@@ -589,26 +633,38 @@ class TestDownsampleAtPhase:
 
     @pytest.mark.parametrize("phase", [0.0, 1.234, -2.5])
     def test_chunks_give_the_bits_of_the_whole_signal(self, phase):
-        # a (grid, chunks) pair of whole periods, the last one cut short, is
-        # picked as the signal it makes; each chunk is let go before the next
-        # is made, as the picks are copied out of it
+        # a (grid, chunks) pair is picked as the signal it makes, whether its
+        # chunks are whole periods, the last one cut short, or cut anywhere:
+        # one sample, edges inside a period and a chunk shorter than one.
+        # Each chunk is let go before the next is made, as the picks are
+        # copied out of it
         grid = TimeGrid(dt=DT, n=7 * SPP + 37, t0=-0.3 * DT)
         values = np.random.default_rng(4).standard_normal(grid.n)
-        edges = [0, SPP, 4 * SPP, 5 * SPP, 7 * SPP, grid.n]
-        alive = []
-
-        def chunks():
-            for i, j in zip(edges, edges[1:]):
-                assert not any(ref() is not None for ref in alive)
-                chunk = values[i:j].copy()
-                alive.append(weakref.ref(chunk))
-                yield chunk
-                del chunk
-
-        out = downsample_at_phase((grid, chunks()), F_M, phase)
         whole = downsample_at_phase(SampledSignal(grid, values), F_M, phase)
-        assert out.grid == whole.grid and len(alive) == len(edges) - 1
-        assert out.values.tobytes() == whole.values.tobytes()
+        for edges in ([0, SPP, 4 * SPP, 5 * SPP, 7 * SPP, grid.n],
+                      [0, 1, 37, SPP + 13, SPP + 90, 4 * SPP - 1, 6 * SPP + 150, grid.n]):
+            alive = []
+
+            def chunks():
+                for i, j in zip(edges, edges[1:]):
+                    assert not any(ref() is not None for ref in alive)
+                    chunk = values[i:j].copy()
+                    alive.append(weakref.ref(chunk))
+                    yield chunk
+                    del chunk
+
+            out = downsample_at_phase((grid, chunks()), F_M, phase)
+            assert out.grid == whole.grid and len(alive) == len(edges) - 1
+            assert out.values.tobytes() == whole.values.tobytes()
+
+    @pytest.mark.parametrize("n", [600, 1400], ids=["short", "long"])
+    def test_a_stream_that_does_not_fill_its_grid_is_refused(self, n):
+        # 1 000 samples are 5 periods: 600 or 1 400 values would give 3 or 7
+        # picks, so neither is picked
+        grid = TimeGrid(dt=DT, n=1000)
+        chunks = [np.zeros(SPP)] * (n // SPP)
+        with pytest.raises(PreconditionError, match="^a stream must hold the 1000 samples"):
+            downsample_at_phase((grid, chunks), F_M, 0.0)
 
     @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
     def test_non_finite_phase_rejected(self, phase):
@@ -754,24 +810,25 @@ class TestCsvBytes:
 
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 9001])
     def test_a_group_writes_the_bytes_of_each_whole_signal(self, tmp_path, monkeypatch, n):
-        # three stacks on one grid written by one call, each as its own file:
-        # a signal held whole, the ranges of a repeated period, and chunks of
-        # 300 rows with a one-sample chunk, so that their chunk edges do not
-        # line up.  The first block of the first is -0.0 with one 0.0 in its
-        # middle, and the chunks are -0.0 but for a 0.0 at row 300: -0.0 and
-        # 0.0 are formatted apart.  Each block's times are taken once for the
-        # three, and every chunk of each stream is let go before the next is
-        # made
+        # three stacks on one grid written by one call, each as its own file,
+        # all three cut at the same edges: chunks of 300 rows and a
+        # one-sample chunk, so that the edges are off the 256-row grid of the
+        # blocks.  They are random values, a repeated period and -0.0 but for
+        # a 0.0 at row 300; the first block of the first is -0.0 with one 0.0
+        # in its middle: -0.0 and 0.0 are formatted apart.  Each block's times
+        # are taken once for the three, and every chunk of each stream is let
+        # go before the next is made
         grid = TimeGrid(dt=DT, n=n, t0=-0.3 * DT)
         rng = np.random.default_rng(n)
-        whole = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
-        whole[: min(n, 256)] = -0.0
-        whole[min(n, 256) // 2] = 0.0
+        random = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        random[: min(n, 256)] = -0.0
+        random[min(n, 256) // 2] = 0.0
         period = rng.standard_normal(37)
         period[3] = -0.0
         zeros = np.full(n, -0.0)
         zeros[300:301] = 0.0
         edges = sorted({0, n, min(n, 300), *range(301, n, 300)})
+        spans = list(zip(edges, edges[1:]))
 
         class Released:
             # values read by range as a fresh array, each read once the
@@ -779,27 +836,26 @@ class TestCsvBytes:
             def __init__(self, values):
                 self.values, self.refs = values, []
 
-            def __len__(self):
-                return len(self.values)
-
             def __getitem__(self, s):
                 assert not any(ref() is not None for ref in self.refs)
                 chunk = np.array(self.values[s])
                 self.refs.append(weakref.ref(chunk))
                 return chunk
 
-        ranges, cut = Released(_Repeating(period, n)), Released(zeros)
-        chunks = (cut[i:j] for i, j in zip(edges, edges[1:]))
+            def stream(self):
+                return grid, (self[i:j] for i, j in spans)
+
+        names = ("random", "period", "zeros")
+        readers = [Released(v) for v in (random, _Repeating(period, n), zeros)]
         times, calls = TimeGrid.times, []
         monkeypatch.setattr(TimeGrid, "times", lambda self, *a: calls.append(a) or times(self, *a))
-        write_csv(SampledSignal(grid, whole), tmp_path / "whole.csv",
-                  ((grid, _ranges(ranges)), tmp_path / "ranges.csv"),
-                  ((grid, chunks), tmp_path / "cut.csv"))
+        first, *more = [(r.stream(), tmp_path / f"{name}.csv") for name, r in zip(names, readers)]
+        write_csv(*first, *more)
         monkeypatch.undo()
-        assert len(calls) == -(-n // 256)
-        assert [len(ranges.refs), len(cut.refs)] == [-(-n // 4096), len(edges) - 1]
-        for name, values in (("whole", whole), ("ranges", ranges.values[:]), ("cut", zeros)):
-            write_csv_per_row(SampledSignal(grid, values), tmp_path / "per_row.csv")
+        assert len(calls) == sum(-(-(j - i) // 256) for i, j in spans)
+        assert [len(r.refs) for r in readers] == [len(spans)] * 3
+        for name, r in zip(names, readers):
+            write_csv_per_row(SampledSignal(grid, r.values[:]), tmp_path / "per_row.csv")
             assert (tmp_path / f"{name}.csv").read_bytes() == \
                 (tmp_path / "per_row.csv").read_bytes(), name
 
@@ -808,12 +864,16 @@ class TestCsvBytes:
         [
             (SampledSignal(TimeGrid(dt=2.0, n=3), [1.0, 2.0, 3.0]), "must share a grid"),
             ((TimeGrid(dt=1.0, n=3), [np.zeros(1), np.zeros(1)]), "must hold the 3 samples"),
-            ((TimeGrid(dt=1.0, n=3), [np.zeros(2), np.zeros(2)]), "must hold the 3 samples"),
+            ((TimeGrid(dt=1.0, n=3), [np.zeros(1)] * 4), "must hold the 3 samples"),
+            ((TimeGrid(dt=1.0, n=3), [np.zeros(2), np.zeros(1)]), "must be cut at the same places"),
         ],
-        ids=["another-grid", "short", "long"],
+        ids=["another-grid", "short", "long", "cut-apart"],
     )
     def test_a_group_refuses_what_its_grid_does_not_hold(self, tmp_path, other, message):
-        signal = SampledSignal(TimeGrid(dt=1.0, n=3), [1.0, 2.0, 3.0])
+        # the first stream is cut into single samples: the short and long
+        # streams are cut alike as far as they go, and the cut-apart one holds
+        # the 3 samples of its grid but in chunks of other lengths
+        signal = (TimeGrid(dt=1.0, n=3), [np.array([v]) for v in (1.0, 2.0, 3.0)])
         with pytest.raises(PreconditionError, match=message):
             write_csv(signal, tmp_path / "a.csv", (other, tmp_path / "b.csv"))
 

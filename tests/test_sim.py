@@ -506,6 +506,17 @@ class TestSimResultArrays:
             with pytest.raises(ValueError):
                 stack.values[0] = 0.0
 
+    def test_an_unknown_stack_is_refused(self):
+        # `stack` makes only the four full-rate stacks that report writes,
+        # and names them when asked for another
+        res = run_simulation(SimConfig())
+        with pytest.raises(KeyError) as refused:
+            res.stack("restored_downsampled.csv")
+        message = str(refused.value)
+        assert "no full-rate stack 'restored_downsampled.csv'" in message
+        for name in ("noise.csv", "modulated.csv", "modulated_noisy.csv", "restored.csv"):
+            assert repr(name) in message, name
+
     @staticmethod
     def _peak(run, *args):
         tracemalloc.start()
@@ -745,9 +756,9 @@ class TestSimResultArrays:
     def test_report_refuses_a_late_overflow(self, tmp_path):
         # report runs the lock-in again on a result's noisy sum, so a result
         # built by hand for a run that run_simulation refuses is refused when
-        # its restored stack is written: restored.csv keeps only rows of the
-        # finite chunks before the refusal (up to the last whole block of the
-        # writer), and nothing after it is written
+        # its restored stack is written: restored.csv keeps the rows of every
+        # finite chunk before the refusal, as the writer writes each chunk
+        # whole before it takes the next, and nothing after it is written
         cfg = SimConfig.from_dict(self.LATE_OVERFLOW)
         period = modulate(measured_signal(cfg, cfg.grid), _series(cfg)[0])
         down = SampledSignal(TimeGrid(1.0 / cfg.f_m, 1), np.zeros(1))
