@@ -16,8 +16,10 @@ The lock-in integral is one pass of `signals.window_chunks`, the package's
 trailing-window trapezoid kernel: it keeps running sums within each period
 and works through the modulated signal in cache-sized chunks of whole
 periods, each read once: one matrix product per block of phases and chunk
-when the block weights fit its budget, and one cumulative sum per source
-and chunk for a longer period.  It hands on each chunk's output when the
+when the block weights fit its budget, each written over the chunk's read
+(a copy of the periods when the signal comes as its values, which are
+never written), and one cumulative sum per source and chunk for a longer
+period.  It hands on each chunk's output when the
 chunk is summed, so the signal can come as its values or as a reader of
 them by sample range, and the output can be consumed chunk by chunk:
 `sim.run_simulation` passes the noisy sum, built one chunk at a time, and

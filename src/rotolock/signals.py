@@ -340,14 +340,17 @@ def window_chunks(
     A chunk holds whole periods of about _BLOCK_SAMPLES samples, so that its
     input, output and scratch stay in cache while it is summed.  It reads
     its periods and the one before them as x[i - w : j], once, when it gets
-    to them, so x is an ndarray (the read is a view) or any object with len
-    and slicing that returns a fresh float array for the range: such a
-    reader, like the simulator's noisy sum, never needs to exist at full
-    length.  The read is dropped before the chunk's output is handed on,
-    and nothing is kept across chunks but the sources and their weights, so
-    a consumer that drops each chunk in turn holds no full-length array.
-    The last n % w outputs come from one more chunk over a zero-padded copy
-    of the last two periods.
+    to them, so x is an ndarray or any object with len and slicing that
+    returns a fresh float64 array for the range, which the kernel then owns:
+    such a reader, like the simulator's noisy sum, never needs to exist at
+    full length.  The block path below writes a chunk's output over the
+    first rows of its read and hands on that view, so it reads an ndarray's
+    periods as a copy and never writes the caller's array; the running path
+    reads them as a view, sums into rows of its own and drops the read.
+    Nothing is kept across chunks but the sources and their weights, so a
+    consumer that drops each chunk in turn holds no full-length array.  The
+    last n % w outputs come from one more chunk over a zero-padded copy of
+    the last two periods.
 
     A chunk's periods become its output rows in one of two ways.  When the
     block weights below fit _WEIGHT_FLOATS (a period of up to 7 072 samples
@@ -362,7 +365,9 @@ def window_chunks(
     call.  A chunk's one operand of 2 * (_PHASE_BLOCK + S) columns takes,
     block by block, the block's samples of each output's period and of the
     period before, and the running totals before the block and from it on;
-    one matrix product by the block's weights writes the block's outputs.
+    the block's sums for the running totals are taken from the read, then
+    one matrix product by the block's weights writes the block's outputs
+    over the block's columns of the read, whose samples the operand holds.
     A longer period builds no weights: each source's running sums C are one
     `np.cumsum` over the chunk's rows, combined as above.  Both restart
     every period, and the cumulative sum rounds more: against exact sums of
@@ -405,7 +410,9 @@ def window_chunks(
         """The periods [i - w, j) of x, one per row: the last n % w samples
         zero-padded to two periods."""
         if j <= whole:
-            return x[i - w : j].reshape(-1, w)
+            periods = x[i - w : j]
+            # the block path writes over its read: a caller's array is copied
+            return (periods.copy() if fits and isinstance(x, np.ndarray) else periods).reshape(-1, w)
         padded = np.zeros(2 * w)
         padded[: j - i + w] = x[i - w : j]
         return padded.reshape(2, w)
@@ -424,12 +431,12 @@ def window_chunks(
     weights = [block_weights(p0, p1) for p0, p1 in blocks] if fits else []
 
     def blocked(periods: np.ndarray) -> np.ndarray:
-        """Output rows of periods[1:] by the block weights."""
-        rows = np.empty((len(periods) - 1, w))
+        """Output rows of periods[1:] by the block weights, written over
+        periods[:-1] block by block once the block has been read."""
         # done[i, s]: sum over the phases before the block of source s times
         # x in period i; rest[i, s]: the same over the block and the phases after
         done, rest = np.zeros((len(periods), m)), periods @ sources.T
-        operand = np.empty((len(rows), width))
+        operand = np.empty((len(periods) - 1, width))
         for (p0, p1), weight in zip(blocks, weights):
             b = p1 - p0
             xb = periods[:, p0:p1]
@@ -438,11 +445,11 @@ def window_chunks(
             a[:, b : 2 * b] = xb[:-1]
             a[:, 2 * b : 2 * b + m] = done[1:]
             a[:, 2 * b + m :] = rest[:-1]
-            np.matmul(a, weight, out=rows[:, p0:p1])
             step = xb @ sources[:, p0:p1].T
+            np.matmul(a, weight, out=xb[:-1])
             done += step
             rest -= step
-        return rows
+        return periods[:-1]
 
     def running(periods: np.ndarray) -> np.ndarray:
         """Output rows of periods[1:] by each source's running sums."""

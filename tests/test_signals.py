@@ -441,6 +441,23 @@ def check_window_sums(n, w, n_plain, outputs, zero=None):
         assert abs(out[j] - math.fsum(terms)) <= 1e-14 * scale, j
 
 
+class Reader:
+    """x as a reader by sample range, as `window_chunks` takes it: any object
+    with len and slicing that returns a fresh float64 array; it records the
+    ranges read."""
+
+    def __init__(self, values):
+        self.values, self.reads = values, []
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, s):
+        i, j, _ = s.indices(len(self.values))
+        self.reads.append((i, j))
+        return self.values[i:j].copy()
+
+
 class TestWindowSums:
     @pytest.mark.parametrize(
         "n, w, n_plain, outputs",
@@ -484,20 +501,7 @@ class TestWindowSums:
         ],
     )
     def test_a_reader_gives_the_bits_of_its_array(self, n, w):
-        # x may be any object with len and slicing that returns a fresh float
-        # array, read one chunk at a time inside the kernel's loop
-        class Reader:
-            def __init__(self, values):
-                self.values, self.reads = values, []
-
-            def __len__(self):
-                return len(self.values)
-
-            def __getitem__(self, s):
-                i, j, _ = s.indices(len(self.values))
-                self.reads.append((i, j))
-                return self.values[i:j].copy()
-
+        # x may be a reader, read one chunk at a time inside the kernel's loop
         rng = np.random.default_rng(11)
         x, trapezoid = rng.normal(size=n), rng.normal(size=w)
         plain = tuple(tuple(rng.normal(size=w) for _ in range(3)) for _ in range(2))
@@ -511,21 +515,71 @@ class TestWindowSums:
         assert max(j for _, j in chunks) == n
         assert len(set(chunks)) == len(chunks)
 
-
-    def test_chunks_are_whole_periods_and_the_bits_of_the_array(self):
+    @pytest.mark.parametrize("source", ["array", "reader"])
+    def test_chunks_are_whole_periods_and_the_bits_of_the_array(self, source):
         # warm-up first, then chunks of whole periods of about _BLOCK_SAMPLES,
-        # then the partial last period: each a fresh array, whose
-        # concatenation is window_sums' output
+        # then the partial last period: each a fresh array, with a base of
+        # its own (the block path writes a chunk over its own read, a copy of
+        # the array's periods or the reader's fresh range), whose
+        # concatenation is window_sums' output on the array
         n, w = 2 * _BLOCK_SAMPLES + 5 * SPP + 37, SPP
         rng = np.random.default_rng(5)
         x, trapezoid = rng.normal(size=n), rng.normal(size=w)
         plain = ((rng.normal(size=w), rng.normal(size=w), rng.normal(size=w)),)
-        chunks = list(window_chunks(x, trapezoid, plain))
+        chunks = list(window_chunks(x if source == "array" else Reader(x), trapezoid, plain))
         lengths = [len(c) for c in chunks]
         assert lengths[0] == w and lengths[-1] == n % w and sum(lengths) == n
         assert all(k % w == 0 and k <= _BLOCK_SAMPLES for k in lengths[1:-1])
+        assert not any(np.shares_memory(c, x) for c in chunks)
         assert len({id(c.base if c.base is not None else c) for c in chunks}) == len(chunks)
         assert np.concatenate(chunks).tobytes() == window_sums(x, trapezoid, plain).tobytes()
+
+    def test_the_block_path_writes_over_its_read(self):
+        # a reader-fed drain that drops each chunk holds one read of a
+        # chunk's periods and the period before, with the chunk's output
+        # written over it, the operand and the block weights: 0.834e6 B at
+        # w = 200 and the lock-in's five sources, and about 83e3 B more for
+        # the sources, the warm-up and the running totals, inside the
+        # 128 KiB margin.  An output array of its own would add one chunk,
+        # 0.523e6 B (1.44e6 B measured when the kernel allocated one)
+        w, m = SPP, 5
+        size = (_BLOCK_SAMPLES // w) * w
+        n = 3 * size + w + 37  # three chunks and a partial last period
+        rng = np.random.default_rng(8)
+        x, trapezoid = rng.normal(size=n), rng.normal(size=w)
+        plain = tuple(tuple(rng.normal(size=w) for _ in range(3)) for _ in range(2))
+
+        def drain(source):
+            for chunk in window_chunks(source, trapezoid, plain):
+                del chunk  # not held while the next one is made
+
+        drain(Reader(x))  # a first drain makes NumPy's lazy imports and caches
+        read = (size + w) * 8
+        operand = (size // w) * 2 * (_PHASE_BLOCK + m) * 8
+        widths = [min(_PHASE_BLOCK, w - p0) for p0 in range(0, w, _PHASE_BLOCK)]
+        weights = sum((2 * b + 2 * m) * b * 8 for b in widths)
+        tracemalloc.start()
+        try:
+            drain(Reader(x))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < read + operand + weights + 128 * 1024
+
+    @pytest.mark.parametrize("w", [SPP, 8000], ids=["blocks", "running-sums"])
+    @pytest.mark.parametrize("writeable", [True, False], ids=["writeable", "read-only"])
+    def test_an_array_keeps_its_bytes(self, w, writeable):
+        # an array's periods are copied before the block path writes its
+        # output over them, so the caller's array is never written
+        n = 3 * (_BLOCK_SAMPLES // w) * w + w + 37
+        rng = np.random.default_rng(9)
+        x, trapezoid = rng.normal(size=n), rng.normal(size=w)
+        plain = tuple(tuple(rng.normal(size=w) for _ in range(3)) for _ in range(2))
+        before = x.tobytes()
+        x.flags.writeable = writeable
+        for chunk in window_chunks(x, trapezoid, plain):
+            del chunk
+        assert x.tobytes() == before
 
     def test_the_stream_lets_go_of_the_plain_sources(self):
         # the sources are built from the plain ones in a call of their own:

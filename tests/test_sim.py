@@ -528,16 +528,18 @@ class TestSimResultArrays:
 
     def test_peak_memory_per_sample(self):
         # the run holds fixed-size scratch, the lock-in's chunk of the noisy
-        # sum and of its output among it, and no full-length array: 10.9 B per
-        # sample at this length, all of it scratch (14.1 while the error sum
-        # kept a buffer for its blocks that crossed a chunk edge).  The growth
-        # tests below tell a full-length array apart.
+        # sum, with its output written over it, among it, and no full-length
+        # array: 7.28 B per sample at this length, all of it scratch (10.77
+        # while the kernel wrote each chunk's output to an array of its own,
+        # 14.1 while the error sum kept a buffer for its blocks that crossed
+        # a chunk edge).  The growth tests below tell a full-length array
+        # apart.
         # A first run in the process also makes NumPy's lazy imports and
         # caches, so it is made untraced
         cfg = SimConfig(duration=0.3)
         run_simulation(cfg)
         assert cfg.n_samples == 150_000
-        assert self._peak(run_simulation, cfg) / cfg.n_samples < 12
+        assert self._peak(run_simulation, cfg) / cfg.n_samples < 9
 
     @pytest.mark.parametrize("prop", ["restored_full", "noise"])
     def test_a_whole_read_holds_one_array(self, prop):
@@ -589,11 +591,15 @@ class TestSimResultArrays:
     def test_default_run_peak_memory(self, monkeypatch):
         # a first run makes NumPy's lazy imports and caches (in a fresh process
         # it peaks near 1.7e6 B) and hands over the lock-in's kernel inputs.
-        # Then the run peaks at about 0.530e6 B (0.544e6 B while the kernel
-        # held its plain sources), as it sums the error of the
-        # lock-in's last chunk, and the kernel alone, replayed on the noisy
-        # sum as an array and drained chunk by chunk, at about 0.33e6 B (one
-        # chunk's output, block weights and operand).  The bounds sit 9 %
+        # Then the run peaks at about 0.532e6 B as it sums the error of the
+        # lock-in's last chunk: that chunk is written over its read, one
+        # period longer than the chunk (0.530e6 B while the kernel wrote each
+        # chunk's output to an array of its own, 0.544e6 B while it held its
+        # plain sources).  The kernel alone, replayed on the noisy sum as an
+        # array and drained chunk by chunk, peaks at about 0.32e6 B: one
+        # chunk's copied periods with its output written over them, block
+        # weights and operand (fed by the reader it peaked at 0.44e6 B while
+        # it wrote each output to an array of its own).  The bounds sit 9 %
         # above 0.544e6 and 0.366e6 B, inside the benchmark's 10 %
         # peak_alloc_mb gate.  On the 15 000-sample default run the chunk of
         # periods is the whole signal but its first period, so chunk-sized
