@@ -10,6 +10,7 @@ with the same call, so a refused run leaves no directory behind.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -124,6 +125,7 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache  # built on the first call of main, then reused by every later one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rotolock",

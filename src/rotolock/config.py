@@ -14,6 +14,7 @@ one JSON writer of the package: manifests, metrics, series and fits.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import typing
@@ -55,7 +56,7 @@ class Config:
         return _load(cls, d, cls.__name__)
 
     def to_dict(self) -> dict:
-        hints = typing.get_type_hints(type(self))
+        hints = _hints(type(self))
         out = {}
         for f in dataclasses.fields(self):
             tp, value = hints[f.name], getattr(self, f.name)
@@ -66,10 +67,15 @@ class Config:
         return out
 
 
+@functools.cache
+def _hints(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
 def _load(cls, d, where: str):
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be a JSON object, got {type(d).__name__}")
-    hints = typing.get_type_hints(cls)
+    hints = _hints(cls)
     unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown, key=str)}")

@@ -257,6 +257,11 @@ class _NoisySum:
     reads the run's noisy sum one chunk at a time and `report` writes the
     noise and the noisy sum 4 096 rows at a time, so neither exists at full
     length.
+
+    Step levels are drawn as lo + span * random() and intervals as
+    scale * standard_exponential(), NumPy's own products for uniform(lo, hi)
+    and exponential(scale), so the bits are theirs; the tests' sample search
+    keeps those two, and a NumPy that fused one into an FMA fails there.
     """
 
     def __init__(self, spec: NoiseSpec, grid: TimeGrid, *periods: SampledSignal):
@@ -271,16 +276,18 @@ class _NoisySum:
             self.sine = _Repeating(sine, grid.n)
         elif spec.kind == "step" and spec.amplitude != 0.0:
             rng = np.random.default_rng(spec.seed)
+            random, exponential = rng.random, rng.standard_exponential
+            lo, span, scale = -spec.amplitude, 2.0 * spec.amplitude, 1.0 / spec.rate_or_freq
             t_end = grid.t0 + grid.duration
             boundaries = []  # times where a new level starts
-            levels = [float(rng.uniform(-spec.amplitude, spec.amplitude))]
+            levels = [lo + span * random()]
             t_cur = grid.t0
             while True:
-                t_cur += float(rng.exponential(1.0 / spec.rate_or_freq))
+                t_cur += scale * exponential()
                 if t_cur >= t_end:
                     break
                 boundaries.append(t_cur)
-                levels.append(float(rng.uniform(-spec.amplitude, spec.amplitude)))
+                levels.append(lo + span * random())
             # level l holds from the first sample at or after boundary l - 1,
             # starts[l - 1], up to the first sample at or after boundary l, so
             # sample k holds the level of the last start at or before it

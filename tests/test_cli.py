@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 import rotolock
-from rotolock.cli import main
+from rotolock.cli import _build_parser, main
 from rotolock.config import MAX_ELEMENTS
 from rotolock.modulation import ModulationFit
 from rotolock.reference import SpotGeometry
 from rotolock.signals import fit_harmonics
+from rotolock.sim import SimConfig
 
 from oracles import read_csv
 
@@ -421,6 +422,34 @@ def test_extreme_scales_exit_with_one_line(tmp_path, subcommand, config, code, s
     assert (proc.returncode, proc.stderr) == (code, stderr)
     # a failed run leaves no output directory
     assert (tmp_path / "out").exists() == (code == 0)
+
+
+def test_a_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # main builds its parser on its first call and reuses it: flags given to
+    # one call are not defaults of the next, and neither a usage error nor
+    # --version (each a SystemExit from the parser) changes what a later
+    # run writes
+    assert _build_parser() is _build_parser()
+    flags = ["--seed", "7", "--noise", "sine", "--ref", "sine"]
+    for name, argv in [("flags", flags), ("plain", [])]:
+        assert main(["simulate", *argv, "--out", str(tmp_path / name)]) == 0
+    configs = {name: json.loads((tmp_path / name / "manifest.json").read_text())["config"]
+               for name in ("flags", "plain")}
+    assert configs["flags"]["noise"]["seed"] == 7 and configs["flags"]["ref_kind"] == "sine"
+    assert configs["plain"] == SimConfig().to_dict()
+    first = tmp_path / "refsignal"
+    assert main(["refsignal", "--out", str(first)]) == 0
+    for argv, code in [(["simulate", "--noise", "bogus"], 2), (["--version"], 0)]:
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == code
+        out = tmp_path / f"after_exit_{code}"
+        assert main(["refsignal", "--out", str(out)]) == 0
+        for name in ("refsignal.csv", "trapezoid_fit.json"):
+            assert (out / name).read_bytes() == (first / name).read_bytes(), name
+        before, after = (json.loads((d / "manifest.json").read_text()) for d in (first, out))
+        assert dict(after, out_dir=None) == dict(before, out_dir=None)
+    assert f"rotolock {rotolock.__version__}" in capsys.readouterr().out
 
 
 def test_simulate_and_modwave_never_import_scipy(tmp_path):

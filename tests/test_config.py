@@ -1,13 +1,17 @@
 import json
+import typing
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rotolock import config
 from rotolock.cli import ModwaveConfig, RefsignalConfig
-from rotolock.config import MAX_ELEMENTS, write_json
+from rotolock.config import MAX_ELEMENTS, Config, write_json
 from rotolock.errors import ConfigError
-from rotolock.reference import SpotGeometry
+from rotolock.reference import SpotGeometry, TrapezoidFit
+from rotolock.signals import HarmonicSeries
 from rotolock.sim import SimConfig
 
 json_values = st.recursive(
@@ -58,6 +62,31 @@ def test_from_dict_accepts_or_raises_config_error_and_round_trips(cls, data):
     again = cls.from_dict(json.loads(json.dumps(written, allow_nan=False)))
     assert again == cfg
     assert again.to_dict() == written
+
+
+def test_field_types_are_resolved_once_per_class(monkeypatch):
+    # config._hints resolves a class's field types on its first use and keeps
+    # them, so reading and writing configs, nested ones included, runs
+    # typing.get_type_hints once per Config class however often they are read
+    def subclasses(cls):
+        return [c for sub in cls.__subclasses__() for c in (sub, *subclasses(sub))]
+
+    resolved = Counter()
+    get_type_hints = typing.get_type_hints
+
+    def counted(cls):
+        resolved[cls] += 1
+        return get_type_hints(cls)
+
+    monkeypatch.setattr(typing, "get_type_hints", counted)
+    config._hints.cache_clear()
+    examples = [SimConfig(), ModwaveConfig(), RefsignalConfig(),
+                HarmonicSeries(50.0, 0.0, [1.0], [0.0]), TrapezoidFit(0.5, 3.0, 1.0, 0.5)]
+    for _ in range(2):
+        for cfg in examples:
+            written = cfg.to_dict()
+            assert type(cfg).from_dict(written).to_dict() == written
+    assert resolved == Counter(subclasses(Config))
 
 
 @pytest.mark.parametrize("deg", [3.0, 6.0, 12.0, 24.0, 30.0, 48.0, 57.0, 96.0, 105.0, 114.0])

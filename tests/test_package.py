@@ -201,6 +201,15 @@ def test_one_output_writer():
     assert list(sub.choices) == list(rotolock.cli._SUBCOMMANDS)
 
 
+def test_program_work_is_done_once_per_process():
+    # the parser and each config class's field types depend on the program
+    # alone, so they are built once per process and not per call of main:
+    # cli._build_parser is the package's one ArgumentParser and
+    # config._hints its one lookup of the field types, each cached
+    assert call_sites("ArgumentParser") == [("cli.py", "_build_parser")]
+    assert call_sites("get_type_hints") == [("config.py", "_hints")]
+
+
 def test_one_csv_row_formatter():
     # signals.write_csv formats every CSV row of the package, for a file
     # alone on its grid and for a group written together: the full-precision

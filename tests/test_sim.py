@@ -205,12 +205,17 @@ class TestGenNoise:
         assert np.array_equal(steps, np.flatnonzero(np.diff(noise.values)) + 1)
         return noise.values
 
-    # 1e-9/s draws no boundary; 5e5/s is one step per sample on average (1/dt)
+    # 1e-9/s draws no boundary; 5e5/s is one step per sample on average (1/dt).
+    # The reader draws a level as -a + 2a * u, the sample search by
+    # rng.uniform(-a, a): 3.3 is no short binary fraction, 1e-300 is near
+    # the bottom of the float range and at float max / 2, 2a is the largest
+    # float
+    @pytest.mark.parametrize("amplitude", [10.0, 3.3, 1e-300, sys.float_info.max / 2])
     @pytest.mark.parametrize("rate", [1e-9, 500.0, 1e5, 5e5])
     @pytest.mark.parametrize("seed", [0, 7, 1234])
-    def test_step_levels_match_sample_search(self, rate, seed):
+    def test_step_levels_match_sample_search(self, rate, seed, amplitude):
         grid = TimeGrid(dt=2e-6, n=15000, t0=0.37 / 2500.0 - 1e-3)
-        spec = NoiseSpec(kind="step", amplitude=10.0, rate_or_freq=rate, seed=seed)
+        spec = NoiseSpec(kind="step", amplitude=amplitude, rate_or_freq=rate, seed=seed)
         self.assert_matches_sample_search(spec, grid)
 
     def test_steps_skip_a_level_equal_to_the_last(self):
