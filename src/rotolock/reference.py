@@ -42,10 +42,18 @@ _RULE_FLOATS = 1 << 10
 # valley and are not determined.  Over d = 0.05-20 mm at 200-50 000 samples
 # per period the default d = 2 mm reads 5.1e-3 or more and d >= 1 mm 6.6e-4
 # or more; d = 0.5 mm, whose B moves from 1.30 to 2.08 between 2 000 and
-# 20 000 samples per period, reads 7.1e-6 or less, and the degenerate fits
-# (|B| > 100, spanning 0.03 rad of phase or less) 1.2e-10 or less.  An exact
-# 12-sample transition, which the fit recovers to 1e-6, reads 3.0e-5.
+# 20 000 samples per period, reads 7.1e-6 or less.  Where the cost falls all
+# the way toward a parabola's (u -> 0, |B| -> inf) the fit has no minimum:
+# the search ends deep in that valley and reads 1e-9 or less, or a covariance
+# that cannot be estimated.  An exact 12-sample transition, which the fit
+# recovers to 1e-6, reads 3.0e-5.
 _MIN_FIT_DECORRELATION = 1e-5
+# the transition fit stops once a step moves u by at most this share of it
+# (curve_fit's default xtol), and is refused after this many costs (leastsq's
+# default for four parameters; the swept fits without a minimum spend 287 or
+# fewer, and 503 or fewer with their values moved by a few ulps)
+_FIT_XTOL = 1.49012e-8
+_FIT_TRIALS = 1000
 
 
 @dataclass(frozen=True)
@@ -315,46 +323,95 @@ def _first_transition(values: np.ndarray) -> slice:
     return slice(int(starts[long[0]]), int(ends[long[0]]))
 
 
+# a step toward a degenerate fit may overflow or divide by zero: a step that
+# is not finite ends the search, and a trial whose cost is not finite is halved
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _cosine_lsq(theta: np.ndarray, v: np.ndarray, u: float) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares fit of B*cos(u*theta + phi) + c2 to v on an evenly
+    spaced theta, from u, by variable projection (Golub and Pereyra 1973).
+
+    With theta centred on its midpoint, the model is a*(cos - cbar) + b*sin
+    + c, cbar the mean of cos(u*theta): linear in (a, b, c), whose three rows
+    are orthogonal (even, odd and even minus its mean), so each u has one
+    best fit, each coefficient its row's projection of v.  The search is in u
+    alone: Gauss-Newton steps with Kaufman's derivative of the projected
+    residual, each halved until the cost falls.  It stops when a step moves
+    u by at most _FIT_XTOL of it (curve_fit's default xtol): at a minimum, or
+    where halving leaves no step that lowers the cost.  A step that is not
+    finite (deep in a valley without a minimum) stops it too.  It is refused
+    as not converging after _FIT_TRIALS costs.  Returns (B, u, phi, c2) and
+    their covariance s**2 * inv(J'J), s**2 = RSS/(n - 4), J the model's
+    Jacobian; a singular J'J gives an infinite covariance.
+    """
+    mid = 0.5 * (theta[0] + theta[-1])
+    th = theta - mid
+    n = th.size
+
+    def project(u):
+        basis = np.ones((3, n))
+        np.cos(u * th, out=basis[0])
+        np.sin(u * th, out=basis[1])
+        cbar = basis[0].sum() / n
+        basis[0] -= cbar
+        norms = np.einsum("ij,ij->i", basis, basis)
+        x = (basis @ v) / norms
+        r = x @ basis - v
+        return r @ r, cbar, basis, norms, x, r
+
+    fit, halved = project(u), False
+    for _ in range(_FIT_TRIALS):
+        if not halved:
+            # the step from Kaufman's derivative: d/du of the model at fixed
+            # (a, b, c), less its projection on the rows
+            cost, cbar, basis, norms, x, r = fit
+            d = th * (x[1] * (basis[0] + cbar) - x[0] * basis[1])
+            db = basis @ d
+            step = -(d @ r) / (d @ d - db * db @ (1.0 / norms))
+        if not math.isfinite(step) or abs(step) <= _FIT_XTOL * abs(u):
+            break
+        trial = project(u + step)
+        if trial[0] < cost:
+            u, fit, halved = u + step, trial, False
+        else:
+            step, halved = 0.5 * step, True
+    else:
+        raise PreconditionError("cosine fit of the transition did not converge")
+    # the Jacobian in (B, u, psi, c2), psi = phi + u*mid the phase at the midpoint
+    B, psi = math.hypot(x[0], x[1]), math.atan2(-x[1], x[0])
+    slope = -B * np.sin(u * th + psi)
+    jac = np.stack((np.cos(u * th + psi), slope * th, slope, np.ones(n)))
+    try:
+        cov = np.linalg.inv(jac @ jac.T) * (cost / (n - 4))
+    except np.linalg.LinAlgError:
+        cov = np.full((4, 4), np.inf)
+    # to (B, u, phi, c2): phi = psi - mid*u
+    cov[2] -= mid * cov[1]
+    cov[:, 2] -= mid * cov[:, 1]
+    return np.array([B, u, psi - u * mid, x[2] - x[0] * cbar]), cov
+
+
 def fit_trapezoid_cosine(signal: SampledSignal, f_rot: float) -> tuple[TrapezoidFit, float]:
     """Least-squares cosine fit B*cos(u*theta + phi) + c2 over the first
     transition of a trapezoid-like waveform.
 
-    theta is the (unwrapped) rotation angle 2*pi*f_rot*t.  One `curve_fit`
-    runs from a start on the canonical branch (B, u > 0; any other start is
-    the same cosine, see `TrapezoidFit.canonical`).  Returns the fit on that
-    branch and the residual RMS over the fitted segment.  A fit whose B and
-    c2 are correlated to 1 - |rho| below _MIN_FIT_DECORRELATION, or whose
+    theta is the (unwrapped) rotation angle 2*pi*f_rot*t.  One `_cosine_lsq`
+    search runs from u0, one cosine half-period per crossing of the
+    mid-level over the segment, and the fit is returned on the canonical
+    branch (B, u > 0, see `TrapezoidFit.canonical`) with the residual RMS
+    over the fitted segment.  A fit that does not converge, whose B and c2
+    are correlated to 1 - |rho| below _MIN_FIT_DECORRELATION, or whose
     covariance cannot be estimated, is refused.
     """
-    # here, so simulate and modwave never load SciPy
-    from scipy.optimize import OptimizeWarning, curve_fit
-
     if not (f_rot > 0.0):
         raise PreconditionError(f"rotation frequency must be positive, got {f_rot}")
     sel = _first_transition(signal.values)
-    theta = 2.0 * np.pi * f_rot * signal.times()[sel]
+    theta = 2.0 * np.pi * f_rot * signal.grid.times(sel.start, sel.stop)
     v = signal.values[sel]
 
-    vmin, vmax = float(np.min(signal.values)), float(np.max(signal.values))
-    c0 = 0.5 * (vmax + vmin)
-    b0 = 0.5 * (vmax - vmin)
+    c0 = 0.5 * (float(np.max(signal.values)) + float(np.min(signal.values)))
     ncross = int(np.count_nonzero(np.diff(np.sign(v - c0)) != 0))
     u0 = max(ncross, 1) * np.pi / max(theta[-1] - theta[0], 1e-12)
-    # the phi branch whose initial slope -b0*u0*sin(phi) has the sign of v[-1] - v[0]
-    phi0 = math.copysign(math.acos(float(np.clip((v[0] - c0) / b0, -1.0, 1.0))), v[0] - v[-1])
-
-    def model(th, B, u, phi, c2):
-        return B * np.cos(u * th + phi) + c2
-
-    try:
-        # a covariance that cannot be estimated comes back as inf and is refused below
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OptimizeWarning)
-            popt, pcov = curve_fit(
-                model, theta, v, p0=[b0, u0, phi0 - u0 * theta[0], c0], maxfev=20000
-            )
-    except RuntimeError:
-        raise PreconditionError("cosine fit of the transition did not converge") from None
+    popt, pcov = _cosine_lsq(theta, v, u0)
     with np.errstate(divide="ignore", invalid="ignore"):
         # the square roots apart, so that their product cannot overflow
         rho = pcov[0, 3] / (np.sqrt(pcov[0, 0]) * np.sqrt(pcov[3, 3]))
@@ -369,9 +426,8 @@ def fit_trapezoid_cosine(signal: SampledSignal, f_rot: float) -> tuple[Trapezoid
             f"1 - |rho| = {1.0 - abs(rho):.3g}, below {_MIN_FIT_DECORRELATION:g}, so they "
             "are not determined"
         )
-    resid = float(np.sqrt(np.mean((v - model(theta, *popt)) ** 2)))
-    fit = TrapezoidFit(B=float(popt[0]), u=float(popt[1]), phi=float(popt[2]), c2=float(popt[3]))
-    return fit.canonical(), resid
+    fit = TrapezoidFit(*map(float, popt))
+    return fit.canonical(), float(np.sqrt(np.mean((v - fit(theta)) ** 2)))
 
 
 def synth_demod_reference(f_fund: float, kind: str, l: int, phase: float) -> HarmonicSeries:

@@ -3,12 +3,14 @@ that takes its CSV outputs back, and the trailing-window kernel's stream
 held as one array."""
 
 import math
+import warnings
 
 import numpy as np
+from scipy.optimize import OptimizeWarning, curve_fit
 
 from rotolock.errors import PreconditionError
 from rotolock.modulation import ModulationFit
-from rotolock.reference import SpotGeometry, _wrap_angle
+from rotolock.reference import SpotGeometry, TrapezoidFit, _first_transition, _wrap_angle
 from rotolock.signals import SampledSignal, TimeGrid, _joined, window_chunks
 
 
@@ -37,6 +39,29 @@ def transmitted_fraction_mc(
     resid = a - estimate * w
     stderr = float(np.sqrt(np.var(resid) / n_samples) / mean_b)
     return estimate, stderr
+
+
+def transition_fit_by_curve_fit(signal: SampledSignal, f_rot: float):
+    """The transition fit of `fit_trapezoid_cosine` made by SciPy's
+    `curve_fit` (MINPACK's Levenberg-Marquardt) from the start point
+    (b0, u0, phi0 - u0*theta0, c0) that the package used with it: the fit on
+    the canonical branch, and the segment's angles and values."""
+    sel = _first_transition(signal.values)
+    theta = 2.0 * np.pi * f_rot * signal.times()[sel]
+    v = signal.values[sel]
+    vmin, vmax = float(np.min(signal.values)), float(np.max(signal.values))
+    c0, b0 = 0.5 * (vmax + vmin), 0.5 * (vmax - vmin)
+    ncross = int(np.count_nonzero(np.diff(np.sign(v - c0)) != 0))
+    u0 = max(ncross, 1) * np.pi / max(theta[-1] - theta[0], 1e-12)
+    phi0 = math.copysign(math.acos(float(np.clip((v[0] - c0) / b0, -1.0, 1.0))), v[0] - v[-1])
+
+    def model(th, B, u, phi, c2):
+        return B * np.cos(u * th + phi) + c2
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OptimizeWarning)
+        popt, _ = curve_fit(model, theta, v, p0=[b0, u0, phi0 - u0 * theta[0], c0], maxfev=20000)
+    return TrapezoidFit(*map(float, popt)).canonical(), theta, v
 
 
 def eval_modulation(fit: ModulationFit, alpha) -> np.ndarray | float:

@@ -136,19 +136,16 @@ def test_one_occlusion_pass_per_waveform(monkeypatch):
 
 
 def test_one_fit_per_transition(monkeypatch, tmp_path):
-    # the reference transition is fitted from one start on the canonical
-    # branch: one default refsignal makes one curve_fit call
-    import scipy.optimize
-
-    fit = scipy.optimize.curve_fit
+    # the reference transition is fitted by one search from one start: one
+    # default refsignal makes one solver call
+    fit = rotolock.reference._cosine_lsq
     calls = []
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args)
-        return fit(*args, **kwargs)
+        return fit(*args)
 
-    # the fit imports curve_fit when it runs, so it picks up the patched name
-    monkeypatch.setattr(scipy.optimize, "curve_fit", counted)
+    monkeypatch.setattr(rotolock.reference, "_cosine_lsq", counted)
     assert main(["refsignal", "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
 

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -24,7 +23,7 @@ from rotolock.reference import (
 )
 from rotolock.signals import SampledSignal, TimeGrid
 
-from oracles import transmitted_fraction_mc
+from oracles import transition_fit_by_curve_fit, transmitted_fraction_mc
 
 
 class TestEmission:
@@ -486,29 +485,63 @@ class TestFitTrapezoidCosine:
         assert 0.1 < width / sweep < 10.0
 
     def test_failed_fit_is_precondition_error(self, one_period, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise RuntimeError("Optimal parameters not found")
-
-        monkeypatch.setattr(scipy.optimize, "curve_fit", no_convergence)
+        # two costs are too few for the default transition's search
+        monkeypatch.setattr(rotolock.reference, "_FIT_TRIALS", 2)
         with pytest.raises(PreconditionError, match="did not converge"):
             fit_trapezoid_cosine(one_period, self.F_ROT)
 
-    def test_covariance_that_cannot_be_estimated_is_refused(self, one_period, monkeypatch):
-        # curve_fit warns and returns an infinite covariance: one error, no warning
-        fit = scipy.optimize.curve_fit
+    @pytest.mark.parametrize("geometry, spp", [({"d": 0.1}, 200), ({"d": 0.6, "r0": 0.8}, 500),
+                                              ({"d": 0.6, "r0": 0.8}, 20000)])
+    def test_transition_without_a_minimum_is_ill_posed(self, geometry, spp):
+        # the cost falls all the way toward a parabola's as u -> 0: the search
+        # ends deep in that valley, where halving finds no lower cost or no
+        # step is finite, and the covariance checks refuse the fit
+        grid = TimeGrid(dt=1.0 / (self.F_ROT * spp), n=spp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the emission lobe
+            wave = reference_waveform(SpotGeometry(**geometry), grid, self.F_ROT)
+        with pytest.raises(PreconditionError, match="ill-posed"):
+            fit_trapezoid_cosine(wave, self.F_ROT)
 
-        def no_covariance(*args, **kwargs):
-            popt, pcov = fit(*args, **kwargs)
-            warnings.warn("Covariance of the parameters could not be estimated",
-                          scipy.optimize.OptimizeWarning)
+    def test_search_ends_where_no_step_is_finite(self):
+        # sqrt over a short span is no cosine: from u = 3 the search walks
+        # toward u -> 0, where the Gauss-Newton step divides by zero; it ends
+        # there, where the covariance checks take over, rather than halving an
+        # infinite step until the cap
+        theta = np.linspace(1.0, 1.1, 5)
+        popt, _ = rotolock.reference._cosine_lsq(theta, np.sqrt(theta), 3.0)
+        assert np.all(np.isfinite(popt))
+
+    def test_covariance_that_cannot_be_estimated_is_refused(self, one_period, monkeypatch):
+        # the solver reads a singular J'J as an infinite covariance: one error,
+        # no warning
+        fit = rotolock.reference._cosine_lsq
+
+        def no_covariance(*args):
+            popt, pcov = fit(*args)
             return popt, np.full_like(pcov, np.inf)
 
-        monkeypatch.setattr(scipy.optimize, "curve_fit", no_covariance)
+        monkeypatch.setattr(rotolock.reference, "_cosine_lsq", no_covariance)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(PreconditionError,
                                match="ill-posed: its covariance cannot be estimated"):
                 fit_trapezoid_cosine(one_period, self.F_ROT)
+
+    @pytest.mark.parametrize("spp", [500, 2000])
+    @pytest.mark.parametrize("r0", [0.3, 0.5])
+    @pytest.mark.parametrize("d", [1.0, 1.5, 2.5])
+    def test_matches_curve_fit(self, d, r0, spp):
+        # SciPy's curve_fit as the oracle: the same parameters to 2e-6, and a
+        # residual sum of squares no larger but for rounding
+        grid = TimeGrid(dt=1.0 / (self.F_ROT * spp), n=spp)
+        wave = reference_waveform(SpotGeometry(r0=r0, d=d), grid, self.F_ROT)
+        got, _ = fit_trapezoid_cosine(wave, self.F_ROT)
+        want, theta, v = transition_fit_by_curve_fit(wave, self.F_ROT)
+        for name in ("B", "u", "phi", "c2"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=2e-6), name
+        rss = [math.fsum((v - fit(theta)) ** 2) for fit in (got, want)]
+        assert rss[0] <= rss[1] * (1.0 + 1e-9)
 
     def test_constant_signal_has_no_transition(self):
         grid = TimeGrid(dt=1e-5, n=100)
