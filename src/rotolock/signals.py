@@ -228,13 +228,24 @@ def synth(series: HarmonicSeries, grid: TimeGrid) -> SampledSignal:
     and when they are one period they are tiled out to n samples: O(spp *
     harmonics) trigonometry and O(n) memory.  Tiling also keeps the phase
     accurate on long grids, where 2*pi*f*t at large t loses bits.
+
+    Over the k evaluated samples of l harmonics it holds at most k*(2l+1)
+    floats at once: the k-by-l argument table, its cosines and their
+    product.  The sines are taken over the table in place and each sum is
+    made in place, so the bits are those of
+    `dc + cos(args) @ cos_coeffs + sin(args) @ sin_coeffs`.
     """
     one = period_grid(grid, series.f_fund)
     j = np.arange(1, series.n_harmonics + 1)
     # a value past the float range is refused once, by SampledSignal's check
     with np.errstate(over="ignore", invalid="ignore"):
-        args = 2.0 * np.pi * series.f_fund * one.times()[:, None] * j[None, :]
-        period = series.dc + np.cos(args) @ series.cos_coeffs + np.sin(args) @ series.sin_coeffs
+        t = one.times()
+        t *= 2.0 * np.pi * series.f_fund
+        args = t[:, None] * j[None, :]
+        del t
+        period = np.cos(args) @ series.cos_coeffs
+        period += series.dc
+        period += np.sin(args, out=args) @ series.sin_coeffs
     return tile(SampledSignal(one, frozen(period)), grid)
 
 

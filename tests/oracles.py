@@ -11,7 +11,7 @@ from scipy.optimize import OptimizeWarning, curve_fit
 from rotolock.errors import PreconditionError
 from rotolock.modulation import ModulationFit
 from rotolock.reference import SpotGeometry, TrapezoidFit, _first_transition, _wrap_angle
-from rotolock.signals import SampledSignal, TimeGrid, _joined, window_chunks
+from rotolock.signals import SampledSignal, TimeGrid, _joined, period_grid, window_chunks
 
 
 def transmitted_fraction_mc(
@@ -71,6 +71,18 @@ def eval_modulation(fit: ModulationFit, alpha) -> np.ndarray | float:
     terms = fit.amplitudes * np.cos(i * alpha[..., None] + fit.phase)
     out = fit.offset + terms.sum(axis=-1)
     return float(out) if out.ndim == 0 else out
+
+
+def synth_one_expression(series, grid: TimeGrid) -> np.ndarray:
+    """A harmonic series on grid as the one expression
+    dc + cos(args) @ cos_coeffs + sin(args) @ sin_coeffs over the samples
+    of `period_grid`, repeated out to the grid's n samples: the bits that
+    `synth` must give however it orders its temporaries."""
+    one = period_grid(grid, series.f_fund)
+    j = np.arange(1, series.n_harmonics + 1)
+    args = 2.0 * np.pi * series.f_fund * one.times()[:, None] * j[None, :]
+    period = series.dc + np.cos(args) @ series.cos_coeffs + np.sin(args) @ series.sin_coeffs
+    return np.resize(period, grid.n)
 
 
 def trapezoid_window_sum(y, j, w):

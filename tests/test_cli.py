@@ -80,7 +80,7 @@ class TestRefsignal:
     @pytest.mark.parametrize(
         "geometry, spp, code, exponent",
         [
-            ({"d": 0.1}, 200, 3, "11"),
+            ({"d": 0.1}, 200, 3, None),
             ({"d": 0.1}, 2000, 0, None),
             ({"d": 0.5}, 2000, 3, "06"),
             ({"r0": 1.0}, 20000, 0, None),
@@ -96,16 +96,23 @@ class TestRefsignal:
         # 0.5 mm the valley is flatter than the bound and B moves from 1.30 to
         # 2.08 with the sampling.  A 1 mm spot at 20 000 samples per period,
         # whose 1 - |rho| of 6.3e-4 is the lowest of the accepted geometries
-        # swept, is a well-posed fit
+        # swept, is a well-posed fit.  At 0.1 mm the 1 - |rho| reached is
+        # rounding: moving each sample by a relative 1e-15 or so gives e-10,
+        # e-11 or a covariance that cannot be estimated (65 of 80 draws moved
+        # it off e-11), so that row takes either form of the refusal and no
+        # exponent
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"geometry": geometry, "samples_per_period": spp}))
         out = tmp_path / "out"
         assert run_cli("refsignal", "--config", str(cfg), "--out", str(out)) == code
         err = capsys.readouterr().err
         if code == 3:
-            assert re.fullmatch(r"error: cosine fit of the transition is ill-posed: B and c2 "
-                                rf"are correlated to 1 - \|rho\| = \d\.?\d*e-{exponent}, "
-                                r"below 1e-05, so they are not determined\n", err)
+            digits = exponent or r"\d+"
+            form = (r"B and c2 are correlated to 1 - \|rho\| = "
+                    rf"\d\.?\d*e-{digits}, below 1e-05, so they are not determined")
+            if exponent is None:
+                form = f"({form}|its covariance cannot be estimated, so B and c2 are not determined)"
+            assert re.fullmatch(rf"error: cosine fit of the transition is ill-posed: {form}\n", err)
         assert (out / "trapezoid_fit.json").exists() == (code == 0)
         assert out.exists() == (code == 0)
 

@@ -14,6 +14,10 @@ where every output row is summed alone (the running sums), and within the
 rounding of a reordered sum where matrix products take the rows in other
 blocks (the block weights).  A window or chunk edge that carries state by
 sample index, not by period, would break it.
+
+The lock-in of a sum is the sum of the lock-ins, within the rounding of
+the three sums of weight times sample: a constant added to a chunk's
+output, or any term that does not scale with the input, would break it.
 """
 
 from dataclasses import replace
@@ -79,14 +83,20 @@ def window_weight_sum(cfg, channel):
     return float(np.max(total))
 
 
+def lockin_case(cfg):
+    """cfg's modulation and reference series, the first channel whose gain
+    share passes GAIN_FLOOR, and the window w, one modulation period."""
+    m, r = _series(cfg)
+    channel = next(c for c in CHANNELS if channel_gain(m, r, c)[1] >= GAIN_FLOOR)
+    return m, r, channel, whole_period(cfg.grid, cfg.f_m).n
+
+
 @pytest.mark.parametrize("name, n", [("default", 150_000), ("running-sums", 200_000)])
 def test_whole_period_shift_delays_the_output(name, n):
     # 150 000 samples at w = 200 and 200 000 at w = 8 000 cross two chunk
     # edges; the three-period shift moves every edge off its place
     cfg = CONFIGS[name]
-    m, r = _series(cfg)
-    channel = next(c for c in CHANNELS if channel_gain(m, r, c)[1] >= GAIN_FLOOR)
-    w = whole_period(cfg.grid, cfg.f_m).n
+    m, r, channel, w = lockin_case(cfg)
     rng = np.random.default_rng(3)
     x = rng.uniform(-1.0, 1.0, n)
     delayed = np.concatenate((rng.uniform(-1.0, 1.0, 3 * w), x))
@@ -104,3 +114,25 @@ def test_whole_period_shift_delays_the_output(name, n):
         gamma = 5 * (w + 1) * np.finfo(float).eps
         bound = 2.0 * gamma / (1.0 - gamma) * window_weight_sum(cfg, channel)
         assert np.max(np.abs(got - want)) <= bound
+
+
+@pytest.mark.parametrize("name, duration", [("default", 0.3), ("running-sums", 0.2)])
+def test_superposition_of_trace_and_noise(name, duration):
+    # the lock-in of the modulated trace plus the noise is the sum of the
+    # two lock-ins, at w = 200 (block weights) and at w = 8 000 (running
+    # sums).  Each of the three outputs is within gamma of the exact sums of
+    # weight times sample, and the input's sum and the outputs' sum round
+    # once more each: gamma_{N+1} + gamma_N + u*(1 + gamma_N) <=
+    # 2 * gamma_{N+1}, N = 5 * (w + 1), of the window's sum of |weight|
+    # times max|a| + max|b|.  150 000 samples at w = 200 and 200 000 at
+    # w = 8 000 cross two chunk edges
+    cfg = replace(CONFIGS[name], duration=duration)
+    m, r, channel, w = lockin_case(cfg)
+    res = run_simulation(cfg)
+    a, b = res.modulated.values, res.noise.values
+    both, ya, yb = (slope_compensate(SampledSignal(cfg.grid, v), m, r, channel).values
+                    for v in (a + b, a, b))
+    gamma = (5 * (w + 1) + 1) * np.finfo(float).eps
+    bound = (2.0 * gamma / (1.0 - gamma) * window_weight_sum(cfg, channel)
+             * (np.max(np.abs(a)) + np.max(np.abs(b))))
+    assert np.max(np.abs(both - (ya + yb))) <= bound

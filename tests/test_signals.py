@@ -32,7 +32,13 @@ from rotolock.signals import (
     write_csv,
 )
 
-from oracles import eval_modulation, read_csv, trapezoid_window_sum, window_sums
+from oracles import (
+    eval_modulation,
+    read_csv,
+    synth_one_expression,
+    trapezoid_window_sum,
+    window_sums,
+)
 
 F_M = 2500.0
 DT = 2e-6
@@ -189,6 +195,48 @@ class TestSynth:
         grid = TimeGrid(dt=DT, n=SPP // 3, t0=2.5e-5)
         expected = self.direct(series, F_M * grid.times())
         assert np.allclose(synth(series, grid).values, expected, rtol=0.0, atol=1e-15)
+
+    # a level or coefficient: either zero, so that sums of signed zeros are
+    # drawn, or any value
+    LEVEL = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+
+    @given(
+        data=st.data(),
+        l=st.integers(1, 7),
+        dc=LEVEL,
+        shape=st.sampled_from(["whole", "partial", "non-whole"]),
+        periods=st.integers(1, 4),
+        t0=st.sampled_from([0.0, 0.37 / F_M, -1.3e-3]),
+    )
+    def test_bits_match_the_one_expression(self, data, l, dc, shape, periods, t0):
+        # synth orders its temporaries to hold fewer of them; every output
+        # keeps the bits of the one expression, signed zeros too (compared
+        # as integers, so that -0.0 and 0.0 differ).  A non-whole period
+        # (205.17 samples) is evaluated over the whole grid
+        coeffs = data.draw(st.lists(self.LEVEL, min_size=2 * l, max_size=2 * l))
+        f = 2437.0 if shape == "non-whole" else F_M
+        n = periods * SPP + (data.draw(st.integers(1, SPP - 1)) if shape == "partial" else 0)
+        series = HarmonicSeries(f_fund=f, dc=dc, cos_coeffs=coeffs[:l], sin_coeffs=coeffs[l:])
+        grid = TimeGrid(dt=DT, n=n, t0=t0)
+        got = synth(series, grid).values
+        assert np.array_equal(got.view(np.int64), synth_one_expression(series, grid).view(np.int64))
+
+    def test_peak_memory_is_three_arrays_for_one_harmonic(self):
+        # a 37 Hz period is no whole number of 1 us samples, so all n are
+        # evaluated: the argument table, its cosines and their product, 3.0
+        # arrays of 8n B measured (4.0 while the cosine product and its sum
+        # with dc were held together)
+        n = 100_000
+        series = HarmonicSeries(f_fund=37.0, dc=0.5, cos_coeffs=[1.0], sin_coeffs=[0.3])
+        grid = TimeGrid(dt=1e-6, n=n)
+        synth(series, grid)  # a first call makes NumPy's lazy imports and caches
+        tracemalloc.start()
+        try:
+            synth(series, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 8 * n
 
     def test_non_integer_samples_per_period_matches_direct_formula(self):
         series = stock_modulation_series()

@@ -596,22 +596,23 @@ class TestSimResultArrays:
     def test_default_run_peak_memory(self, monkeypatch):
         # a first run makes NumPy's lazy imports and caches (in a fresh process
         # it peaks near 1.7e6 B) and hands over the lock-in's kernel inputs.
-        # Then the run peaks at about 0.532e6 B as it sums the error of the
-        # lock-in's last chunk: that chunk is written over its read, one
-        # period longer than the chunk (0.530e6 B while the kernel wrote each
-        # chunk's output to an array of its own, 0.544e6 B while it held its
-        # plain sources).  The kernel alone, replayed on the noisy sum as an
-        # array and drained chunk by chunk, peaks at about 0.32e6 B: one
-        # chunk's copied periods with its output written over them, block
-        # weights and operand (fed by the reader it peaked at 0.44e6 B while
-        # it wrote each output to an array of its own).  The bounds sit 9 %
-        # above 0.544e6 and 0.366e6 B, inside the benchmark's 10 %
-        # peak_alloc_mb gate.  On the 15 000-sample default run the chunk of
-        # periods is the whole signal but its first period, so chunk-sized
-        # scratch (118 KB) takes the kernel past its bound.  The kernel lets
-        # go of its weights (0.13e6 B) before it hands on that last chunk;
-        # a kernel that held them while the run sums it would peak at about
-        # 0.69e6 B, past the run's bound
+        # Then the run peaks at about 0.450e6 B as it sums the error of the
+        # lock-in's last chunk, written over its read, one period longer than
+        # the chunk: there `_Deviation` evaluates the measured sine's one
+        # period (10 000 samples), and `synth` holds three period-length
+        # arrays, 0.24e6 B (0.531e6 B while it held four; 0.544e6 B while
+        # the kernel held its plain sources).  The kernel alone, replayed on
+        # the noisy sum as an array and drained chunk by chunk, peaks at
+        # about 0.32e6 B: one chunk's copied periods with its output written
+        # over them, block weights and operand (fed by the reader it peaked
+        # at 0.44e6 B while it wrote each output to an array of its own).
+        # The bounds sit 9 % above 0.450e6 and 0.366e6 B, inside the
+        # benchmark's 10 % peak_alloc_mb gate.  On the 15 000-sample default
+        # run the chunk of periods is the whole signal but its first period,
+        # so chunk-sized scratch (118 KB) takes the kernel past its bound.
+        # The kernel lets go of its weights (0.13e6 B) before it hands on
+        # that last chunk; a kernel that held them while the run sums it
+        # would peak at about 0.59e6 B, past the run's bound
         kernel, calls = rotolock.lockin.window_chunks, []
         monkeypatch.setattr(
             rotolock.lockin, "window_chunks", lambda *a: calls.append(a) or kernel(*a)
@@ -627,7 +628,7 @@ class TestSimResultArrays:
                 pass
 
         peaks = [self._peak(run_simulation, SimConfig()), self._peak(drain)]
-        assert peaks[0] < 593_000
+        assert peaks[0] < 491_000
         assert peaks[1] < 400_000
 
     @pytest.mark.parametrize("kind", ["step", "sine"])
