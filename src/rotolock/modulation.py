@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import Config
 from .errors import PreconditionError
-from .signals import HarmonicSeries
+from .signals import HarmonicSeries, frozen
 
 # default fit of the modulated-intensity waveform vs electrode angle:
 # amplitudes of harmonics 1..7, common phase (rad) and offset
@@ -41,12 +41,11 @@ class ModulationFit(Config):
         )
 
     def __post_init__(self):
-        amps = np.atleast_1d(np.asarray(self.amplitudes, dtype=float)).copy()
+        amps = frozen(np.atleast_1d(np.asarray(self.amplitudes, dtype=float)).copy())
         if len(amps) < 1 or not np.all(np.isfinite(amps)):
             raise PreconditionError("amplitudes must be a non-empty finite vector")
         if not (np.isfinite(self.phase) and np.isfinite(self.offset)):
             raise PreconditionError("phase and offset must be finite")
-        amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
     @property

@@ -301,7 +301,7 @@ def reference_waveform(geom: SpotGeometry, grid: TimeGrid, f_rot: float) -> Samp
         raise PreconditionError(f"rotation frequency must be positive, got {f_rot}")
     one = period_grid(grid, f_rot)
     period = transmitted_fraction(geom, 2.0 * np.pi * f_rot * one.times())
-    return tile(SampledSignal(one, frozen(period)), grid)
+    return tile(period, grid)
 
 
 def _first_transition(values: np.ndarray) -> slice:

@@ -81,8 +81,9 @@ class TimeGrid:
 
 def frozen(values: np.ndarray) -> np.ndarray:
     """Make a freshly computed array read-only in place and return it, so
-    that SampledSignal takes it over without a copy.  Only for an array that
-    nothing else holds."""
+    that SampledSignal takes it over without a copy: the package's one
+    read-only handover, also of a signal's, series' or fit's own copy.
+    Only for an array that nothing else holds."""
     values.flags.writeable = False
     return values
 
@@ -112,8 +113,7 @@ class SampledSignal:
         # made it (see `frozen`); any other array may still be written through
         # by a caller, so it is copied
         if values.flags.writeable or not values.flags.owndata:
-            values = values.copy()
-            values.flags.writeable = False
+            values = frozen(values.copy())
         object.__setattr__(self, "values", values)
 
     def times(self) -> np.ndarray:
@@ -145,8 +145,8 @@ class HarmonicSeries(Config):
     def __post_init__(self):
         if not (self.f_fund > 0.0):
             raise PreconditionError(f"fundamental must be positive, got {self.f_fund}")
-        cos_c = np.atleast_1d(np.asarray(self.cos_coeffs, dtype=float)).copy()
-        sin_c = np.atleast_1d(np.asarray(self.sin_coeffs, dtype=float)).copy()
+        cos_c = frozen(np.atleast_1d(np.asarray(self.cos_coeffs, dtype=float)).copy())
+        sin_c = frozen(np.atleast_1d(np.asarray(self.sin_coeffs, dtype=float)).copy())
         if len(cos_c) != len(sin_c) or len(cos_c) < 1:
             raise PreconditionError(
                 f"cosine/sine coefficient vectors must have equal length >= 1, "
@@ -154,8 +154,6 @@ class HarmonicSeries(Config):
             )
         if not (np.isfinite(self.dc) and np.all(np.isfinite(cos_c)) and np.all(np.isfinite(sin_c))):
             raise PreconditionError("series coefficients must be finite")
-        cos_c.flags.writeable = False
-        sin_c.flags.writeable = False
         object.__setattr__(self, "cos_coeffs", cos_c)
         object.__setattr__(self, "sin_coeffs", sin_c)
 
@@ -194,17 +192,12 @@ def whole_period(grid: TimeGrid, f: float) -> TimeGrid:
     return one
 
 
-def tile(period: SampledSignal, grid: TimeGrid) -> SampledSignal:
-    """`period` repeated over grid: sample i is sample i % k of the k-sample
-    period, whose grid must be the first k <= n samples of grid.  The period
-    itself is returned when it is the whole grid; otherwise the copies make
-    a new signal, whose values are checked finite like any other's."""
-    k = period.grid.n
-    if k > grid.n or period.grid != TimeGrid(grid.dt, k, grid.t0):
-        raise PreconditionError(f"period grid {period.grid} is not the start of {grid}")
-    if k == grid.n:
-        return period
-    return SampledSignal(grid, frozen(_Repeating(period.values, grid.n)[:]))
+def tile(period: np.ndarray, grid: TimeGrid) -> SampledSignal:
+    """The k-sample array `period`, the values of grid's first k <= n
+    samples, repeated over grid as a new signal: sample i is period[i % k].
+    `period` must be fresh, as it is taken over (see `frozen`); its values
+    are checked finite once, by the signal's constructor, over grid."""
+    return SampledSignal(grid, frozen(period if len(period) == grid.n else _Repeating(period, grid.n)[:]))
 
 
 def _periodic(op, buf: np.ndarray, period: np.ndarray, start: int) -> None:
@@ -224,10 +217,11 @@ def _periodic(op, buf: np.ndarray, period: np.ndarray, start: int) -> None:
 def synth(series: HarmonicSeries, grid: TimeGrid) -> SampledSignal:
     """Evaluate a harmonic series on a time grid.
 
-    Only the samples of `period_grid` are evaluated (and checked finite),
-    and when they are one period they are tiled out to n samples: O(spp *
-    harmonics) trigonometry and O(n) memory.  Tiling also keeps the phase
-    accurate on long grids, where 2*pi*f*t at large t loses bits.
+    Only the samples of `period_grid` are evaluated, and `tile` lays them
+    out to n samples as a signal, whose constructor checks each value
+    finite once: O(spp * harmonics) trigonometry and O(n) memory.  Tiling
+    also keeps the phase accurate on long grids, where 2*pi*f*t at large t
+    loses bits.
 
     Over the k evaluated samples of l harmonics it holds at most k*(2l+1)
     floats at once: the k-by-l argument table, its cosines and their
@@ -246,7 +240,7 @@ def synth(series: HarmonicSeries, grid: TimeGrid) -> SampledSignal:
         period = np.cos(args) @ series.cos_coeffs
         period += series.dc
         period += np.sin(args, out=args) @ series.sin_coeffs
-    return tile(SampledSignal(one, frozen(period)), grid)
+    return tile(period, grid)
 
 
 def fit_harmonics(signal: SampledSignal, f_fund: float, l: int) -> tuple[HarmonicSeries, float]:

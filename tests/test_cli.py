@@ -536,6 +536,10 @@ CONTRACT = [
     pytest.param(["refsignal"], None, 0, id="refsignal"),
     pytest.param(["simulate"], None, 0, id="simulate"),
     pytest.param(["simulate", "--noise", "sine"], None, 0, id="simulate_sine"),
+    # the other two overrides, the seed as the benchmark passes it: the
+    # manifest's config carries each into the re-run
+    pytest.param(["simulate", "--ref", "sine"], None, 0, id="simulate_ref_sine"),
+    pytest.param(["simulate", "--seed", "7"], None, 0, id="simulate_seed_7"),
     # the noise reader's zero level
     pytest.param(["simulate", "--noise", "none"], None, 0, id="simulate_none"),
     # a modulated trace of zeros on that level

@@ -18,6 +18,13 @@ sample index, not by period, would break it.
 The lock-in of a sum is the sum of the lock-ins, within the rounding of
 the three sums of weight times sample: a constant added to a chunk's
 output, or any term that does not scale with the input, would break it.
+
+A longer run keeps a shorter run's output on their shared samples: bit for
+bit up to the short run's last lock-in chunk, which is shorter than the
+long run's chunk there, and within the rounding of a reordered sum past
+it, where the block weights' matrix products take fewer rows (the running
+sums, each row alone, keep every bit).  An output that read samples after
+its window, or noise drawn by the run's length, would break it.
 """
 
 from dataclasses import replace
@@ -26,7 +33,7 @@ import numpy as np
 import pytest
 
 from rotolock.lockin import CHANNELS, GAIN_FLOOR, _part, _slope_term, channel_gain, slope_compensate
-from rotolock.signals import SampledSignal, TimeGrid, synth, whole_period
+from rotolock.signals import _BLOCK_SAMPLES, SampledSignal, TimeGrid, synth, whole_period
 from rotolock.sim import NoiseSpec, SimConfig, _series, run_simulation
 
 CONFIGS = {
@@ -83,6 +90,16 @@ def window_weight_sum(cfg, channel):
     return float(np.max(total))
 
 
+def sum_bound(cfg, channel, w):
+    """The largest rounding difference between two sums of one window's
+    weight times sample, per unit of max|sample|, as derived in
+    `test_superposition_of_trace_and_noise`: 2 * gamma_{N+1} of the
+    window's sum of |weight|, N = 5 * (w + 1) products over the five
+    sources."""
+    gamma = (5 * (w + 1) + 1) * np.finfo(float).eps
+    return 2.0 * gamma / (1.0 - gamma) * window_weight_sum(cfg, channel)
+
+
 def lockin_case(cfg):
     """cfg's modulation and reference series, the first channel whose gain
     share passes GAIN_FLOOR, and the window w, one modulation period."""
@@ -132,7 +149,30 @@ def test_superposition_of_trace_and_noise(name, duration):
     a, b = res.modulated.values, res.noise.values
     both, ya, yb = (slope_compensate(SampledSignal(cfg.grid, v), m, r, channel).values
                     for v in (a + b, a, b))
-    gamma = (5 * (w + 1) + 1) * np.finfo(float).eps
-    bound = (2.0 * gamma / (1.0 - gamma) * window_weight_sum(cfg, channel)
-             * (np.max(np.abs(a)) + np.max(np.abs(b))))
+    bound = sum_bound(cfg, channel, w) * (np.max(np.abs(a)) + np.max(np.abs(b)))
     assert np.max(np.abs(both - (ya + yb))) <= bound
+
+
+@pytest.mark.parametrize("name, short, long", [("default", 0.3, 0.6), ("running-sums", 0.2, 0.4)])
+def test_a_longer_run_keeps_the_shorter_runs_output(name, short, long):
+    # the lock-in works through chunks of whole periods from sample w on,
+    # _BLOCK_SAMPLES // w periods each, and the short run's last chunk holds
+    # fewer (both runs are whole periods long).  Before that chunk the two
+    # runs sum the same rows the same way; in it the block weights' matrix
+    # products take fewer rows, so each output is within the rounding of
+    # its window's sums in both runs, of the noisy sum's largest sample.
+    # The running sums (w = 8 000) sum each row alone and keep every bit
+    cfg = CONFIGS[name]
+    _, _, channel, w = lockin_case(cfg)
+    head, run = (run_simulation(replace(cfg, duration=d)) for d in (short, long))
+    assert run.metrics["channel"] == head.metrics["channel"] == channel
+    x = head.restored_full.values
+    y = run.restored_full.values[: len(x)]
+    size = _BLOCK_SAMPLES // w * w
+    cut = w + (len(x) - w - 1) // size * size
+    assert x[:cut].tobytes() == y[:cut].tobytes()
+    if w > 7_072:  # past the block weights' budget: the running sums
+        assert x.tobytes() == y.tobytes()
+    else:
+        noisy = run.modulated_noisy.values[: len(x)]
+        assert np.max(np.abs(x - y)) <= sum_bound(cfg, channel, w) * np.max(np.abs(noisy))

@@ -232,6 +232,21 @@ def test_one_noise_reader_and_one_way_to_build_a_signal():
     assert [path.name for path in SRC.glob("*.py") if "object.__new__(" in path.read_text()] == []
 
 
+def test_one_read_only_handover():
+    # signals.frozen makes an array read-only for the code that hands it
+    # over, the signal constructor's copy and the series' and fit's
+    # coefficients among them: the package's one write of a writeable flag
+    sites = [
+        (path.name, top.name)
+        for path in sorted(SRC.glob("*.py"))
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "writeable" and isinstance(node.ctx, ast.Store)
+    ]
+    assert sites == [("signals.py", "frozen")]
+    assert call_sites("setflags") == []
+
+
 def test_one_finiteness_rule():
     # SampledSignal.finite is the one finiteness rule, applied where values
     # are made: its message is written once in the package, the constructor

@@ -245,21 +245,39 @@ class TestSynth:
         assert np.allclose(synth(series, grid).values, expected, rtol=0.0, atol=1e-13)
 
     def test_overflowing_period_is_refused_on_a_grid_of_several_periods(self):
-        # synth checks the one period it evaluates; the tiles are its copies
+        # synth evaluates one period; the signal of its tiles refuses it
         series = HarmonicSeries(f_fund=F_M, dc=1e308, cos_coeffs=[1e308], sin_coeffs=[0.0])
         with np.errstate(over="ignore"), pytest.raises(PreconditionError, match="finite"):
             synth(series, default_grid(n_periods=4))
 
     def test_tile_repeats_a_period_that_starts_the_grid(self):
         grid = TimeGrid(dt=DT, n=2 * SPP + 7, t0=1e-5)
-        period = synth(stock_modulation_series(), TimeGrid(DT, SPP, grid.t0))
+        period = synth(stock_modulation_series(), TimeGrid(DT, SPP, grid.t0)).values
         out = tile(period, grid)
-        assert np.array_equal(out.values, np.resize(period.values, grid.n))
+        assert out.grid == grid
+        assert np.array_equal(out.values, np.resize(period, grid.n))
         assert not out.values.flags.writeable
-        assert tile(period, period.grid) is period
-        for other in (TimeGrid(DT, SPP, 0.0), TimeGrid(DT, 3 * SPP, grid.t0)):
-            with pytest.raises(PreconditionError, match="not the start"):
-                tile(synth(stock_modulation_series(), other), grid)
+        # a period as long as the grid is taken over as the signal's values
+        whole = np.arange(7.0)
+        assert tile(whole, TimeGrid(DT, 7)).values is whole
+        assert not whole.flags.writeable
+
+    def test_synth_scans_its_values_once(self, monkeypatch):
+        # over 3.5 periods synth evaluates one period and checks the n
+        # values of its signal once, by the constructor; no period-length
+        # array is scanned on its way there
+        scanned, isfinite = [], np.isfinite
+
+        def counting(x, *args, **kwargs):
+            if isinstance(x, np.ndarray):
+                scanned.append(x.size)
+            return isfinite(x, *args, **kwargs)
+
+        series, grid = stock_modulation_series(), TimeGrid(DT, 7 * SPP // 2)
+        monkeypatch.setattr(np, "isfinite", counting)
+        out = synth(series, grid)
+        assert scanned == [grid.n]
+        assert out.values.tobytes() == np.resize(out.values[:SPP], grid.n).tobytes()
 
     def test_integer_ratio_tolerance_edge(self):
         # relative tolerance 1e-9: 200 +/- 1e-7 is 200, 200 +/- 3e-7 is not

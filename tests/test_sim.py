@@ -851,7 +851,7 @@ class TestSimResultArrays:
 
         def counting(period, grid):
             if grid == run_grid:
-                onto_run.append(period.grid.n)
+                onto_run.append(len(period))
             return tile(period, grid)
 
         for name, module in list(sys.modules.items()):
@@ -861,7 +861,7 @@ class TestSimResultArrays:
         assert onto_run == []
         modulated = res.modulated
         assert modulated.grid == run_grid and onto_run == []
-        assert modulated.values.tobytes() == tile(res.modulated_period, run_grid).values.tobytes()
+        assert modulated.values.tobytes() == tile(res.modulated_period.values, run_grid).values.tobytes()
 
     def test_synth_evaluates_one_run_of_samples(self, monkeypatch):
         # synth evaluates the samples of `period_grid` and tiles them: the
@@ -945,7 +945,7 @@ class TestReport:
         m, r = _series(cfg)
         restored = slope_compensate(noisy, m, r, res.metrics["channel"])
         for name, signal in (("noise.csv", whole_noise(cfg.noise, grid)),
-                             ("modulated.csv", tile(period, grid)),
+                             ("modulated.csv", tile(period.values, grid)),
                              ("modulated_noisy.csv", noisy), ("restored.csv", restored)):
             write_csv(signal, tmp_path / name)
             assert (tmp_path / "streamed" / name).read_bytes() == (tmp_path / name).read_bytes()
