@@ -591,6 +591,182 @@ def _ranges(reader) -> Iterator[np.ndarray]:
         yield reader[i : i + _CSV_READ]
 
 
+# bytes of one value in write_csv's rows, laid out by `_fields`: its sign, 22
+# of digits and point, 4 of exponent and the separator that follows it
+_FIELD = 28
+
+
+def _field_tables() -> tuple[np.ndarray, ...]:
+    """The tables `_fields` reads, built once at import by NumPy arithmetic.
+
+    - `scale[:, i]`, for i = E + 7 with E a value's decimal exponent:
+      10**(16 - E), exact for i in 1..23, and its two Veltkamp halves of 26
+      bits, so that every product of halves is exact.  i = 0 and 24 hold
+      1e30 and 0, which scale any |x| in range out of [1e16, 1e17), so a
+      misjudged E is stepped, never used.
+    - `digits[g]`: the 4 ASCII digits of g in 0..9999 as one 4-byte item,
+      moved but never read as a number, so byte order does not matter.
+    - `last[k - 1, g]`: for g the k-th group of 4 digits after the lead
+      digit (k = 1..4), the place after the lead of its last nonzero digit,
+      or 0 for 0000.
+    - `before`, `after` and `marks`, each row the bytes of a field: row
+      1 + z + 17 * (E + 6) for E in -6..16 and z in 0..16, the place of the
+      last nonzero digit, and row 0 for a zero.  The digits sit in columns
+      0..20, 4 zeros and then the 17, and field byte 1 + j holds column j
+      where `before` is 1 and column j - 1 where `after` is, so a point
+      fits between them.  It goes before column E + 5 in fixed notation
+      (-4 <= E <= 16) and 5 in d.ddde-0X.  The columns kept are the last
+      leading zero before the point, for E < 0, and the digits up to the
+      last nonzero one or the point.  `marks` holds the point, when digits
+      follow it, the exponent, and the `0` of column 0 (E = -4) and of row
+      0, so that no digit array need hold column 0.
+    """
+    scale = np.zeros((3, 25))
+    scale[0, 0] = 1e30
+    scale[0, 1:24] = 10.0 ** np.arange(22, -1, -1)
+    scale[1] = scale[0] * 134217729.0  # 2**27 + 1: Veltkamp's split
+    scale[1] -= scale[1] - scale[0]
+    scale[2] = scale[0] - scale[1]
+
+    d = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)  # the digits of 0..9999
+    digits = np.add(d.T, 48, order="C")
+    place = np.max((d != 0) * np.arange(1, 5, dtype=np.int8)[:, None], axis=0)
+    last = (place + np.arange(0, 16, 4, dtype=np.int8)[:, None]) * (place > 0)
+
+    e = np.arange(-6, 17)[:, None, None]
+    z = np.arange(17)[None, :, None]
+    j = np.arange(_FIELD)[None, None, :] - 1
+    point = np.where(e >= -4, e + 5, 5)
+    first = np.minimum(4, point - 1)  # the first column kept
+    end = np.maximum(z + 4, point - 1)  # the last column kept
+    before = (j >= np.maximum(first, 1)) & (j < point)
+    after = (j > point) & (j <= end + 1)
+    marks = np.where((j == point) & (end >= point), 46, 0)  # "."
+    marks += np.where((j == 0) & (first == 0), 48, 0)  # "0"
+    exponent = np.concatenate(np.broadcast_arrays(101, 45, 48, 48 - e), axis=2)  # "e-0X"
+    marks[..., 23:27] = np.where(e < -4, exponent, 0)
+    rows = (e.size, z.size, _FIELD)
+    layout = [np.broadcast_to(t, rows).reshape(-1, _FIELD) for t in (before, after, marks)]
+    layout = [np.vstack([np.zeros(_FIELD), t]).astype(np.uint8) for t in layout]
+    layout[2][0, 1] = 48
+    return scale, digits.view(np.uint32)[:, 0], last, *layout
+
+
+_SCALE, _DIGITS, _LAST, _BEFORE, _AFTER, _MARKS = _field_tables()
+
+
+def _scaled(a: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) with hi + lo = a * `_SCALE[0, i]` exactly and hi that
+    product rounded: Dekker's two-product, with a split by Veltkamp's
+    constant and the scale's halves from the table (no FMA)."""
+    p = _SCALE[0].take(i)
+    hi = a * p
+    ah = a * 134217729.0
+    al = ah - a
+    ah -= al
+    np.subtract(a, ah, out=al)
+    # i is in range: "clip" lets a take write to its out array directly,
+    # where the default mode writes through a copy
+    lo = ah * _SCALE[1].take(i, out=p, mode="clip")
+    lo -= hi
+    lo += np.multiply(al, p, out=p)
+    _SCALE[2].take(i, out=p, mode="clip")
+    ah *= p
+    al *= p
+    lo += ah
+    lo += al
+    return hi, lo
+
+
+def _outside(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Where hi + lo is not in [1e16, 1e17 - 1/2), so that its rounding is
+    not a 17-digit integer.  hi - 1e16 + lo has the sign of the exact sum;
+    near 1e17 its rounding may put a value in range out, never one out in."""
+    u = hi - 1e16
+    u += lo
+    return (u < 0) | (u >= 9e16)
+
+
+def _fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value of x as the bytes Python's `g` conversion writes with 17
+    significant digits, in one row of `_FIELD` NUL-padded bytes whose last
+    (the separator) is 0, and where each was written: every value with
+    |x| in (1e-6, 1e17) and every zero.  The rows of the others are left
+    for the caller.
+
+    For |x| in range, E = floor(log10|x|) and 10**(16 - E) are taken, and
+    `_scaled` gives hi + lo = |x| * 10**(16 - E) exactly.  Where that is not
+    in [1e16, 1e17 - 1/2) (`_outside`), log10 was one off: E steps by one
+    and the product is redone, so no digit rests on log10's last bit (a
+    value still outside is left to the caller).  In range, hi is an even
+    integer, as every double past 2**53 is, so hi + rint(lo) is the exact
+    product rounded half to even: the 17 digits the conversion rounds to.
+    Their groups of 4 are looked up in `_DIGITS`, and the place of the last
+    nonzero one and E pick the row of `_field_tables`' layout: fixed
+    notation for -4 <= E <= 16 with the trailing zeros and a bare point
+    dropped, d.ddde-0X below.  The sign is the sign bit, so -0.0 is `-0`.
+
+    Every step is a NumPy call over all values, with small dtypes and each
+    array let go when done: about 100 bytes per value at the peak.
+    """
+    n = len(x)
+    sign = np.signbit(x)
+    a = np.abs(x)
+    del x  # a caller that hands over its only reference lets it go here
+    zero = a == 0
+    done = a > 1e-6
+    done &= a < 1e17
+    a = np.where(done, a, 1.0)  # 1.0 stands in for a value out of range
+    i = np.log10(a)
+    i += 7.0  # E + 7 is positive, so the cast floors it
+    i = i.astype(np.intp)
+    hi, lo = _scaled(a, i)
+    step = _outside(hi, lo)
+    if step.any():
+        k = np.flatnonzero(step)
+        i[k] += np.where(hi[k] < 5e16, -1, 1)
+        hi[k], lo[k] = _scaled(a[k], i[k])
+        done[k] &= ~_outside(hi[k], lo[k])
+    del a, step
+    digits = hi.astype(np.intp)
+    digits += np.rint(lo, out=lo).astype(np.intp)
+    del hi, lo
+    # the 17 digits' groups of 4, the lead digit alone: rows 1, 3 hold the
+    # first 9 and last 8 digits, then their splits
+    g = np.empty((5, n), np.intp)
+    np.divmod(digits, 10**8, out=(g[1], g[3]))
+    del digits
+    np.divmod(g[1:4:2], 10**4, out=(g[1:4:2], g[2:5:2]))
+    np.divmod(g[1], 10**4, out=(g[0], g[1]))
+    # digit columns 1..20, the groups, at bytes 4..23 of each row of c
+    c = np.empty((n, 7), np.uint32)
+    c[:, 1:6] = _DIGITS.take(g).T
+    z = np.empty((4, n), np.int8)  # the place of the last nonzero digit
+    for k, group in enumerate(g[1:]):
+        _LAST[k].take(group, out=z[k], mode="clip")
+    del g, group
+    z = z.max(axis=0)
+    row = 17 * i - 16  # 1 + z + 17 * (E + 6)
+    del i
+    row += z
+    row *= done  # row 0 writes a zero
+    c = c.view(np.uint8).reshape(-1)
+    # field byte 1 + j takes byte j + 3 of its row of c before the point,
+    # j + 2 after it (the layout rows read no other byte of c)
+    fields = _BEFORE.take(row, axis=0)
+    flat = fields.reshape(-1)
+    flat[:-2] *= c[2:]
+    part = _AFTER.take(row, axis=0)
+    part.reshape(-1)[:-1] *= c[1:]
+    del c
+    flat += part.reshape(-1)
+    flat += _MARKS.take(row, axis=0, out=part, mode="clip").reshape(-1)
+    del part
+    np.multiply(sign, np.uint8(45), out=fields[:, 0])
+    done |= zero
+    return fields, done
+
+
 def write_csv(signal, path, *more) -> None:
     """Write a signal as `t,value` CSV with full float precision, and with
     it each (signal, path) pair of `more`, whose signals share its grid.
@@ -607,53 +783,50 @@ def write_csv(signal, path, *more) -> None:
     chunks is never held whole and no chunk's tail is copied.
 
     Each row is `%.17g,%.17g`, so every float reads back exactly.  For each
-    block of rows, `write` takes the block's times from the grid once, and
-    each file's rows are formatted by one `%` and written with one call.  A
-    file alone on its grid interleaves its times and values into one list
-    under a repeated row format.  A group of files formats the block's
-    times once, into rows that hold a `%.17g` for each value, and each file
-    fills them with its values: the time column is formatted once for them
-    all.  A block whose values all share one bit pattern (compared as
-    int64, so -0.0 and 0.0 stay apart), such as a level of step noise, none
-    noise or a plateau of the reference, has that value formatted once.
-    Every path writes the text of one f-string and one write per row; the
-    per-value `%.17g` is the floor.  The block's times, lists and text live
-    in `write` only, so none is held while the next chunk is made.  A
-    signal on another grid than the first is refused.
-    The 256 rows are fixed, not an option: between 64 and 2048 rows the
-    speed barely changes, while the writer's memory (times, lists and text
-    of 256 rows, ~40 KiB) grows with them, and formatting a whole file at
-    once would raise the peak memory of a run.
+    block of rows, one `_fields` call formats the block's times, taken
+    from the grid once, and every file's values, in the block's row order,
+    into NUL-padded byte fields; each file's rows are its time and value
+    fields side by side, written with the NULs deleted.  `_fields` writes
+    every value with |v| in (1e-6, 1e17) and every zero, exactly (see its
+    docstring); the others, such as subnormals, values of 1e17 and more or
+    a non-finite value, take one `%.17g` for all of them in the block.  No
+    value is formatted alone.  The block's fields and text live in `write`
+    only, so none is held while the next chunk is made.  A signal on
+    another grid than the first is refused.
+    The 256 rows are fixed, not an option: the fields of a block take
+    about 100 bytes per value at their peak, and a 256-row block of one
+    file (512 values) is about as much as a run's peak memory leaves room
+    for, while fewer rows add NumPy calls per row.
     """
     stacks = [(signal, path), *more]
     (grid, first), *others = [_stream(s) for s, _ in stacks]
     if any(g != grid for g, _ in others):
         raise PreconditionError(f"files written together must share a grid: {[grid, *(g for g, _ in others)]}")
+    # the separator after a row's time, and after each file's value
+    ends = np.frombuffer(b"," + b"\n" * len(stacks), np.uint8)
 
     def write(start: int, blocks: list) -> None:
         """Write rows start.. of each file, from its block of values."""
         k = len(blocks[0])
-        times = grid.times(start, start + k).tolist()
-        # a group's rows, the times formatted and a %.17g for each value
-        rows = ("%.17g,%%.17g\n" * k) % tuple(times) if more else None
-        for fh, block in zip(handles, blocks):
-            bits = block.view(np.int64)
-            if bits[0] == bits[-1] and np.all(bits == bits[0]):
-                value = "%.17g" % float(block[0])
-                fh.write(rows.replace("%.17g", value) if more
-                         else ("%.17g," + value + "\n") * k % tuple(times))
-            elif more:
-                fh.write(rows % tuple(block.tolist()))
-            else:
-                cells = [0.0] * (2 * k)
-                cells[0::2] = times
-                cells[1::2] = block.tolist()
-                fh.write(("%.17g,%.17g\n" * k) % tuple(cells))
+        columns = [grid.times(start, start + k), *blocks]
+        fields, done = _fields(np.stack(columns, axis=1).reshape(-1))
+        if not done.all():
+            rest = np.flatnonzero(~done)
+            values = np.stack(columns, axis=1).reshape(-1)[rest]
+            text = ("%.17g " * len(rest) % tuple(values.tolist())).split()
+            fields[rest, :-1] = np.array(text, f"S{_FIELD - 1}").view((np.uint8, _FIELD - 1))
+        fields = fields.reshape(k, len(ends), _FIELD)
+        fields[:, :, -1] = ends
+        for f, fh in enumerate(handles, 1):
+            fh.write(fields[:, 0 : f + 1 : f].tobytes().translate(None, b"\0"))
 
+    header = b"t,value\n"
     with contextlib.ExitStack() as files:
-        handles = [files.enter_context(open(p, "w", newline="")) for _, p in stacks]
+        # a buffer as long as the header: every later write is a whole block,
+        # which goes to the file as it is
+        handles = [files.enter_context(open(p, "wb", buffering=len(header))) for _, p in stacks]
         for fh in handles:
-            fh.write("t,value\n")
+            fh.write(header)
         start = 0
         for chunk in first:
             cut = [chunk, *(next(chunks, ()) for _, chunks in others)]

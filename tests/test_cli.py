@@ -3,6 +3,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,28 @@ class TestRefsignal:
             assert re.fullmatch(rf"error: cosine fit of the transition is ill-posed: {form}\n", err)
         assert (out / "trapezoid_fit.json").exists() == (code == 0)
         assert out.exists() == (code == 0)
+
+    def test_csv_write_peaks_below_the_run(self, tmp_path, monkeypatch):
+        # the benchmark's refsignal peak is set by the occlusion quadrature
+        # (0.0905 MiB measured), not by the write of refsignal.csv, 2000 rows
+        # formatted into byte fields 256 at a time (0.077 MiB).  A first run
+        # makes NumPy's lazy imports and caches
+        write_csv, peaks = rotolock.signals.write_csv, []
+
+        def traced(*args):
+            peaks.append(tracemalloc.get_traced_memory()[1])  # the run's, so far
+            tracemalloc.reset_peak()
+            write_csv(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+
+        monkeypatch.setattr(rotolock.signals, "write_csv", traced)
+        assert run_cli("refsignal", "--out", str(tmp_path / "first")) == 0
+        tracemalloc.start()
+        try:
+            assert run_cli("refsignal", "--out", str(tmp_path / "out")) == 0
+        finally:
+            tracemalloc.stop()
+        assert peaks[3] < peaks[2]
 
     def test_manifest_reingestion_reproduces_degree_geometry(self, tmp_path):
         # rad2deg(deg2rad(24.0)) is 24.000000000000004: the manifest must write

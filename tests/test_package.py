@@ -209,8 +209,11 @@ def test_program_work_is_done_once_per_process():
 
 def test_one_csv_row_formatter():
     # signals.write_csv formats every CSV row of the package, for a file
-    # alone on its grid and for a group written together: the full-precision
-    # `%.17g` is in its body and nowhere else
+    # alone on its grid and for a group written together, each block of
+    # rows by one call of signals._fields, its NumPy formatter: the
+    # full-precision `%.17g` is in its body and nowhere else, the one
+    # batched call for the values _fields leaves to it
+    assert call_sites("_fields") == [("signals.py", "write_csv")]
     sites = [
         (path.name, top.name)
         for path in sorted(SRC.glob("*.py"))

@@ -17,6 +17,7 @@ from rotolock.signals import (
     HarmonicSeries,
     _CSV_READ,
     _Repeating,
+    _fields,
     _joined,
     _ranges,
     _stream,
@@ -872,6 +873,42 @@ def assert_same_bytes(signal, tmp_path):
     assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "per_row.csv").read_bytes()
 
 
+def adversarial_values() -> np.ndarray:
+    """Finite floats on which a 17-digit formatter that is not exact goes
+    wrong, and their negatives: every power of ten from 1e-323 to 1e308
+    with both neighbours, the edges of `_fields`' range and of fixed
+    notation with theirs, exact halfway cases at every scale, zero,
+    subnormals, the largest float, and random bit patterns and magnitudes."""
+    rng = np.random.default_rng(46)
+    powers = 10.0 ** np.arange(-323, 309)
+    edges = np.array([1e-6, 1e-5, 1e-4, 1e16, 1e17, 2.0**53, 2.0**54])
+    # m / 2**(s + 1) with m odd lies halfway between two 17-digit decimals
+    # when m * 5**s is in [2e16, 2e17): its digits round half to even
+    halfway = []
+    for s in range(1, 23):
+        low, high = -(-2 * 10**16 // 5**s), min(2 * 10**17 // 5**s, 2**53)
+        halfway.append(np.ldexp((rng.integers(low, high, 64) | 1).astype(float), -(s + 1)))
+    bits = rng.integers(0, 2**63, 20_000).view(np.float64)
+    values = np.concatenate([
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf), *halfway,
+        [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308],
+        rng.integers(1, 2**52, 100) * 5e-324, bits[np.isfinite(bits)],
+        rng.random(20_000) * 10.0 ** rng.uniform(-8, 19, 20_000),
+    ])
+    return np.concatenate([values, -values])
+
+
+def assert_fields_exact(values: np.ndarray) -> None:
+    """`_fields` writes each value with |v| in (1e-6, 1e17), and each zero,
+    itself, as the bytes of Python's %.17g, compared in one go."""
+    fields, done = _fields(values)
+    assert np.array_equal(done, (np.abs(values) > 1e-6) & (np.abs(values) < 1e17) | (values == 0))
+    fields[:, -1] = ord("\n")
+    text = "%.17g\n" * np.count_nonzero(done) % tuple(values[done].tolist())
+    assert fields[done].tobytes().translate(None, b"\0") == text.encode()
+
+
 class TestCsvBytes:
     # 256 rows is one chunk: cover a short tail, an exact fit and one row over
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 15_000])
@@ -996,6 +1033,27 @@ class TestCsvBytes:
         signal = (TimeGrid(dt=1.0, n=3), [np.array([v]) for v in (1.0, 2.0, 3.0)])
         with pytest.raises(PreconditionError, match=message):
             write_csv(signal, tmp_path / "a.csv", (other, tmp_path / "b.csv"))
+
+    def test_fields_are_exact_on_adversarial_values(self):
+        # the NumPy formatter: log10 misjudging an exponent at a power of
+        # ten, ties rounded half to even, the switch to the exponent below
+        # 1e-4, the sign of -0.0
+        assert_fields_exact(adversarial_values())
+
+    def test_writes_python_bytes_for_every_adversarial_value(self, tmp_path):
+        # and the writer, with one %.17g call per block for the values out
+        # of that range (subnormals, 1e17 and past, the largest float)
+        values = adversarial_values()
+        grid = TimeGrid(dt=1.0 / 3e5, n=len(values), t0=-0.37)
+        write_csv(SampledSignal(grid, values), tmp_path / "a.csv")
+        rows = np.column_stack([grid.times(), values]).ravel().tolist()
+        text = "t,value\n" + "%.17g,%.17g\n" * grid.n % tuple(rows)
+        assert (tmp_path / "a.csv").read_bytes() == text.encode()
+
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+    def test_fields_are_exact_on_any_finite_floats(self, values):
+        assert_fields_exact(np.array(values))
 
     def test_memory_does_not_grow_with_rows(self, tmp_path):
         n = 200_000
