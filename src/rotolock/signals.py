@@ -615,11 +615,12 @@ def _field_tables() -> tuple[np.ndarray, ...]:
       0..20, 4 zeros and then the 17, and field byte 1 + j holds column j
       where `before` is 1 and column j - 1 where `after` is, so a point
       fits between them.  It goes before column E + 5 in fixed notation
-      (-4 <= E <= 16) and 5 in d.ddde-0X.  The columns kept are the last
-      leading zero before the point, for E < 0, and the digits up to the
-      last nonzero one or the point.  `marks` holds the point, when digits
-      follow it, the exponent, and the `0` of column 0 (E = -4) and of row
-      0, so that no digit array need hold column 0.
+      (-4 <= E <= 16) and 5 in d.ddde-0X.  The columns kept run from the
+      lead digit, or for E < 0 the zero before the point, to the last
+      nonzero digit or the column before the point, whichever is later.
+      `marks` holds the point, when digits follow it, the exponent, and the
+      `0` of column 0 (E = -4) and of row 0, so that no digit array need
+      hold column 0.
     """
     scale = np.zeros((3, 25))
     scale[0, 0] = 1e30
@@ -652,7 +653,8 @@ def _field_tables() -> tuple[np.ndarray, ...]:
     return scale, digits.view(np.uint32)[:, 0], last, *layout
 
 
-_SCALE, _DIGITS, _LAST, _BEFORE, _AFTER, _MARKS = _field_tables()
+# read-only, as every call in the process shares them
+_SCALE, _DIGITS, _LAST, _BEFORE, _AFTER, _MARKS = map(frozen, _field_tables())
 
 
 def _scaled(a: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
