@@ -814,9 +814,10 @@ def write_csv(signal, path, *more) -> None:
         fields, done = _fields(np.stack(columns, axis=1).reshape(-1))
         if not done.all():
             rest = np.flatnonzero(~done)
-            values = np.stack(columns, axis=1).reshape(-1)[rest]
+            values = np.stack(columns, axis=1).reshape(-1)[rest]  # _fields let its x go
             text = ("%.17g " * len(rest) % tuple(values.tolist())).split()
-            fields[rest, :-1] = np.array(text, f"S{_FIELD - 1}").view((np.uint8, _FIELD - 1))
+            padded = np.array(text, f"S{_FIELD - 1}").view(np.uint8)  # NUL-padded
+            fields[rest, :-1] = padded.reshape(len(rest), _FIELD - 1)
         fields = fields.reshape(k, len(ends), _FIELD)
         fields[:, :, -1] = ends
         for f, fh in enumerate(handles, 1):
