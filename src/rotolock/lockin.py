@@ -203,21 +203,23 @@ def _slope_coefficients(m_period: np.ndarray) -> np.ndarray:
     over the w + 1 samples of a window starting at phase p (u in periods,
     centered on the window).  They solve G_p c = (0, 0, 0, 1) with G_p the
     Gram matrix of the basis (1, u, m, u*m).
+
+    Basis function i is u**du[i] * m**dm[i], du = (0, 1, 0, 1) and
+    dm = (0, 0, 1, 1), so G_p[i, j] is sums[p, du[i] + du[j], dm[i] + dm[j]],
+    one index rule over the nine window sums of u**d * m**e, d and e in 0..2.
+    Three of them hold for every phase: w + 1, exactly 0.0 and the sum of
+    u**2.  The stack is taken from them in C order, one matrix per phase.
     """
     w = len(m_period)
     u = np.arange(w + 1) / w - 0.5
-    sm = [_phase_sums(u**d, m_period) for d in range(3)]
-    smm = [_phase_sums(u**d, m_period**2) for d in range(3)]
-    gram = np.empty((w, 4, 4))
-    gram[:, 0, 0] = w + 1
-    gram[:, 0, 1] = gram[:, 1, 0] = 0.0
-    gram[:, 1, 1] = np.sum(u**2)
-    gram[:, 0, 2] = gram[:, 2, 0] = sm[0]
-    gram[:, 0, 3] = gram[:, 3, 0] = gram[:, 1, 2] = gram[:, 2, 1] = sm[1]
-    gram[:, 1, 3] = gram[:, 3, 1] = sm[2]
-    gram[:, 2, 2] = smm[0]
-    gram[:, 2, 3] = gram[:, 3, 2] = smm[1]
-    gram[:, 3, 3] = smm[2]
+    sums = np.empty((w, 3, 3))
+    sums[:, :, 0] = w + 1, 0.0, np.sum(u**2)
+    for d in range(3):
+        sums[:, d, 1] = _phase_sums(u**d, m_period)
+        sums[:, d, 2] = _phase_sums(u**d, m_period**2)
+    du, dm = np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])
+    gram = np.take(sums.reshape(w, 9), 3 * (du[:, None] + du) + dm[:, None] + dm, axis=1)
+    del sums  # not held through the solves, which set the peak
     scale = 1.0 / np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
     scaled = gram * scale[:, :, None] * scale[:, None, :]
     eig = np.linalg.eigvalsh(scaled)  # ascending; a Gram matrix is symmetric

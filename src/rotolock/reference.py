@@ -340,8 +340,9 @@ def _cosine_lsq(theta: np.ndarray, v: np.ndarray, u: float) -> tuple[np.ndarray,
     where halving leaves no step that lowers the cost.  A step that is not
     finite (deep in a valley without a minimum) stops it too.  It is refused
     as not converging after _FIT_TRIALS costs.  Returns (B, u, phi, c2) and
-    their covariance s**2 * inv(J'J), s**2 = RSS/(n - 4), J the model's
-    Jacobian; a singular J'J gives an infinite covariance.
+    the 2 x 2 covariance of (B, c2), their rows and columns of
+    s**2 * inv(J'J), s**2 = RSS/(n - 4), J the model's Jacobian; a singular
+    J'J gives an infinite covariance.
     """
     mid = 0.5 * (theta[0] + theta[-1])
     th = theta - mid
@@ -376,7 +377,8 @@ def _cosine_lsq(theta: np.ndarray, v: np.ndarray, u: float) -> tuple[np.ndarray,
             step, halved = 0.5 * step, True
     else:
         raise PreconditionError("cosine fit of the transition did not converge")
-    # the Jacobian in (B, u, psi, c2), psi = phi + u*mid the phase at the midpoint
+    # the Jacobian in (B, u, psi, c2), psi = phi + u*mid the phase at the
+    # midpoint: B and c2 are the same parameters in (B, u, phi, c2)
     B, psi = math.hypot(x[0], x[1]), math.atan2(-x[1], x[0])
     slope = -B * np.sin(u * th + psi)
     jac = np.stack((np.cos(u * th + psi), slope * th, slope, np.ones(n)))
@@ -384,10 +386,7 @@ def _cosine_lsq(theta: np.ndarray, v: np.ndarray, u: float) -> tuple[np.ndarray,
         cov = np.linalg.inv(jac @ jac.T) * (cost / (n - 4))
     except np.linalg.LinAlgError:
         cov = np.full((4, 4), np.inf)
-    # to (B, u, phi, c2): phi = psi - mid*u
-    cov[2] -= mid * cov[1]
-    cov[:, 2] -= mid * cov[:, 1]
-    return np.array([B, u, psi - u * mid, x[2] - x[0] * cbar]), cov
+    return np.array([B, u, psi - u * mid, x[2] - x[0] * cbar]), cov[::3, ::3]
 
 
 def fit_trapezoid_cosine(signal: SampledSignal, f_rot: float) -> tuple[TrapezoidFit, float]:
@@ -414,7 +413,7 @@ def fit_trapezoid_cosine(signal: SampledSignal, f_rot: float) -> tuple[Trapezoid
     popt, pcov = _cosine_lsq(theta, v, u0)
     with np.errstate(divide="ignore", invalid="ignore"):
         # the square roots apart, so that their product cannot overflow
-        rho = pcov[0, 3] / (np.sqrt(pcov[0, 0]) * np.sqrt(pcov[3, 3]))
+        rho = pcov[0, 1] / (np.sqrt(pcov[0, 0]) * np.sqrt(pcov[1, 1]))
     if not np.isfinite(rho):
         raise PreconditionError(
             "cosine fit of the transition is ill-posed: its covariance cannot be "

@@ -241,22 +241,22 @@ class _NoisySum:
     """The noise of a run plus the periods passed in, read by sample range.
 
     The noise is drawn once: step noise as its levels and the sample where
-    each starts, sine noise as its `period_grid` period (the whole grid when
-    its period is not a whole number of samples, as `synth` evaluates it),
-    and none noise (or an amplitude of 0) as one level of 0.0.  `steps`
-    are the sorted samples where the level changes, empty but for step
-    noise.
+    each starts, and any other noise as one level of 0.0.  Sine noise is
+    that level plus its `period_grid` period (the whole grid when its period
+    is not a whole number of samples, as `synth` evaluates it), put first
+    among the periods.  `steps` are the sorted samples where the level
+    changes, empty but for step noise.
 
-    `reader[i:j]` fills the noise over [i, j) into a fresh array, the levels
-    repeated or the sine period laid, and adds each period passed in to it
-    in place, one period-aligned segment at a time (IEEE addition commutes,
-    so a range holds the bits of the noise plus the tiled periods over the
-    whole grid), and refuses a sum past the float range.  None noise is
-    the level 0.0, not an empty fill, so that a period holding -0.0 reads
-    0.0 + -0.0 = 0.0 there.  `gen_noise` makes the reader; the lock-in
-    reads the run's noisy sum one chunk at a time and `report` writes the
-    noise and the noisy sum 4 096 rows at a time, so neither exists at full
-    length.
+    `reader[i:j]` fills the levels over [i, j) into a fresh array and adds
+    each period to it in place, one period-aligned segment at a time (IEEE
+    addition commutes, so a range holds the bits of the noise plus the tiled
+    periods over the whole grid), and refuses a sum past the float range.
+    The level 0.0 is a fill, not nothing, so that a period holding -0.0
+    reads 0.0 + -0.0 = 0.0 there.  A sine from `synth` holds no -0.0 (its
+    dc of +0.0 is added in place), so 0.0 + sine is the sine, bit for bit.
+    `gen_noise` makes the reader; the lock-in reads the run's noisy sum one
+    chunk at a time and `report` writes the noise and the noisy sum 4 096
+    rows at a time, so neither exists at full length.
 
     Step levels are drawn as lo + span * random() and intervals as
     scale * standard_exponential(), NumPy's own products for uniform(lo, hi)
@@ -269,11 +269,9 @@ class _NoisySum:
         self.periods = [p.values for p in periods]
         self.levels = np.zeros(1)
         self.starts = np.zeros(0, dtype=np.int64)
-        self.sine = None
         if spec.kind == "sine" and spec.amplitude != 0.0:
             series = HarmonicSeries(spec.rate_or_freq, 0.0, [0.0], [spec.amplitude])
-            sine = synth(series, period_grid(grid, spec.rate_or_freq)).values
-            self.sine = _Repeating(sine, grid.n)
+            self.periods.insert(0, synth(series, period_grid(grid, spec.rate_or_freq)).values)
         elif spec.kind == "step" and spec.amplitude != 0.0:
             rng = np.random.default_rng(spec.seed)
             random, exponential = rng.random, rng.standard_exponential
@@ -306,13 +304,10 @@ class _NoisySum:
 
     def __getitem__(self, s: slice) -> np.ndarray:
         i, j, _ = s.indices(self.n)
-        if self.sine is None:
-            starts = self.starts
-            lo, hi = np.searchsorted(starts, [i, j - 1], side="right")
-            counts = np.diff(np.concatenate(([i], starts[lo:hi], [j])))
-            values = np.repeat(self.levels[lo : hi + 1], counts)
-        else:
-            values = self.sine[i:j]
+        starts = self.starts
+        lo, hi = np.searchsorted(starts, [i, j - 1], side="right")
+        counts = np.diff(np.concatenate(([i], starts[lo:hi], [j])))
+        values = np.repeat(self.levels[lo : hi + 1], counts)
         with np.errstate(over="ignore"):
             for period in self.periods:
                 _periodic(iadd, values, period, i)

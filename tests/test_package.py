@@ -235,6 +235,35 @@ def test_one_noise_reader_and_one_way_to_build_a_signal():
     assert [path.name for path in SRC.glob("*.py") if "object.__new__(" in path.read_text()] == []
 
 
+def test_sine_noise_is_laid_as_a_period():
+    # sine noise is the level 0.0 plus its one period, put first among the
+    # periods the noise reader lays into each range: one fill for every kind
+    # of noise, with no sine member and no reader of its own
+    reader = rotolock.sim._NoisySum(rotolock.sim.NoiseSpec(kind="sine"), TimeGrid(dt=2e-6, n=1000))
+    assert not hasattr(reader, "sine")
+    assert len(reader.periods) == 1
+    assert "_Repeating" not in inspect.getsource(rotolock.sim._NoisySum)
+
+
+def test_every_private_helper_has_a_caller():
+    # a module-level function or class whose name starts with "_" is named
+    # somewhere in the package outside its own definition, so a refactor
+    # that leaves a helper without a caller fails here, as an unused export
+    # fails test_every_export_is_used_or_kept_for_a_reason
+    tops = [top for path in sorted(SRC.glob("*.py")) for top in ast.parse(path.read_text()).body]
+    named = {
+        id(top): {getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+                  for node in ast.walk(top)
+                  if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+        for top in tops
+    }
+    helpers = [top for top in tops
+               if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name.startswith("_")]
+    assert helpers
+    assert [h.name for h in helpers
+            if not any(h.name in named[id(top)] for top in tops if top is not h)] == []
+
+
 def test_one_read_only_handover():
     # signals.frozen makes an array read-only for the code that hands it
     # over, the signal constructor's copy and the series' and fit's

@@ -222,6 +222,29 @@ class TestSynth:
         got = synth(series, grid).values
         assert np.array_equal(got.view(np.int64), synth_one_expression(series, grid).view(np.int64))
 
+    # a coefficient at an edge of the float range, a signed zero, or any value
+    EDGE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]),
+                     st.floats(-2.0, 2.0))
+
+    @given(
+        data=st.data(),
+        l=st.integers(1, 7),
+        shape=st.sampled_from(["whole", "partial", "non-whole"]),
+        periods=st.integers(1, 4),
+    )
+    def test_positive_zero_dc_gives_no_negative_zero(self, data, l, shape, periods):
+        # the dc is added in place before the sines, so +0.0 turns every -0.0
+        # of the cosine sum into +0.0, and a sum holds -0.0 only when both
+        # terms do: the noise reader's level 0.0 plus such a series (sine
+        # noise) is the series, bit for bit
+        coeffs = data.draw(st.lists(self.EDGE, min_size=2 * l, max_size=2 * l))
+        f = 2437.0 if shape == "non-whole" else F_M
+        n = periods * SPP + (data.draw(st.integers(1, SPP - 1)) if shape == "partial" else 0)
+        series = HarmonicSeries(f_fund=f, dc=0.0, cos_coeffs=coeffs[:l], sin_coeffs=coeffs[l:])
+        got = synth(series, TimeGrid(dt=DT, n=n)).values
+        assert not np.any((got == 0.0) & np.signbit(got))
+        assert (0.0 + got).tobytes() == got.tobytes()
+
     def test_peak_memory_is_three_arrays_for_one_harmonic(self):
         # a 37 Hz period is no whole number of 1 us samples, so all n are
         # evaluated: the argument table, its cosines and their product, 3.0

@@ -109,21 +109,28 @@ class TestGenNoise:
             part = reader[i:j]
             assert part.flags.writeable and part.tobytes() == whole[i:j].tobytes()
 
-    @pytest.mark.parametrize("freq", [500.0, 37.0], ids=["500Hz", "37Hz-no-whole-period"])
-    def test_sine_range_is_laid_from_the_tiled_sine(self, monkeypatch, freq):
-        # sine noise is its period laid into each range, with no level fill
-        # ahead of it: a range plus a period passed in reads the bits of the
-        # tiled sine plus the tiled period
-        spec = NoiseSpec(kind="sine", rate_or_freq=freq)
+    @pytest.mark.parametrize("freq, amplitude, negative_zeros", [
+        (500.0, 10.0, False), (37.0, 10.0, False), (500.0, 5e-324, False),
+        (500.0, 10.0, True), (500.0, 5e-324, True),
+    ], ids=["500Hz", "37Hz-no-whole-period", "least-subnormal", "trace-with-negative-zeros",
+            "least-subnormal-trace-with-negative-zeros"])
+    def test_sine_range_is_laid_from_the_tiled_sine(self, freq, amplitude, negative_zeros):
+        # sine noise is the level 0.0 plus its period laid into each range: a
+        # range reads the bits of the tiled sine, and plus a period passed in
+        # those of the tiled sine plus the tiled period, since the sine holds
+        # no -0.0 for the level to turn into +0.0; a least-subnormal sine
+        # rounds to zero at many samples, and a trace may hold -0.0 itself
+        spec = NoiseSpec(kind="sine", amplitude=amplitude, rate_or_freq=freq)
         grid = TimeGrid(dt=2e-6, n=150_050)
         one = period_grid(grid, freq)
         sine = synth(HarmonicSeries(freq, 0.0, [0.0], [spec.amplitude]), one).values
         trace = np.sin(np.arange(1000) * 0.01) - 0.5
+        if negative_zeros:
+            trace[::3] = -0.0
         tiled_sine = np.tile(sine, -(-grid.n // one.n))[: grid.n]
         tiled_trace = np.tile(trace, -(-grid.n // 1000))[: grid.n]
         period = SampledSignal(TimeGrid(grid.dt, 1000), trace)
         bare, summed = _NoisySum(spec, grid), _NoisySum(spec, grid, period)
-        monkeypatch.setattr(np, "repeat", None)  # no level is filled
         for i, j in [(0, grid.n), (0, 1), (7, 1007), (999, 66_000), (150_000, 150_050)]:
             assert bare[i:j].tobytes() == tiled_sine[i:j].tobytes()
             assert summed[i:j].tobytes() == (tiled_sine + tiled_trace)[i:j].tobytes()
